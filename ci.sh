@@ -12,6 +12,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# Formatting gate: every Go file in the module must be gofmt-clean.
+test -z "$(gofmt -l .)"
 
 # Domain-invariant static analysis: cmd/vlplint enforces the solver's
 # safety contracts (Geo-I repair gate, atomic stats, context plumbing,
@@ -102,10 +104,11 @@ go test -count=1 -run 'TestLoadFleetSmoke' ./cmd/vlpload
 go test -count=1 -run 'TestPresolveInvariant' ./internal/serial
 
 # Allocation-regression gate: the warm-start hot paths (persistent
-# master re-solve, persistent pricing subproblems) carry AllocsPerRun
-# budgets; run them without -race, whose instrumentation changes alloc
-# counts. A failure here means a kernel started allocating per round.
-go test -count=1 -run 'Allocs' ./internal/lp ./internal/core
+# master re-solve, persistent pricing subproblems) and Dijkstra's typed
+# heap carry AllocsPerRun budgets; run them without -race, whose
+# instrumentation changes alloc counts. A failure here means a kernel
+# started allocating per round (or per heap push).
+go test -count=1 -run 'Allocs' ./internal/lp ./internal/core ./internal/roadnet
 
 # Fuzz smoke: ten seconds per serial decoder, enough to catch a freshly
 # introduced parsing crash without stalling the gate.

@@ -528,6 +528,7 @@ func samePoint(a, b []float64) bool {
 func seedColumns(pr *Problem, plain bool) []cgColumn {
 	k := pr.Part.K()
 	mech := pr.ExponentialMechanism()
+	sym := pr.Sym()
 	gammas := []float64{1, 0.5, 0.25}
 	if plain {
 		gammas = nil
@@ -546,7 +547,7 @@ func seedColumns(pr *Problem, plain bool) []cgColumn {
 			ze := make([]float64, k)
 			eps := pr.MinEps()
 			for i := 0; i < k; i++ {
-				ze[i] = math.Exp(-g * eps * pr.Sym.Dist(roadnet.NodeID(i), roadnet.NodeID(l)))
+				ze[i] = math.Exp(-g * eps * sym.Dist(roadnet.NodeID(i), roadnet.NodeID(l)))
 			}
 			// At small ε the γ family flattens toward the all-ones
 			// vector; near-collinear columns only degrade the master's
@@ -702,7 +703,7 @@ func PresolveReduction(pr *Problem) (master, pricing lp.PresolveStats) {
 	sub := newPricer(pr, CGOptions{}.withDefaults())
 	dual := lp.NewProblem(sub.numDual)
 	for b := 0; b < k; b++ {
-		dual.SetObjectiveCoeff(2*len(pr.Red.Pairs)+b, 1)
+		dual.SetObjectiveCoeff(2*len(pr.Red().Pairs)+b, 1)
 	}
 	for i := 0; i < k; i++ {
 		dual.AddConstraint(sub.dualRows[i], lp.GE, -pr.Costs[i*k])
@@ -859,11 +860,12 @@ type pricerWorker struct {
 func newPricer(pr *Problem, opts CGOptions) *pricer {
 	k := pr.Part.K()
 	p := &pricer{pr: pr, opts: opts}
+	pairs := pr.Red().Pairs
 
 	// Primal fallback.
 	base := lp.NewProblem(k)
-	p.pairF = make([]float64, len(pr.Red.Pairs))
-	for pi, pair := range pr.Red.Pairs {
+	p.pairF = make([]float64, len(pairs))
+	for pi, pair := range pairs {
 		f := math.Exp(pr.reducedPairEps(pair) * pair.D)
 		p.pairF[pi] = f
 		base.AddConstraint([]lp.Term{{Var: pair.A, Coef: 1}, {Var: pair.B, Coef: -f}}, lp.LE, 0)
@@ -878,9 +880,9 @@ func newPricer(pr *Problem, opts CGOptions) *pricer {
 
 	// Dual rows: u layout is [2 per pair][K box]. Primal column of z_i
 	// appears in pair rows (±1 / −f) and its own box row (+1).
-	p.numDual = 2*len(pr.Red.Pairs) + k
+	p.numDual = 2*len(pairs) + k
 	p.dualRows = make([][]lp.Term, k)
-	for pi, pair := range pr.Red.Pairs {
+	for pi, pair := range pairs {
 		f := p.pairF[pi]
 		u1, u2 := 2*pi, 2*pi+1
 		// Row u1: z_A − f·z_B ≤ 0  →  contributes +1 to z_A's dual row,
@@ -891,14 +893,14 @@ func newPricer(pr *Problem, opts CGOptions) *pricer {
 			lp.Term{Var: u1, Coef: -f}, lp.Term{Var: u2, Coef: 1})
 	}
 	for i := 0; i < k; i++ {
-		p.dualRows[i] = append(p.dualRows[i], lp.Term{Var: 2*len(pr.Red.Pairs) + i, Coef: 1})
+		p.dualRows[i] = append(p.dualRows[i], lp.Term{Var: 2*len(pairs) + i, Coef: 1})
 	}
 
 	// Dual template with placeholder right-hand sides: structure (and
 	// hence equilibration) is fixed, only −w_i changes between solves.
 	dual := lp.NewProblem(p.numDual)
 	for b := 0; b < k; b++ {
-		dual.SetObjectiveCoeff(2*len(pr.Red.Pairs)+b, 1)
+		dual.SetObjectiveCoeff(2*len(pairs)+b, 1)
 	}
 	for i := 0; i < k; i++ {
 		dual.AddConstraint(p.dualRows[i], lp.GE, 0)
@@ -1077,7 +1079,7 @@ func (p *pricer) priceOneCold(ctx context.Context, l int, pi []float64) (float64
 	// Dual formulation (see the pricer doc comment).
 	prob := lp.NewProblem(p.numDual)
 	for b := 0; b < k; b++ {
-		prob.SetObjectiveCoeff(2*len(p.pr.Red.Pairs)+b, 1) // box duals cost 1
+		prob.SetObjectiveCoeff(2*len(p.pr.Red().Pairs)+b, 1) // box duals cost 1
 	}
 	for i := 0; i < k; i++ {
 		w := p.pr.Costs[i*k+l] - pi[i]
@@ -1116,7 +1118,7 @@ func (p *pricer) priceOneCold(ctx context.Context, l int, pi []float64) (float64
 // feasible verifies a recovered column against Λ_l within tolerance.
 func (p *pricer) feasible(z []float64) bool {
 	const tolF = 1e-7
-	for pi, pair := range p.pr.Red.Pairs {
+	for pi, pair := range p.pr.Red().Pairs {
 		f := p.pairF[pi]
 		if z[pair.A]-f*z[pair.B] > tolF || z[pair.B]-f*z[pair.A] > tolF {
 			return false

@@ -66,7 +66,7 @@ func SolveDirect(pr *Problem, opts DirectOptions) (*DirectResult, error) {
 			addPair(p.I, p.L, p.D, pr.PairEps(p.I, p.L))
 		}
 	} else {
-		for _, p := range pr.Red.Pairs {
+		for _, p := range pr.Red().Pairs {
 			eps := pr.reducedPairEps(p)
 			addPair(p.A, p.B, p.D, eps)
 			addPair(p.B, p.A, p.D, eps)

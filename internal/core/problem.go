@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/discretize"
 	"repro/internal/geoi"
@@ -33,9 +34,12 @@ type Config struct {
 	EpsilonAt []float64
 }
 
-// Problem is an assembled D-VLP instance: the discretised network, the
-// quality-loss cost matrix c_{i,l} (Eq. 19), and the reduced Geo-I
-// constraint set of Algorithm 1.
+// Problem is an assembled D-VLP instance: the discretised network and
+// the quality-loss cost matrix c_{i,l} (Eq. 19). The reduced Geo-I
+// constraint set of Algorithm 1 (Red) and the symmetrised interval
+// metric (Sym) are built on first use: checking and pricing a given
+// mechanism (GeoIViolation, ETDD, an EnforceGeoI that needs no repair)
+// uses neither, so a stored mechanism is served without them.
 type Problem struct {
 	Part   *discretize.Partition
 	Eps    float64
@@ -51,13 +55,53 @@ type Problem struct {
 	// evaluated at interval midpoints.
 	Costs []float64
 
-	// Red is the constraint-reduced Geo-I pair set.
-	Red *geoi.Reduced
-	// Aux is the auxiliary interval graph G′ used by the reduction.
-	Aux *roadnet.Graph
-	// Sym is the symmetrized interval metric used to seed the column
-	// generation with a feasible exponential mechanism.
-	Sym *roadnet.DistMatrix
+	// red and sym back Red and Sym; a custom problem supplies both, so
+	// its onces find them set and build nothing.
+	redOnce, symOnce sync.Once
+	red              *geoi.Reduced
+	sym              *roadnet.DistMatrix
+	// redBuilt and symBuilt record which of them a road problem has
+	// built so far; see Built.
+	redBuilt, symBuilt atomic.Bool
+}
+
+// Red returns the constraint-reduced Geo-I pair set of Algorithm 1,
+// running the reduction on the auxiliary interval graph G′ on first
+// use. Concurrent first calls run it once and share the result.
+func (pr *Problem) Red() *geoi.Reduced {
+	pr.redOnce.Do(func() {
+		if pr.red != nil {
+			return
+		}
+		aux := pr.Part.AuxGraph()
+		if pr.EpsAt != nil {
+			pr.red = geoi.ReduceHetero(pr.Part, aux, pr.Radius, pr.EpsAt)
+		} else {
+			pr.red = geoi.Reduce(pr.Part, aux, pr.Radius)
+		}
+		pr.redBuilt.Store(true)
+	})
+	return pr.red
+}
+
+// Sym returns the symmetrised interval metric that seeds the column
+// generation and backs ExponentialMechanism, computing it from G′ on
+// first use. Concurrent first calls compute it once.
+func (pr *Problem) Sym() *roadnet.DistMatrix {
+	pr.symOnce.Do(func() {
+		if pr.sym != nil {
+			return
+		}
+		pr.sym = geoi.SymmetrizedDistances(pr.Part.AuxGraph())
+		pr.symBuilt.Store(true)
+	})
+	return pr.sym
+}
+
+// Built reports whether Red and Sym have been computed for this
+// problem so far. A custom problem's supplied ones do not count.
+func (pr *Problem) Built() (red, sym bool) {
+	return pr.redBuilt.Load(), pr.symBuilt.Load()
 }
 
 // UniformPrior returns the uniform distribution over k intervals.
@@ -69,9 +113,10 @@ func UniformPrior(k int) []float64 {
 	return p
 }
 
-// NewProblem assembles a D-VLP instance: it validates the priors, builds
-// the cost matrix (in parallel across rows) and runs the constraint
-// reduction.
+// NewProblem assembles a D-VLP instance: it validates the priors and
+// builds the cost matrix (in parallel across rows). The constraint
+// reduction and the symmetrised metric wait for their first use (Red,
+// Sym), which a solve makes and a check of a given mechanism does not.
 func NewProblem(part *discretize.Partition, cfg Config) (*Problem, error) {
 	if cfg.Epsilon <= 0 {
 		return nil, fmt.Errorf("core: epsilon must be positive, got %v", cfg.Epsilon)
@@ -104,15 +149,8 @@ func NewProblem(part *discretize.Partition, cfg Config) (*Problem, error) {
 		PriorP: pp,
 		PriorQ: pq,
 		EpsAt:  cfg.EpsilonAt,
-		Aux:    part.AuxGraph(),
+		Costs:  BuildCosts(part, pp, pq),
 	}
-	pr.Costs = BuildCosts(part, pp, pq)
-	if cfg.EpsilonAt != nil {
-		pr.Red = geoi.ReduceHetero(part, pr.Aux, cfg.Radius, cfg.EpsilonAt)
-	} else {
-		pr.Red = geoi.Reduce(part, pr.Aux, cfg.Radius)
-	}
-	pr.Sym = geoi.SymmetrizedDistances(pr.Aux)
 	return pr, nil
 }
 
@@ -175,6 +213,9 @@ func NewCustomProblem(part *discretize.Partition, eps, radius float64, priorP, c
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("core: custom problem needs at least one Geo-I pair")
 	}
+	if sym == nil {
+		return nil, fmt.Errorf("core: custom problem needs a seeding metric")
+	}
 	return &Problem{
 		Part:   part,
 		Eps:    eps,
@@ -182,8 +223,8 @@ func NewCustomProblem(part *discretize.Partition, eps, radius float64, priorP, c
 		PriorP: pp,
 		PriorQ: UniformPrior(k),
 		Costs:  costs,
-		Red:    &geoi.Reduced{Pairs: pairs},
-		Sym:    sym,
+		red:    &geoi.Reduced{Pairs: pairs},
+		sym:    sym,
 	}, nil
 }
 
@@ -333,11 +374,12 @@ func (pr *Problem) TradeoffLowerBound(eps float64) float64 {
 func (pr *Problem) ExponentialMechanism() *Mechanism {
 	k := pr.Part.K()
 	eps := pr.MinEps()
+	sym := pr.Sym()
 	z := make([]float64, k*k)
 	for i := 0; i < k; i++ {
 		sum := 0.0
 		for l := 0; l < k; l++ {
-			z[i*k+l] = math.Exp(-eps / 2 * pr.Sym.Dist(roadnet.NodeID(i), roadnet.NodeID(l)))
+			z[i*k+l] = math.Exp(-eps / 2 * sym.Dist(roadnet.NodeID(i), roadnet.NodeID(l)))
 			sum += z[i*k+l]
 		}
 		for l := 0; l < k; l++ {

@@ -1,9 +1,6 @@
 package roadnet
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // pqItem is a priority-queue entry for Dijkstra.
 type pqItem struct {
@@ -11,18 +8,46 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop make exactly the
+// comparisons and swaps of container/heap's Push and Pop (sift-up; swap
+// the last item to the root, then sift-down), so equal-distance ties
+// resolve in the same order and shortest-path trees keep the same
+// parents. Being typed, it does not box an item per push.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // SPT is a shortest-path tree rooted at Root. For an out-tree
@@ -62,10 +87,10 @@ func (g *Graph) dijkstra(root NodeID, reverse bool) *SPT {
 	dist[root] = 0
 
 	q := make(pq, 0, n)
-	heap.Push(&q, pqItem{root, 0})
+	q.push(pqItem{root, 0})
 	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(q) > 0 {
+		it := q.pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -88,7 +113,7 @@ func (g *Graph) dijkstra(root NodeID, reverse bool) *SPT {
 			if nd := it.dist + e.Weight; nd < dist[v] {
 				dist[v] = nd
 				parent[v] = eid
-				heap.Push(&q, pqItem{v, nd})
+				q.push(pqItem{v, nd})
 			}
 		}
 	}

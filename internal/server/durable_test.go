@@ -85,6 +85,57 @@ func TestStoreWarmRestartPreservesServedMechanism(t *testing.T) {
 	}
 }
 
+// TestStoreReadThroughDefersReduction: rebuilding an entry from the
+// store checks the snapshot against the full Geo-I constraint set
+// without running Algorithm 1 or the metric; a snapshot that needs
+// repair builds the metric only, and is served repaired and feasible.
+func TestStoreReadThroughDefersReduction(t *testing.T) {
+	st := testStore(t)
+	spec := ladderSpec(t)
+	key := spec.Digest()
+	srvA := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	if _, _, err := srvA.mechanismFor(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := srvA.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	e := srvB.entryFromStore(key, spec)
+	if e == nil {
+		t.Fatal("stored entry not loadable")
+	}
+	assertServable(t, e)
+	if red, sym := e.prob.Built(); red || sym {
+		t.Fatalf("read-through built red=%v sym=%v, want neither", red, sym)
+	}
+
+	// Tamper with the snapshot: row 0 leans on its own interval beyond
+	// what ε allows, still row-stochastic, so only EnforceGeoI catches it.
+	se, err := st.LoadEntry(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := se.K
+	se.Z[0] += 0.2
+	for j := 0; j < k; j++ {
+		se.Z[j] /= 1.2
+	}
+	if err := st.WriteEntry(se); err != nil {
+		t.Fatal(err)
+	}
+	srvC := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	e = srvC.entryFromStore(key, spec)
+	if e == nil {
+		t.Fatal("repairable snapshot not loaded")
+	}
+	assertServable(t, e)
+	if red, sym := e.prob.Built(); red || !sym {
+		t.Fatalf("repairing read-through built red=%v sym=%v, want sym only", red, sym)
+	}
+}
+
 // TestStoreServesEvictedEntry closes the eviction/persistence gap: an
 // entry pushed out of the LRU is reloaded from disk on its next
 // request instead of being re-solved.
@@ -215,6 +266,12 @@ func TestStoreRecoveryReenqueuesInterruptedSolve(t *testing.T) {
 		e, ok := srv.cache.get(key)
 		return ok && e.tier == serial.QualityOptimal
 	})
+	// The upgrade caches its result before it counts and persists it:
+	// join it (Shutdown drains background work) before asserting on
+	// either.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if snap := srv.Stats(); snap.Upgrades != 1 || snap.StoreWrites != 1 {
 		t.Fatalf("upgrades=%d store_writes=%d, want 1/1", snap.Upgrades, snap.StoreWrites)
 	}
@@ -223,9 +280,6 @@ func TestStoreRecoveryReenqueuesInterruptedSolve(t *testing.T) {
 	}
 	if se, err := st.LoadEntry(key); err != nil || se.Tier != serial.QualityOptimal {
 		t.Fatalf("recovered solve not persisted optimal: %+v, %v", se, err)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -358,15 +358,19 @@ func TestFleetFailoverRecoversCheckpoint(t *testing.T) {
 	}
 
 	waitFor(t, 5*time.Second, func() bool { return srvB.Stats().LeaseState == "leader" })
-	snap := srvB.Stats()
-	if snap.FenceToken != 2 {
+	if snap := srvB.Stats(); snap.FenceToken != 2 {
 		t.Fatalf("failover fence_token = %d, want 2 (takeover bumps)", snap.FenceToken)
-	}
-	if snap.RecoveredSolves != 1 {
-		t.Fatalf("recovered_solves = %d, want 1 (checkpoint re-enqueued on promotion)", snap.RecoveredSolves)
 	}
 	if rec, _, _ := srvB.store.LeaseHolder(); rec.Owner != "b" || rec.Token != 2 {
 		t.Fatalf("lease record after failover: %+v, want owner b token 2", rec)
+	}
+	// Promotion flips the role before it re-enqueues checkpoints: join
+	// the lease loop (Shutdown waits out its tick) before counting them.
+	if err := srvB.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if snap := srvB.Stats(); snap.RecoveredSolves != 1 {
+		t.Fatalf("recovered_solves = %d, want 1 (checkpoint re-enqueued on promotion)", snap.RecoveredSolves)
 	}
 }
 

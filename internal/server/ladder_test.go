@@ -217,14 +217,15 @@ func TestUpgradePromotesDegradedEntry(t *testing.T) {
 		cur, ok := srv.cache.get(spec.Digest())
 		return ok && cur.tier == serial.QualityOptimal
 	})
+	// The upgrade caches its entry before it counts it: join it first.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if snap := srv.Stats(); snap.Upgrades != 1 {
 		t.Errorf("upgrades = %d, want 1", snap.Upgrades)
 	}
 	cur, _ := srv.cache.get(spec.Digest())
 	assertServable(t, cur)
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestUpgradeResumesFromIncumbentState: a degraded incumbent entry

@@ -402,8 +402,9 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 }
 
 // buildProblem runs the offline pipeline up to the assembled D-VLP
-// instance: discretise the network and build costs plus reduced Geo-I
-// constraints. Errors here are spec-level (422): no fallback mechanism
+// instance: discretise the network and build the costs (the reduced
+// Geo-I constraints follow on the first solve that needs them). Errors
+// here are spec-level (422): no fallback mechanism
 // can exist for a spec whose problem cannot even be assembled.
 func (s *Server) buildProblem(spec *serial.SolveSpec) (*core.Problem, error) {
 	g, err := spec.Network.ToGraph()

@@ -204,16 +204,16 @@ func (s *stats) snapshot(cache *mechCache, leaseState string, fence uint64, brea
 		ProxyBreakerState: breakerState,
 		ProxyBreakerTrips: breakerTrips,
 		QuarantineGCBytes: quarGC,
-		CacheHits:       s.hits.Load(),
-		CacheMisses:     s.misses.Load(),
-		CacheEvicted:    s.evicted.Load(),
-		Solves:          solves,
-		SolveErrors:     s.errors.Load(),
-		Rejected:        s.rejected.Load(),
-		DegradedServes:  s.nDegraded.Load(),
-		CancelledSolves: s.nCancelled.Load(),
-		PanicRecoveries: s.nPanics.Load(),
-		Upgrades:        s.nUpgrades.Load(),
+		CacheHits:         s.hits.Load(),
+		CacheMisses:       s.misses.Load(),
+		CacheEvicted:      s.evicted.Load(),
+		Solves:            solves,
+		SolveErrors:       s.errors.Load(),
+		Rejected:          s.rejected.Load(),
+		DegradedServes:    s.nDegraded.Load(),
+		CancelledSolves:   s.nCancelled.Load(),
+		PanicRecoveries:   s.nPanics.Load(),
+		Upgrades:          s.nUpgrades.Load(),
 
 		SolveQueueDepth:   s.solveQueueDepth.Load(),
 		ServeQueueDepth:   s.serveQueueDepth.Load(),
