@@ -441,8 +441,8 @@ func BenchmarkAblationSeeding(b *testing.B) {
 
 // --- Warm-start benches ---------------------------------------------------
 
-// cgBenchSizes are the tracked problem sizes for the warm-vs-cold solver
-// benchmarks (cmd/vlpbench runs the same set and emits BENCH_solver.json).
+// cgBenchSizes are the tracked problem sizes for the solver benchmark
+// (cmd/vlpbench runs the same set and emits BENCH_solver.json).
 var cgBenchSizes = []struct {
 	Name       string
 	Rows, Cols int
@@ -465,10 +465,8 @@ func cgBenchProblem(rows, cols int, delta float64) (*core.Problem, error) {
 	return core.NewProblem(part, core.Config{Epsilon: 5})
 }
 
-// BenchmarkSolveCG compares the persistent warm-started pipeline (the
-// default) against the rebuild-everything baseline (ColdRestart) at the
-// tracked sizes. The acceptance bar for the warm-start work is warm ≥2×
-// over cold at the largest size, with allocations down ≥10×.
+// BenchmarkSolveCG times the column-generation solver (persistent
+// master + warm-started pricing) at the tracked sizes.
 func BenchmarkSolveCG(b *testing.B) {
 	for _, size := range cgBenchSizes {
 		pr, err := cgBenchProblem(size.Rows, size.Cols, size.Delta)
@@ -476,16 +474,6 @@ func BenchmarkSolveCG(b *testing.B) {
 			b.Fatal(err)
 		}
 		opts := core.CGOptions{Xi: 0, RelGap: 0.01}
-		b.Run(size.Name+"/cold", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				o := opts
-				o.ColdRestart = true
-				if _, err := core.SolveCG(pr, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(size.Name+"/warm", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -96,12 +96,13 @@ go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
 go test -count=1 -run 'TestLoadSmoke' ./cmd/vlpload
 go test -count=1 -run 'TestLoadFleetSmoke' ./cmd/vlpload
 
-# Presolve-invariance gate: the LP presolve pass is solver-internal and
-# must never change a served mechanism. Both column-generation LP shapes
-# are irreducible, so presolve must take its zero-reduction aliasing
-# path and a fixed instance must solve to bit-identical wire bytes with
-# the pass disabled (lp.Options.NoPresolve).
-go test -count=1 -run 'TestPresolveInvariant' ./internal/serial
+# Golden-digest gate: digests change only on purpose. The served wire
+# bytes (SolveCG, EnforceGeoI, serial.WriteJSON) of the K12/K24/K44
+# benchmark tiers and one heterogeneous-epsilon instance must hash to the
+# checked-in SHA-256 table, at 1 and 4 pricing workers and at GOMAXPROCS
+# 1 and 4. The pure-Go SYRK kernel's table is checked everywhere, the
+# AVX2 kernel's table where the host supports it.
+go test -count=1 -cpu 1,4 -run 'TestGoldenMechanismDigests' ./internal/lp
 
 # Allocation-regression gate: the warm-start hot paths (persistent
 # master re-solve, persistent pricing subproblems) and Dijkstra's typed
@@ -115,4 +116,3 @@ go test -count=1 -run 'Allocs' ./internal/lp ./internal/core ./internal/roadnet
 go test -fuzz=FuzzNetworkRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzMechanismRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzStoreDecode -fuzztime=10s -run '^$' ./internal/serial
-go test -fuzz=FuzzMPSRoundTrip -fuzztime=10s -run '^$' ./internal/lp

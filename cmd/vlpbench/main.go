@@ -3,11 +3,11 @@
 // as numbers in version control rather than anecdotes.
 //
 // The suite is the benchmark set from the repository's bench_test.go:
-// BenchmarkSolveCG cold (rebuild-everything baseline) vs warm (persistent
-// master + pricing) at the tracked sizes, plus the serving-layer cold
-// solve and cached obfuscation paths. For every pair the report records
-// ns/op, bytes/op, allocs/op, column-generation rounds, and the
-// warm-over-cold speedup factors.
+// BenchmarkSolveCG (persistent, warm-started master + pricing) at the
+// tracked sizes, plus the serving-layer cold solve and cached
+// obfuscation paths. For every size the report records ns/op, bytes/op,
+// allocs/op and column-generation rounds, next to the archived numbers
+// of solver builds that no longer exist.
 //
 // Usage:
 //
@@ -30,27 +30,28 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discretize"
-	"repro/internal/lp"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
 
-// benchSizes mirrors the cgBenchSizes table in bench_test.go.
-// DenseColdNs is the checked-in cold ns/op of the last dense-kernel
-// build (BENCH_solver.json before the sparse CSC/CSR + presolve
-// kernels landed); the report carries speedup_vs_dense against it so
-// the sparse-kernel win stays visible after the baseline is gone.
+// benchSizes mirrors the cgBenchSizes table in bench_test.go. Two
+// checked-in history columns keep retired baselines visible in the
+// report: DenseColdNs is the rebuild-everything ns/op of the last
+// dense-kernel build (before the sparse CSC/CSR kernels landed), and
+// SparseColdNs the rebuild-everything ns/op of the last sparse build
+// that still had that pipeline.
 var benchSizes = []struct {
-	Name        string
-	Rows, Cols  int
-	Delta       float64
-	DenseColdNs int64
+	Name         string
+	Rows, Cols   int
+	Delta        float64
+	DenseColdNs  int64
+	SparseColdNs int64
 }{
-	{"K12", 2, 2, 0.3, 588986},
-	{"K24", 2, 3, 0.2, 209022050},
-	{"K44", 3, 3, 0.15, 2086205858},
+	{"K12", 2, 2, 0.3, 588986, 439029},
+	{"K24", 2, 3, 0.2, 209022050, 176089218},
+	{"K44", 3, 3, 0.15, 2086205858, 960364878},
 }
 
 type measurement struct {
@@ -61,53 +62,14 @@ type measurement struct {
 	ETDD        float64 `json:"etdd,omitempty"`
 }
 
-// presolveReport is the lp.Presolve reduction on one LP shape: absolute
-// removals plus ratios against the original size. Near-zero values are
-// the expected (honest) result on CG formulations.
-type presolveReport struct {
-	Rows        int     `json:"rows"`
-	Cols        int     `json:"cols"`
-	Nnz         int     `json:"nnz"`
-	RowsRemoved int     `json:"rows_removed"`
-	ColsRemoved int     `json:"cols_removed"`
-	NnzRemoved  int     `json:"nnz_removed"`
-	RowRatio    float64 `json:"row_ratio"`
-	ColRatio    float64 `json:"col_ratio"`
-	NnzRatio    float64 `json:"nnz_ratio"`
-}
-
-func toPresolveReport(st lp.PresolveStats) presolveReport {
-	return presolveReport{
-		Rows: st.Rows, Cols: st.Cols, Nnz: st.Nnz,
-		RowsRemoved: st.RowsRemoved, ColsRemoved: st.ColsRemoved, NnzRemoved: st.NnzRemoved,
-		RowRatio: intRatio(st.RowsRemoved, st.Rows),
-		ColRatio: intRatio(st.ColsRemoved, st.Cols),
-		NnzRatio: intRatio(st.NnzRemoved, st.Nnz),
-	}
-}
-
-func intRatio(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-type pairReport struct {
-	Size       string      `json:"size"`
-	K          int         `json:"k"`
-	Cold       measurement `json:"cold"`
-	Warm       measurement `json:"warm"`
-	Speedup    float64     `json:"speedup"`
-	AllocRatio float64     `json:"alloc_ratio"`
-	BytesRatio float64     `json:"bytes_ratio"`
-	// DenseBaselineNs is the checked-in cold ns/op of the dense kernels;
-	// SpeedupVsDense = dense baseline / current cold.
-	DenseBaselineNs int64   `json:"dense_baseline_ns"`
-	SpeedupVsDense  float64 `json:"speedup_vs_dense"`
-	// Presolve reduction ratios for this tier's two LP shapes.
-	PresolveMaster  presolveReport `json:"presolve_master"`
-	PresolvePricing presolveReport `json:"presolve_pricing"`
+type sizeReport struct {
+	Size string      `json:"size"`
+	K    int         `json:"k"`
+	Warm measurement `json:"warm"`
+	// Archived rebuild-everything ns/op of retired solver builds (see
+	// benchSizes); history only, never re-measured.
+	DenseBaselineNs int64 `json:"dense_baseline_ns"`
+	SparseColdNs    int64 `json:"sparse_cold_ns"`
 }
 
 type serveReport struct {
@@ -121,7 +83,7 @@ type report struct {
 	GoVersion     string       `json:"go_version"`
 	GOMAXPROCS    int          `json:"gomaxprocs"`
 	BenchTime     string       `json:"benchtime"`
-	SolveCG       []pairReport `json:"solve_cg"`
+	SolveCG       []sizeReport `json:"solve_cg"`
 	Serve         *serveReport `json:"serve,omitempty"`
 }
 
@@ -152,24 +114,15 @@ func main() {
 		if err != nil {
 			fatalf("%s: %v", size.Name, err)
 		}
-		fmt.Fprintf(os.Stderr, "solvecg %s (K=%d): cold...", size.Name, pr.Part.K())
-		cold := measureSolveCG(pr, true)
-		fmt.Fprintf(os.Stderr, " %s, warm...", time.Duration(cold.NsPerOp))
-		warm := measureSolveCG(pr, false)
+		fmt.Fprintf(os.Stderr, "solvecg %s (K=%d)...", size.Name, pr.Part.K())
+		warm := measureSolveCG(pr)
 		fmt.Fprintf(os.Stderr, " %s\n", time.Duration(warm.NsPerOp))
-		psMaster, psPricing := core.PresolveReduction(pr)
-		rep.SolveCG = append(rep.SolveCG, pairReport{
+		rep.SolveCG = append(rep.SolveCG, sizeReport{
 			Size:            size.Name,
 			K:               pr.Part.K(),
-			Cold:            cold,
 			Warm:            warm,
-			Speedup:         ratio(cold.NsPerOp, warm.NsPerOp),
-			AllocRatio:      ratio(cold.AllocsPerOp, warm.AllocsPerOp),
-			BytesRatio:      ratio(cold.BytesPerOp, warm.BytesPerOp),
 			DenseBaselineNs: size.DenseColdNs,
-			SpeedupVsDense:  ratio(size.DenseColdNs, cold.NsPerOp),
-			PresolveMaster:  toPresolveReport(psMaster),
-			PresolvePricing: toPresolveReport(psPricing),
+			SparseColdNs:    size.SparseColdNs,
 		})
 	}
 
@@ -212,8 +165,8 @@ func benchProblem(rows, cols int, delta float64) (*core.Problem, error) {
 	return core.NewProblem(part, core.Config{Epsilon: 5})
 }
 
-func measureSolveCG(pr *core.Problem, coldRestart bool) measurement {
-	opts := core.CGOptions{Xi: 0, RelGap: 0.01, ColdRestart: coldRestart}
+func measureSolveCG(pr *core.Problem) measurement {
+	opts := core.CGOptions{Xi: 0, RelGap: 0.01}
 	// One observed solve for rounds and quality, outside the timing.
 	res, err := core.SolveCG(pr, opts)
 	if err != nil {

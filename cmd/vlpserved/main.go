@@ -48,7 +48,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,8 +66,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8750", "listen address")
 	cache := flag.Int("cache", 16, "mechanism LRU capacity")
-	solves := flag.Int("solves", 2, "max concurrent cold solves (deprecated alias for -solve-pool)")
-	solvePool := flag.Int("solve-pool", 0, "solve-tier pool: max concurrent cold solves, excess gets 429 (0 = take -solves)")
+	solvePool := flag.Int("solve-pool", 2, "solve-tier pool: max concurrent cold solves, excess gets 429")
 	servePool := flag.Int("serve-pool", 32, "serve-tier pool: max concurrent sampling requests, disjoint from the solve pool")
 	coalesceWindow := flag.Duration("coalesce-window", 0, "batching delay before a cold solve starts, coalescing same-digest bursts into one solve (0 = off)")
 	solveWait := flag.Duration("solve-wait", 2*time.Minute, "max time a request waits for a cold solve")
@@ -89,11 +87,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "profile CPU from startup until shutdown, written to this file")
 	memprofile := flag.String("memprofile", "", "write a heap/alloc profile at shutdown to this file")
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "solves" {
-			log.Printf("vlpserved: -solves is deprecated, use -solve-pool")
-		}
-	})
 
 	// Chaos hooks, both opt-in via environment so a production binary is
 	// inert: $VLP_FAULTS arms fault sites at startup, and VLP_FAULT_CTL=1
@@ -149,7 +142,6 @@ func main() {
 
 	srv := server.New(context.Background(), server.Config{
 		CacheSize:        *cache,
-		MaxSolves:        *solves,
 		SolvePool:        *solvePool,
 		ServePool:        *servePool,
 		CoalesceWindow:   *coalesceWindow,
@@ -183,14 +175,10 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	pool := *solvePool
-	if pool <= 0 {
-		pool = *solves
-	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "vlpserved: listening on %s (cache %d, solve pool %d, serve pool %d, coalesce %v)\n",
-		*addr, *cache, pool, *servePool, *coalesceWindow)
+		*addr, *cache, *solvePool, *servePool, *coalesceWindow)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -396,35 +395,4 @@ func recordFailover(t *testing.T, d time.Duration) {
 		t.Fatal(err)
 	}
 	t.Logf("stamped failover_ms=%.1f into %s", rep.FailoverMs, path)
-}
-
-// TestDeprecatedSolvesFlagWarns: the -solves alias still works but
-// routes a deprecation warning through the standard log package.
-func TestDeprecatedSolvesFlagWarns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a real server process")
-	}
-	bin := buildServed(t)
-	addr := freeAddr(t)
-	cmd := exec.Command(bin, "-addr", addr, "-no-store", "-solves", "3")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
-			resp.Body.Close()
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// Join cmd.Wait (and with it exec's stderr copier) before reading the
-	// buffer; the warning is logged during startup, so it is complete.
-	_ = cmd.Process.Signal(syscall.SIGKILL)
-	_ = cmd.Wait()
-	if !strings.Contains(stderr.String(), "-solves is deprecated") {
-		t.Fatalf("no deprecation warning on stderr, got:\n%s", stderr.String())
-	}
 }

@@ -46,11 +46,6 @@ type CGOptions struct {
 	// mechanism (plus zero columns) instead of the multi-sharpness seed
 	// family — the seeding ablation.
 	PlainSeed bool
-	// ColdRestart disables every warm-start path: the master LP is
-	// rebuilt from scratch each round and each pricing subproblem
-	// constructs a fresh LP per solve. This is the pre-warm-start
-	// behaviour, kept as the honest baseline for the benchmark suite.
-	ColdRestart bool
 	// Resume, when non-nil, seeds the master with the column pool of a
 	// previous run on the same problem instead of the synthetic seed
 	// family, so the loop restarts where the previous run stopped. A
@@ -258,7 +253,10 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 	} else {
 		columns = seedColumns(pr, opts.PlainSeed)
 	}
-	sub := newPricer(pr, opts)
+	sub, err := newPricer(pr, opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: CG pricing setup: %w", err)
+	}
 	res = &CGResult{LowerBound: math.Inf(-1)}
 	var lambda []float64
 	// ctxErr records a cancellation observed mid-run; the loop breaks
@@ -283,15 +281,11 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 		xi = -cgTol
 	}
 
-	// Persistent master (unless the cold-restart baseline is requested):
-	// compiled once over the seed pool, grown in place as columns arrive.
-	var ms *masterState
-	if !opts.ColdRestart {
-		var mserr error
-		ms, mserr = newMasterState(pr, columns, rho, opts.LP)
-		if mserr != nil {
-			return nil, fmt.Errorf("core: CG master setup: %w", mserr)
-		}
+	// Persistent master: compiled once over the seed pool, grown in place
+	// as columns arrive.
+	ms, err := newMasterState(pr, columns, rho, opts.LP)
+	if err != nil {
+		return nil, fmt.Errorf("core: CG master setup: %w", err)
 	}
 
 	var piStab []float64 // dual point of the best Lagrangian bound
@@ -309,11 +303,7 @@ rounds:
 		var masterObj, slack float64
 		var lam, piM, muM []float64
 		if merr == nil {
-			if ms != nil {
-				masterObj, lam, piM, muM, slack, merr = ms.solve(ctx)
-			} else {
-				masterObj, lam, piM, muM, slack, merr = solveMaster(ctx, pr, columns, rho, opts.LP)
-			}
+			masterObj, lam, piM, muM, slack, merr = ms.solve(ctx)
 		}
 		if merr != nil {
 			if lambda == nil {
@@ -410,9 +400,7 @@ rounds:
 				}
 				if rc < -cgTol && !duplicateColumn(columns, c) {
 					columns = append(columns, c)
-					if ms != nil {
-						ms.addColumn(c)
-					}
+					ms.addColumn(c)
 					added++
 				}
 			}
@@ -443,9 +431,7 @@ rounds:
 			if slack > slackTol {
 				// Converged against a binding dual box: widen and go on.
 				rho *= 10
-				if ms != nil {
-					ms.setRho(rho)
-				}
+				ms.setRho(rho)
 				continue
 			}
 			break
@@ -456,9 +442,7 @@ rounds:
 		if it.ColumnsAdded == 0 {
 			if slack > slackTol {
 				rho *= 10
-				if ms != nil {
-					ms.setRho(rho)
-				}
+				ms.setRho(rho)
 				continue
 			}
 			// Verified negative reduced costs, yet every proposed column
@@ -607,111 +591,6 @@ func (pr *Problem) columnCost(l int, z []float64) float64 {
 	return c
 }
 
-// solveMaster builds and solves the restricted master, returning its
-// objective, the column weights λ, the duals π (unit rows) and μ
-// (convexity rows), and the total mass on stabilization slacks.
-//
-// Stabilization: the master's unit rows are softened to
-// Σ ẑ_k λ + s_k⁺ − s_k⁻ = 1 with cost ρ per unit of slack, which caps the
-// dual prices at |π_k| ≤ ρ. Without this, the heavily degenerate master
-// has wildly non-unique duals and the pricing loop oscillates instead of
-// converging. When the box binds (slack > 0), the caller escalates ρ and
-// re-solves, so the final answer is exact.
-func solveMaster(ctx context.Context, pr *Problem, columns []cgColumn, rho float64, lpOpts lp.Options) (obj float64, lambda, pi, mu []float64, slackUse float64, err error) {
-	lpOpts.Ctx = ctx
-	k := pr.Part.K()
-	n := len(columns)
-	prob := buildMasterProblem(k, columns, rho)
-
-	// The master is heavily degenerate with many near-parallel columns —
-	// hostile territory for pivoting methods — so it is solved with the
-	// interior-point method, which needs no vertex (the recovered
-	// mechanism is a convex combination anyway) and produces the
-	// well-centred duals column generation wants.
-	sol, err := lp.SolveIPM(prob, lpOpts)
-	if err != nil {
-		return 0, nil, nil, nil, 0, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, nil, nil, nil, 0, fmt.Errorf("master LP (%d rows, %d cols) ended %v after %d IPM iterations",
-			prob.NumConstraints(), prob.NumVars(), sol.Status, sol.Iterations)
-	}
-	for s := 0; s < 2*k; s++ {
-		slackUse += sol.X[n+s]
-	}
-	return sol.Objective, sol.X[:n], sol.Duals[:k], sol.Duals[k : 2*k], slackUse, nil
-}
-
-// buildMasterProblem compiles the restricted master LP over a column
-// pool: n column weights plus 2k stabilization slacks, k unit rows and
-// k convexity rows (the cold-restart layout; the persistent masterState
-// puts slacks first instead).
-func buildMasterProblem(k int, columns []cgColumn, rho float64) *lp.Problem {
-	n := len(columns)
-	prob := lp.NewProblem(n + 2*k)
-	for ci, c := range columns {
-		prob.SetObjectiveCoeff(ci, c.cost)
-	}
-	for s := 0; s < 2*k; s++ {
-		prob.SetObjectiveCoeff(n+s, rho)
-	}
-	// Unit rows: Σ_cols ẑ_i λ + s_i⁺ − s_i⁻ = 1 for each true interval i.
-	for i := 0; i < k; i++ {
-		terms := make([]lp.Term, 0, n+2)
-		for ci, c := range columns {
-			if v := c.z[i]; v != 0 {
-				terms = append(terms, lp.Term{Var: ci, Coef: v})
-			}
-		}
-		terms = append(terms, lp.Term{Var: n + 2*i, Coef: 1}, lp.Term{Var: n + 2*i + 1, Coef: -1})
-		prob.AddConstraint(terms, lp.EQ, 1)
-	}
-	// Convexity rows: Σ_{t∈l} λ_{l,t} = 1 for each polyhedron l.
-	perL := make([][]lp.Term, k)
-	for ci, c := range columns {
-		perL[c.l] = append(perL[c.l], lp.Term{Var: ci, Coef: 1})
-	}
-	for l := 0; l < k; l++ {
-		prob.AddConstraint(perL[l], lp.EQ, 1)
-	}
-	return prob
-}
-
-// PresolveReduction reports what lp.Presolve removes from the two LP
-// shapes this instance generates: the restricted master over the seed
-// column pool and one pricing dual subproblem. The benchmark suite
-// archives the ratios per K tier — honest near-zero numbers on these
-// shapes are expected (CG formulations carry no redundant rows), and a
-// sudden nonzero value flags a formulation change.
-func PresolveReduction(pr *Problem) (master, pricing lp.PresolveStats) {
-	k := pr.Part.K()
-	columns := seedColumns(pr, false)
-	cmax := 0.0
-	for _, c := range pr.Costs {
-		if c > cmax {
-			cmax = c
-		}
-	}
-	rho := 10 * cmax
-	if rho <= 0 {
-		rho = 1
-	}
-	master = lp.Presolve(buildMasterProblem(k, columns, rho)).Stats()
-	// The pricing shape as priceOneCold builds it: sub_0 at the zero dual
-	// point, so the right-hand sides are the real −w values rather than
-	// the warm template's placeholders.
-	sub := newPricer(pr, CGOptions{}.withDefaults())
-	dual := lp.NewProblem(sub.numDual)
-	for b := 0; b < k; b++ {
-		dual.SetObjectiveCoeff(2*len(pr.Red().Pairs)+b, 1)
-	}
-	for i := 0; i < k; i++ {
-		dual.AddConstraint(sub.dualRows[i], lp.GE, -pr.Costs[i*k])
-	}
-	pricing = lp.Presolve(dual).Stats()
-	return master, pricing
-}
-
 // masterState is the persistent restricted master: one interior-point
 // instance kept alive for the whole column-generation run. The variable
 // layout puts the 2K stabilization slacks first (so their indices never
@@ -723,9 +602,8 @@ func PresolveReduction(pr *Problem) (master, pricing lp.PresolveStats) {
 // optimal iterate — falling back to a cold start internally whenever
 // that iterate goes stale.
 type masterState struct {
-	k     int
-	ncols int
-	sv    *lp.IPMSolver
+	k  int
+	sv *lp.IPMSolver
 
 	entryBuf []lp.Term // scratch for column entries
 }
@@ -754,7 +632,6 @@ func newMasterState(pr *Problem, columns []cgColumn, rho float64, lpOpts lp.Opti
 		return nil, err
 	}
 	ms.sv = sv
-	ms.ncols = len(columns)
 	return ms, nil
 }
 
@@ -774,7 +651,6 @@ func (ms *masterState) colEntries(c cgColumn) []lp.Term {
 // addColumn admits a priced-out column into the live master.
 func (ms *masterState) addColumn(c cgColumn) {
 	ms.sv.AddColumn(c.cost, ms.colEntries(c))
-	ms.ncols++
 }
 
 // setRho retunes the stabilization penalty on all 2K slack variables.
@@ -784,9 +660,20 @@ func (ms *masterState) setRho(rho float64) {
 	}
 }
 
-// solve re-solves the live master; same contract as solveMaster. The
-// returned slices alias the solver's solution and are valid until the
-// next solve.
+// solve re-solves the live master, returning its objective, the column
+// weights λ, the duals π (unit rows) and μ (convexity rows), and the
+// total mass on stabilization slacks. The returned slices alias the
+// solver's solution and are valid until the next solve.
+//
+// Stabilization: the master's unit rows are softened to
+// Σ ẑ_k λ + s_k⁺ − s_k⁻ = 1 with cost ρ per unit of slack, which caps the
+// dual prices at |π_k| ≤ ρ. Without this, the heavily degenerate master
+// has wildly non-unique duals and the pricing loop oscillates instead of
+// converging. When the box binds (slack > 0), the caller escalates ρ and
+// re-solves, so the final answer is exact. The master is solved with the
+// interior-point method, which needs no vertex (the recovered mechanism
+// is a convex combination anyway) and produces the well-centred duals
+// column generation wants.
 func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu []float64, slackUse float64, err error) {
 	ms.sv.SetContext(ctx)
 	sol, err := ms.sv.Solve()
@@ -817,47 +704,37 @@ func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu [
 // the dual is the primal). Every recovered column is verified against
 // Λ_l and the rare numerically-doubtful one falls back to a direct
 // primal solve.
+//
+// Each worker owns one persistent compiled dual instance, plus one basis
+// snapshot per subproblem. A subproblem is handled by exactly one worker
+// per round and rounds are separated by a WaitGroup barrier, so the
+// per-l basis slots are race-free even though successive rounds may
+// assign l to different workers.
 type pricer struct {
 	pr   *Problem
 	opts CGOptions
 
-	// dualRows[i] holds the fixed coefficient terms of the dual row for
-	// primal variable z_i; only the right-hand side −w_i changes between
-	// solves.
-	dualRows [][]lp.Term
-	numDual  int // dual variable count = 2·pairs + K
-
-	// primalBase is the straightforward primal formulation, used as the
-	// verification fallback.
+	// primalBase is the straightforward primal formulation, compiled
+	// lazily per worker as the verification fallback.
 	primalBase *lp.Problem
-	// dualBase is the dual formulation with placeholder right-hand sides;
-	// warm workers compile their Prepared instances from it.
-	dualBase *lp.Problem
 	// pairF caches e^{ε·D} per reduced pair for feasibility checks.
 	pairF []float64
 
-	// Warm-start machinery (absent under CGOptions.ColdRestart): one
-	// persistent compiled LP pair per worker, plus one basis snapshot per
-	// subproblem. A subproblem is handled by exactly one worker per round
-	// and rounds are separated by a WaitGroup barrier, so the per-l basis
-	// slots are race-free even though successive rounds may assign l to
-	// different workers.
-	warm        bool
-	workerState []*pricerWorker
+	workers     []*pricerWorker
 	dualBases   []*lp.Basis
 	primalBases []*lp.Basis
 }
 
 // pricerWorker is one worker goroutine's reusable solver state. The dual
-// instance is compiled eagerly (it is the hot path); the primal fallback
-// lazily on first use.
+// instance is compiled with the pricer (it is the hot path); the primal
+// fallback lazily on first use.
 type pricerWorker struct {
 	p      *pricer
 	dual   *lp.Prepared
 	primal *lp.Prepared
 }
 
-func newPricer(pr *Problem, opts CGOptions) *pricer {
+func newPricer(pr *Problem, opts CGOptions) (*pricer, error) {
 	k := pr.Part.K()
 	p := &pricer{pr: pr, opts: opts}
 	pairs := pr.Red().Pairs
@@ -880,75 +757,59 @@ func newPricer(pr *Problem, opts CGOptions) *pricer {
 
 	// Dual rows: u layout is [2 per pair][K box]. Primal column of z_i
 	// appears in pair rows (±1 / −f) and its own box row (+1).
-	p.numDual = 2*len(pairs) + k
-	p.dualRows = make([][]lp.Term, k)
+	dualRows := make([][]lp.Term, k)
 	for pi, pair := range pairs {
 		f := p.pairF[pi]
 		u1, u2 := 2*pi, 2*pi+1
 		// Row u1: z_A − f·z_B ≤ 0  →  contributes +1 to z_A's dual row,
 		// −f to z_B's. Row u2 is the mirrored direction.
-		p.dualRows[pair.A] = append(p.dualRows[pair.A],
+		dualRows[pair.A] = append(dualRows[pair.A],
 			lp.Term{Var: u1, Coef: 1}, lp.Term{Var: u2, Coef: -f})
-		p.dualRows[pair.B] = append(p.dualRows[pair.B],
+		dualRows[pair.B] = append(dualRows[pair.B],
 			lp.Term{Var: u1, Coef: -f}, lp.Term{Var: u2, Coef: 1})
 	}
 	for i := 0; i < k; i++ {
-		p.dualRows[i] = append(p.dualRows[i], lp.Term{Var: 2*len(pairs) + i, Coef: 1})
+		dualRows[i] = append(dualRows[i], lp.Term{Var: 2*len(pairs) + i, Coef: 1})
 	}
 
 	// Dual template with placeholder right-hand sides: structure (and
 	// hence equilibration) is fixed, only −w_i changes between solves.
-	dual := lp.NewProblem(p.numDual)
+	dual := lp.NewProblem(2*len(pairs) + k)
 	for b := 0; b < k; b++ {
 		dual.SetObjectiveCoeff(2*len(pairs)+b, 1)
 	}
 	for i := 0; i < k; i++ {
-		dual.AddConstraint(p.dualRows[i], lp.GE, 0)
+		dual.AddConstraint(dualRows[i], lp.GE, 0)
 	}
-	p.dualBase = dual
 
-	if !opts.ColdRestart {
-		p.warm = true
-		workers := opts.Workers
-		if workers > k {
-			workers = k
-		}
-		p.workerState = make([]*pricerWorker, workers)
-		p.dualBases = make([]*lp.Basis, k)
-		p.primalBases = make([]*lp.Basis, k)
+	workers := opts.Workers
+	if workers > k {
+		workers = k
 	}
-	return p
-}
-
-// worker returns (creating on first use) worker w's persistent solver
-// state, or nil in cold-restart mode.
-func (p *pricer) worker(w int) *pricerWorker {
-	if !p.warm {
-		return nil
-	}
-	if p.workerState[w] == nil {
-		pp, err := lp.Prepare(p.dualBase, p.opts.LP)
+	p.workers = make([]*pricerWorker, workers)
+	for w := range p.workers {
+		pp, err := lp.Prepare(dual, opts.LP)
 		if err != nil {
-			// Cannot happen for the non-empty dual template; degrade to
-			// the cold path rather than crash.
-			return nil
+			return nil, err
 		}
-		p.workerState[w] = &pricerWorker{p: p, dual: pp}
+		p.workers[w] = &pricerWorker{p: p, dual: pp}
 	}
-	return p.workerState[w]
+	p.dualBases = make([]*lp.Basis, k)
+	p.primalBases = make([]*lp.Basis, k)
+	return p, nil
 }
 
 // primalPrepared lazily compiles the worker's persistent primal
 // fallback instance.
-func (wk *pricerWorker) primalPrepared() *lp.Prepared {
+func (wk *pricerWorker) primalPrepared() (*lp.Prepared, error) {
 	if wk.primal == nil {
 		pp, err := lp.Prepare(wk.p.primalBase, wk.p.opts.LP)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		wk.primal = pp
 	}
-	return wk.primal
+	return wk.primal, nil
 }
 
 // priceAll solves every sub_l at dual point π, returning per block the
@@ -963,15 +824,10 @@ func (p *pricer) priceAll(ctx context.Context, pi []float64) ([]float64, []cgCol
 
 	var wg sync.WaitGroup
 	work := make(chan int)
-	workers := p.opts.Workers
-	if workers > k {
-		workers = k
-	}
-	for w := 0; w < workers; w++ {
+	for _, wk := range p.workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := p.worker(w)
 			for l := range work {
 				if cerr := ctx.Err(); cerr != nil {
 					errs[l] = cerr
@@ -1005,24 +861,17 @@ func (p *pricer) priceAll(ctx context.Context, pi []float64) ([]float64, []cgCol
 	return mins, cols, nil
 }
 
+// priceOne solves sub_l on the worker's persistent instances: the dual
+// LP's right-hand sides are retuned in place and the simplex restarts
+// from the basis that was optimal for this subproblem last round. Since
+// only −w moves between rounds (by however much the master duals moved),
+// that basis is typically a handful of dual-simplex pivots from
+// re-optimal; a stale basis silently costs a cold solve, never a wrong
+// answer.
 func (p *pricer) priceOne(ctx context.Context, wk *pricerWorker, l int, pi []float64) (float64, cgColumn, error) {
 	if err := faultinject.At(FaultSiteCGPricing); err != nil {
 		return 0, cgColumn{}, fmt.Errorf("injected fault: %w", err)
 	}
-	if wk != nil {
-		return p.priceOneWarm(ctx, wk, l, pi)
-	}
-	return p.priceOneCold(ctx, l, pi)
-}
-
-// priceOneWarm solves sub_l on the worker's persistent instances: the
-// dual LP's right-hand sides are retuned in place and the simplex
-// restarts from the basis that was optimal for this subproblem last
-// round. Since only −w moves between rounds (by however much the master
-// duals moved), that basis is typically a handful of dual-simplex pivots
-// from re-optimal; a stale basis silently costs a cold solve, never a
-// wrong answer.
-func (p *pricer) priceOneWarm(ctx context.Context, wk *pricerWorker, l int, pi []float64) (float64, cgColumn, error) {
 	k := p.pr.Part.K()
 	wk.dual.SetContext(ctx)
 	for i := 0; i < k; i++ {
@@ -1046,9 +895,9 @@ func (p *pricer) priceOneWarm(ctx context.Context, wk *pricerWorker, l int, pi [
 	}
 
 	// Fallback: persistent primal instance, objective retuned per l.
-	primal := wk.primalPrepared()
-	if primal == nil {
-		return p.priceOneCold(ctx, l, pi)
+	primal, err := wk.primalPrepared()
+	if err != nil {
+		return 0, cgColumn{}, err
 	}
 	primal.SetContext(ctx)
 	for i := 0; i < k; i++ {
@@ -1062,53 +911,6 @@ func (p *pricer) priceOneWarm(ctx context.Context, wk *pricerWorker, l int, pi [
 		return 0, cgColumn{}, fmt.Errorf("pricing LP ended %v", psol.Status)
 	}
 	p.primalBases[l] = primal.Basis(p.primalBases[l])
-	z := make([]float64, k)
-	copy(z, psol.X)
-	col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}
-	return psol.Objective, col, nil
-}
-
-// priceOneCold is the rebuild-per-solve path (CGOptions.ColdRestart and
-// the benchmark baseline): a fresh dual LP each call, with a cloned
-// primal solve as the verification fallback.
-func (p *pricer) priceOneCold(ctx context.Context, l int, pi []float64) (float64, cgColumn, error) {
-	k := p.pr.Part.K()
-	lpOpts := p.opts.LP
-	lpOpts.Ctx = ctx
-
-	// Dual formulation (see the pricer doc comment).
-	prob := lp.NewProblem(p.numDual)
-	for b := 0; b < k; b++ {
-		prob.SetObjectiveCoeff(2*len(p.pr.Red().Pairs)+b, 1) // box duals cost 1
-	}
-	for i := 0; i < k; i++ {
-		w := p.pr.Costs[i*k+l] - pi[i]
-		prob.AddConstraint(p.dualRows[i], lp.GE, -w)
-	}
-	sol, err := lp.Solve(prob, lpOpts)
-	if err == nil && sol.Status == lp.Optimal {
-		z := make([]float64, k)
-		for i := 0; i < k; i++ {
-			z[i] = clamp01(sol.Duals[i])
-		}
-		if p.feasible(z) {
-			col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}
-			return -sol.Objective, col, nil // min wᵀz = −min bᵀu
-		}
-	}
-
-	// Fallback: direct primal solve.
-	primal := p.primalBase.Clone()
-	for i := 0; i < k; i++ {
-		primal.SetObjectiveCoeff(i, p.pr.Costs[i*k+l]-pi[i])
-	}
-	psol, err := lp.Solve(primal, lpOpts)
-	if err != nil {
-		return 0, cgColumn{}, err
-	}
-	if psol.Status != lp.Optimal {
-		return 0, cgColumn{}, fmt.Errorf("pricing LP ended %v", psol.Status)
-	}
 	z := make([]float64, k)
 	copy(z, psol.X)
 	col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}

@@ -26,77 +26,104 @@ func rowStochasticError(m *Mechanism) float64 {
 	return worst
 }
 
-// TestSolveCGWarmMatchesColdRestart is the warm-start correctness
-// property: on randomized networks the default (persistent, warm-started)
-// pipeline and the ColdRestart (rebuild-everything) baseline must agree
-// on the final ETDD within tolerance, and the warm mechanism must be as
-// feasible as the cold one.
-func TestSolveCGWarmMatchesColdRestart(t *testing.T) {
+// warmTestProblem builds a randomized grid instance for the warm-CG
+// correctness tests. The seed draws a 2×2 to 3×3 grid shape and the
+// spacing; a positive rows/cols overrides the drawn shape.
+func warmTestProblem(t *testing.T, seed int64, eps, delta float64, rows, cols int) *Problem {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	r, c := 2+rng.Intn(2), 2+rng.Intn(2)
+	if rows > 0 {
+		r, c = rows, cols
+	}
+	g := roadnet.Grid(rng, roadnet.GridConfig{
+		Rows: r, Cols: c,
+		Spacing: 0.25 + 0.1*rng.Float64(), OneWayFrac: 0.4, WeightJitter: 0.2,
+	})
+	part, err := discretize.New(g, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := NewProblem(part, Config{Epsilon: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// checkServedWarm applies the serving layer's EnforceGeoI repair to a
+// warm CG result and checks what would be served: Geo-I violation and
+// row-stochastic error within 1e-9, and a resumable column pool.
+func checkServedWarm(t *testing.T, seed int64, pr *Problem, warm *CGResult) {
+	t.Helper()
+	const geoITol = 1e-10
+	fixed, _, err := pr.EnforceGeoI(warm.Mechanism, geoITol)
+	if err != nil {
+		t.Fatalf("seed %d: enforce: %v", seed, err)
+	}
+	// GeoIViolation is signed (negative means strict slack); only actual
+	// violations count.
+	if v := pr.GeoIViolation(fixed); v > 1e-9 {
+		t.Errorf("seed %d: served Geo-I violation %g", seed, v)
+	}
+	if e := rowStochasticError(fixed); e > 1e-9 {
+		t.Errorf("seed %d: served row-stochastic error %g", seed, e)
+	}
+	if warm.State == nil || warm.State.Columns() == 0 {
+		t.Errorf("seed %d: warm result carries no resumable state", seed)
+	}
+}
+
+// TestSolveCGWarmMatchesDirect is the warm-start correctness property
+// against the exact oracle: on randomized 2×2 networks (K ≤ 16) the
+// persistent, warm-started column generation must reach the optimum of
+// the monolithic LP (SolveDirect) within tolerance, and serve a
+// mechanism that passes the Geo-I repair gate cleanly.
+func TestSolveCGWarmMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
 		eps  float64
 	}{
 		{101, 3}, {102, 5}, {103, 8}, {104, 2},
 	} {
-		rng := rand.New(rand.NewSource(tc.seed))
-		g := roadnet.Grid(rng, roadnet.GridConfig{
-			Rows: 2 + rng.Intn(2), Cols: 2 + rng.Intn(2),
-			Spacing: 0.25 + 0.1*rng.Float64(), OneWayFrac: 0.4, WeightJitter: 0.2,
-		})
-		part, err := discretize.New(g, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := NewProblem(part, Config{Epsilon: tc.eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		pr := warmTestProblem(t, tc.seed, tc.eps, 0.22, 2, 2)
 		warm, err := SolveCG(pr, CGOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", tc.seed, err)
 		}
-		cold, err := SolveCG(pr, CGOptions{ColdRestart: true})
+		direct, err := SolveDirect(pr, DirectOptions{})
 		if err != nil {
-			t.Fatalf("seed %d: cold: %v", tc.seed, err)
+			t.Fatalf("seed %d: direct: %v", tc.seed, err)
 		}
+		if d := math.Abs(warm.ETDD - direct.ETDD); d > 1e-5*(1+direct.ETDD) {
+			t.Errorf("seed %d (K=%d): warm ETDD %v vs direct %v (diff %g)",
+				tc.seed, pr.Part.K(), warm.ETDD, direct.ETDD, d)
+		}
+		checkServedWarm(t, tc.seed, pr, warm)
+	}
+}
 
-		// Both pipelines run the same decomposition with the same
-		// admission tolerance; the achieved quality loss must agree to
-		// solver tolerance.
-		relTol := 1e-5 * (1 + math.Abs(cold.ETDD))
-		if math.Abs(warm.ETDD-cold.ETDD) > relTol {
-			t.Errorf("seed %d: warm ETDD %v vs cold %v (diff %g)",
-				tc.seed, warm.ETDD, cold.ETDD, math.Abs(warm.ETDD-cold.ETDD))
-		}
-
-		// Warm-started mechanisms are exactly as feasible as cold ones.
-		// Raw CG output carries solver-tolerance-level violations on both
-		// paths, so compare what is actually served: the mechanisms after
-		// the same EnforceGeoI repair the pipeline applies. Post-repair,
-		// Geo-I violation and row-stochastic error must match within 1e-9.
-		const geoITol = 1e-10
-		warmFix, _, err := pr.EnforceGeoI(warm.Mechanism, geoITol)
+// TestSolveCGWarmCertifiesOptimality covers instances too large for the
+// direct oracle (K ≈ 27-28) with the certificate column generation
+// carries itself: at Xi = 0 the achieved ETDD must meet the Lagrangian
+// lower bound (Thm 4.4) within tolerance.
+func TestSolveCGWarmCertifiesOptimality(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		eps  float64
+	}{
+		{101, 3}, {102, 5}, {103, 8}, {104, 2},
+	} {
+		pr := warmTestProblem(t, tc.seed, tc.eps, 0.2, 0, 0)
+		warm, err := SolveCG(pr, CGOptions{})
 		if err != nil {
-			t.Fatalf("seed %d: enforce warm: %v", tc.seed, err)
+			t.Fatalf("seed %d: warm: %v", tc.seed, err)
 		}
-		coldFix, _, err := pr.EnforceGeoI(cold.Mechanism, geoITol)
-		if err != nil {
-			t.Fatalf("seed %d: enforce cold: %v", tc.seed, err)
+		if gap := warm.ETDD - warm.LowerBound; gap > 1e-5*(1+warm.ETDD) {
+			t.Errorf("seed %d (K=%d): ETDD %v exceeds lower bound %v by %g",
+				tc.seed, pr.Part.K(), warm.ETDD, warm.LowerBound, gap)
 		}
-		// GeoIViolation is signed (negative means strict slack); only
-		// actual violations count.
-		wv := math.Max(pr.GeoIViolation(warmFix), 0)
-		cv := math.Max(pr.GeoIViolation(coldFix), 0)
-		if dv := math.Abs(wv - cv); dv > 1e-9 || wv > 1e-9 {
-			t.Errorf("seed %d: Geo-I violation warm %g vs cold %g", tc.seed, wv, cv)
-		}
-		if dr := math.Abs(rowStochasticError(warmFix) - rowStochasticError(coldFix)); dr > 1e-9 {
-			t.Errorf("seed %d: row-stochastic error differs by %g between warm and cold", tc.seed, dr)
-		}
-		if warm.State == nil || warm.State.Columns() == 0 {
-			t.Errorf("seed %d: warm result carries no resumable state", tc.seed)
-		}
+		checkServedWarm(t, tc.seed, pr, warm)
 	}
 }
 
@@ -166,11 +193,11 @@ func TestWarmPricingRoundAllocs(t *testing.T) {
 	pr := smallProblem(t, 35, 5)
 	k := pr.Part.K()
 	opts := CGOptions{Sequential: true}.withDefaults()
-	p := newPricer(pr, opts)
-	wk := p.worker(0)
-	if wk == nil {
-		t.Fatal("no warm worker")
+	p, err := newPricer(pr, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wk := p.workers[0]
 	pi := make([]float64, k)
 	for i := range pi {
 		pi[i] = 0.01 * float64(i%7)

@@ -63,7 +63,7 @@ func All() []Scoped {
 		{
 			Analyzer: nodeterm.Analyzer,
 			Scope:    regexp.MustCompile(`^repro/internal/(lp|geoi|discretize|geom|roadnet|loadgen)$`),
-			Why:      "numeric kernels (sparse LP, presolve, SYRK) and the load-schedule kernel must be reproducible: no wall clock, no global RNG",
+			Why:      "numeric kernels (sparse LP, SYRK) and the load-schedule kernel must be reproducible: no wall clock, no global RNG",
 		},
 		{
 			Analyzer: nilness.Analyzer,

@@ -1,0 +1,120 @@
+package lp_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/discretize"
+	"repro/internal/lp"
+	"repro/internal/roadnet"
+	"repro/internal/serial"
+)
+
+// goldenInstances mirror the K12/K24/K44 solver-benchmark tiers
+// (bench_test.go cgBenchSizes) plus one heterogeneous-ε instance: the
+// K24 network with a strict and a loose ε region.
+var goldenInstances = []struct {
+	name       string
+	rows, cols int
+	delta      float64
+	hetero     bool
+}{
+	{"K12", 2, 2, 0.3, false},
+	{"K24", 2, 3, 0.2, false},
+	{"K44", 3, 3, 0.15, false},
+	{"K24-hetero", 2, 3, 0.2, true},
+}
+
+// goldenDigests pins the SHA-256 of each instance's served wire bytes
+// per SYRK kernel. The two kernels round differently, so each has its
+// own table; within one kernel the digest is independent of the pricing
+// worker count and GOMAXPROCS.
+var goldenDigests = map[string]map[string]string{
+	"avx2": {
+		"K12":        "e8e6bb5fea96bcff2d5cc787820c85d66a672167ae9c0814f7a628438384a729",
+		"K24":        "ecadafb1904cfde0abee7b8740f861d20cf9116dbc711fa18ea687e736444dc0",
+		"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
+		"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
+	},
+	"go": {
+		"K12":        "e8e6bb5fea96bcff2d5cc787820c85d66a672167ae9c0814f7a628438384a729",
+		"K24":        "7f7298c8af7067b48ca9d61b701357287a8cc72ea17d581d4d8414e0a606ee0e",
+		"K44":        "068c8d15f49b5bbb91bb31699ffe5a50591412a257ca43167ff1eb82a4c47ffb",
+		"K24-hetero": "59524db17119074cfaad0995f9c45c6f3b4bbc35435eaf3860b4b358dc775a42",
+	},
+}
+
+// servedBytes solves one instance the way vlpserved does (column
+// generation at the service's default stop criteria, then the Geo-I
+// repair gate) and renders the wire form a store entry holds.
+func servedBytes(t *testing.T, rows, cols int, delta float64, hetero bool, workers int) []byte {
+	t.Helper()
+	const eps = 5.0
+	rng := rand.New(rand.NewSource(77))
+	g := roadnet.Grid(rng, roadnet.GridConfig{
+		Rows: rows, Cols: cols, Spacing: 0.3, OneWayFrac: 0.5, WeightJitter: 0.15,
+	})
+	part, err := discretize.New(g, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Epsilon: eps}
+	if hetero {
+		k := part.K()
+		cfg.EpsilonAt = make([]float64, k)
+		for i := range cfg.EpsilonAt {
+			cfg.EpsilonAt[i] = 3
+			if i >= k/2 {
+				cfg.EpsilonAt[i] = 8
+			}
+		}
+	}
+	pr, err := core.NewProblem(part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.SolveCG(pr, core.CGOptions{Xi: -0.05, RelGap: 0.02, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, etdd, err := pr.EnforceGeoI(res.Mechanism, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := serial.WriteJSON(&buf, serial.FromMechanism(served, delta, eps, 0, etdd, res.LowerBound)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenMechanismDigests is the "digests change only on purpose"
+// gate: a refactor of the LP or column-generation layers must leave the
+// served bytes of every pinned instance unchanged. The pure-Go SYRK
+// kernel is checked everywhere; the AVX2 kernel where the host has it.
+func TestGoldenMechanismDigests(t *testing.T) {
+	for _, kern := range []struct {
+		name string
+		asm  bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(kern.name, func(t *testing.T) {
+			if kern.asm && !lp.SyrkAsmSupported {
+				t.Skip("host has no AVX2+FMA")
+			}
+			defer lp.SetSyrkAsm(kern.asm)()
+			for _, in := range goldenInstances {
+				for _, workers := range []int{1, 4} {
+					sum := sha256.Sum256(servedBytes(t, in.rows, in.cols, in.delta, in.hetero, workers))
+					got := hex.EncodeToString(sum[:])
+					if want := goldenDigests[kern.name][in.name]; got != want {
+						t.Errorf("%s with %d pricing workers: served digest %s, golden %s", in.name, workers, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -8,7 +8,8 @@ import (
 )
 
 // FaultSiteIPM is the fault-injection site visited once per SolveIPM
-// call, before any factorisation work (see internal/faultinject).
+// call and once per IPMSolver.Solve, before any factorisation work (see
+// internal/faultinject).
 const FaultSiteIPM = "lp/ipm"
 
 // SolveIPM minimises the problem with an infeasible-start Mehrotra
@@ -33,11 +34,6 @@ func SolveIPM(p *Problem, opts Options) (*Solution, error) {
 	}
 	if err := faultinject.At(FaultSiteIPM); err != nil {
 		return nil, fmt.Errorf("lp: injected fault: %w", err)
-	}
-	if !opts.NoPresolve {
-		if sol, done, err := solvePresolved(p, opts, SolveIPM); done {
-			return sol, err
-		}
 	}
 	ip := newIPM(p, opts)
 	return ip.solve()

@@ -219,13 +219,6 @@ type Options struct {
 	// iteration) and return Ctx.Err() as soon as it is done. Nil means
 	// run to completion.
 	Ctx context.Context
-	// NoPresolve skips the Presolve reduction pass that Solve and
-	// SolveIPM otherwise run first. The warm-start paths (Prepared,
-	// IPMSolver) never presolve — their compiled form must match the
-	// caller's row/column indices — so this flag exists for A/B
-	// comparisons (the presolve-invariance CI gate) and for callers that
-	// need the solver to see their exact formulation.
-	NoPresolve bool
 }
 
 func (o Options) withDefaults(m, n int) Options {
@@ -264,11 +257,6 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err
-		}
-	}
-	if !opts.NoPresolve {
-		if sol, done, err := solvePresolved(p, opts, Solve); done {
-			return sol, err
 		}
 	}
 	sol, err := newSimplex(p, opts).solve()
@@ -1154,29 +1142,6 @@ func (p *Problem) Objective(x []float64) float64 {
 		v += c * x[j]
 	}
 	return v
-}
-
-// Clone returns a copy of the problem, letting callers branch a base
-// formulation (for example, re-solve with extra rows or a different
-// objective). Constraint terms are shared copy-on-write — the solvers
-// never mutate them, and the full-capacity re-slice below forces any
-// later AddColumn/AddConstraint append on either copy to reallocate its
-// own backing — so cloning costs one allocation per row instead of a
-// deep copy of every coefficient.
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		numVars:     p.numVars,
-		objective:   append([]float64(nil), p.objective...),
-		constraints: make([]Constraint, len(p.constraints)),
-	}
-	for i, c := range p.constraints {
-		q.constraints[i] = Constraint{
-			Terms: c.Terms[:len(c.Terms):len(c.Terms)],
-			Op:    c.Op,
-			RHS:   c.RHS,
-		}
-	}
-	return q
 }
 
 // DebugString renders a tiny problem for test-failure messages. Rows are

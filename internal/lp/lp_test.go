@@ -187,22 +187,6 @@ func TestZeroCoefficientsDropped(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]Term{{0, 1}, {1, 1}}, GE, 2)
-	q := p.Clone()
-	q.AddConstraint([]Term{{0, 1}}, GE, 5)
-	if p.NumConstraints() != 1 || q.NumConstraints() != 2 {
-		t.Fatalf("clone not independent: p=%d q=%d rows", p.NumConstraints(), q.NumConstraints())
-	}
-	q.SetObjectiveCoeff(0, 100)
-	sol := solveOK(t, p)
-	if math.Abs(sol.Objective-2) > tol {
-		t.Fatalf("objective of original changed: %v", sol.Objective)
-	}
-}
-
 type plane struct {
 	a   []float64
 	rhs float64

@@ -19,8 +19,9 @@ func xgetbvLP() (eax, edx uint32)
 // vector path sums four interleaved lanes and fuses multiply-adds), so
 // low-order result bits can differ between machines that do and do not
 // take this path; each path on its own is fully deterministic, and
-// every in-process or same-host comparison — warm-vs-cold, presolve
-// invariance, checkpoint digests — sees one path only.
+// every in-process or same-host comparison — warm-vs-direct, checkpoint
+// digests — sees one path only. The golden-digest gate
+// (golden_test.go) pins one digest table per path.
 var useSyrkAsm = func() bool {
 	maxLeaf, _, _, _ := cpuidLP(0, 0)
 	if maxLeaf < 7 {

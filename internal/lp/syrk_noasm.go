@@ -2,8 +2,9 @@
 
 package lp
 
-// Non-amd64 builds always use the pure-Go SYRK kernel.
-const useSyrkAsm = false
+// Non-amd64 builds always use the pure-Go SYRK kernel. A var (not a
+// const) so tests can select the kernel the same way on every platform.
+var useSyrkAsm = false
 
 // syrkDot2x4 is never called when useSyrkAsm is false; this stub only
 // satisfies the reference in the shared kernel driver.

@@ -234,26 +234,6 @@ func TestAddColumnMatchesRebuild(t *testing.T) {
 	}
 }
 
-func TestCloneIsolatesGrowth(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjective([]float64{1, 1})
-	p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, GE, 1)
-	q := p.Clone()
-	// Growing the clone must not corrupt the original's rows (terms are
-	// shared copy-on-write).
-	q.AddColumn(5, []Term{{Var: 0, Coef: 1}})
-	if got := len(p.constraints[0].Terms); got != 2 {
-		t.Fatalf("original row grew to %d terms after clone mutation", got)
-	}
-	if got := len(q.constraints[0].Terms); got != 3 {
-		t.Fatalf("clone row has %d terms, want 3", got)
-	}
-	sol, err := Solve(p, Options{})
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("original unsolvable after clone growth: %v %v", err, sol)
-	}
-}
-
 // eqTestProblem is a small all-EQ problem suitable for IPMSolver.
 func eqTestProblem() *Problem {
 	p := NewProblem(4)
