@@ -414,25 +414,7 @@ func BenchmarkAblationParallelPricing(b *testing.B) {
 	})
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveCG(e.prob, core.CGOptions{Xi: -0.1, RelGap: 0.05, Sequential: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkAblationSeeding(b *testing.B) {
-	e := benchSetup(b)
-	b.Run("rich-seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveCG(e.prob, core.CGOptions{Xi: -0.1, RelGap: 0.05}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plain-seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveCG(e.prob, core.CGOptions{Xi: -0.1, RelGap: 0.05, PlainSeed: true}); err != nil {
+			if _, err := core.SolveCG(e.prob, core.CGOptions{Xi: -0.1, RelGap: 0.05, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

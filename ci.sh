@@ -81,9 +81,10 @@ go run ./cmd/vlpchaos -check BENCH_chaos.json
 # Admission/coalescing gate: the serving-tier invariants under the race
 # detector — cached digests keep serving (and are never 429'd) while a
 # deliberately slow cold solve holds every solve-pool slot, and a
-# same-digest burst inside one coalescing window costs exactly one
-# solve. These also run in the -race pass above; the explicit run keeps
-# the gate legible and fails fast when the admission layer regresses.
+# same-digest burst costs exactly one solve because singleflight gives
+# it one flight and only the flight leader takes a solve-pool slot.
+# These also run in the -race pass above; the explicit run keeps the
+# gate legible and fails fast when the admission layer regresses.
 go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
 
 # Load-harness smoke: a ~5s open-loop vlpload run against an in-process

@@ -14,8 +14,7 @@
 //	        [-specs 8] [-zipf-s 1.2] [-zipf-v 1] [-seed 1] [-locs 4]
 //	        [-rows 2] [-cols 2] [-delta 0.3] [-no-warmup]
 //	        [-out BENCH_serve.json]
-//	        [-selfserve] [-solve-pool 2] [-serve-pool 32]
-//	        [-coalesce-window 0] [-cache 16]
+//	        [-selfserve] [-solve-pool 2] [-serve-pool 32] [-cache 16]
 //
 // -targets drives a multi-instance fleet: requests round-robin over the
 // comma-separated base URLs (deterministically, by arrival index) and
@@ -112,7 +111,6 @@ func main() {
 	selfserve := flag.Bool("selfserve", false, "run an in-process vlpserved and ignore -addr")
 	solvePool := flag.Int("solve-pool", 2, "selfserve: solve-tier pool size")
 	servePool := flag.Int("serve-pool", 32, "selfserve: serve-tier pool size")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "selfserve: cold-solve coalescing window")
 	cache := flag.Int("cache", 16, "selfserve: mechanism LRU capacity")
 	flag.Parse()
 
@@ -138,17 +136,16 @@ func main() {
 
 	if *selfserve {
 		srv := server.New(context.Background(), server.Config{
-			CacheSize:      *cache,
-			SolvePool:      *solvePool,
-			ServePool:      *servePool,
-			CoalesceWindow: *coalesceWindow,
+			CacheSize: *cache,
+			SolvePool: *solvePool,
+			ServePool: *servePool,
 		})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		defer srv.Shutdown(context.Background())
 		cfg.base = ts.URL
-		fmt.Fprintf(os.Stderr, "vlpload: in-process vlpserved (solve pool %d, serve pool %d, coalesce %v)\n",
-			*solvePool, *servePool, *coalesceWindow)
+		fmt.Fprintf(os.Stderr, "vlpload: in-process vlpserved (solve pool %d, serve pool %d)\n",
+			*solvePool, *servePool)
 	}
 
 	rep, err := run(context.Background(), cfg, wallClock{})

@@ -27,11 +27,10 @@ func TestLoadSmoke(t *testing.T) {
 	}
 
 	srv := server.New(context.Background(), server.Config{
-		CacheSize:      8,
-		SolvePool:      2,
-		ServePool:      16,
-		CoalesceWindow: 2 * time.Millisecond,
-		SolveWait:      30 * time.Second,
+		CacheSize: 8,
+		SolvePool: 2,
+		ServePool: 16,
+		SolveWait: 30 * time.Second,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

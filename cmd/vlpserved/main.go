@@ -6,8 +6,7 @@
 // Usage:
 //
 //	vlpserved [-addr :8750] [-cache 16] [-solve-pool 2] [-serve-pool 32]
-//	          [-coalesce-window 0] [-solve-wait 2m]
-//	          [-solve-deadline 2m] [-no-upgrade] [-seed 1]
+//	          [-solve-wait 2m] [-solve-deadline 2m] [-no-upgrade] [-seed 1]
 //	          [-xi -0.05] [-relgap 0.02]
 //	          [-store-dir DIR] [-checkpoint-rounds 8] [-no-store]
 //	          [-fleet] [-advertise URL] [-instance NAME]
@@ -17,9 +16,9 @@
 // Serving is two admission tiers: -solve-pool bounds concurrent cold
 // column-generation solves (excess cold requests get 429), -serve-pool
 // bounds concurrent cached sampling on a disjoint pool so cached
-// obfuscation never queues behind cold solves, and -coalesce-window
-// batches same-digest cold requests into one solve. cmd/vlpload is the
-// open-loop harness that measures the resulting latency split.
+// obfuscation never queues behind cold solves, and concurrent
+// same-digest cold requests share one solve (singleflight). cmd/vlpload
+// is the open-loop harness that measures the resulting latency split.
 //
 // Fleet mode (-fleet): N instances share one -store-dir. A TTL lease
 // in the store elects a single durable writer; the leader solves and
@@ -68,7 +67,6 @@ func main() {
 	cache := flag.Int("cache", 16, "mechanism LRU capacity")
 	solvePool := flag.Int("solve-pool", 2, "solve-tier pool: max concurrent cold solves, excess gets 429")
 	servePool := flag.Int("serve-pool", 32, "serve-tier pool: max concurrent sampling requests, disjoint from the solve pool")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "batching delay before a cold solve starts, coalescing same-digest bursts into one solve (0 = off)")
 	solveWait := flag.Duration("solve-wait", 2*time.Minute, "max time a request waits for a cold solve")
 	solveDeadline := flag.Duration("solve-deadline", 2*time.Minute, "max wall time per CG solve before it degrades to its incumbent (0 = unbounded)")
 	noUpgrade := flag.Bool("no-upgrade", false, "disable background re-solves that promote degraded cache entries")
@@ -144,7 +142,6 @@ func main() {
 		CacheSize:        *cache,
 		SolvePool:        *solvePool,
 		ServePool:        *servePool,
-		CoalesceWindow:   *coalesceWindow,
 		SolveWait:        *solveWait,
 		SolveDeadline:    *solveDeadline,
 		DisableUpgrade:   *noUpgrade,
@@ -177,8 +174,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "vlpserved: listening on %s (cache %d, solve pool %d, serve pool %d, coalesce %v)\n",
-		*addr, *cache, *solvePool, *servePool, *coalesceWindow)
+	fmt.Fprintf(os.Stderr, "vlpserved: listening on %s (cache %d, solve pool %d, serve pool %d)\n",
+		*addr, *cache, *solvePool, *servePool)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

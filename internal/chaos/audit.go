@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/discretize"
 	"repro/internal/serial"
 	"repro/internal/store"
 )
@@ -72,27 +71,7 @@ func auditStore(dir string) (AuditResult, []string) {
 // serving, re-derived from scratch so a corrupted spec or matrix
 // cannot vouch for itself.
 func entryViolation(e *serial.StoredEntry) (float64, error) {
-	g, err := e.Spec.Network.ToGraph()
-	if err != nil {
-		return 0, err
-	}
-	part, err := discretize.New(g, e.Spec.Delta)
-	if err != nil {
-		return 0, err
-	}
-	var priorP, priorQ []float64
-	if len(e.Spec.Prior) > 0 {
-		priorP, priorQ = e.Spec.Prior, e.Spec.Prior
-	}
-	if len(e.Spec.TaskPrior) > 0 {
-		priorQ = e.Spec.TaskPrior
-	}
-	pr, err := core.NewProblem(part, core.Config{
-		Epsilon: e.Spec.Epsilon,
-		Radius:  e.Spec.Radius,
-		PriorP:  priorP,
-		PriorQ:  priorQ,
-	})
+	pr, err := e.Spec.Problem()
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/lp"
 )
 
 // TestSolveCGCtxCancelMidRun is the cancellation-latency regression: a
@@ -56,6 +57,21 @@ func TestSolveCGCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := SolveCGCtx(ctx, pr, CGOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatalf("pre-cancelled solve returned a result: %+v", res)
+	}
+}
+
+// TestSolveCGHonoursLPContext: SolveCG runs under CGOptions.LP.Ctx, so
+// an already-cancelled one stops the solve before any master round.
+func TestSolveCGHonoursLPContext(t *testing.T) {
+	pr := tinyProblem(t, 42, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := SolveCG(pr, CGOptions{LP: lp.Options{Ctx: ctx}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -159,5 +175,34 @@ func TestSolveCGPricingErrorIsFatal(t *testing.T) {
 	res, err := SolveCG(pr, CGOptions{})
 	if res != nil || !errors.Is(err, boom) {
 		t.Fatalf("got (%v, %v), want (nil, wrapped %v)", res, err, boom)
+	}
+}
+
+// TestPriceOneRejectsInfeasibleColumn: a recovered pricing column that
+// fails the Λ_l check is an error, not a column. Zeroing the cached
+// e^{ε·D} factors makes every column with a positive entry infeasible.
+func TestPriceOneRejectsInfeasibleColumn(t *testing.T) {
+	pr := tinyProblem(t, 48, 3)
+	k := pr.Part.K()
+	p, err := newPricer(pr, CGOptions{Workers: 1}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.pairF {
+		p.pairF[i] = 0
+	}
+	// Duals far above every cost make each reduced cost negative, so the
+	// minimiser puts mass on every interval.
+	pi := make([]float64, k)
+	for i := range pi {
+		pi[i] = 10
+		for _, c := range pr.Costs {
+			pi[i] += c
+		}
+	}
+	for l := 0; l < k; l++ {
+		if _, _, err := p.priceOne(context.Background(), p.workers[0], l, pi); err == nil {
+			t.Fatalf("sub_%d: infeasible recovered column accepted", l)
+		}
 	}
 }

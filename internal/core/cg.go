@@ -34,24 +34,13 @@ type CGOptions struct {
 	MaxIterations int
 	// Workers is the pricing parallelism (default GOMAXPROCS).
 	Workers int
-	// Sequential forces one-at-a-time pricing regardless of Workers,
-	// used by the parallel-pricing ablation benchmark.
-	Sequential bool
-	// Smoothing is the Wentges dual-smoothing weight β ∈ [0, 1): pricing
-	// runs at β·(best-bound dual) + (1−β)·(master dual), which damps the
-	// dual oscillation of degenerate masters. Negative disables; 0
-	// selects the default 0.8.
-	Smoothing float64
-	// PlainSeed seeds the master with only the single ε/2 exponential
-	// mechanism (plus zero columns) instead of the multi-sharpness seed
-	// family — the seeding ablation.
-	PlainSeed bool
 	// Resume, when non-nil, seeds the master with the column pool of a
 	// previous run on the same problem instead of the synthetic seed
 	// family, so the loop restarts where the previous run stopped. A
 	// state whose shape does not match the problem is ignored.
 	Resume *CGState
-	// LP passes solver options to both master and subproblems.
+	// LP passes solver options to both master and subproblems. SolveCG
+	// runs under LP.Ctx; SolveCGCtx's own context replaces it.
 	LP lp.Options
 	// OnIteration, when non-nil, observes each round (for tracing and
 	// convergence experiments).
@@ -74,17 +63,6 @@ func (o CGOptions) withDefaults() CGOptions {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Sequential {
-		o.Workers = 1
-	}
-	switch {
-	case o.Smoothing < 0:
-		o.Smoothing = 0
-	case o.Smoothing == 0:
-		o.Smoothing = 0.8
-	case o.Smoothing >= 1:
-		o.Smoothing = 0.95
 	}
 	return o
 }
@@ -192,6 +170,11 @@ type cgColumn struct {
 
 const cgTol = 1e-9
 
+// cgSmoothing is the Wentges dual-smoothing weight β: pricing runs at
+// β·(best-bound dual) + (1−β)·(master dual), which damps the dual
+// oscillation of degenerate masters.
+const cgSmoothing = 0.8
+
 // SolveCG solves D-VLP by Dantzig–Wolfe decomposition (Section 4.3).
 //
 // The master program optimises convex weights over known extreme points
@@ -207,11 +190,15 @@ const cgTol = 1e-9
 // pricing duals with a verification pass at the exact master duals
 // before any optimality claim.
 //
-// SolveCG is SolveCGCtx with a background context: it runs to a
-// convergence or iteration-limit stop and cannot be abandoned.
+// SolveCG is SolveCGCtx under opts.LP.Ctx, or a background context
+// when that is nil.
 func SolveCG(pr *Problem, opts CGOptions) (*CGResult, error) {
-	//lint:ignore ctxflow SolveCG is the documented non-cancellable convenience entry; cancellable callers use SolveCGCtx
-	return SolveCGCtx(context.Background(), pr, opts)
+	ctx := opts.LP.Ctx
+	if ctx == nil {
+		//lint:ignore ctxflow a nil LP.Ctx means run to completion, as everywhere in lp.Options
+		ctx = context.Background()
+	}
+	return SolveCGCtx(ctx, pr, opts)
 }
 
 // SolveCGCtx solves D-VLP by column generation under a context.
@@ -251,7 +238,7 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 		// the donor state is safe.
 		columns = append(make([]cgColumn, 0, len(opts.Resume.columns)+k), opts.Resume.columns...)
 	} else {
-		columns = seedColumns(pr, opts.PlainSeed)
+		columns = seedColumns(pr)
 	}
 	sub, err := newPricer(pr, opts)
 	if err != nil {
@@ -324,10 +311,10 @@ rounds:
 
 		// Pricing point: smoothed toward the best-bound dual.
 		piUse := piM
-		if piStab != nil && opts.Smoothing > 0 {
+		if piStab != nil {
 			piUse = make([]float64, k)
 			for i := range piUse {
-				piUse[i] = opts.Smoothing*piStab[i] + (1-opts.Smoothing)*piM[i]
+				piUse[i] = cgSmoothing*piStab[i] + (1-cgSmoothing)*piM[i]
 			}
 		}
 
@@ -509,14 +496,11 @@ func samePoint(a, b []float64) bool {
 // pairs — plus the zero vertex, plus the columns of the normalised ε/2
 // exponential mechanism, which collectively form a feasible master
 // solution (so no artificial variables are ever needed).
-func seedColumns(pr *Problem, plain bool) []cgColumn {
+func seedColumns(pr *Problem) []cgColumn {
 	k := pr.Part.K()
 	mech := pr.ExponentialMechanism()
 	sym := pr.Sym()
 	gammas := []float64{1, 0.5, 0.25}
-	if plain {
-		gammas = nil
-	}
 	columns := make([]cgColumn, 0, (2+len(gammas))*k)
 	for l := 0; l < k; l++ {
 		z := make([]float64, k)
@@ -702,8 +686,8 @@ func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu [
 // which has only K rows with generic right-hand sides, and recovers the
 // primal minimiser z* as the dual prices of that problem (the dual of
 // the dual is the primal). Every recovered column is verified against
-// Λ_l and the rare numerically-doubtful one falls back to a direct
-// primal solve.
+// Λ_l; a dual solve that does not end optimal, or a column outside Λ_l,
+// is a pricing error.
 //
 // Each worker owns one persistent compiled dual instance, plus one basis
 // snapshot per subproblem. A subproblem is handled by exactly one worker
@@ -711,55 +695,29 @@ func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu [
 // per-l basis slots are race-free even though successive rounds may
 // assign l to different workers.
 type pricer struct {
-	pr   *Problem
-	opts CGOptions
-
-	// primalBase is the straightforward primal formulation, compiled
-	// lazily per worker as the verification fallback.
-	primalBase *lp.Problem
+	pr *Problem
 	// pairF caches e^{ε·D} per reduced pair for feasibility checks.
 	pairF []float64
 
-	workers     []*pricerWorker
-	dualBases   []*lp.Basis
-	primalBases []*lp.Basis
-}
-
-// pricerWorker is one worker goroutine's reusable solver state. The dual
-// instance is compiled with the pricer (it is the hot path); the primal
-// fallback lazily on first use.
-type pricerWorker struct {
-	p      *pricer
-	dual   *lp.Prepared
-	primal *lp.Prepared
+	workers   []*lp.Prepared // one persistent dual instance per worker
+	dualBases []*lp.Basis
 }
 
 func newPricer(pr *Problem, opts CGOptions) (*pricer, error) {
 	k := pr.Part.K()
-	p := &pricer{pr: pr, opts: opts}
+	p := &pricer{pr: pr}
 	pairs := pr.Red().Pairs
 
-	// Primal fallback.
-	base := lp.NewProblem(k)
+	// Dual rows: u layout is [2 per pair][K box]. The primal rows are
+	// z_A − f·z_B ≤ 0 and z_B − f·z_A ≤ 0 per reduced pair, plus the unit
+	// box z_i ≤ 1 that makes the extreme points of the cone Λ_l
+	// well-defined. Primal column of z_i appears in pair rows (±1 / −f)
+	// and its own box row (+1).
 	p.pairF = make([]float64, len(pairs))
+	dualRows := make([][]lp.Term, k)
 	for pi, pair := range pairs {
 		f := math.Exp(pr.reducedPairEps(pair) * pair.D)
 		p.pairF[pi] = f
-		base.AddConstraint([]lp.Term{{Var: pair.A, Coef: 1}, {Var: pair.B, Coef: -f}}, lp.LE, 0)
-		base.AddConstraint([]lp.Term{{Var: pair.B, Coef: 1}, {Var: pair.A, Coef: -f}}, lp.LE, 0)
-	}
-	// Λ_l is a cone without an upper bound; the unit box makes its
-	// extreme points well-defined and matches z being probabilities.
-	for i := 0; i < k; i++ {
-		base.AddConstraint([]lp.Term{{Var: i, Coef: 1}}, lp.LE, 1)
-	}
-	p.primalBase = base
-
-	// Dual rows: u layout is [2 per pair][K box]. Primal column of z_i
-	// appears in pair rows (±1 / −f) and its own box row (+1).
-	dualRows := make([][]lp.Term, k)
-	for pi, pair := range pairs {
-		f := p.pairF[pi]
 		u1, u2 := 2*pi, 2*pi+1
 		// Row u1: z_A − f·z_B ≤ 0  →  contributes +1 to z_A's dual row,
 		// −f to z_B's. Row u2 is the mirrored direction.
@@ -786,30 +744,16 @@ func newPricer(pr *Problem, opts CGOptions) (*pricer, error) {
 	if workers > k {
 		workers = k
 	}
-	p.workers = make([]*pricerWorker, workers)
+	p.workers = make([]*lp.Prepared, workers)
 	for w := range p.workers {
 		pp, err := lp.Prepare(dual, opts.LP)
 		if err != nil {
 			return nil, err
 		}
-		p.workers[w] = &pricerWorker{p: p, dual: pp}
+		p.workers[w] = pp
 	}
 	p.dualBases = make([]*lp.Basis, k)
-	p.primalBases = make([]*lp.Basis, k)
 	return p, nil
-}
-
-// primalPrepared lazily compiles the worker's persistent primal
-// fallback instance.
-func (wk *pricerWorker) primalPrepared() (*lp.Prepared, error) {
-	if wk.primal == nil {
-		pp, err := lp.Prepare(wk.p.primalBase, wk.p.opts.LP)
-		if err != nil {
-			return nil, err
-		}
-		wk.primal = pp
-	}
-	return wk.primal, nil
 }
 
 // priceAll solves every sub_l at dual point π, returning per block the
@@ -868,53 +812,33 @@ func (p *pricer) priceAll(ctx context.Context, pi []float64) ([]float64, []cgCol
 // that basis is typically a handful of dual-simplex pivots from
 // re-optimal; a stale basis silently costs a cold solve, never a wrong
 // answer.
-func (p *pricer) priceOne(ctx context.Context, wk *pricerWorker, l int, pi []float64) (float64, cgColumn, error) {
+func (p *pricer) priceOne(ctx context.Context, dual *lp.Prepared, l int, pi []float64) (float64, cgColumn, error) {
 	if err := faultinject.At(FaultSiteCGPricing); err != nil {
 		return 0, cgColumn{}, fmt.Errorf("injected fault: %w", err)
 	}
 	k := p.pr.Part.K()
-	wk.dual.SetContext(ctx)
+	dual.SetContext(ctx)
 	for i := 0; i < k; i++ {
 		w := p.pr.Costs[i*k+l] - pi[i]
-		wk.dual.SetRHS(i, -w)
+		dual.SetRHS(i, -w)
 	}
-	sol, err := wk.dual.SolveFrom(p.dualBases[l])
-	if err == nil && sol.Status == lp.Optimal {
-		p.dualBases[l] = wk.dual.Basis(p.dualBases[l])
-		z := make([]float64, k)
-		for i := 0; i < k; i++ {
-			z[i] = clamp01(sol.Duals[i])
-		}
-		if p.feasible(z) {
-			col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}
-			return -sol.Objective, col, nil // min wᵀz = −min bᵀu
-		}
-	}
-	if err != nil && ctx.Err() != nil {
-		return 0, cgColumn{}, err
-	}
-
-	// Fallback: persistent primal instance, objective retuned per l.
-	primal, err := wk.primalPrepared()
+	sol, err := dual.SolveFrom(p.dualBases[l])
 	if err != nil {
 		return 0, cgColumn{}, err
 	}
-	primal.SetContext(ctx)
-	for i := 0; i < k; i++ {
-		primal.SetObjectiveCoeff(i, p.pr.Costs[i*k+l]-pi[i])
+	if sol.Status != lp.Optimal {
+		return 0, cgColumn{}, fmt.Errorf("pricing dual LP ended %v", sol.Status)
 	}
-	psol, err := primal.SolveFrom(p.primalBases[l])
-	if err != nil {
-		return 0, cgColumn{}, err
-	}
-	if psol.Status != lp.Optimal {
-		return 0, cgColumn{}, fmt.Errorf("pricing LP ended %v", psol.Status)
-	}
-	p.primalBases[l] = primal.Basis(p.primalBases[l])
+	p.dualBases[l] = dual.Basis(p.dualBases[l])
 	z := make([]float64, k)
-	copy(z, psol.X)
+	for i := 0; i < k; i++ {
+		z[i] = clamp01(sol.Duals[i])
+	}
+	if !p.feasible(z) {
+		return 0, cgColumn{}, fmt.Errorf("recovered pricing column lies outside Λ_%d", l)
+	}
 	col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}
-	return psol.Objective, col, nil
+	return -sol.Objective, col, nil // min wᵀz = −min bᵀu
 }
 
 // feasible verifies a recovered column against Λ_l within tolerance.

@@ -192,7 +192,7 @@ func TestSolveCGResumeMismatchedStateIgnored(t *testing.T) {
 func TestWarmPricingRoundAllocs(t *testing.T) {
 	pr := smallProblem(t, 35, 5)
 	k := pr.Part.K()
-	opts := CGOptions{Sequential: true}.withDefaults()
+	opts := CGOptions{Workers: 1}.withDefaults()
 	p, err := newPricer(pr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestWarmPricingRoundAllocs(t *testing.T) {
 // must give the same answer with one worker and with many.
 func TestSolveCGWarmSequentialMatchesParallel(t *testing.T) {
 	pr := smallProblem(t, 34, 4)
-	seq, err := SolveCG(pr, CGOptions{Sequential: true})
+	seq, err := SolveCG(pr, CGOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func TestSolveCGSequentialMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := SolveCG(pr, CGOptions{Xi: 0, Sequential: true})
+	seq, err := SolveCG(pr, CGOptions{Xi: 0, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,12 +312,10 @@ func (pr *Problem) ETDD(m *Mechanism) float64 {
 }
 
 // GeoIViolation returns the largest violation of the full (ε, r)-Geo-I
-// constraint set by the mechanism (≤ 0 means satisfied). In the
-// heterogeneous case every pair is checked against its own PairEps.
+// constraint set by the mechanism: max over constrained (i, l, j) of
+// z_{i,j} − e^{ε·d_min} z_{l,j}, with every pair checked against its own
+// PairEps (≤ 0 means satisfied).
 func (pr *Problem) GeoIViolation(m *Mechanism) float64 {
-	if pr.EpsAt == nil {
-		return geoi.MaxViolation(pr.Part, m.Z, pr.Eps, pr.Radius)
-	}
 	k := pr.Part.K()
 	worst := math.Inf(-1)
 	for _, pair := range geoi.FullPairs(pr.Part, pr.Radius) {

@@ -167,3 +167,23 @@ func BenchmarkNewProblem(b *testing.B) {
 		}
 	}
 }
+
+// TestGeoIViolation checks the Geo-I oracle on two known mechanisms: the
+// ε/2 exponential mechanism over the symmetrized metric satisfies ε-Geo-I
+// (the metric's triangle inequality bounds both the numerator ratio and
+// the normalisation ratio by e^{(ε/2)·d}, and the metric lower-bounds
+// d_min), while the identity mechanism grossly violates it.
+func TestGeoIViolation(t *testing.T) {
+	pr := smallProblem(t, 8, 3)
+	if v := pr.GeoIViolation(pr.ExponentialMechanism()); v > 1e-9 {
+		t.Fatalf("exponential mechanism violates Geo-I by %v", v)
+	}
+	k := pr.Part.K()
+	id := &Mechanism{Part: pr.Part, Z: make([]float64, k*k)}
+	for i := 0; i < k; i++ {
+		id.Z[i*k+i] = 1
+	}
+	if v := pr.GeoIViolation(id); v <= 0 {
+		t.Fatalf("identity mechanism reported Geo-I-compliant (violation %v)", v)
+	}
+}

@@ -44,41 +44,53 @@ func (st *CGState) Snapshot() *CGStateSnapshot {
 	return s
 }
 
+// Validate checks the snapshot's structure: K ≥ 1, at least one column,
+// every column of length K with L in range, every value finite with Z
+// entries in [0, 1] and non-negative costs. It does not check that the
+// pool covers every convexity row; RestoreCGState adds that.
+func (s *CGStateSnapshot) Validate() error {
+	if s.K < 1 {
+		return fmt.Errorf("core: CG state has K = %d", s.K)
+	}
+	if len(s.Columns) == 0 {
+		return fmt.Errorf("core: CG state has no columns")
+	}
+	for i, c := range s.Columns {
+		if c.L < 0 || c.L >= s.K {
+			return fmt.Errorf("core: CG state column %d has L = %d outside [0, %d)", i, c.L, s.K)
+		}
+		if len(c.Z) != s.K {
+			return fmt.Errorf("core: CG state column %d has %d entries, want %d", i, len(c.Z), s.K)
+		}
+		for j, v := range c.Z {
+			if math.IsNaN(v) || v < 0 || v > 1 {
+				return fmt.Errorf("core: CG state column %d entry %d = %v outside [0, 1]", i, j, v)
+			}
+		}
+		if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) || c.Cost < 0 {
+			return fmt.Errorf("core: CG state column %d has cost %v", i, c.Cost)
+		}
+	}
+	return nil
+}
+
 // RestoreCGState rebuilds an opaque CGState from a snapshot, validating
-// it strictly: the shape must be internally consistent (every column of
-// length K with L in range), every value finite with Z entries in
-// [0, 1] and non-negative costs, and the pool must cover every convexity
-// row — the same structural requirement CGOptions.Resume enforces, so a
-// restored state is never silently ignored by the solver for a reason
-// validation could have caught. Untrusted (disk, wire) snapshots must
-// come through here. A nil snapshot restores to nil without error.
+// it strictly: the snapshot must pass Validate, and the pool must cover
+// every convexity row — the same structural requirement CGOptions.Resume
+// enforces, so a restored state is never silently ignored by the solver
+// for a reason validation could have caught. Untrusted (disk, wire)
+// snapshots must come through here. A nil snapshot restores to nil
+// without error.
 func RestoreCGState(s *CGStateSnapshot) (*CGState, error) {
 	if s == nil {
 		return nil, nil
 	}
-	if s.K < 1 {
-		return nil, fmt.Errorf("core: CG state has K = %d", s.K)
-	}
-	if len(s.Columns) == 0 {
-		return nil, fmt.Errorf("core: CG state has no columns")
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	covered := make([]bool, s.K)
 	st := &CGState{k: s.K, columns: make([]cgColumn, len(s.Columns))}
 	for i, c := range s.Columns {
-		if c.L < 0 || c.L >= s.K {
-			return nil, fmt.Errorf("core: CG state column %d has L = %d outside [0, %d)", i, c.L, s.K)
-		}
-		if len(c.Z) != s.K {
-			return nil, fmt.Errorf("core: CG state column %d has %d entries, want %d", i, len(c.Z), s.K)
-		}
-		for j, v := range c.Z {
-			if math.IsNaN(v) || v < 0 || v > 1 {
-				return nil, fmt.Errorf("core: CG state column %d entry %d = %v outside [0, 1]", i, j, v)
-			}
-		}
-		if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) || c.Cost < 0 {
-			return nil, fmt.Errorf("core: CG state column %d has cost %v", i, c.Cost)
-		}
 		covered[c.L] = true
 		st.columns[i] = cgColumn{l: c.L, z: c.Z, cost: c.Cost}
 	}

@@ -286,21 +286,3 @@ func SymmetrizedDistances(aux *roadnet.Graph) *roadnet.DistMatrix {
 	}
 	return und.AllPairs()
 }
-
-// MaxViolation measures how far a K×K row-major obfuscation matrix Z is
-// from satisfying the *full* (ε, radius)-Geo-I constraint set:
-// max over constrained (i, l, j) of z_{i,j} − e^{ε·d_min} z_{l,j}.
-// A non-positive result means Z satisfies Geo-I exactly.
-func MaxViolation(p *discretize.Partition, z []float64, eps, radius float64) float64 {
-	k := p.K()
-	worst := math.Inf(-1)
-	for _, pr := range FullPairs(p, radius) {
-		f := math.Exp(eps * pr.D)
-		for j := 0; j < k; j++ {
-			if v := z[pr.I*k+j] - f*z[pr.L*k+j]; v > worst {
-				worst = v
-			}
-		}
-	}
-	return worst
-}

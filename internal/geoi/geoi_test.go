@@ -199,38 +199,3 @@ func TestReduceRadiusFilterKeepsLocalSoundness(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxViolation(t *testing.T) {
-	p := testPartition(t, 8, 0.15)
-	k := p.K()
-	const eps = 3.0
-
-	// The ε/2 exponential mechanism over the symmetrized metric
-	// satisfies ε-Geo-I: the metric's triangle inequality bounds both
-	// the numerator ratio and the normalisation ratio by e^{(ε/2)·d},
-	// and the metric lower-bounds d_min.
-	sym := SymmetrizedDistances(p.AuxGraph())
-	z := make([]float64, k*k)
-	for i := 0; i < k; i++ {
-		sum := 0.0
-		for l := 0; l < k; l++ {
-			z[i*k+l] = math.Exp(-eps / 2 * sym.Dist(roadnet.NodeID(i), roadnet.NodeID(l)))
-			sum += z[i*k+l]
-		}
-		for l := 0; l < k; l++ {
-			z[i*k+l] /= sum
-		}
-	}
-	if v := MaxViolation(p, z, eps, 0); v > 1e-9 {
-		t.Fatalf("exponential mechanism violates Geo-I by %v", v)
-	}
-
-	// The identity mechanism grossly violates Geo-I.
-	id := make([]float64, k*k)
-	for i := 0; i < k; i++ {
-		id[i*k+i] = 1
-	}
-	if v := MaxViolation(p, id, eps, 0); v <= 0 {
-		t.Fatalf("identity mechanism reported Geo-I-compliant (violation %v)", v)
-	}
-}

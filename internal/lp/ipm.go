@@ -344,7 +344,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		dAccept2   = 1e-5
 		gapAccept2 = 3e-6
 	)
-	var lastAP, lastAD, lastSigma float64
 	bestScore := math.Inf(1)
 	acceptX := ws.acceptX
 	acceptY := ws.acceptY
@@ -406,10 +405,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		if (acceptOK && stalled > 3) || stalled > 30 || (mu < 1e-18 && acceptOK) {
 			break
 		}
-		if debugLP && iter%5 == 4 {
-			fmt.Printf("ipm debug: iter %d pInf %.3g dInf %.3g gap %.3g mu %.3g aP %.3g aD %.3g sigma %.3g\n",
-				iter, pInf, dInf, gap, mu, lastAP, lastAD, lastSigma)
-		}
 
 		// Normal-equations matrix M = A D Aᵀ + reg·I with D = X/S.
 		for j := 0; j < n; j++ {
@@ -448,7 +443,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		if sigma > 1 {
 			sigma = 1
 		}
-		lastSigma = sigma
 
 		// Corrector direction: rc = σμe − x∘s − Δx_aff∘Δs_aff.
 		for j := 0; j < n; j++ {
@@ -464,7 +458,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		if aD > 1 {
 			aD = 1
 		}
-		lastAP, lastAD = aP, aD
 		for j := 0; j < n; j++ {
 			x[j] += aP * dxc[j]
 			s[j] += aD * dsc[j]

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -207,13 +206,8 @@ type Solution struct {
 
 // Options tune the solver. The zero value selects sensible defaults.
 type Options struct {
-	// Tol is the feasibility/optimality tolerance (default 1e-9).
-	Tol float64
 	// MaxIter bounds total pivots (default 50 000 + 50·(m+n)).
 	MaxIter int
-	// RefactorEvery forces a recomputation of the basis inverse after
-	// this many pivots (default 120).
-	RefactorEvery int
 	// Ctx, when non-nil, lets callers abandon a solve early: Solve and
 	// SolveIPM poll it (every few simplex pivots, every IPM Newton
 	// iteration) and return Ctx.Err() as soon as it is done. Nil means
@@ -222,25 +216,23 @@ type Options struct {
 }
 
 func (o Options) withDefaults(m, n int) Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50000 + 50*(m+n)
 	}
-	if o.RefactorEvery <= 0 {
-		o.RefactorEvery = 120
-	}
 	return o
 }
+
+// simplexTol is the simplex feasibility/optimality tolerance.
+const simplexTol = 1e-9
+
+// refactorPeriod is how many pivots pass between recomputations of
+// the basis inverse; Solve's drift retry refactors far more often.
+const refactorPeriod = 120
 
 // ErrNoConstraints is returned when a problem has no rows: the optimum of
 // min c·x with x ≥ 0 is then trivially 0 or −∞, and callers almost
 // certainly forgot to add their constraints.
 var ErrNoConstraints = errors.New("lp: problem has no constraints")
-
-// debugLP enables pivot-trace prints via the LPDEBUG environment variable.
-var debugLP = os.Getenv("LPDEBUG") != ""
 
 // Solve minimises the problem and returns the solution. A non-nil error
 // is returned only for malformed inputs; Infeasible/Unbounded outcomes
@@ -266,9 +258,9 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if p.Violation(sol.X) <= 1e-6 {
 		return sol, nil
 	}
-	retry := opts
-	retry.RefactorEvery = 8
-	sol2, err := newSimplex(p, retry).solve()
+	retry := newSimplex(p, opts)
+	retry.refactorEvery = 8
+	sol2, err := retry.solve()
 	if err != nil {
 		return nil, err
 	}
@@ -281,6 +273,8 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 // simplex carries the equality-form problem and the revised-simplex state.
 type simplex struct {
 	opt Options
+	// refactorEvery is the pivot period of the basis-inverse rebuild.
+	refactorEvery int
 
 	m int // rows
 	n int // total columns incl. slack/surplus and artificials
@@ -322,9 +316,8 @@ type simplex struct {
 	p1Cost  []float64 // n: phase-1 cost vector (lazy)
 	banned  []bool    // n: phase-2 banned mask (lazy)
 
-	pivots              int
-	sinceRefactor       int
-	debugInfeasReported bool
+	pivots        int
+	sinceRefactor int
 }
 
 func newSimplex(p *Problem, opts Options) *simplex {
@@ -470,6 +463,7 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	s.allocScratch()
 
 	s.opt = opts.withDefaults(m, s.n)
+	s.refactorEvery = refactorPeriod
 	return s
 }
 
@@ -657,7 +651,7 @@ func (s *simplex) binvRowDotCol(i, j int) float64 {
 // unbounded, or the iteration budget is exhausted. banned columns are
 // never chosen to enter.
 func (s *simplex) iterate(cost []float64, banned []bool) Status {
-	tol := s.opt.Tol
+	const tol = simplexTol
 	degenerate := 0
 	useBland := false
 	y := s.scratchY
@@ -693,19 +687,6 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 			if sinceImprove > 2*s.m+50 {
 				useBland = true
 			}
-		}
-		if debugLP && s.pivots%20000 == 0 && s.pivots > 0 {
-			minXB, negXB := 0.0, 0
-			for _, v := range s.xb {
-				if v < -1e-9 {
-					negXB++
-				}
-				if v < minXB {
-					minXB = v
-				}
-			}
-			fmt.Printf("lp debug: pivot %d obj %.12g best %.12g bland %v degen %d negXB %d minXB %.3g\n",
-				s.pivots, obj, bestObj, useBland, degenerate, negXB, minXB)
 		}
 
 		s.dualInto(cost, y)
@@ -794,7 +775,7 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 // they force near-zero steps until they leave the basis — a self-healing
 // property.
 func (s *simplex) ratioTestHarris(dir []float64, useBland bool) int {
-	tol := s.opt.Tol
+	const tol = simplexTol
 	const delta = 1e-9
 
 	theta := math.Inf(1)
@@ -889,18 +870,8 @@ func (s *simplex) pivot(enter, leave int, dir []float64) {
 	s.inBase[enter] = true
 	s.pivots++
 	s.sinceRefactor++
-	if s.sinceRefactor >= s.opt.RefactorEvery {
+	if s.sinceRefactor >= s.refactorEvery {
 		s.refactor()
-	}
-	if debugLP && !s.debugInfeasReported {
-		for i, v := range s.xb {
-			if v < -1e-6 {
-				s.debugInfeasReported = true
-				fmt.Printf("lp debug: FIRST infeasible xb[%d]=%.6g at pivot %d (enter=%d leave=%d pv=%.3g dir[i]=%.3g)\n",
-					i, v, s.pivots, enter, leave, pv, dir[i])
-				break
-			}
-		}
 	}
 }
 

@@ -26,17 +26,16 @@ func (b *Basis) Len() int {
 
 // Prepared is a simplex instance compiled once from a Problem and kept
 // alive across solves. The constraint *structure* (rows, columns, and
-// their coefficients) is frozen at Prepare time; between solves the
-// caller may mutate objective coefficients (SetObjectiveCoeff) and
-// right-hand sides (SetRHS) in place. All standard-form arrays, the
-// basis inverse and every pivot-loop workspace persist, so a steady-state
-// re-solve allocates (almost) nothing.
+// their coefficients) and the objective are frozen at Prepare time;
+// between solves the caller may mutate right-hand sides (SetRHS) in
+// place. All standard-form arrays, the basis inverse and every
+// pivot-loop workspace persist, so a steady-state re-solve allocates
+// (almost) nothing.
 //
 // Warm starts: Basis captures the optimal basis of a solve; SolveFrom
-// restores it into a later solve. After an objective change the old
-// basis stays primal feasible and the primal simplex resumes from it;
-// after a right-hand-side change it stays *dual* feasible and a dual
-// simplex pass restores primal feasibility first. A snapshot that is
+// restores it into a later solve. After a right-hand-side change the
+// old basis stays *dual* feasible and a dual simplex pass restores
+// primal feasibility first. A snapshot that is
 // stale, singular, or infeasible in any way silently falls back to a
 // cold two-phase solve — warm starting is an optimisation, never a
 // correctness risk.
@@ -143,6 +142,7 @@ func Prepare(p *Problem, opts Options) (*Prepared, error) {
 	s.xb = make([]float64, m)
 	s.allocScratch()
 	s.opt = opts.withDefaults(m, s.n)
+	s.refactorEvery = refactorPeriod
 
 	pp := &Prepared{
 		s:            s,
@@ -175,15 +175,6 @@ func (pp *Prepared) refreshPert(i int) {
 
 // NumRows returns the compiled row count.
 func (pp *Prepared) NumRows() int { return pp.s.m }
-
-// SetObjectiveCoeff updates the objective coefficient of original
-// variable j for subsequent solves.
-func (pp *Prepared) SetObjectiveCoeff(j int, v float64) {
-	if j < 0 || j >= pp.s.numOrig {
-		panic(fmt.Sprintf("lp: SetObjectiveCoeff(%d) of %d variables", j, pp.s.numOrig))
-	}
-	pp.s.cost[j] = v * pp.s.colScale[j]
-}
 
 // SetRHS updates the right-hand side of row i for subsequent solves. The
 // row's operator and coefficients are unchanged.

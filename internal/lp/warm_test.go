@@ -63,46 +63,6 @@ func TestPreparedMatchesOneShotSolve(t *testing.T) {
 	}
 }
 
-func TestPreparedWarmObjectiveChange(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := randomCoveringLP(rng, 30, 20)
-	pp, err := Prepare(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pp.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	basis := pp.Basis(nil)
-	if basis == nil {
-		t.Fatal("no basis after optimal solve")
-	}
-
-	for trial := 0; trial < 10; trial++ {
-		// Drift the objective and warm-restart from the previous basis.
-		for j := 0; j < p.NumVars(); j++ {
-			c := 1 + rng.Float64()
-			p.SetObjectiveCoeff(j, c)
-			pp.SetObjectiveCoeff(j, c)
-		}
-		warm, err := pp.SolveFrom(basis)
-		if err != nil {
-			t.Fatalf("trial %d: warm: %v", trial, err)
-		}
-		cold, err := Solve(p, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: cold: %v", trial, err)
-		}
-		if warm.Status != Optimal || cold.Status != Optimal {
-			t.Fatalf("trial %d: status warm %v cold %v", trial, warm.Status, cold.Status)
-		}
-		if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("trial %d: warm objective %v vs cold %v", trial, warm.Objective, cold.Objective)
-		}
-		basis = pp.Basis(basis)
-	}
-}
-
 func TestPreparedWarmRHSChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomCoveringLP(rng, 30, 20)

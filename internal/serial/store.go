@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/core"
 )
 
 // Binary snapshot encoding for the durable mechanism store
@@ -37,25 +39,10 @@ const (
 	checkpointMagic = "VLPCKP2\x00"
 )
 
-// maxStoredColumns bounds the CG column pool a snapshot may carry;
+// maxPoolColumns bounds the CG column pool a snapshot may carry;
 // generous (the solver admits at most a handful of columns per block per
 // round) while keeping hostile inputs from requesting huge allocations.
-const maxStoredColumns = 1 << 22
-
-// StoredState is the wire form of a column-generation state snapshot
-// (core.CGStateSnapshot mirrors it field for field; serial cannot import
-// core both ways, so the shapes are kept in sync by the store layer).
-type StoredState struct {
-	K    int
-	Cols []StoredColumn
-}
-
-// StoredColumn is one pooled extreme point of polyhedron Λ_l.
-type StoredColumn struct {
-	L    int
-	Z    []float64
-	Cost float64
-}
+const maxPoolColumns = 1 << 22
 
 // StoredEntry is a durable snapshot of one completed (possibly degraded)
 // cache entry: the spec that keys it, the served mechanism and its
@@ -75,7 +62,7 @@ type StoredEntry struct {
 	Fence uint64
 	// State is the degraded entry's resumable pool (nil on the optimal
 	// tier), so an upgrade re-solve still starts warm after a restart.
-	State *StoredState
+	State *core.CGStateSnapshot
 }
 
 // StoredCheckpoint is a durable mid-solve snapshot: the spec being
@@ -87,7 +74,7 @@ type StoredCheckpoint struct {
 	Rounds int
 	// Fence mirrors StoredEntry.Fence for mid-solve checkpoints.
 	Fence uint64
-	State StoredState
+	State core.CGStateSnapshot
 }
 
 // Validate applies the full decode-side checks; Decode* call it, and
@@ -128,7 +115,7 @@ func (e *StoredEntry) Validate() error {
 		}
 	}
 	if e.State != nil {
-		if err := e.State.validate(); err != nil {
+		if err := validateState(e.State); err != nil {
 			return err
 		}
 		if e.State.K != e.K {
@@ -146,33 +133,19 @@ func (c *StoredCheckpoint) Validate() error {
 	if c.Rounds < 0 {
 		return fmt.Errorf("stored checkpoint has %d rounds", c.Rounds)
 	}
-	return c.State.validate()
+	return validateState(&c.State)
 }
 
-func (st *StoredState) validate() error {
-	if st.K < 1 || st.K > maxWireK {
-		return fmt.Errorf("stored CG state K = %d out of range [1, %d]", st.K, maxWireK)
+// validateState adds the wire bounds to the snapshot's own structural
+// checks.
+func validateState(st *core.CGStateSnapshot) error {
+	if st.K > maxWireK {
+		return fmt.Errorf("stored CG state K = %d exceeds %d", st.K, maxWireK)
 	}
-	if len(st.Cols) == 0 {
-		return fmt.Errorf("stored CG state has no columns")
+	if len(st.Columns) > maxPoolColumns {
+		return fmt.Errorf("stored CG state has %d columns, cap %d", len(st.Columns), maxPoolColumns)
 	}
-	for i, c := range st.Cols {
-		if c.L < 0 || c.L >= st.K {
-			return fmt.Errorf("stored CG column %d has L = %d outside [0, %d)", i, c.L, st.K)
-		}
-		if len(c.Z) != st.K {
-			return fmt.Errorf("stored CG column %d has %d entries, want %d", i, len(c.Z), st.K)
-		}
-		for j, v := range c.Z {
-			if !finite(v) || v < 0 || v > 1 {
-				return fmt.Errorf("stored CG column %d entry %d = %v outside [0, 1]", i, j, v)
-			}
-		}
-		if !finite(c.Cost) || c.Cost < 0 {
-			return fmt.Errorf("stored CG column %d has cost %v", i, c.Cost)
-		}
-	}
-	return nil
+	return st.Validate()
 }
 
 // EncodeStoredEntry renders a validated entry snapshot, checksum
@@ -249,7 +222,7 @@ func DecodeStoredEntry(data []byte) (*StoredEntry, error) {
 	switch hasState {
 	case 0:
 	case 1:
-		e.State = &StoredState{}
+		e.State = &core.CGStateSnapshot{}
 		if err := r.state(e.State); err != nil {
 			return nil, err
 		}
@@ -384,10 +357,10 @@ func (w *snapWriter) spec(s *SolveSpec) {
 	}
 }
 
-func (w *snapWriter) state(st *StoredState) {
+func (w *snapWriter) state(st *core.CGStateSnapshot) {
 	w.u64(uint64(st.K))
-	w.u64(uint64(len(st.Cols)))
-	for _, c := range st.Cols {
+	w.u64(uint64(len(st.Columns)))
+	for _, c := range st.Columns {
 		w.u64(uint64(c.L))
 		for _, v := range c.Z {
 			w.f64(v)
@@ -554,27 +527,27 @@ func (r *snapReader) spec(s *SolveSpec) error {
 	return nil
 }
 
-func (r *snapReader) state(st *StoredState) error {
+func (r *snapReader) state(st *core.CGStateSnapshot) error {
 	k, err := r.count(maxWireK)
 	if err != nil {
 		return err
 	}
 	st.K = k
-	nCols, err := r.count(maxStoredColumns)
+	nCols, err := r.count(maxPoolColumns)
 	if err != nil {
 		return err
 	}
-	st.Cols = make([]StoredColumn, nCols)
-	for i := range st.Cols {
+	st.Columns = make([]core.CGColumnSnapshot, nCols)
+	for i := range st.Columns {
 		l, err := r.u64()
 		if err != nil {
 			return err
 		}
-		st.Cols[i].L = int(int64(l))
-		if st.Cols[i].Z, err = r.f64s(k); err != nil {
+		st.Columns[i].L = int(int64(l))
+		if st.Columns[i].Z, err = r.f64s(k); err != nil {
 			return err
 		}
-		if st.Cols[i].Cost, err = r.f64(); err != nil {
+		if st.Columns[i].Cost, err = r.f64(); err != nil {
 			return err
 		}
 	}

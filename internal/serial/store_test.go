@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/roadnet"
 )
 
@@ -25,11 +26,11 @@ func storedTestEntry(tb testing.TB, k int) *StoredEntry {
 	for i := range z {
 		z[i] = 1 / float64(k)
 	}
-	cols := make([]StoredColumn, k)
+	cols := make([]core.CGColumnSnapshot, k)
 	for l := range cols {
 		zc := make([]float64, k)
 		zc[l] = 1
-		cols[l] = StoredColumn{L: l, Z: zc, Cost: 0.25}
+		cols[l] = core.CGColumnSnapshot{L: l, Z: zc, Cost: 0.25}
 	}
 	return &StoredEntry{
 		Spec:  storedTestSpec(tb),
@@ -39,7 +40,7 @@ func storedTestEntry(tb testing.TB, k int) *StoredEntry {
 		K:     k,
 		Z:     z,
 		Fence: 3,
-		State: &StoredState{K: k, Cols: cols},
+		State: &core.CGStateSnapshot{K: k, Columns: cols},
 	}
 }
 
@@ -70,7 +71,7 @@ func TestStoredEntryRoundTrip(t *testing.T) {
 			}
 		}
 		if withState {
-			if got.State == nil || got.State.K != e.State.K || len(got.State.Cols) != len(e.State.Cols) {
+			if got.State == nil || got.State.K != e.State.K || len(got.State.Columns) != len(e.State.Columns) {
 				t.Fatal("state dropped or reshaped across round trip")
 			}
 		} else if got.State != nil {
@@ -98,7 +99,7 @@ func TestStoredCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rounds != 7 || got.Spec.Digest() != c.Spec.Digest() || len(got.State.Cols) != len(c.State.Cols) || got.Fence != 9 {
+	if got.Rounds != 7 || got.Spec.Digest() != c.Spec.Digest() || len(got.State.Columns) != len(c.State.Columns) || got.Fence != 9 {
 		t.Fatalf("checkpoint changed across round trip: %+v", got)
 	}
 	data2, err := EncodeStoredCheckpoint(got)
@@ -165,9 +166,9 @@ func TestStoredValidateRejectsBadValues(t *testing.T) {
 		"NaN bound":         func(e *StoredEntry) { e.Bound = math.NaN() },
 		"K mismatch":        func(e *StoredEntry) { e.K = 2 },
 		"state K mismatch":  func(e *StoredEntry) { e.State.K = 2 },
-		"state col L":       func(e *StoredEntry) { e.State.Cols[0].L = 99 },
-		"state col NaN":     func(e *StoredEntry) { e.State.Cols[0].Z[0] = math.NaN() },
-		"state col above 1": func(e *StoredEntry) { e.State.Cols[0].Z[0] = 1.5 },
+		"state col L":       func(e *StoredEntry) { e.State.Columns[0].L = 99 },
+		"state col NaN":     func(e *StoredEntry) { e.State.Columns[0].Z[0] = math.NaN() },
+		"state col above 1": func(e *StoredEntry) { e.State.Columns[0].Z[0] = 1.5 },
 		"spec epsilon":      func(e *StoredEntry) { e.Spec.Epsilon = -1 },
 	}
 	for name, mutate := range cases {

@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+
+	"repro/internal/core"
+	"repro/internal/discretize"
 )
 
 // maxWireK bounds the interval count any wire-level mechanism or solve
@@ -66,6 +69,34 @@ func (s *SolveSpec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Problem runs the offline pipeline up to the assembled D-VLP instance:
+// discretise the network and build the costs (the reduced Geo-I
+// constraints follow on the first solve that needs them). A spec-level
+// error here means no mechanism, not even the fallback, can exist.
+func (s *SolveSpec) Problem() (*core.Problem, error) {
+	g, err := s.Network.ToGraph()
+	if err != nil {
+		return nil, err
+	}
+	part, err := discretize.New(g, s.Delta)
+	if err != nil {
+		return nil, err
+	}
+	var priorP, priorQ []float64
+	if len(s.Prior) > 0 {
+		priorP, priorQ = s.Prior, s.Prior
+	}
+	if len(s.TaskPrior) > 0 {
+		priorQ = s.TaskPrior
+	}
+	return core.NewProblem(part, core.Config{
+		Epsilon: s.Epsilon,
+		Radius:  s.Radius,
+		PriorP:  priorP,
+		PriorQ:  priorQ,
+	})
 }
 
 // Digest returns a deterministic content digest of the spec: the

@@ -9,22 +9,21 @@ import (
 	"time"
 )
 
-// TestCoalesceWindowBatchesSameDigestBurst is the race-enabled
-// coalescing test: N concurrent cold requests for the same digest,
-// arriving inside one coalescing window, must produce exactly one solve
-// even though they race for a single solve-pool slot. The window delays
-// the flight leader's slot acquisition long enough for the whole burst
-// to join the flight (or land on the freshly filled cache), so nobody
-// is shed with 429 and the solver runs once. ci.sh runs this under
-// -race explicitly.
-func TestCoalesceWindowBatchesSameDigestBurst(t *testing.T) {
+// TestCoalesceSameDigestBurst is the race-enabled coalescing test: N
+// concurrent cold requests for the same digest must produce exactly one
+// solve even though they race for a single solve-pool slot. Singleflight
+// gives the burst one flight and only the flight leader acquires a slot;
+// while the (deliberately slow) solve runs, the rest of the burst joins
+// the flight or lands on the freshly filled cache, so nobody is shed
+// with 429 and the solver runs once. ci.sh runs this under -race
+// explicitly.
+func TestCoalesceSameDigestBurst(t *testing.T) {
 	srv := New(context.Background(), Config{
-		CacheSize:      8,
-		SolvePool:      1,
-		CoalesceWindow: 150 * time.Millisecond,
-		SolveWait:      30 * time.Second,
+		CacheSize: 8,
+		SolvePool: 1,
+		SolveWait: 30 * time.Second,
 	})
-	ctr := &solveCounter{counts: map[string]int{}, tb: t}
+	ctr := &solveCounter{counts: map[string]int{}, delay: 150 * time.Millisecond, tb: t}
 	ctr.install(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -46,7 +45,7 @@ func TestCoalesceWindowBatchesSameDigestBurst(t *testing.T) {
 	close(codes)
 	for code := range codes {
 		if code != http.StatusOK {
-			t.Fatalf("burst request answered %d; the coalescing window must absorb same-digest bursts without shedding", code)
+			t.Fatalf("burst request answered %d; singleflight must absorb same-digest bursts without shedding", code)
 		}
 	}
 
@@ -66,27 +65,5 @@ func TestCoalesceWindowBatchesSameDigestBurst(t *testing.T) {
 	}
 	if snap.Rejected != 0 {
 		t.Fatalf("%d requests were 429'd during a single-digest burst with SolvePool=1; coalescing should need only one slot", snap.Rejected)
-	}
-}
-
-// TestCoalesceWindowRespectsContext: a waiter that gives up during the
-// window must not wedge the flight — the leader still completes the
-// solve for later arrivals unless every waiter abandons.
-func TestCoalesceWaitHonoursCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- coalesceWait(ctx, time.Hour) }()
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("coalesceWait returned nil after cancellation")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("coalesceWait ignored a cancelled context")
-	}
-	// And with no window configured it must be a no-op, not a stall.
-	if err := coalesceWait(context.Background(), 0); err != nil {
-		t.Fatalf("zero-window coalesceWait: %v", err)
 	}
 }

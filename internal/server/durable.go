@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"math/rand"
 	"syscall"
 
 	"repro/internal/core"
@@ -29,33 +28,6 @@ func (s *Server) checkpointEvery() int {
 	return s.cfg.CheckpointRounds
 }
 
-// storedStateFrom converts a solver column pool to its wire shape.
-func storedStateFrom(st *core.CGState) *serial.StoredState {
-	snap := st.Snapshot()
-	if snap == nil {
-		return nil
-	}
-	ss := &serial.StoredState{K: snap.K, Cols: make([]serial.StoredColumn, len(snap.Columns))}
-	for i, c := range snap.Columns {
-		ss.Cols[i] = serial.StoredColumn{L: c.L, Z: c.Z, Cost: c.Cost}
-	}
-	return ss
-}
-
-// restoreState converts a wire column pool back to a solver state,
-// re-running core's strict validation (disk bytes are untrusted even
-// after the checksum: the two validators guard different invariants).
-func restoreState(ss *serial.StoredState) (*core.CGState, error) {
-	if ss == nil {
-		return nil, nil
-	}
-	snap := &core.CGStateSnapshot{K: ss.K, Columns: make([]core.CGColumnSnapshot, len(ss.Cols))}
-	for i, c := range ss.Cols {
-		snap.Columns[i] = core.CGColumnSnapshot{L: c.L, Z: c.Z, Cost: c.Cost}
-	}
-	return core.RestoreCGState(snap)
-}
-
 // persistEntry snapshots a completed entry to the store. On the optimal
 // tier the mid-solve checkpoint (now superseded) and the recovery
 // warm-start are dropped too. No-op without a store; write failures are
@@ -78,7 +50,7 @@ func (s *Server) persistEntry(key string, spec *serial.SolveSpec, e *entry) {
 		Bound: e.bound,
 		K:     e.mech.K(),
 		Z:     e.mech.Z,
-		State: storedStateFrom(e.state),
+		State: e.state.Snapshot(),
 	}
 	if err := s.store.WriteEntry(se); err != nil {
 		if isDiskFull(err) {
@@ -105,11 +77,11 @@ func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CG
 		s.stats.storeShed()
 		return
 	}
-	ss := storedStateFrom(st)
-	if ss == nil {
+	snap := st.Snapshot()
+	if snap == nil {
 		return
 	}
-	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *ss}
+	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *snap}
 	if err := s.store.WriteCheckpoint(ck); err != nil {
 		if isDiskFull(err) {
 			s.storeDegraded.Store(true)
@@ -152,7 +124,7 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 	if spec == nil {
 		spec = &se.Spec
 	}
-	pr, err := s.buildProblem(spec)
+	pr, err := spec.Problem()
 	if err != nil {
 		s.stats.storeLoadFailed(false)
 		return nil
@@ -173,21 +145,13 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 		s.stats.storeLoadFailed(false)
 		return nil
 	}
-	e := &entry{
-		key:      key,
-		prob:     pr,
-		mech:     served,
-		etdd:     etdd,
-		bound:    se.Bound,
-		tier:     se.Tier,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
-	}
-	if se.State != nil {
-		// A failed state restore only loses the warm start, not the entry.
-		if st, err := restoreState(se.State); err == nil {
-			e.state = st
-		}
+	e := s.newEntry(pr, served, etdd, se.Bound, se.Tier)
+	e.key = key
+	// A failed state restore only loses the warm start, not the entry.
+	// Disk bytes are untrusted even after the checksum, so the restore
+	// re-runs the coverage check decode does not.
+	if st, err := core.RestoreCGState(se.State); err == nil {
+		e.state = st
 	}
 	return e
 }
@@ -219,7 +183,7 @@ func (s *Server) recoverFromStore() {
 			s.store.DeleteCheckpoint(digest)
 			continue
 		}
-		st, err := restoreState(&ck.State)
+		st, err := core.RestoreCGState(&ck.State)
 		if err != nil {
 			s.stats.storeLoadFailed(false)
 			s.store.DeleteCheckpoint(digest)

@@ -297,7 +297,7 @@ func TestStoreStaleCheckpointDropped(t *testing.T) {
 	srvA.persistEntry(key, spec, e)
 	// persistEntry of an optimal entry already deletes the checkpoint;
 	// recreate one to model the crash-between-steps window.
-	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: 1, State: *storedStateFrom(mustState(t, srvA, spec))}
+	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: 1, State: *mustState(t, spec).Snapshot()}
 	if err := st.WriteCheckpoint(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +312,9 @@ func TestStoreStaleCheckpointDropped(t *testing.T) {
 }
 
 // mustState runs a quick interrupted solve and returns its column pool.
-func mustState(t *testing.T, srv *Server, spec *serial.SolveSpec) *core.CGState {
+func mustState(t *testing.T, spec *serial.SolveSpec) *core.CGState {
 	t.Helper()
-	pr, err := srv.buildProblem(spec)
+	pr, err := spec.Problem()
 	if err != nil {
 		t.Fatal(err)
 	}

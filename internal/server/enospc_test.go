@@ -60,7 +60,7 @@ func TestStoreWriteShedOnENOSPC(t *testing.T) {
 	// While degraded, checkpoints shed before any I/O: even with the
 	// write fault still armed nothing reaches the store.
 	shedBefore := snap.StoreWriteShed
-	state := mustState(t, srv, specs[2])
+	state := mustState(t, specs[2])
 	srv.writeCheckpoint(specs[2], 1, state)
 	snap = srv.Stats()
 	if snap.CheckpointWrites != 0 {

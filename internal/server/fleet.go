@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"time"
@@ -293,7 +292,11 @@ func (s *Server) followerEntry(ctx context.Context, key string, spec *serial.Sol
 			return warm, nil
 		}
 	}
-	e, err := s.fallbackEntry(spec)
+	pr, err := spec.Problem()
+	if err != nil {
+		return nil, err
+	}
+	e, err := s.fallbackEntry(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -331,27 +334,4 @@ func (s *Server) proxySolve(ctx context.Context, spec *serial.SolveSpec) bool {
 	}
 	s.proxyBreaker.result(reached)
 	return reached
-}
-
-// fallbackEntry builds the bottom-rung entry — the ε/2 exponential
-// mechanism, repaired to exact Geo-I feasibility — without touching
-// the solve pool. The privacy guarantee is identical to every other
-// rung; only ETDD degrades.
-func (s *Server) fallbackEntry(spec *serial.SolveSpec) (*entry, error) {
-	pr, err := s.buildProblem(spec)
-	if err != nil {
-		return nil, err
-	}
-	served, etdd, err := pr.EnforceGeoI(pr.ExponentialMechanism(), geoITol)
-	if err != nil {
-		return nil, err
-	}
-	return &entry{
-		prob:     pr,
-		mech:     served,
-		etdd:     etdd,
-		tier:     serial.QualityFallback,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
-	}, nil
 }

@@ -341,7 +341,7 @@ func TestFleetFailoverRecoversCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: 1, State: *storedStateFrom(mustState(t, srvA, spec))}
+	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: 1, State: *mustState(t, spec).Snapshot()}
 	if err := solo.WriteCheckpoint(ck); err != nil {
 		t.Fatal(err)
 	}

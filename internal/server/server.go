@@ -9,10 +9,9 @@
 // Concurrency contract:
 //
 //   - concurrent requests for the same spec are deduplicated
-//     singleflight-style: one solve runs, everyone shares its result;
-//     with a coalescing window configured the flight additionally holds
-//     the solve back briefly so a same-digest burst shares one solve-
-//     slot acquisition;
+//     singleflight-style: one solve runs, everyone shares its result,
+//     and only the flight leader acquires a solve slot, so a same-digest
+//     burst costs one slot;
 //   - serving is two disjoint admission tiers: cold solves pass the
 //     solve pool (past SolvePool slots the request is rejected with 429
 //     so load cannot pile up behind the solver), while sampling passes
@@ -52,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/discretize"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 	"repro/internal/store"
@@ -83,13 +81,6 @@ type Config struct {
 	// ServeQueue bounds how many requests may wait for a serve-pool slot
 	// before the gate sheds load with 429 (default 8×ServePool).
 	ServeQueue int
-	// CoalesceWindow holds a cold solve's flight open for this long
-	// before the solve starts, so a burst of same-digest requests
-	// arriving within the window coalesces into one solve and one
-	// solve-slot acquisition. Zero (the default) disables the batching
-	// delay: requests still coalesce for the duration of the solve
-	// itself, classic singleflight.
-	CoalesceWindow time.Duration
 	// SolveWait caps how long a request waits for a cold solve before
 	// giving up with 504; the solve itself keeps running (until its own
 	// deadline or abandonment) and its result lands in the cache
@@ -335,16 +326,6 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 	waitCtx, cancel := context.WithTimeout(ctx, s.cfg.SolveWait)
 	defer cancel()
 	e, err := s.flight.do(waitCtx, key, s.ctx, s.cfg.SolveDeadline, func(solveCtx context.Context) (*entry, error) {
-		// Coalescing window: hold the flight open before committing to a
-		// cold solve, so a burst of same-digest requests arriving within
-		// the window joins this flight and the burst costs one solve slot
-		// instead of a queue of rejected retries. The window runs before
-		// the cache double-check, so whatever landed during it is used.
-		if w := s.cfg.CoalesceWindow; w > 0 {
-			if err := coalesceWait(solveCtx, w); err != nil {
-				return nil, err
-			}
-		}
 		// Double-check under singleflight: a previous flight may have
 		// populated the cache between our miss and becoming leader.
 		if cached, ok := s.cache.get(key); ok {
@@ -401,33 +382,30 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 	return e, false, nil
 }
 
-// buildProblem runs the offline pipeline up to the assembled D-VLP
-// instance: discretise the network and build the costs (the reduced
-// Geo-I constraints follow on the first solve that needs them). Errors
-// here are spec-level (422): no fallback mechanism
-// can exist for a spec whose problem cannot even be assembled.
-func (s *Server) buildProblem(spec *serial.SolveSpec) (*core.Problem, error) {
-	g, err := spec.Network.ToGraph()
+// newEntry wraps a servable (already Geo-I-repaired) mechanism in a
+// cache entry with its own sampler stream.
+func (s *Server) newEntry(pr *core.Problem, mech *core.Mechanism, etdd, bound float64, tier string) *entry {
+	return &entry{
+		prob:     pr,
+		mech:     mech,
+		etdd:     etdd,
+		bound:    bound,
+		tier:     tier,
+		sampleMu: newChanMutex(),
+		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
+	}
+}
+
+// fallbackEntry builds the bottom-rung entry — the ε/2 exponential
+// mechanism, strictly feasible by construction and verified once more
+// by EnforceGeoI — without touching the solve pool. The privacy
+// guarantee is identical to every other rung; only ETDD degrades.
+func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
+	served, etdd, err := pr.EnforceGeoI(pr.ExponentialMechanism(), geoITol)
 	if err != nil {
 		return nil, err
 	}
-	part, err := discretize.New(g, spec.Delta)
-	if err != nil {
-		return nil, err
-	}
-	var priorP, priorQ []float64
-	if len(spec.Prior) > 0 {
-		priorP, priorQ = spec.Prior, spec.Prior
-	}
-	if len(spec.TaskPrior) > 0 {
-		priorQ = spec.TaskPrior
-	}
-	return core.NewProblem(part, core.Config{
-		Epsilon: spec.Epsilon,
-		Radius:  spec.Radius,
-		PriorP:  priorP,
-		PriorQ:  priorQ,
-	})
+	return s.newEntry(pr, served, etdd, 0, serial.QualityFallback), nil
 }
 
 // solve runs the full offline pipeline for a validated spec and applies
@@ -437,7 +415,7 @@ func (s *Server) buildProblem(spec *serial.SolveSpec) (*core.Problem, error) {
 // repaired to exact Geo-I feasibility before it becomes servable, so
 // the privacy guarantee never degrades — only ETDD does.
 func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
-	pr, err := s.buildProblem(spec)
+	pr, err := spec.Problem()
 	if err != nil {
 		return nil, err
 	}
@@ -495,53 +473,24 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		tier = serial.QualityFallback
 	}
 
-	var served *core.Mechanism
-	var etdd float64
+	var e *entry
 	if mech != nil {
-		served, etdd, err = pr.EnforceGeoI(mech, geoITol)
-		if err != nil {
-			// Repair failure is one more rung down, not a request error.
-			served, tier = nil, serial.QualityFallback
+		// Repair failure is one more rung down, not a request error.
+		if served, etdd, err := pr.EnforceGeoI(mech, geoITol); err == nil {
+			e = s.newEntry(pr, served, etdd, bound, tier)
 		}
 	}
-	if served == nil {
-		// Bottom rung: the ε/2 exponential mechanism is strictly
-		// feasible by construction; EnforceGeoI verifies that once more
-		// before the entry becomes servable.
-		served, etdd, err = pr.EnforceGeoI(pr.ExponentialMechanism(), geoITol)
-		if err != nil {
+	if e == nil {
+		if e, err = s.fallbackEntry(pr); err != nil {
 			return nil, err
 		}
-		bound = 0
 	}
-	e := &entry{
-		prob:     pr,
-		mech:     served,
-		etdd:     etdd,
-		bound:    bound,
-		tier:     tier,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
-	}
-	if tier != serial.QualityOptimal && res != nil && res.State != nil {
+	if e.tier != serial.QualityOptimal && res != nil && res.State != nil {
 		// Keep the interrupted run's pool so the upgrade re-solve starts
 		// where this one stopped.
 		e.state = res.State
 	}
 	return e, nil
-}
-
-// coalesceWait sleeps the coalescing window, abandoning the wait (and
-// the flight) if the solve context ends first.
-func coalesceWait(ctx context.Context, w time.Duration) error {
-	t := time.NewTimer(w)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // isCancellation reports whether err is a context cancellation or

@@ -80,9 +80,9 @@ func (g *group) do(ctx context.Context, key string, base context.Context, timeou
 		}()
 	}
 	if ok {
-		// Joining an existing flight is a coalesced request: with a
-		// coalescing window configured, a burst of same-digest cold
-		// requests shares the leader's single solve-slot acquisition.
+		// Joining an existing flight is a coalesced request: a burst of
+		// same-digest cold requests shares the leader's single
+		// solve-slot acquisition.
 		g.coalesced.Add(1)
 	}
 	c.waiters++

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
@@ -31,11 +32,11 @@ func testEntry(tb testing.TB, seed int64, k int) *serial.StoredEntry {
 	for i := range z {
 		z[i] = 1 / float64(k)
 	}
-	cols := make([]serial.StoredColumn, k)
+	cols := make([]core.CGColumnSnapshot, k)
 	for l := range cols {
 		zc := make([]float64, k)
 		zc[l] = 1
-		cols[l] = serial.StoredColumn{L: l, Z: zc, Cost: 0.25}
+		cols[l] = core.CGColumnSnapshot{L: l, Z: zc, Cost: 0.25}
 	}
 	return &serial.StoredEntry{
 		Spec:  testSpec(tb, seed),
@@ -44,7 +45,7 @@ func testEntry(tb testing.TB, seed int64, k int) *serial.StoredEntry {
 		Bound: 0.25,
 		K:     k,
 		Z:     z,
-		State: &serial.StoredState{K: k, Cols: cols},
+		State: &core.CGStateSnapshot{K: k, Columns: cols},
 	}
 }
 
@@ -75,7 +76,7 @@ func TestStoreEntryRoundTrip(t *testing.T) {
 	if got.Tier != e.Tier || got.ETDD != e.ETDD || got.K != e.K || got.Spec.Digest() != digest {
 		t.Fatalf("entry changed across store round trip: %+v", got)
 	}
-	if got.State == nil || len(got.State.Cols) != len(e.State.Cols) {
+	if got.State == nil || len(got.State.Columns) != len(e.State.Columns) {
 		t.Fatal("state dropped across store round trip")
 	}
 
@@ -110,7 +111,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rounds != 9 || got.Spec.Digest() != digest || len(got.State.Cols) != 3 {
+	if got.Rounds != 9 || got.Spec.Digest() != digest || len(got.State.Columns) != 3 {
 		t.Fatalf("checkpoint changed across store round trip: %+v", got)
 	}
 
