@@ -196,7 +196,7 @@ func BenchmarkFig13efApproxRatio(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = sol.ApproxRatio()
+		_ = sol.ETDD / sol.LowerBound
 	}
 }
 

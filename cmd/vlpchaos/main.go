@@ -16,7 +16,9 @@
 //
 // The run exits nonzero on any contract violation: a response outside
 // {2xx, 429}, a timeout from a live member, an out-of-domain obfuscated
-// location, a fencing-token regression, a leader pause that failed to
+// location, a live member with no 2xx in a healthy phase, a digest
+// solved more than once (or a follower cold-solve) before the first
+// fault, a fencing-token regression, a leader pause that failed to
 // bump the fleet's fence, or a dirty store replay. -check validates an
 // existing report file through the same strict schema gate ci.sh uses
 // (chaos.ValidateJSON) and runs nothing.
@@ -113,8 +115,8 @@ func main() {
 	fmt.Printf("vlpchaos: %d requests over %d phases, fence %d → %d (%d failover bumps)\n",
 		rep.Requests, len(rep.Phases), rep.FenceStart, rep.FenceEnd, rep.FailoverFenceBumps)
 	for _, p := range rep.Phases {
-		fmt.Printf("  %-16s %4d req  %4d ok  %3d shed  %3d tolerated  %3d violations\n",
-			p.Name, p.Requests, p.OK, p.Shed, p.Tolerated, p.Violations)
+		fmt.Printf("  %-16s %4d req  %4d ok  %3d shed  %3d tolerated  %3d violations  %3d solves\n",
+			p.Name, p.Requests, p.OK, p.Shed, p.Tolerated, p.Violations, p.Solves)
 	}
 	fmt.Printf("  counters: %d solves, %d writes, %d shed writes, %d breaker trips, %d lease losses\n",
 		rep.Counters.Solves, rep.Counters.StoreWrites, rep.Counters.StoreWriteShed,

@@ -16,10 +16,12 @@ import (
 // fleet runs the standard fault schedule at a bounded scale (~15s) and
 // the availability contract must hold exactly — every response 2xx or
 // 429 (timeouts only from the paused leader), every 2xx in-domain,
-// fencing tokens only ever up, ENOSPC shedding writes instead of
-// requests, and a byte-clean store replay at the end. The emitted
-// report must pass the strict BENCH_chaos.json schema gate; set
-// VLP_CHAOS_OUT to archive it.
+// every live member serving in each healthy phase, one solve per
+// digest until the first fault, fencing tokens only ever up, ENOSPC
+// shedding writes instead of requests, and a byte-clean store replay
+// at the end. The healthy baseline must also keep up with its open-loop
+// schedule and serve from cache. The emitted report must pass the
+// strict BENCH_chaos.json schema gate; set VLP_CHAOS_OUT to archive it.
 func TestChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and pauses real server processes")
@@ -68,6 +70,22 @@ func TestChaosSmoke(t *testing.T) {
 	}
 	if rep.Requests == 0 {
 		t.Fatal("driver dispatched no requests")
+	}
+
+	// The healthy baseline: the open-loop dispatcher kept up with at
+	// least two thirds of its schedule, the warm pool served from cache,
+	// and the fleet solved each of the three digests requested so far
+	// (two warmup specs plus the phase's fresh spec) exactly once — the
+	// leader solved, the followers never cold-solved.
+	base := rep.Phases[0]
+	if want := int(2 * rep.Config.RateRPS * rep.Config.Phases[0].DurationSec / 3); base.Requests < want {
+		t.Fatalf("baseline dispatched %d requests, want >= %d: the open-loop dispatcher fell behind", base.Requests, want)
+	}
+	if base.RungMix.Cached == 0 {
+		t.Fatalf("no cached serves in the baseline after warmup; rung mix %+v", base.RungMix)
+	}
+	if base.Solves != 3 {
+		t.Fatalf("fleet ran %d solves by the end of the baseline, want 3 (one per digest)", base.Solves)
 	}
 
 	rep.GeneratedUnix = time.Now().Unix()

@@ -17,8 +17,8 @@
 // column-generation solves (excess cold requests get 429), -serve-pool
 // bounds concurrent cached sampling on a disjoint pool so cached
 // obfuscation never queues behind cold solves, and concurrent
-// same-digest cold requests share one solve (singleflight). cmd/vlpload
-// is the open-loop harness that measures the resulting latency split.
+// same-digest cold requests share one solve (singleflight). perfbench
+// (perfbench/README.md) measures the resulting serving cost end to end.
 //
 // Fleet mode (-fleet): N instances share one -store-dir. A TTL lease
 // in the store elects a single durable writer; the leader solves and
@@ -140,7 +140,7 @@ func main() {
 
 	srv := server.New(context.Background(), server.Config{
 		CacheSize:        *cache,
-		SolvePool:        *solvePool,
+		MaxSolves:        *solvePool,
 		ServePool:        *servePool,
 		SolveWait:        *solveWait,
 		SolveDeadline:    *solveDeadline,

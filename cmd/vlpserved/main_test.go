@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/loadgen"
+	"repro/internal/chaos"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 )
@@ -365,10 +365,10 @@ func TestLeaderFailover(t *testing.T) {
 }
 
 // recordFailover stamps the measured failover window into the
-// BENCH_serve.json named by VLP_FAILOVER_OUT, re-validating the file
-// through the same strict schema gate ci.sh applies. The env var is
-// only set when regenerating the checked-in artifact; the CI gate runs
-// without it and just logs the measurement, so the tree stays clean.
+// BENCH_chaos.json named by VLP_FAILOVER_OUT, re-validating the file
+// through the same strict schema gate vlpchaos -check applies. ci.sh
+// sets the env var right after the chaos gate has written the report;
+// without it the test just logs the measurement.
 func recordFailover(t *testing.T, d time.Duration) {
 	t.Helper()
 	path := os.Getenv("VLP_FAILOVER_OUT")
@@ -379,16 +379,16 @@ func recordFailover(t *testing.T, d time.Duration) {
 	if err != nil {
 		t.Fatalf("VLP_FAILOVER_OUT: %v", err)
 	}
-	rep, err := loadgen.ValidateJSON(data)
+	rep, err := chaos.ValidateJSON(data)
 	if err != nil {
-		t.Fatalf("VLP_FAILOVER_OUT %s is not a valid BENCH_serve.json: %v", path, err)
+		t.Fatalf("VLP_FAILOVER_OUT %s is not a valid BENCH_chaos.json: %v", path, err)
 	}
 	rep.FailoverMs = float64(d) / float64(time.Millisecond)
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadgen.ValidateJSON(out); err != nil {
+	if _, err := chaos.ValidateJSON(out); err != nil {
 		t.Fatalf("stamped report failed the schema gate: %v", err)
 	}
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {

@@ -81,8 +81,8 @@ func main() {
 }
 
 // post sends a JSON body through the retrying client's shared PostJSON
-// path (the same one cmd/vlpload's warmup uses), surfacing any final
-// non-2xx status as an error.
+// path (the same one the fleet's follower→leader proxy uses),
+// surfacing any final non-2xx status as an error.
 func post(c *retryhttp.Client, url string, in, out interface{}) error {
 	status, err := c.PostJSON(context.Background(), url, in, out)
 	if err != nil {

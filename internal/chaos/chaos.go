@@ -9,6 +9,9 @@
 //   - every response is 2xx or 429; a timeout is tolerated only from
 //     the paused member,
 //   - every 2xx carries a known serving tier and in-domain locations,
+//   - in a healthy phase every live member answers at least one 2xx,
+//   - until the first fault phase the fleet solves each requested
+//     digest exactly once (followers never cold-solve),
 //   - a member's nonzero fencing token never decreases, and a leader
 //     pause forces the fleet-wide fence high-water to increase,
 //   - after the run, a fresh store replay is clean (zero quarantined
@@ -58,6 +61,9 @@ type Phase struct {
 	// fence-rejected after SIGCONT.
 	PauseLeader bool
 }
+
+// healthy reports whether the phase arms no fault and pauses no one.
+func (ph Phase) healthy() bool { return ph.FaultSpec == "" && !ph.PauseLeader }
 
 // Config parameterises a Run. Zero values take the documented defaults.
 type Config struct {

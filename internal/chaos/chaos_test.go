@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,5 +153,85 @@ func TestCheckResponse(t *testing.T) {
 	}
 	if checkResponse(spec, 2, ok()) == "" {
 		t.Fatal("short batch accepted")
+	}
+}
+
+// okOutcome is a valid single-location 2xx from member m for spec.
+func okOutcome(t *testing.T, m int, spec *serial.SolveSpec) outcome {
+	t.Helper()
+	body, err := json.Marshal(&serial.ObfuscateResponse{
+		Cached:    true,
+		Locations: []serial.Loc{{Road: 0, FromStart: spec.Network.Edges[0].Weight / 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outcome{member: m, spec: spec, nloc: 1, status: http.StatusOK, body: body}
+}
+
+// TestClassifyPhaseMemberServed: in a healthy phase a live member that
+// answered no 2xx is a violation even though each of its responses (a
+// 429) is allowed on its own; a fault phase excuses it, and a member
+// that served once satisfies the rule.
+func TestClassifyPhaseMemberServed(t *testing.T) {
+	spec := chaosSpec(1, 0)
+	newRunner := func() *runner {
+		return &runner{
+			cfg:     &Config{Logf: func(string, ...interface{}) {}},
+			members: []*member{{index: 0}, {index: 1}, {index: 2}},
+		}
+	}
+	starved := []outcome{
+		okOutcome(t, 0, spec), okOutcome(t, 1, spec),
+		{member: 2, spec: spec, nloc: 1, status: http.StatusTooManyRequests},
+	}
+
+	r := newRunner()
+	res := PhaseResult{Name: "baseline"}
+	r.classifyPhase(&res, Phase{Name: "baseline", Duration: time.Second}, -1, starved)
+	if res.Requests != 3 || res.OK != 2 || res.Shed != 1 || res.Violations != 0 {
+		t.Fatalf("per-response classification %+v, want 2 ok + 1 shed", res)
+	}
+	if r.violationCount != 1 || !strings.Contains(r.violations[0], "m2 answered no 2xx") {
+		t.Fatalf("starved member not flagged: count %d, %q", r.violationCount, r.violations)
+	}
+
+	r = newRunner()
+	res = PhaseResult{Name: "disk-full"}
+	r.classifyPhase(&res, Phase{Name: "disk-full", Duration: time.Second, FaultSpec: "store/write=enospc"}, -1, starved)
+	if r.violationCount != 0 {
+		t.Fatalf("fault phase flagged a starved member: %q", r.violations)
+	}
+
+	r = newRunner()
+	res = PhaseResult{Name: "recovery"}
+	r.classifyPhase(&res, Phase{Name: "recovery", Duration: time.Second}, -1, append(starved, okOutcome(t, 2, spec)))
+	if r.violationCount != 0 {
+		t.Fatalf("every member served, still flagged: %q", r.violations)
+	}
+}
+
+// TestCheckSolvesOnePerDigest: before the first fault phase the fleet
+// must have solved each requested digest exactly once; from the first
+// fault on, re-solves are legitimate and the rule stays off even in
+// later healthy phases.
+func TestCheckSolvesOnePerDigest(t *testing.T) {
+	r := &runner{
+		cfg:       &Config{Logf: func(string, ...interface{}) {}},
+		requested: map[string]bool{"a": true, "b": true, "c": true},
+	}
+	healthy := Phase{Name: "baseline", Duration: time.Second}
+	r.checkSolves(&PhaseResult{Name: "baseline", Solves: 3}, healthy)
+	if r.violationCount != 0 {
+		t.Fatalf("one solve per digest flagged: %q", r.violations)
+	}
+	r.checkSolves(&PhaseResult{Name: "baseline", Solves: 4}, healthy)
+	if r.violationCount != 1 {
+		t.Fatalf("a second solve of a digest went unflagged (count %d)", r.violationCount)
+	}
+	r.checkSolves(&PhaseResult{Name: "leader-pause", Solves: 6}, Phase{Name: "leader-pause", Duration: time.Second, PauseLeader: true})
+	r.checkSolves(&PhaseResult{Name: "recovery", Solves: 7}, healthy)
+	if r.violationCount != 1 {
+		t.Fatalf("rule still applied after the first fault phase (count %d): %q", r.violationCount, r.violations)
 	}
 }

@@ -1,8 +1,7 @@
-// BENCH_chaos.json: the chaos harness's archived artifact. Like
-// loadgen's BENCH_serve.json, ci.sh re-validates the emitted file
-// through the strict ValidateJSON below, so a field rename or a
-// truncated write fails CI rather than silently producing an
-// unparseable trajectory point.
+// BENCH_chaos.json: the chaos harness's archived artifact. ci.sh
+// re-validates the emitted file through the strict ValidateJSON below,
+// so a field rename or a truncated write fails CI rather than silently
+// producing an unparseable trajectory point.
 package chaos
 
 import (
@@ -62,6 +61,9 @@ type PhaseResult struct {
 	// FenceHighWater is the fleet-wide fence maximum observed by the
 	// end of the phase; it never decreases across phases.
 	FenceHighWater uint64 `json:"fence_high_water"`
+	// Solves is the fleet-wide /stats solve count at the end of the
+	// phase, summed over the reachable members.
+	Solves uint64 `json:"solves"`
 }
 
 // Counters sums the fleet's /stats resilience counters at run end.
@@ -121,6 +123,12 @@ type Report struct {
 
 	Counters Counters    `json:"counters"`
 	Audit    AuditResult `json:"audit"`
+
+	// FailoverMs is the kill-the-leader failover window (SIGKILL of the
+	// lease holder to its successor's first optimal serve), stamped by
+	// cmd/vlpserved's TestLeaderFailover when VLP_FAILOVER_OUT names
+	// this file. Zero (omitted) means unmeasured.
+	FailoverMs float64 `json:"failover_ms,omitempty"`
 }
 
 // Validate is the checked-in schema gate for BENCH_chaos.json.
@@ -210,6 +218,9 @@ func (r *Report) Validate() error {
 	}
 	if a.ReplayClean && a.Quarantined != 0 {
 		return fmt.Errorf("chaos: audit claims a clean replay with %d quarantined files", a.Quarantined)
+	}
+	if r.FailoverMs < 0 || math.IsNaN(r.FailoverMs) || math.IsInf(r.FailoverMs, 0) {
+		return fmt.Errorf("chaos: failover_ms %v is not a non-negative finite value", r.FailoverMs)
 	}
 	return nil
 }

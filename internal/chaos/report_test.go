@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,7 @@ func goodReport() *Report {
 		FailoverFenceBumps: 1,
 		Counters:           Counters{Solves: 4, StoreWrites: 3, StoreWriteShed: 2},
 		Audit:              AuditResult{Entries: 3, MaxGeoIViolation: 3e-12, ReplayClean: true},
+		FailoverMs:         1480,
 	}
 }
 
@@ -68,6 +70,8 @@ func TestReportValidateRejects(t *testing.T) {
 		{"phantom fence bump", func(r *Report) { r.FailoverFenceBumps = 2 }, "leader-pause phases"},
 		{"dirty replay marked clean", func(r *Report) { r.Audit.Quarantined = 1 }, "clean replay"},
 		{"non-finite geo-i audit", func(r *Report) { r.Audit.MaxGeoIViolation = -1 }, "max_geoi_violation"},
+		{"negative failover window", func(r *Report) { r.FailoverMs = -1 }, "failover_ms"},
+		{"NaN failover window", func(r *Report) { r.FailoverMs = math.NaN() }, "failover_ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,6 +22,11 @@ type runner struct {
 	// specs is the warm pool: two warmup specs plus each completed
 	// phase's fresh spec.
 	specs []*serial.SolveSpec
+	// requested holds the digest of every spec sent so far (warmup
+	// solves and driver requests); faulted turns true at the first
+	// fault or pause phase, ending the one-solve-per-digest rule.
+	requested map[string]bool
+	faulted   bool
 	// lastFence remembers each member's last nonzero fencing token;
 	// fenceHigh is the fleet-wide maximum ever observed.
 	lastFence      map[int]uint64
@@ -41,7 +46,7 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	r := &runner{cfg: &cfg, lastFence: make(map[int]uint64)}
+	r := &runner{cfg: &cfg, lastFence: make(map[int]uint64), requested: make(map[string]bool)}
 	defer r.killAll()
 
 	if err := r.startFleet(); err != nil {
@@ -184,6 +189,7 @@ func (r *runner) warmup() (uint64, error) {
 	for i := 0; i < 2; i++ {
 		spec := chaosSpec(r.cfg.Seed, i)
 		r.specs = append(r.specs, spec)
+		r.requested[spec.Digest()] = true
 		body, err := json.Marshal(spec)
 		if err != nil {
 			return 0, fmt.Errorf("chaos: warmup spec %d: %w", i, err)
@@ -292,6 +298,8 @@ func (r *runner) runPhase(pi int) error {
 		}
 	}
 	res.FenceHighWater = r.fenceHigh
+	res.Solves = r.scrapeCounters().Solves
+	r.checkSolves(&res, ph)
 	r.phases = append(r.phases, res)
 	r.cfg.Logf("chaos: phase %q done: %d requests (%d ok, %d shed, %d tolerated, %d violations)",
 		ph.Name, res.Requests, res.OK, res.Shed, res.Tolerated, res.Violations)
@@ -311,16 +319,16 @@ type outcome struct {
 
 // drive runs the open-loop load for one phase: round-robin over all
 // members (the paused one included — its timeouts are the tolerated
-// failure mode under test), specs drawn from the seeded schedule. A
-// paused leader is resumed after dispatch stops, so its backlog drains
-// before classification.
+// failure mode under test), the phase's fresh spec first and then
+// specs drawn from the seeded schedule. A paused leader is resumed
+// after dispatch stops, so its backlog drains before classification.
 func (r *runner) drive(res *PhaseResult, ph Phase, fresh *serial.SolveSpec, paused int) {
 	interval := time.Duration(float64(time.Second) / r.cfg.Rate)
 	// Fault phases skew toward the cold spec so the faulted paths
 	// (persist, proxy) see steady work; healthy phases mostly re-serve
 	// the warm pool.
 	freshProb := 0.25
-	if ph.FaultSpec != "" || ph.PauseLeader {
+	if !ph.healthy() {
 		freshProb = 0.5
 	}
 	rng := phaseRNG(r.cfg.Seed, len(r.phases))
@@ -332,9 +340,10 @@ func (r *runner) drive(res *PhaseResult, ph Phase, fresh *serial.SolveSpec, paus
 	for next, i := time.Now(), 0; time.Now().Before(end); i++ {
 		m := r.members[i%len(r.members)]
 		spec := fresh
-		if rng.Float64() >= freshProb {
+		if i > 0 && rng.Float64() >= freshProb {
 			spec = r.specs[rng.Intn(len(r.specs))]
 		}
+		r.requested[spec.Digest()] = true
 		nloc := 1 + rng.Intn(2)
 		req := serial.ObfuscateRequest{SolveSpec: *spec, Locations: randomLocs(rng, spec, nloc)}
 		body, err := json.Marshal(&req)
@@ -369,19 +378,56 @@ func (r *runner) drive(res *PhaseResult, ph Phase, fresh *serial.SolveSpec, paus
 		}
 	}
 	wg.Wait()
+	r.classifyPhase(res, ph, paused, outs)
+}
+
+// classifyPhase applies the availability contract to a drained phase:
+// every outcome on its own, then, in a healthy phase, the per-member
+// rule that each live member answered at least one valid 2xx — a
+// member that only sheds or errors is not serving, even when every
+// single response is allowed.
+func (r *runner) classifyPhase(res *PhaseResult, ph Phase, paused int, outs []outcome) {
 	res.Requests = len(outs)
+	ok := make(map[int]int)
 	for _, o := range outs {
-		r.classify(res, paused, o)
+		if r.classify(res, paused, o) {
+			ok[o.member]++
+		}
+	}
+	if !ph.healthy() {
+		return
+	}
+	for _, m := range r.members {
+		if !m.killed && !m.paused && ok[m.index] == 0 {
+			r.violate("phase %q: live member m%d answered no 2xx in a healthy phase", res.Name, m.index)
+		}
 	}
 }
 
-// classify applies the availability contract to one raw outcome.
-func (r *runner) classify(res *PhaseResult, paused int, o outcome) {
+// checkSolves applies the one-solve-per-digest rule to a finished
+// phase: until the schedule's first fault or pause, the fleet-wide
+// solve count must equal the distinct digests requested so far — the
+// leader solved each exactly once and no follower cold-solved. Faults
+// legitimately re-solve (a shed commit, a recovered checkpoint), so
+// the rule ends there.
+func (r *runner) checkSolves(res *PhaseResult, ph Phase) {
+	if !ph.healthy() {
+		r.faulted = true
+	}
+	if !r.faulted && res.Solves != uint64(len(r.requested)) {
+		r.violate("phase %q: fleet ran %d solves for %d distinct digests, want exactly one each",
+			res.Name, res.Solves, len(r.requested))
+	}
+}
+
+// classify applies the availability contract to one raw outcome and
+// reports whether it was a valid 2xx.
+func (r *runner) classify(res *PhaseResult, paused int, o outcome) bool {
 	switch {
 	case o.err != nil:
 		if o.member == paused {
 			res.Tolerated++
-			return
+			return false
 		}
 		res.Violations++
 		r.violate("phase %q: request to live member m%d failed: %v", res.Name, o.member, o.err)
@@ -395,12 +441,12 @@ func (r *runner) classify(res *PhaseResult, paused int, o outcome) {
 		if err := json.Unmarshal(o.body, &or); err != nil {
 			res.Violations++
 			r.violate("phase %q: member m%d 2xx body undecodable: %v", res.Name, o.member, err)
-			return
+			return false
 		}
 		if msg := checkResponse(o.spec, o.nloc, &or); msg != "" {
 			res.Violations++
 			r.violate("phase %q: member m%d: %s", res.Name, o.member, msg)
-			return
+			return false
 		}
 		res.OK++
 		switch {
@@ -413,7 +459,9 @@ func (r *runner) classify(res *PhaseResult, paused int, o outcome) {
 		default:
 			res.RungMix.Optimal++
 		}
+		return true
 	}
+	return false
 }
 
 // checkResponse applies the per-response contract: a known serving tier

@@ -151,15 +151,6 @@ func (st *CGState) validFor(k int) bool {
 	return true
 }
 
-// ApproxRatio returns ETDD / LowerBound, the paper's approximation-ratio
-// metric (Fig. 13(e)); 1 means provably optimal.
-func (r *CGResult) ApproxRatio() float64 {
-	if r.LowerBound <= 0 {
-		return math.NaN()
-	}
-	return r.ETDD / r.LowerBound
-}
-
 // cgColumn is one extreme point ẑ of a polyhedron Λ_l together with its
 // objective contribution.
 type cgColumn struct {

@@ -1,75 +1,22 @@
-// Package loadgen is the deterministic kernel of the vlpload open-loop
-// load harness: it builds a seeded arrival schedule (constant arrival
-// rate, Zipf-skewed target popularity) and executes it against an
-// arbitrary request function, recording per-request outcomes into the
-// BENCH_serve.json report (see report.go).
-//
-// Open-loop means the generator fires requests at their scheduled
-// instants regardless of whether earlier requests have completed — the
-// arrival process is independent of service time, which is what exposes
-// queueing collapse (a closed-loop driver self-throttles the moment the
-// server slows down and hides exactly the tail it should measure).
+// Package loadgen holds the seeded Zipf target picker that remains of
+// the retired open-loop load harness. Serving load is measured by
+// perfbench (see perfbench/README.md) and fleet behaviour is checked by
+// the chaos harness (internal/chaos, cmd/vlpchaos); this package has no
+// non-test caller and is scheduled for deletion (ROADMAP item 4).
 //
 // Determinism contract: this package is in vlplint's nodeterm scope —
-// it never reads the wall clock or the global math/rand state. Time
-// comes from an injected Clock (tests use VirtualClock and run with no
-// real sleeps), randomness from explicitly seeded generators, so a
-// (seed, rate, duration) triple always produces the identical request
-// schedule.
+// it never reads the wall clock or the global math/rand state, so a
+// fixed seed always yields the identical pick sequence.
 package loadgen
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 )
 
-// Clock abstracts time for the scheduler so the dispatch loop is
-// deterministic under test. Implementations must be safe for concurrent
-// use. cmd/vlpload supplies the wall clock; tests use VirtualClock.
-type Clock interface {
-	Now() time.Time
-	// Sleep blocks for d or until ctx is done, whichever is first.
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-// VirtualClock is a Clock whose Sleep advances the clock instantly:
-// scheduler tests run an entire multi-second plan in microseconds of
-// wall time and still observe exact per-arrival timestamps.
-type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewVirtualClock returns a virtual clock starting at start.
-func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
-}
-
-// Now returns the virtual instant.
-func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Sleep advances the virtual clock by d without blocking.
-func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-	return nil
-}
-
 // Zipf draws target indices in [0, n) with Zipf(s, v) popularity: rank
-// 0 is the most popular region digest, matching the locally-relevant
-// observation that a few regions dominate serving traffic. A fixed seed
-// yields a fixed pick sequence.
+// 0 is the most popular target. A fixed seed yields a fixed pick
+// sequence.
 type Zipf struct {
 	z *rand.Zipf
 }
@@ -94,91 +41,3 @@ func NewZipf(seed int64, s, v float64, n int) (*Zipf, error) {
 
 // Pick draws the next target index.
 func (z *Zipf) Pick() int { return int(z.z.Uint64()) }
-
-// Arrival is one scheduled request: fire at offset At from run start
-// against target index Target. Index is the arrival's position in the
-// plan — multi-instance harnesses use it to spread requests round-robin
-// over base URLs without adding nondeterministic state to the hot loop.
-type Arrival struct {
-	At     time.Duration
-	Target int
-	Index  int
-}
-
-// Schedule builds the deterministic open-loop plan: floor(rate·duration)
-// arrivals at constant spacing 1/rate, targets drawn from pick in
-// arrival order. The same (rate, duration, pick-sequence) always yields
-// the identical plan.
-func Schedule(rate float64, duration time.Duration, pick func() int) ([]Arrival, error) {
-	if !(rate > 0) {
-		return nil, fmt.Errorf("loadgen: arrival rate must be positive, got %v", rate)
-	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("loadgen: duration must be positive, got %v", duration)
-	}
-	n := int(rate * duration.Seconds())
-	if n <= 0 {
-		return nil, fmt.Errorf("loadgen: rate %v over %v schedules zero arrivals", rate, duration)
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	plan := make([]Arrival, n)
-	for i := range plan {
-		plan[i] = Arrival{At: time.Duration(i) * interval, Target: pick(), Index: i}
-	}
-	return plan, nil
-}
-
-// Result is one completed request as classified by the caller's request
-// function.
-type Result struct {
-	// Target is the spec-pool index the request was aimed at.
-	Target int
-	// Instance is the index into RunConfig.Targets of the base URL that
-	// answered (0 in single-target runs), so multi-instance reports can
-	// split latency and shed rate per fleet member.
-	Instance int
-	// Status is the HTTP status (0 on a transport error).
-	Status int
-	// Rung is the serving rung observed on a 2xx response: RungCached
-	// when the response was served from cache, else the mechanism's
-	// quality tier (optimal/incumbent/fallback). Empty on non-2xx.
-	Rung string
-	// Latency is request wall time as measured by the caller's clock.
-	Latency time.Duration
-}
-
-// RungCached labels responses answered from the mechanism cache in the
-// report's rung mix; non-cached 2xx responses carry their quality tier
-// (serial.Quality*) instead.
-const RungCached = "cached"
-
-// Run executes the plan open-loop: the dispatcher sleeps until each
-// arrival's offset and fires do in its own goroutine without waiting
-// for earlier requests, then blocks until every dispatched request has
-// returned. Results are positionally aligned with the dispatched prefix
-// of plan; a cancelled ctx stops dispatching and truncates the result
-// slice to what actually fired.
-func Run(ctx context.Context, clock Clock, plan []Arrival, do func(context.Context, Arrival) Result) []Result {
-	results := make([]Result, len(plan))
-	start := clock.Now()
-	dispatched := 0
-	var wg sync.WaitGroup
-	for i, a := range plan {
-		if wait := a.At - clock.Now().Sub(start); wait > 0 {
-			if err := clock.Sleep(ctx, wait); err != nil {
-				break
-			}
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = do(ctx, a)
-		}()
-		dispatched++
-	}
-	wg.Wait()
-	return results[:dispatched]
-}

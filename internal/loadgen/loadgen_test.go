@@ -1,15 +1,9 @@
 package loadgen
 
-import (
-	"context"
-	"math"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestZipfDeterministic pins the exact pick sequence for fixed seeds:
-// the whole point of the seeded schedule is that a BENCH_serve.json run
-// is reproducible request-for-request.
+// identically seeded pickers must agree request for request.
 func TestZipfDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,155 +64,5 @@ func TestZipfRejectsBadParams(t *testing.T) {
 				t.Fatalf("NewZipf(s=%v, v=%v, n=%d) accepted invalid parameters", tc.s, tc.v, tc.n)
 			}
 		})
-	}
-}
-
-// TestScheduleExact pins the exact arrival plan for a seeded picker:
-// constant 1/rate spacing and the picker's sequence in order.
-func TestScheduleExact(t *testing.T) {
-	cases := []struct {
-		name     string
-		rate     float64
-		duration time.Duration
-		want     int           // arrivals
-		spacing  time.Duration // exact inter-arrival gap
-	}{
-		{"100rps for 1s", 100, time.Second, 100, 10 * time.Millisecond},
-		{"8rps for 2s", 8, 2 * time.Second, 16, 125 * time.Millisecond},
-		{"fractional count", 3, 1500 * time.Millisecond, 4, time.Second / 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			seq := 0
-			pick := func() int { seq++; return seq - 1 }
-			plan, err := Schedule(tc.rate, tc.duration, pick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(plan) != tc.want {
-				t.Fatalf("got %d arrivals, want %d", len(plan), tc.want)
-			}
-			for i, a := range plan {
-				if a.Target != i {
-					t.Fatalf("arrival %d drew target %d; picker sequence not consumed in order", i, a.Target)
-				}
-				if want := time.Duration(i) * tc.spacing; a.At != want {
-					t.Fatalf("arrival %d scheduled at %v, want %v", i, a.At, want)
-				}
-			}
-		})
-	}
-}
-
-func TestScheduleRejectsBadParams(t *testing.T) {
-	pick := func() int { return 0 }
-	for _, tc := range []struct {
-		name     string
-		rate     float64
-		duration time.Duration
-	}{
-		{"zero rate", 0, time.Second},
-		{"negative rate", -5, time.Second},
-		{"zero duration", 10, 0},
-		{"rounds to zero arrivals", 0.1, time.Second},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Schedule(tc.rate, tc.duration, pick); err == nil {
-				t.Fatalf("Schedule(%v, %v) accepted invalid parameters", tc.rate, tc.duration)
-			}
-		})
-	}
-}
-
-// TestRunVirtualClockRate drives a full plan on the virtual clock — no
-// wall-clock sleeps, so this runs in -short mode and stays inside the
-// nodeterm determinism contract — and checks the dispatcher holds the
-// configured rate exactly: elapsed virtual time equals the last
-// arrival's offset and every request fired.
-func TestRunVirtualClockRate(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		rate     float64
-		duration time.Duration
-	}{
-		{"50rps over 10s", 50, 10 * time.Second},
-		{"1000rps over 1s", 1000, time.Second},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			z, err := NewZipf(11, 1.3, 1, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := Schedule(tc.rate, tc.duration, z.Pick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clock := NewVirtualClock(time.Unix(0, 0))
-			start := clock.Now()
-			results := Run(context.Background(), clock, plan, func(ctx context.Context, a Arrival) Result {
-				return Result{Target: a.Target, Status: 200, Rung: RungCached, Latency: time.Millisecond}
-			})
-			if len(results) != len(plan) {
-				t.Fatalf("dispatched %d of %d arrivals", len(results), len(plan))
-			}
-			elapsed := clock.Now().Sub(start)
-			if want := plan[len(plan)-1].At; elapsed != want {
-				t.Fatalf("virtual elapsed %v, want exactly %v (open-loop dispatcher drifted)", elapsed, want)
-			}
-			// Achieved rate within 1% of target once the fencepost (N
-			// arrivals span N-1 intervals) is accounted for.
-			achieved := float64(len(results)-1) / elapsed.Seconds()
-			if math.Abs(achieved-tc.rate)/tc.rate > 0.01 {
-				t.Fatalf("achieved %v rps on the virtual clock, want %v within 1%%", achieved, tc.rate)
-			}
-			for i, r := range results {
-				if r.Target != plan[i].Target {
-					t.Fatalf("result %d recorded target %d, plan says %d", i, r.Target, plan[i].Target)
-				}
-			}
-		})
-	}
-}
-
-// cancellingClock cancels its context at the n-th Sleep, simulating a
-// run interrupted mid-plan at a deterministic dispatch point.
-type cancellingClock struct {
-	*VirtualClock
-	cancel context.CancelFunc
-	after  int
-	sleeps int
-}
-
-func (c *cancellingClock) Sleep(ctx context.Context, d time.Duration) error {
-	c.sleeps++
-	if c.sleeps == c.after {
-		c.cancel()
-	}
-	return c.VirtualClock.Sleep(ctx, d)
-}
-
-// TestRunCancelStopsDispatch cancels mid-plan and checks the dispatcher
-// truncates the results to the dispatched prefix instead of firing the
-// remainder.
-func TestRunCancelStopsDispatch(t *testing.T) {
-	plan := make([]Arrival, 100)
-	for i := range plan {
-		plan[i] = Arrival{At: time.Duration(i) * time.Millisecond, Target: i}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	clock := &cancellingClock{VirtualClock: NewVirtualClock(time.Unix(0, 0)), cancel: cancel, after: 10}
-	results := Run(ctx, clock, plan, func(ctx context.Context, a Arrival) Result {
-		return Result{Target: a.Target, Status: 200, Rung: RungCached}
-	})
-	// The 10th sleep fires the cancel before arrival index 10 dispatches
-	// (arrival 0 needs no sleep), so exactly 10 requests ran.
-	if len(results) != 10 {
-		t.Fatalf("cancellation at sleep 10 dispatched %d requests, want 10", len(results))
-	}
-	for i, r := range results {
-		if r.Target != i {
-			t.Fatalf("result %d carries target %d; dispatched prefix misaligned", i, r.Target)
-		}
 	}
 }

@@ -227,10 +227,10 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 // PostJSON marshals in, POSTs it to url with the client's retry policy,
 // and decodes a 2xx JSON response into out (when out is non-nil). The
 // final HTTP status is returned in every non-error case, including a
-// retryable status that outlived the attempt budget — so a load
-// generator's warmup loop can distinguish "server still shedding" (429,
-// nil error) from a dead target. This is the shared request path of
-// cmd/vlpload and the serveclient example.
+// retryable status that outlived the attempt budget — so a caller can
+// distinguish "server still shedding" (429, nil error) from a dead
+// target. This is the shared request path of the fleet's
+// follower→leader proxy and the serveclient example.
 func (c *Client) PostJSON(ctx context.Context, url string, in, out interface{}) (int, error) {
 	body, err := json.Marshal(in)
 	if err != nil {

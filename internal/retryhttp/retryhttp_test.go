@@ -150,7 +150,7 @@ func TestRejectsUnreplayableBody(t *testing.T) {
 	}
 }
 
-// TestPostJSONRetriesThenDecodes drives the shared vlpload/serveclient
+// TestPostJSONRetriesThenDecodes drives the shared proxy/serveclient
 // request path: a 429 with Retry-After followed by a 2xx JSON body must
 // come back decoded, and a replayed attempt must carry the same body.
 func TestPostJSONRetriesThenDecodes(t *testing.T) {

@@ -120,39 +120,6 @@ func (g *Graph) dijkstra(root NodeID, reverse bool) *SPT {
 	return &SPT{Root: root, Reverse: reverse, Dist: dist, Parent: parent}
 }
 
-// PathEdges returns the edges of the tree path between v and the root, in
-// travel order (root→v for an out-tree, v→root for an in-tree). It
-// returns nil when v is unreachable.
-func (t *SPT) PathEdges(g *Graph, v NodeID) []EdgeID {
-	if math.IsInf(t.Dist[v], 1) {
-		return nil
-	}
-	var rev []EdgeID
-	cur := v
-	for cur != t.Root {
-		eid := t.Parent[cur]
-		if eid == NoEdge {
-			return nil
-		}
-		rev = append(rev, eid)
-		e := g.edges[eid]
-		if t.Reverse {
-			cur = e.To
-		} else {
-			cur = e.From
-		}
-	}
-	if t.Reverse {
-		// Parent chain already walks v→root in travel order; rev holds
-		// the first edge first.
-		return rev
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // DistMatrix holds all-pairs shortest node-to-node traveling distances.
 type DistMatrix struct {
 	n int
@@ -178,15 +145,4 @@ func (m *DistMatrix) Dist(u, v NodeID) float64 { return m.d[int(u)*m.n+int(v)] }
 // Min returns min{d(u,v), d(v,u)}.
 func (m *DistMatrix) Min(u, v NodeID) float64 {
 	return math.Min(m.Dist(u, v), m.Dist(v, u))
-}
-
-// Diameter returns the largest finite pairwise distance.
-func (m *DistMatrix) Diameter() float64 {
-	worst := 0.0
-	for _, v := range m.d {
-		if !math.IsInf(v, 1) && v > worst {
-			worst = v
-		}
-	}
-	return worst
 }

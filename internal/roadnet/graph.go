@@ -167,21 +167,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// NearestLocation snaps an arbitrary planar point to the closest position
-// on any edge (treating edges as straight segments) and returns that
-// on-network location. This implements the paper's footnote-3 rule for
-// mapping the planar baseline's obfuscated points back onto roads.
-func (g *Graph) NearestLocation(p geom.Point) Location {
-	best := Location{Edge: NoEdge}
-	bestD := math.Inf(1)
-	for _, e := range g.edges {
-		seg := geom.Segment{A: g.nodes[e.From].Pos, B: g.nodes[e.To].Pos}
-		t, d2 := seg.ClosestParam(p)
-		if d2 < bestD {
-			bestD = d2
-			best = LocationFromStart(g, e.ID, t*e.Weight)
-		}
-	}
-	return best
-}

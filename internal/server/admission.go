@@ -10,7 +10,7 @@ import (
 // runs two disjoint pools — the solve pool (cold column-generation
 // solves, seconds each) and the serve pool (cached sampling,
 // microseconds each) — so a queue of cold solves can never add latency
-// to the cached path. vlpload's admission-control experiments are the
+// to the cached path. TestAdmissionIsolatesCachedServing is the
 // yardstick: cached p99 under cold-solve saturation must stay within a
 // constant factor of the unloaded cached p99.
 //

@@ -62,7 +62,7 @@ func TestAdmissionIsolatesCachedServing(t *testing.T) {
 
 	srv := New(context.Background(), Config{
 		CacheSize: 8,
-		SolvePool: 1,
+		MaxSolves: 1,
 		ServePool: 4,
 		SolveWait: 30 * time.Second,
 	})

@@ -20,7 +20,7 @@ import (
 func TestCoalesceSameDigestBurst(t *testing.T) {
 	srv := New(context.Background(), Config{
 		CacheSize: 8,
-		SolvePool: 1,
+		MaxSolves: 1,
 		SolveWait: 30 * time.Second,
 	})
 	ctr := &solveCounter{counts: map[string]int{}, delay: 150 * time.Millisecond, tb: t}
@@ -64,6 +64,6 @@ func TestCoalesceSameDigestBurst(t *testing.T) {
 			snap.CoalescedRequests, snap.CacheHits, snap.CoalescedRequests+snap.CacheHits, n-1)
 	}
 	if snap.Rejected != 0 {
-		t.Fatalf("%d requests were 429'd during a single-digest burst with SolvePool=1; coalescing should need only one slot", snap.Rejected)
+		t.Fatalf("%d requests were 429'd during a single-digest burst with MaxSolves=1; coalescing should need only one slot", snap.Rejected)
 	}
 }

@@ -13,7 +13,7 @@
 //     and only the flight leader acquires a solve slot, so a same-digest
 //     burst costs one slot;
 //   - serving is two disjoint admission tiers: cold solves pass the
-//     solve pool (past SolvePool slots the request is rejected with 429
+//     solve pool (past MaxSolves slots the request is rejected with 429
 //     so load cannot pile up behind the solver), while sampling passes
 //     the separate serve pool — cached obfuscation never queues behind
 //     cold solves, so cached tail latency is isolated from solver
@@ -64,14 +64,10 @@ const geoITol = 1e-10
 type Config struct {
 	// CacheSize bounds the mechanism LRU (default 16).
 	CacheSize int
-	// MaxSolves bounds concurrently running cold solves; requests whose
-	// spec needs a solve past this limit receive 429 (default 2).
-	// Deprecated alias for SolvePool: when both are set, SolvePool wins.
+	// MaxSolves bounds concurrently running cold solves (the solve
+	// pool); requests whose spec needs a solve past this limit receive
+	// 429 (default 2).
 	MaxSolves int
-	// SolvePool bounds concurrently running cold solves (the solve
-	// tier); requests whose spec needs a solve past this limit receive
-	// 429. Zero falls back to MaxSolves, then to the default of 2.
-	SolvePool int
 	// ServePool bounds concurrently sampling obfuscate requests (the
 	// serve tier, default 32). The serve pool is disjoint from the solve
 	// pool by construction: cached obfuscation never queues behind cold
@@ -130,11 +126,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 16
 	}
-	if c.SolvePool <= 0 {
-		c.SolvePool = c.MaxSolves
-	}
-	if c.SolvePool <= 0 {
-		c.SolvePool = 2
+	if c.MaxSolves <= 0 {
+		c.MaxSolves = 2
 	}
 	if c.ServePool <= 0 {
 		c.ServePool = 32
@@ -289,7 +282,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		cfg:       cfg,
 		cache:     newMechCache(cfg.CacheSize),
 		flight:    newGroup(&st.coalesced, &st.solveQueueDepth),
-		slots:     make(chan struct{}, cfg.SolvePool),
+		slots:     make(chan struct{}, cfg.MaxSolves),
 		serveGate: newTierGate(cfg.ServePool, cfg.ServeQueue, &st.serveQueueDepth, &st.admissionRejects),
 		stats:     st,
 	}
