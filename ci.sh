@@ -6,8 +6,9 @@
 # Expect the race pass to take a few minutes — internal/core dominates.
 #
 #   ./ci.sh         full gate
-#   ./ci.sh -quick  build + vet + vlplint + lint-suite tests
-#                   (pre-push sanity, well under a minute)
+#   ./ci.sh -quick  build + vet + vlplint + lint-suite tests + the lp
+#                   digest/allocation gates (pre-push sanity, well
+#                   under a minute)
 set -eux
 
 go build ./...
@@ -36,6 +37,10 @@ if [ "${1:-}" = "-quick" ]; then
     # every push, so a broken // want expectation or a regressed taint
     # summary must surface in the pre-push check, not the full gate.
     go test ./internal/lint/...
+    # The lp digest and allocation gates (about 2 s): an lp refactor that
+    # moves a golden digest or starts allocating per solve fails before
+    # push, not only in the full gate below.
+    go test -count=1 -run 'TestGoldenMechanismDigests|Allocs' ./internal/lp
     exit 0
 fi
 

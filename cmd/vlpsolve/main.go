@@ -1,5 +1,6 @@
 // Command vlpsolve solves the D-VLP obfuscation LP for a road network
-// produced by vlpgen and emits the mechanism as JSON.
+// produced by vlpgen and emits the mechanism as JSON, repaired to the
+// Geo-I ceiling vlpserved serves at (core.GeoITol).
 //
 // Usage:
 //
@@ -102,8 +103,14 @@ func main() {
 	if err != nil {
 		fatalf("solve: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "vlpsolve: K=%d, ETDD=%.6g km, bound=%.6g km, %d iterations, %s\n",
-		part.K(), sol.ETDD, sol.LowerBound, len(sol.Iterations), time.Since(start).Round(time.Millisecond))
+	// Solver output is Geo-I feasible only to solver tolerance; write the
+	// mechanism vlpserved would serve, repaired to core.GeoITol.
+	mech, etdd, err := pr.EnforceGeoI(sol.Mechanism, core.GeoITol)
+	if err != nil {
+		fatalf("geo-i repair: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "vlpsolve: K=%d, ETDD=%.6g km (%.6g before Geo-I repair), bound=%.6g km, %d iterations, %s\n",
+		part.K(), etdd, sol.ETDD, sol.LowerBound, len(sol.Iterations), time.Since(start).Round(time.Millisecond))
 	if sol.Stopped != "" {
 		fmt.Fprintf(os.Stderr, "vlpsolve: note: %s\n", sol.Stopped)
 	}
@@ -117,7 +124,7 @@ func main() {
 		defer of.Close()
 		w = of
 	}
-	if err := serial.WriteJSON(w, serial.FromMechanism(sol.Mechanism, *delta, *eps, *radius, sol.ETDD, sol.LowerBound)); err != nil {
+	if err := serial.WriteJSON(w, serial.FromMechanism(mech, *delta, *eps, *radius, etdd, sol.LowerBound)); err != nil {
 		fatalf("encode: %v", err)
 	}
 }

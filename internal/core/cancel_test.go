@@ -45,7 +45,7 @@ func TestSolveCGCtxCancelMidRun(t *testing.T) {
 	if e := res.Mechanism.RowStochasticError(); e > 1e-9 {
 		t.Errorf("incumbent row-stochastic error %g", e)
 	}
-	if _, _, err := pr.EnforceGeoI(res.Mechanism, 1e-10); err != nil {
+	if _, _, err := pr.EnforceGeoI(res.Mechanism, GeoITol); err != nil {
 		t.Errorf("incumbent not repairable: %v", err)
 	}
 }

@@ -56,8 +56,7 @@ func warmTestProblem(t *testing.T, seed int64, eps, delta float64, rows, cols in
 // row-stochastic error within 1e-9, and a resumable column pool.
 func checkServedWarm(t *testing.T, seed int64, pr *Problem, warm *CGResult) {
 	t.Helper()
-	const geoITol = 1e-10
-	fixed, _, err := pr.EnforceGeoI(warm.Mechanism, geoITol)
+	fixed, _, err := pr.EnforceGeoI(warm.Mechanism, GeoITol)
 	if err != nil {
 		t.Fatalf("seed %d: enforce: %v", seed, err)
 	}

@@ -2,6 +2,12 @@ package core
 
 import "fmt"
 
+// GeoITol is the Geo-I violation ceiling every mechanism handed out —
+// served by vlpserved, returned by the vlp façade, written by vlpsolve —
+// is repaired to with EnforceGeoI: an order of magnitude below the 1e-9
+// the service advertises.
+const GeoITol = 1e-10
+
 // EnforceGeoI returns a mechanism whose full (ε, r)-Geo-I violation is at
 // most tol, together with its ETDD under the problem's costs.
 //

@@ -51,22 +51,6 @@ func (s Segment) Length() float64 { return Dist(s.A, s.B) }
 // At returns the point a fraction t along the segment from A.
 func (s Segment) At(t float64) Point { return Lerp(s.A, s.B, t) }
 
-// ClosestParam returns the parameter t in [0, 1] of the point on the
-// segment closest to p, along with the squared distance to that point.
-func (s Segment) ClosestParam(p Point) (t, distSq float64) {
-	d := s.B.Sub(s.A)
-	den := d.Dot(d)
-	if den == 0 {
-		dp := p.Sub(s.A)
-		return 0, dp.Dot(dp)
-	}
-	t = p.Sub(s.A).Dot(d) / den
-	t = Clamp(t, 0, 1)
-	c := s.At(t)
-	dp := p.Sub(c)
-	return t, dp.Dot(dp)
-}
-
 // Clamp restricts v to the interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

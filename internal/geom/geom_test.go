@@ -1,10 +1,7 @@
 package geom
 
 import (
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestPointArithmetic(t *testing.T) {
@@ -39,51 +36,6 @@ func TestLerpMidpoint(t *testing.T) {
 	}
 	if l := Lerp(a, b, 0.25); l != (Point{0.5, 1}) {
 		t.Fatalf("Lerp = %v", l)
-	}
-}
-
-func TestSegmentClosestParam(t *testing.T) {
-	s := Segment{A: Point{0, 0}, B: Point{2, 0}}
-	cases := []struct {
-		p      Point
-		t, dsq float64
-	}{
-		{Point{1, 1}, 0.5, 1},
-		{Point{-1, 0}, 0, 1},
-		{Point{5, 0}, 1, 9},
-	}
-	for _, c := range cases {
-		tt, dsq := s.ClosestParam(c.p)
-		if math.Abs(tt-c.t) > 1e-12 || math.Abs(dsq-c.dsq) > 1e-12 {
-			t.Fatalf("ClosestParam(%v) = %v, %v; want %v, %v", c.p, tt, dsq, c.t, c.dsq)
-		}
-	}
-	// Degenerate zero-length segment.
-	z := Segment{A: Point{1, 1}, B: Point{1, 1}}
-	tt, dsq := z.ClosestParam(Point{2, 1})
-	if tt != 0 || dsq != 1 {
-		t.Fatalf("degenerate ClosestParam = %v, %v", tt, dsq)
-	}
-}
-
-func TestClosestParamIsMinimumProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := func(ax, ay, bx, by, px, py int16) bool {
-		s := Segment{A: Point{float64(ax) / 100, float64(ay) / 100}, B: Point{float64(bx) / 100, float64(by) / 100}}
-		p := Point{float64(px) / 100, float64(py) / 100}
-		tBest, dBest := s.ClosestParam(p)
-		_ = tBest
-		for i := 0; i <= 20; i++ {
-			tt := float64(i) / 20
-			d := p.Sub(s.At(tt))
-			if d.Dot(d) < dBest-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -62,8 +62,8 @@ func All() []Scoped {
 		},
 		{
 			Analyzer: nodeterm.Analyzer,
-			Scope:    regexp.MustCompile(`^repro/internal/(lp|geoi|discretize|geom|roadnet|loadgen)$`),
-			Why:      "numeric kernels (sparse LP, SYRK) and the seeded load picker must be reproducible: no wall clock, no global RNG",
+			Scope:    regexp.MustCompile(`^repro/internal/(lp|geoi|discretize|geom|roadnet)$`),
+			Why:      "numeric kernels (sparse LP, SYRK) must be reproducible: no wall clock, no global RNG",
 		},
 		{
 			Analyzer: nilness.Analyzer,

@@ -50,7 +50,10 @@ var goldenDigests = map[string]map[string]string{
 
 // servedBytes solves one instance the way vlpserved does (column
 // generation at the service's default stop criteria, then the Geo-I
-// repair gate) and renders the wire form a store entry holds.
+// repair gate) and renders the mechanism's JSON wire form
+// (serial.WriteJSON of serial.FromMechanism), the bytes vlpsolve and
+// vlp.Mechanism.Save write. A vlpserved store entry holds the binary
+// serial.EncodeStoredEntry snapshot instead.
 func servedBytes(t *testing.T, rows, cols int, delta float64, hetero bool, workers int) []byte {
 	t.Helper()
 	const eps = 5.0
@@ -81,7 +84,7 @@ func servedBytes(t *testing.T, rows, cols int, delta float64, hetero bool, worke
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, etdd, err := pr.EnforceGeoI(res.Mechanism, 1e-10)
+	served, etdd, err := pr.EnforceGeoI(res.Mechanism, core.GeoITol)
 	if err != nil {
 		t.Fatal(err)
 	}

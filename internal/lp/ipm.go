@@ -36,7 +36,9 @@ func SolveIPM(p *Problem, opts Options) (*Solution, error) {
 		return nil, fmt.Errorf("lp: injected fault: %w", err)
 	}
 	ip := newIPM(p, opts)
-	return ip.solve()
+	ws := &ipmWorkspace{}
+	ip.fit(ws)
+	return ip.coldRun(make([]float64, ip.n), make([]float64, ip.m), make([]float64, ip.n), ws)
 }
 
 // ipm holds the standard-form data min c·x s.t. Ax = b, x ≥ 0.
@@ -53,75 +55,18 @@ type ipm struct {
 }
 
 func newIPM(p *Problem, opts Options) *ipm {
-	m := len(p.constraints)
-	ip := &ipm{
-		m:       m,
-		numOrig: p.numVars,
-		b:       make([]float64, m),
-		rowSign: make([]int, m),
-		rowScl:  make([]float64, m),
-	}
-
-	type rowInfo struct {
-		op   Op
-		sign float64
-	}
-	infos := make([]rowInfo, m)
-	slacks := 0
-	for i, cns := range p.constraints {
-		sign := 1.0
-		op := cns.Op
-		if cns.RHS < 0 {
-			sign = -1
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
-		}
-		maxAbs := 0.0
-		for _, t := range cns.Terms {
-			if a := math.Abs(t.Coef); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			maxAbs = 1
-		}
-		infos[i] = rowInfo{op: op, sign: sign}
-		ip.rowSign[i] = int(sign)
-		ip.rowScl[i] = 1 / maxAbs
-		if op != EQ {
-			slacks++
-		}
-	}
-
-	rowFactor := make([]float64, m)
-	for i, cns := range p.constraints {
-		rowFactor[i] = infos[i].sign * ip.rowScl[i]
-		ip.b[i] = rowFactor[i] * cns.RHS
-	}
-	ip.mat = newCSCBuilder(p.constraints, p.numVars, slacks, rowFactor)
-	for i, info := range infos {
-		switch info.op {
-		case LE:
-			ip.mat.appendUnitCol(int32(i), 1)
-		case GE:
-			ip.mat.appendUnitCol(int32(i), -1)
-		}
-	}
+	ip := &ipm{m: len(p.constraints), numOrig: p.numVars, rowSign: rowSigns(p.constraints)}
+	ip.mat, ip.b, ip.rowScl = standardForm(p, ip.rowSign, 0)
 	ip.n = ip.mat.numCols()
 	ip.c = make([]float64, ip.n)
 	copy(ip.c, p.objective)
-
-	ip.opt = opts.withDefaults(m, ip.n)
+	ip.opt = opts.withDefaults(ip.m, ip.n)
 	return ip
 }
 
 // ipmWorkspace holds every vector and matrix the Newton loop touches,
 // preallocated once and reused across re-solves of a persistent
-// instance. grow resizes it after columns are appended.
+// instance. ipm.fit resizes it after columns are appended.
 type ipmWorkspace struct {
 	// m-sized
 	rp, dy, dyc, rhs, acceptY, accept2Y []float64
@@ -131,33 +76,29 @@ type ipmWorkspace struct {
 	mmat, chol []float64
 	// formNormal scratch: per-column leading-run lengths (n-sized) and
 	// the dense same-span panel plus its transposed fill buffer (grown
-	// on demand). The classification is cached per matrix shape
-	// (runsN, runsNNZ): within one solve the matrix is static, so the
-	// run detection and modal-span vote run once, not once per Newton
-	// iteration.
+	// on demand).
 	runs            []int32
 	panel           []float64
 	panelT          []float64
-	runsN, runsNNZ  int
 	panelR0, panelL int32
 	groupN          int
 	usePanel        bool
 
-	// CSR mirror of the constraint matrix plus an n-sized Aᵀ·vector
-	// accumulator, cached per matrix shape like the run classification.
-	// residuals and solveNewton compute Aᵀy as one row-major sweep with
-	// streaming writes instead of n short column gathers.
-	csrPtr, csrCols []int32
-	csrVals         []float64
-	csrNext         []int32
-	atv             []float64
-	csrN, csrNNZ    int
+	// Row-major mirror of the constraint matrix for the Aᵀv and Av
+	// sweeps. It and the run classification are cached per matrix shape
+	// (at.n, at.nnz): within one solve the matrix is static, so both are
+	// built once, not once per Newton iteration.
+	at csr
 }
 
-func newIPMWorkspace(m, n int) *ipmWorkspace {
-	ws := &ipmWorkspace{}
-	ws.grow(m, n)
-	return ws
+// fit sizes ws for the current matrix and, when columns were appended
+// since the last solve, rebuilds its shape-keyed caches.
+func (ip *ipm) fit(ws *ipmWorkspace) {
+	ws.grow(ip.m, ip.n)
+	if ws.at.n != ip.n || ws.at.nnz != ip.mat.nnz() {
+		ws.at.build(&ip.mat, ip.m)
+		ip.classifyColumns(ws)
+	}
 }
 
 func (ws *ipmWorkspace) grow(m, n int) {
@@ -200,11 +141,12 @@ func (ip *ipm) defaultStart(x, y, s []float64) {
 	}
 }
 
-func (ip *ipm) solve() (*Solution, error) {
-	x := make([]float64, ip.n)
-	s := make([]float64, ip.n)
-	y := make([]float64, ip.m)
-	ws := newIPMWorkspace(ip.m, ip.n)
+// coldRun solves from Mehrotra's least-squares start, falling back to
+// the uniform defaultStart when that point cannot be formed or does not
+// reach optimality: the least-squares start is a heuristic, so the
+// uniform start remains the backstop and starting-point choice never
+// changes an outcome. x, y and s are overwritten.
+func (ip *ipm) coldRun(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 	if ip.mehrotraStart(x, y, s, ws) {
 		sol, err := ip.run(x, y, s, ws)
 		if err != nil || sol.Status == Optimal {
@@ -240,29 +182,17 @@ func (ip *ipm) mehrotraStart(x, y, s []float64, ws *ipmWorkspace) bool {
 		return false
 	}
 
-	colPtr, rows, vals := ip.mat.colPtr, ip.mat.rows, ip.mat.vals
 	cholSolve(ws.chol, m, ip.b, ws.dy)
-	for j := 0; j < n; j++ {
-		lo, hi := colPtr[j], colPtr[j+1]
-		x[j] = dotRange(ws.dy, rows[lo:hi], vals[lo:hi])
-	}
+	copy(x, ws.at.mulTInto(ws.dy))
 	rhs := ws.rhs
 	for i := 0; i < m; i++ {
 		rhs[i] = 0
 	}
-	for j := 0; j < n; j++ {
-		cj := ip.c[j]
-		if cj == 0 {
-			continue
-		}
-		for k := colPtr[j]; k < colPtr[j+1]; k++ {
-			rhs[rows[k]] += vals[k] * cj
-		}
-	}
+	ws.at.mulAddInto(rhs, ip.c)
 	cholSolve(ws.chol, m, rhs, y)
+	aty := ws.at.mulTInto(y)
 	for j := 0; j < n; j++ {
-		lo, hi := colPtr[j], colPtr[j+1]
-		s[j] = ip.c[j] - dotRange(y, rows[lo:hi], vals[lo:hi])
+		s[j] = ip.c[j] - aty[j]
 	}
 
 	// Shift both iterates strictly inside the orthant: first past their
@@ -475,108 +405,27 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 	return &Solution{Status: IterationLimit, Iterations: lastIter + 1}, nil
 }
 
-// residuals computes rp = b − Ax and rd = c − Aᵀy − s.
+// residuals computes rp = b − Ax and rd = c − Aᵀy − s. Ax is taken as
+// A·(−x) added onto b, with −x staged in ws.dx (dead until the next
+// solveNewton): negation is exact, so rp is bit-identical to
+// subtracting each product.
 func (ip *ipm) residuals(x, y, s, rp, rd []float64, ws *ipmWorkspace) {
-	// Ax lands row-major off the CSR mirror: per row the subtractions
-	// run in ascending column order with the same zero skips the column
-	// scatter used, so rp is bit-identical to the scattered form.
+	negX := ws.dx
+	for j, v := range x {
+		negX[j] = -v
+	}
 	copy(rp, ip.b)
-	if ws.csrN != ip.n || ws.csrNNZ != ip.mat.nnz() {
-		ip.buildCSRMirror(ws)
-	}
-	csrPtr, csrCols, csrVals := ws.csrPtr, ws.csrCols, ws.csrVals
-	for i := 0; i < ip.m; i++ {
-		lo, hi := csrPtr[i], csrPtr[i+1]
-		cols, vals := csrCols[lo:hi], csrVals[lo:hi]
-		acc := rp[i]
-		for k, c := range cols {
-			if xv := x[c]; xv != 0 {
-				acc -= vals[k] * xv
-			}
-		}
-		rp[i] = acc
-	}
-	aty := ip.transMulInto(y, ws)
+	ws.at.mulAddInto(rp, negX)
+	aty := ws.at.mulTInto(y)
 	for j := 0; j < ip.n; j++ {
 		rd[j] = ip.c[j] - s[j] - aty[j]
 	}
 }
 
-// transMulInto returns ws.atv = Aᵀv, computed as one row-major sweep of
-// the cached CSR mirror. Per column the products accumulate in the same
-// ascending-row order dotRange uses, so the results are bit-identical
-// to a per-column gather.
-func (ip *ipm) transMulInto(v []float64, ws *ipmWorkspace) []float64 {
-	if ws.csrN != ip.n || ws.csrNNZ != ip.mat.nnz() {
-		ip.buildCSRMirror(ws)
-	}
-	acc := ws.atv
-	for j := range acc {
-		acc[j] = 0
-	}
-	csrPtr, csrCols, csrVals := ws.csrPtr, ws.csrCols, ws.csrVals
-	for i := 0; i < ip.m; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		lo, hi := csrPtr[i], csrPtr[i+1]
-		cols, vals := csrCols[lo:hi], csrVals[lo:hi]
-		for k, c := range cols {
-			acc[c] += vi * vals[k]
-		}
-	}
-	return acc
-}
-
-// buildCSRMirror refreshes the row-major mirror after the matrix shape
-// changed (a freshly compiled instance, or columns appended between
-// solves). Entries land in ascending column order per row.
-func (ip *ipm) buildCSRMirror(ws *ipmWorkspace) {
-	m, nnz := ip.m, ip.mat.nnz()
-	if cap(ws.csrPtr) < m+1 {
-		ws.csrPtr = make([]int32, m+1)
-		ws.csrNext = make([]int32, m)
-	}
-	ws.csrPtr, ws.csrNext = ws.csrPtr[:m+1], ws.csrNext[:m]
-	if cap(ws.csrCols) < nnz {
-		ws.csrCols = make([]int32, nnz, nnz+nnz/2)
-		ws.csrVals = make([]float64, nnz, nnz+nnz/2)
-	}
-	ws.csrCols, ws.csrVals = ws.csrCols[:nnz], ws.csrVals[:nnz]
-	if cap(ws.atv) < ip.n {
-		ws.atv = make([]float64, ip.n, ip.n+ip.n/2+16)
-	}
-	ws.atv = ws.atv[:ip.n]
-
-	cnt := ws.csrPtr
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, r := range ip.mat.rows {
-		cnt[r+1]++
-	}
-	for i := 0; i < m; i++ {
-		cnt[i+1] += cnt[i]
-	}
-	copy(ws.csrNext, cnt[:m])
-	for j := 0; j < ip.n; j++ {
-		lo, hi := ip.mat.colPtr[j], ip.mat.colPtr[j+1]
-		for k := lo; k < hi; k++ {
-			r := ip.mat.rows[k]
-			p := ws.csrNext[r]
-			ws.csrCols[p] = int32(j)
-			ws.csrVals[p] = ip.mat.vals[k]
-			ws.csrNext[r] = p + 1
-		}
-	}
-	ws.csrN, ws.csrNNZ = ip.n, ip.mat.nnz()
-}
-
 // classifyColumns computes each column's leading-run length and elects
 // the modal span (weighted by its L² SYRK work) among a handful of
-// candidates, caching the result in ws keyed by the matrix shape. The
-// panel buffers are sized here so formNormal's hot path only fills.
+// candidates, caching the result in ws (see fit). The panel buffers are
+// sized here so formNormal's hot path only fills.
 func (ip *ipm) classifyColumns(ws *ipmWorkspace) {
 	colPtr, colRows := ip.mat.colPtr, ip.mat.rows
 	runs := ws.runs
@@ -638,7 +487,6 @@ func (ip *ipm) classifyColumns(ws *ipmWorkspace) {
 			ws.panelT = make([]float64, need, need+need/2)
 		}
 	}
-	ws.runsN, ws.runsNNZ = ip.n, ip.mat.nnz()
 }
 
 // formNormal fills mmat = A diag(d) Aᵀ (dense, symmetric). Each column's
@@ -662,9 +510,6 @@ func (ip *ipm) formNormal(d []float64, mmat []float64, ws *ipmWorkspace) {
 	}
 	colPtr, colRows, colVals := ip.mat.colPtr, ip.mat.rows, ip.mat.vals
 
-	if ws.runsN != ip.n || ws.runsNNZ != ip.mat.nnz() {
-		ip.classifyColumns(ws)
-	}
 	runs := ws.runs
 	usePanel, panelR0, panelL := ws.usePanel, ws.panelR0, ws.panelL
 	groupN := ws.groupN
@@ -888,35 +733,18 @@ func syrkUpperInto(w []float64, l, g int, mmat []float64, r0, m int) {
 // complementarity right-hand side rc, reusing the Cholesky factor.
 func (ip *ipm) solveNewton(chol []float64, d, rp, rd, rc, x, s, dy, dx, ds, rhs []float64, ws *ipmWorkspace) {
 	m, n := ip.m, ip.n
-	// rhs = rp + A·(d∘rd − rc/s), as a CSR row gather: per destination
-	// the products arrive in the same ascending-column order (and with
-	// the same zero-weight skips) a column-major scatter delivers them,
-	// so the result is bit-identical — without the scattered
-	// read-modify-write stream. dx is output-only until the final loop
-	// below, so it doubles as the weight scratch.
+	// rhs = rp + A·(d∘rd − rc/s), as a row gather off the CSR mirror.
+	// dx is output-only until the final loop below, so it doubles as
+	// the weight scratch.
 	copy(rhs, rp)
 	w := dx
 	for j := 0; j < n; j++ {
 		w[j] = d[j]*rd[j] - rc[j]/s[j]
 	}
-	if ws.csrN != ip.n || ws.csrNNZ != ip.mat.nnz() {
-		ip.buildCSRMirror(ws)
-	}
-	csrPtr, csrCols, csrVals := ws.csrPtr, ws.csrCols, ws.csrVals
-	for i := 0; i < m; i++ {
-		lo, hi := csrPtr[i], csrPtr[i+1]
-		cols, vals := csrCols[lo:hi], csrVals[lo:hi]
-		acc := rhs[i]
-		for k, c := range cols {
-			if wc := w[c]; wc != 0 {
-				acc += vals[k] * wc
-			}
-		}
-		rhs[i] = acc
-	}
+	ws.at.mulAddInto(rhs, w)
 	cholSolve(chol, m, rhs, dy)
 	// dx = d∘(Aᵀdy − rd) + rc/s ; ds = (rc − s∘dx)/x
-	aty := ip.transMulInto(dy, ws)
+	aty := ws.at.mulTInto(dy)
 	for j := 0; j < n; j++ {
 		dx[j] = d[j]*(aty[j]-rd[j]) + rc[j]/s[j]
 		ds[j] = (rc[j] - s[j]*dx[j]) / x[j]

@@ -50,8 +50,7 @@ func NewIPMSolver(p *Problem, opts Options) (*IPMSolver, error) {
 			return nil, fmt.Errorf("lp: IPMSolver requires equality rows, row %d is %v", i, c.Op)
 		}
 	}
-	ip := newIPM(p, opts)
-	return &IPMSolver{ip: ip, ws: newIPMWorkspace(ip.m, ip.n)}, nil
+	return &IPMSolver{ip: newIPM(p, opts), ws: &ipmWorkspace{}}, nil
 }
 
 // NumVars returns the current column count.
@@ -148,7 +147,7 @@ func (sv *IPMSolver) Solve() (*Solution, error) {
 		return nil, fmt.Errorf("lp: injected fault: %w", err)
 	}
 	ip := sv.ip
-	sv.ws.grow(ip.m, ip.n)
+	ip.fit(sv.ws)
 
 	if sv.haveWarm && len(sv.warmX) == ip.n && len(sv.warmY) == ip.m {
 		x, y, s := sv.warmPoint()
@@ -167,30 +166,16 @@ func (sv *IPMSolver) Solve() (*Solution, error) {
 	x := growFloats(sv.warmX, ip.n)
 	s := growFloats(sv.warmS, ip.n)
 	y := growFloats(sv.warmY, ip.m)
-	usedMehrotra := ip.mehrotraStart(x, y, s, sv.ws)
-	if !usedMehrotra {
-		ip.defaultStart(x, y, s)
-	}
-	sol, err := ip.run(x, y, s, sv.ws)
+	sol, err := ip.coldRun(x, y, s, sv.ws)
 	if err != nil {
 		return nil, err
-	}
-	if sol.Status != Optimal && usedMehrotra {
-		// The least-squares start is a heuristic; the uniform cold start
-		// remains the backstop so starting-point choice never changes an
-		// outcome.
-		ip.defaultStart(x, y, s)
-		sol, err = ip.run(x, y, s, sv.ws)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if sol.Status == Optimal {
 		sv.saveWarm(x, y, s)
 	} else {
 		sv.haveWarm = false
 	}
-	return sol, err
+	return sol, nil
 }
 
 // warmPoint builds the starting point for a warm solve: the previous

@@ -299,17 +299,11 @@ type simplex struct {
 	// for them once; a Prepared instance reuses them across solves.
 	scratchY   []float64 // m: dual vector of the pricing pass
 	scratchDir []float64 // m: entering direction B⁻¹A_j
-	scratchAcc []float64 // n: y·A accumulator of the pricing pass
 
-	// CSR mirror of mat, rebuilt at the top of each iterate call (the
-	// matrix is static within a pivot loop but Prepared re-signs
-	// artificial columns between solves). Pricing sweeps it row-major:
-	// one pass over the nonzeros with streaming writes replaces n short
-	// column gathers whose per-column loop overhead dominated the scan.
-	rowPtr  []int32
-	rowCols []int32
-	rowVals []float64
-	rowNext []int32   // m: fill cursors for the CSR build
+	// Row-major mirror of mat, rebuilt at the top of each iterate call
+	// (the matrix is static within a pivot loop but Prepared re-signs
+	// artificial columns between solves); pricing sweeps it for y·A.
+	at      csr
 	bmatBuf []float64 // m×m: refactor's basis matrix
 	invBuf  []float64 // m×m: refactor's inversion target (swapped with binv)
 	p1Cost  []float64 // n: phase-1 cost vector (lazy)
@@ -320,167 +314,74 @@ type simplex struct {
 }
 
 func newSimplex(p *Problem, opts Options) *simplex {
-	m := len(p.constraints)
-	s := &simplex{
-		m:       m,
-		numOrig: p.numVars,
-		b:       make([]float64, m),
-		rowSign: make([]int, m),
+	s := compileSimplex(p, rowSigns(p.constraints))
+	// Identity start: each ≤ row's +1 slack, and an artificial column
+	// for every row without one.
+	for i := range s.basis {
+		s.basis[i] = -1
 	}
-
-	// Count extra columns: one slack or surplus per inequality row, one
-	// artificial per row that lacks an identity slack after sign fixing.
-	type rowInfo struct {
-		op   Op
-		sign int
-	}
-	infos := make([]rowInfo, m)
-	extra := 0
-	for i, c := range p.constraints {
-		sign := 1
-		op := c.Op
-		if c.RHS < 0 {
-			sign = -1
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
-		}
-		infos[i] = rowInfo{op: op, sign: sign}
-		s.rowSign[i] = sign
-		if op != EQ {
-			extra++ // slack or surplus
+	for j := s.numOrig; j < s.artStart; j++ {
+		if rows, vals := s.mat.col(j); vals[0] > 0 {
+			s.basis[rows[0]] = j
 		}
 	}
-
-	// Row equilibration: scale each row so its largest coefficient
-	// magnitude is 1, which keeps the basis well-conditioned when rows
-	// mix unit and exponential-scale coefficients.
-	s.rowScale = make([]float64, m)
-	for i, c := range p.constraints {
-		// Duplicate Var entries are merged below; for scaling purposes
-		// the max unmerged magnitude is a fine (and cheaper) proxy.
-		maxAbs := 0.0
-		for _, t := range c.Terms {
-			if a := math.Abs(t.Coef); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			maxAbs = 1
-		}
-		s.rowScale[i] = 1 / maxAbs
-	}
-
-	// Column layout: [0..numOrig) originals, then slack/surplus, then
-	// artificials. The builder merges duplicate Var entries within a row
-	// and reserves pool headroom for the unit columns appended below.
-	rowFactor := make([]float64, m)
-	for i, c := range p.constraints {
-		rowFactor[i] = float64(infos[i].sign) * s.rowScale[i]
-		s.b[i] = rowFactor[i] * c.RHS
-	}
-	s.mat = newCSCBuilder(p.constraints, p.numVars, extra+m, rowFactor)
-
-	// Column equilibration on the original variables: x_j = scale_j·x'_j
-	// turns columns with uniformly tiny coefficients into unit-scale
-	// ones, which keeps pivot elements healthy. Slack and artificial
-	// columns are already unit-scale.
-	s.colScale = make([]float64, p.numVars)
-	for j := range s.colScale {
-		maxAbs := s.mat.colMaxAbs(j)
-		if maxAbs == 0 {
-			s.colScale[j] = 1
-			continue
-		}
-		s.colScale[j] = 1 / maxAbs
-		s.mat.scaleCol(j, s.colScale[j])
-	}
-
-	// Slack / surplus columns; remember which rows get an identity start.
-	slackRow := make([]int, 0, extra) // row of each slack usable as initial basis
-	basisOf := make([]int, m)
-	for i := range basisOf {
-		basisOf[i] = -1
-	}
-	for i, info := range infos {
-		switch info.op {
-		case LE:
-			j := s.mat.appendUnitCol(int32(i), 1)
-			basisOf[i] = j
-			slackRow = append(slackRow, i)
-		case GE:
-			s.mat.appendUnitCol(int32(i), -1)
+	for i, j := range s.basis {
+		if j < 0 {
+			s.basis[i] = s.mat.appendUnitCol(int32(i), 1)
 		}
 	}
-	_ = slackRow
-
-	// Artificial columns for rows without an identity start.
-	s.artStart = s.mat.numCols()
-	for i := 0; i < m; i++ {
-		if basisOf[i] >= 0 {
-			continue
-		}
-		basisOf[i] = s.mat.appendUnitCol(int32(i), 1)
-	}
-	s.n = s.mat.numCols()
-
-	// Phase-2 cost vector, in the column-scaled variables.
-	s.cost = make([]float64, s.n)
-	for j := 0; j < p.numVars; j++ {
-		s.cost[j] = p.objective[j] * s.colScale[j]
-	}
-
-	// Initial basis.
-	s.basis = make([]int, m)
-	s.inBase = make([]bool, s.n)
-	for i := 0; i < m; i++ {
-		s.basis[i] = basisOf[i]
-		s.inBase[basisOf[i]] = true
+	s.sizeState(p, opts)
+	for i, j := range s.basis {
+		s.inBase[j] = true
+		s.binv[i*s.m+i] = 1
 	}
 	// Anti-cycling perturbation: highly degenerate problems (the CG
 	// master is one) can cycle even under tolerance-based Bland's rule,
 	// so the right-hand side is nudged by tiny distinct amounts that
 	// break every ratio-test tie. Reduced costs never see b, so the
 	// optimal basis of the perturbed problem is optimal for the original
-	// too; the true b is restored before the solution is read off.
-	s.bOrig = append([]float64(nil), s.b...)
-	rngState := uint64(0x9e3779b97f4a7c15)
+	// too; the true b (bOrig) is restored before the solution is read off.
+	u := pertFactors(s.m)
 	for i := range s.b {
-		rngState ^= rngState << 13
-		rngState ^= rngState >> 7
-		rngState ^= rngState << 17
-		u := 0.5 + float64(rngState%1024)/1024.0 // (0.5, 1.5)
-		s.b[i] += 1e-8 * u * (1 + math.Abs(s.b[i]))
+		s.b[i] = perturbed(s.b[i], u[i])
 	}
-
-	s.binv = identity(m)
-	s.xb = make([]float64, m)
 	copy(s.xb, s.b)
-	s.allocScratch()
-
-	s.opt = opts.withDefaults(m, s.n)
-	s.refactorEvery = refactorPeriod
 	return s
 }
 
-// allocScratch sizes the per-solve workspaces once.
-func (s *simplex) allocScratch() {
+// compileSimplex builds the simplex's standard form of p with row i
+// multiplied by sign[i] and the original columns equilibrated. Column
+// layout: [0..numOrig) originals, then slack/surplus, then the
+// artificials the caller appends from artStart on before sizeState.
+func compileSimplex(p *Problem, sign []int) *simplex {
+	m := len(p.constraints)
+	s := &simplex{m: m, numOrig: p.numVars, rowSign: sign, basis: make([]int, m)}
+	s.mat, s.b, s.rowScale = standardForm(p, sign, m)
+	s.colScale = s.mat.scaleCols(p.numVars)
+	s.artStart = s.mat.numCols()
+	return s
+}
+
+// sizeState allocates the phase-2 costs (in the column-scaled
+// variables), the basis bookkeeping and every pivot-loop workspace once
+// the artificial columns are in place, and records the unperturbed rhs.
+func (s *simplex) sizeState(p *Problem, opts Options) {
 	m := s.m
+	s.n = s.mat.numCols()
+	s.cost = make([]float64, s.n)
+	for j := 0; j < p.numVars; j++ {
+		s.cost[j] = p.objective[j] * s.colScale[j]
+	}
+	s.inBase = make([]bool, s.n)
+	s.bOrig = append([]float64(nil), s.b...)
+	s.binv = make([]float64, m*m)
+	s.xb = make([]float64, m)
 	s.scratchY = make([]float64, m)
 	s.scratchDir = make([]float64, m)
 	s.bmatBuf = make([]float64, m*m)
 	s.invBuf = make([]float64, m*m)
-}
-
-func identity(m int) []float64 {
-	id := make([]float64, m*m)
-	for i := 0; i < m; i++ {
-		id[i*m+i] = 1
-	}
-	return id
+	s.opt = opts.withDefaults(m, s.n)
+	s.refactorEvery = refactorPeriod
 }
 
 func (s *simplex) solve() (*Solution, error) {
@@ -655,7 +556,7 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 	useBland := false
 	y := s.scratchY
 	dir := s.scratchDir
-	s.buildCSR()
+	s.at.build(&s.mat, s.m)
 
 	// Stall detection: perturbation can turn exactly-degenerate pivots
 	// into micro-steps that never register as degenerate yet make no
@@ -691,11 +592,10 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 		s.dualInto(cost, y)
 
 		// Pricing: accumulate y·A in one row-major sweep, then scan the
-		// candidates. Per column the products arrive in the same
-		// ascending-row order the old per-column gather used, so every
-		// reduced cost — and hence every pivot choice — is bit-identical.
-		s.accumPriceInto(y)
-		acc := s.scratchAcc
+		// candidates. Per column the products arrive in ascending row
+		// order, as a per-column gather would add them, so every reduced
+		// cost — and hence every pivot choice — is bit-identical to it.
+		acc := s.at.mulTInto(y)
 		enter := -1
 		best := -tol
 		if !useBland && banned == nil {
@@ -921,75 +821,6 @@ func (s *simplex) dualInto(cost []float64, y []float64) {
 		row := s.binv[i*m : (i+1)*m]
 		for k := 0; k < m; k++ {
 			y[k] += cb * row[k]
-		}
-	}
-}
-
-// buildCSR refreshes the row-major mirror of mat used by the pricing
-// sweep. O(nnz), called once per iterate — negligible next to the pivot
-// loop — and necessary there because Prepared flips artificial-column
-// signs between solves.
-func (s *simplex) buildCSR() {
-	m, nnz := s.m, s.mat.nnz()
-	if cap(s.rowPtr) < m+1 {
-		s.rowPtr = make([]int32, m+1)
-		s.rowNext = make([]int32, m)
-	}
-	s.rowPtr, s.rowNext = s.rowPtr[:m+1], s.rowNext[:m]
-	if cap(s.rowCols) < nnz {
-		s.rowCols = make([]int32, nnz, nnz+nnz/2)
-		s.rowVals = make([]float64, nnz, nnz+nnz/2)
-	}
-	s.rowCols, s.rowVals = s.rowCols[:nnz], s.rowVals[:nnz]
-	if cap(s.scratchAcc) < s.n {
-		s.scratchAcc = make([]float64, s.n, s.n+s.n/2)
-	}
-	s.scratchAcc = s.scratchAcc[:s.n]
-
-	cnt := s.rowPtr
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, r := range s.mat.rows {
-		cnt[r+1]++
-	}
-	for i := 0; i < m; i++ {
-		cnt[i+1] += cnt[i]
-	}
-	copy(s.rowNext, cnt[:m])
-	// Columns are visited ascending, so each row's entries land in
-	// ascending column order and the pricing writes stream.
-	for j := 0; j < s.n; j++ {
-		lo, hi := s.mat.colPtr[j], s.mat.colPtr[j+1]
-		for k := lo; k < hi; k++ {
-			r := s.mat.rows[k]
-			p := s.rowNext[r]
-			s.rowCols[p] = int32(j)
-			s.rowVals[p] = s.mat.vals[k]
-			s.rowNext[r] = p + 1
-		}
-	}
-}
-
-// accumPriceInto fills scratchAcc[j] = y · A_j by sweeping the CSR
-// mirror row-major. Rows with a zero multiplier are skipped: their
-// products are exact zeros, so the accumulated values match the
-// per-column gather bit for bit.
-func (s *simplex) accumPriceInto(y []float64) {
-	acc := s.scratchAcc
-	for j := range acc {
-		acc[j] = 0
-	}
-	rowPtr, rowCols, rowVals := s.rowPtr, s.rowCols, s.rowVals
-	for i := 0; i < s.m; i++ {
-		yi := y[i]
-		if yi == 0 {
-			continue
-		}
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		cols, vals := rowCols[lo:hi], rowVals[lo:hi]
-		for k, c := range cols {
-			acc[c] += yi * vals[k]
 		}
 	}
 }

@@ -51,10 +51,9 @@ func (b *Basis) Len() int {
 // goroutine its own (bases may be shared across workers as long as the
 // rounds are externally synchronised).
 type Prepared struct {
-	s            *simplex
-	pertU        []float64 // per-row anti-cycling factor in (0.5, 1.5)
-	bPert        []float64 // perturbed scaled rhs installed at solve start
-	initialBasis []int     // the all-artificial cold-start basis
+	s     *simplex
+	pertU []float64 // per-row anti-cycling factor (pertFactors)
+	bPert []float64 // perturbed scaled rhs installed at solve start
 
 	sol     Solution // reused result; invalidated by the next solve
 	haveOpt bool     // last solve ended Optimal (Basis is meaningful)
@@ -66,101 +65,20 @@ func Prepare(p *Problem, opts Options) (*Prepared, error) {
 		return nil, ErrNoConstraints
 	}
 	m := len(p.constraints)
-	s := &simplex{
-		m:       m,
-		numOrig: p.numVars,
-		b:       make([]float64, m),
-		rowSign: make([]int, m),
+	sign := make([]int, m)
+	for i := range sign {
+		sign[i] = 1 // rows are never sign-flipped here
 	}
-	for i := range s.rowSign {
-		s.rowSign[i] = 1 // rows are never sign-flipped here
-	}
-
-	// Row equilibration, as in newSimplex.
-	s.rowScale = make([]float64, m)
-	for i, c := range p.constraints {
-		maxAbs := 0.0
-		for _, t := range c.Terms {
-			if a := math.Abs(t.Coef); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			maxAbs = 1
-		}
-		s.rowScale[i] = 1 / maxAbs
-	}
-
-	// Columns: originals, then slack/surplus per inequality row, then one
-	// artificial per row (sign installed per solve).
-	extra := 0
-	for _, c := range p.constraints {
-		if c.Op != EQ {
-			extra++
-		}
-	}
-	for i, c := range p.constraints {
-		s.b[i] = s.rowScale[i] * c.RHS
-	}
-	s.mat = newCSCBuilder(p.constraints, p.numVars, extra+m, s.rowScale)
-
-	// Column equilibration on the original variables.
-	s.colScale = make([]float64, p.numVars)
-	for j := range s.colScale {
-		maxAbs := s.mat.colMaxAbs(j)
-		if maxAbs == 0 {
-			s.colScale[j] = 1
-			continue
-		}
-		s.colScale[j] = 1 / maxAbs
-		s.mat.scaleCol(j, s.colScale[j])
-	}
-
-	for i, c := range p.constraints {
-		switch c.Op {
-		case LE:
-			s.mat.appendUnitCol(int32(i), 1)
-		case GE:
-			s.mat.appendUnitCol(int32(i), -1)
-		}
-	}
-	s.artStart = s.mat.numCols()
+	s := compileSimplex(p, sign)
 	for i := 0; i < m; i++ {
-		s.mat.appendUnitCol(int32(i), 1)
+		s.mat.appendUnitCol(int32(i), 1) // one artificial per row
 	}
-	s.n = s.mat.numCols()
+	s.sizeState(p, opts)
 
-	s.cost = make([]float64, s.n)
-	for j := 0; j < p.numVars; j++ {
-		s.cost[j] = p.objective[j] * s.colScale[j]
-	}
-
-	s.basis = make([]int, m)
-	s.inBase = make([]bool, s.n)
-	s.bOrig = append([]float64(nil), s.b...)
-	s.binv = make([]float64, m*m)
-	s.xb = make([]float64, m)
-	s.allocScratch()
-	s.opt = opts.withDefaults(m, s.n)
-	s.refactorEvery = refactorPeriod
-
-	pp := &Prepared{
-		s:            s,
-		pertU:        make([]float64, m),
-		bPert:        make([]float64, m),
-		initialBasis: make([]int, m),
-	}
-	// Deterministic per-row anti-cycling factors (same xorshift stream as
-	// newSimplex, so tie-breaking behaviour matches the one-shot path).
-	rngState := uint64(0x9e3779b97f4a7c15)
-	for i := range pp.pertU {
-		rngState ^= rngState << 13
-		rngState ^= rngState >> 7
-		rngState ^= rngState << 17
-		pp.pertU[i] = 0.5 + float64(rngState%1024)/1024.0
-	}
-	for i := range pp.initialBasis {
-		pp.initialBasis[i] = s.artStart + i
+	// Same anti-cycling stream as newSimplex, so tie-breaking behaviour
+	// matches the one-shot path.
+	pp := &Prepared{s: s, pertU: pertFactors(m), bPert: make([]float64, m)}
+	for i := range pp.bPert {
 		pp.refreshPert(i)
 	}
 	return pp, nil
@@ -169,8 +87,7 @@ func Prepare(p *Problem, opts Options) (*Prepared, error) {
 // refreshPert recomputes the perturbed RHS of row i from its current
 // unperturbed scaled value.
 func (pp *Prepared) refreshPert(i int) {
-	b := pp.s.bOrig[i]
-	pp.bPert[i] = b + 1e-8*pp.pertU[i]*(1+math.Abs(b))
+	pp.bPert[i] = perturbed(pp.s.bOrig[i], pp.pertU[i])
 }
 
 // NumRows returns the compiled row count.
@@ -280,10 +197,10 @@ func (pp *Prepared) resetCold() {
 		s.binv[i] = 0
 	}
 	for i := 0; i < m; i++ {
-		j := pp.initialBasis[i]
+		j := s.artStart + i
 		s.basis[i] = j
 		s.inBase[j] = true
-		_, avals := s.mat.col(s.artStart + i)
+		_, avals := s.mat.col(j)
 		sign := avals[0]
 		s.binv[i*m+i] = sign
 		s.xb[i] = sign * s.b[i]

@@ -112,23 +112,214 @@ func newCSCBuilder(constraints []Constraint, numVars, extraCap int, rowFactor []
 	return a
 }
 
-// colMaxAbs returns the largest coefficient magnitude in column j.
-func (a *csc) colMaxAbs(j int) float64 {
-	_, vals := a.col(j)
-	maxAbs := 0.0
-	for _, v := range vals {
-		if x := math.Abs(v); x > maxAbs {
-			maxAbs = x
+// scaleCols equilibrates the first n columns: each is divided by its
+// largest coefficient magnitude (an empty column is left alone), which
+// turns columns with uniformly tiny coefficients into unit-scale ones
+// and keeps pivot elements healthy. It returns the factors applied, so
+// x_j = f_j·x'_j maps a scaled solution back.
+func (a *csc) scaleCols(n int) []float64 {
+	f := make([]float64, n)
+	for j := range f {
+		_, vals := a.col(j)
+		maxAbs := 0.0
+		for _, v := range vals {
+			if x := math.Abs(v); x > maxAbs {
+				maxAbs = x
+			}
+		}
+		if maxAbs == 0 {
+			f[j] = 1
+			continue
+		}
+		f[j] = 1 / maxAbs
+		for k := range vals {
+			vals[k] *= f[j]
 		}
 	}
-	return maxAbs
+	return f
 }
 
-// scaleCol multiplies every entry of column j by f.
-func (a *csc) scaleCol(j int, f float64) {
-	_, vals := a.col(j)
-	for k := range vals {
-		vals[k] *= f
+// rowScales returns each row's equilibration factor, the reciprocal of
+// its largest coefficient magnitude (1 for an empty row). Geo-I rows mix
+// unit and exponential-scale coefficients; unit-scale rows keep the
+// basis and the normal equations well-conditioned. Duplicate Var
+// entries are merged later; for scaling purposes the max unmerged
+// magnitude is a fine (and cheaper) proxy.
+func rowScales(cs []Constraint) []float64 {
+	scale := make([]float64, len(cs))
+	for i, c := range cs {
+		maxAbs := 0.0
+		for _, t := range c.Terms {
+			if a := math.Abs(t.Coef); a > maxAbs {
+				maxAbs = a
+			}
+		}
+		if maxAbs == 0 {
+			maxAbs = 1
+		}
+		scale[i] = 1 / maxAbs
+	}
+	return scale
+}
+
+// rowSigns returns −1 for each row with a negative right-hand side and
+// +1 otherwise: the one-shot layouts negate those rows so that b ≥ 0.
+func rowSigns(cs []Constraint) []int {
+	sign := make([]int, len(cs))
+	for i, c := range cs {
+		sign[i] = 1
+		if c.RHS < 0 {
+			sign[i] = -1
+		}
+	}
+	return sign
+}
+
+// standardForm compiles p's rows into the equality form every solver
+// here works on. Row i is multiplied by sign[i] and by its rowScales
+// factor, and one slack (+1) per ≤ row or surplus (−1) per ≥ row of the
+// signed rows is appended after the original columns, in row order
+// (negating a row swaps ≤ and ≥). artCap reserves pool headroom for
+// that many unit columns appended afterwards.
+func standardForm(p *Problem, sign []int, artCap int) (a csc, b, scale []float64) {
+	cs := p.constraints
+	scale = rowScales(cs)
+	factor := make([]float64, len(cs))
+	b = make([]float64, len(cs))
+	ineq := 0
+	for i, c := range cs {
+		factor[i] = float64(sign[i]) * scale[i]
+		b[i] = factor[i] * c.RHS
+		if c.Op != EQ {
+			ineq++
+		}
+	}
+	a = newCSCBuilder(cs, p.numVars, ineq+artCap, factor)
+	for i, c := range cs {
+		if c.Op == EQ {
+			continue
+		}
+		v := float64(sign[i])
+		if c.Op == GE {
+			v = -v
+		}
+		a.appendUnitCol(int32(i), v)
+	}
+	return a, b, scale
+}
+
+// pertFactors returns the per-row factors u_i ∈ (0.5, 1.5) of the
+// simplex's anti-cycling perturbation, drawn from one fixed xorshift
+// stream so every simplex layout breaks ties the same way.
+func pertFactors(m int) []float64 {
+	u := make([]float64, m)
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := range u {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		u[i] = 0.5 + float64(state%1024)/1024.0
+	}
+	return u
+}
+
+// perturbed returns the scaled right-hand side b nudged by its
+// anti-cycling factor u (see pertFactors).
+func perturbed(b, u float64) float64 {
+	return b + 1e-8*u*(1+math.Abs(b))
+}
+
+// csr is a row-major mirror of a csc matrix. Sweeping it row by row
+// replaces n short column gathers, whose per-column loop overhead
+// dominates, with one pass over the nonzeros and streaming writes. The
+// simplex's pricing pass and the IPM's residuals and Newton solves
+// share it. Entries land in ascending column order within each row, so
+// every product reaches its accumulator in the order a per-column
+// gather or scatter delivers it, and the results are bit-identical.
+type csr struct {
+	ptr, cols []int32
+	vals      []float64
+	next      []int32   // m: fill cursors of build
+	acc       []float64 // n: mulTInto's result
+	n, nnz    int       // shape of the matrix at the last build
+}
+
+// build refreshes the mirror of the m-row matrix a, reusing its buffers.
+func (r *csr) build(a *csc, m int) {
+	n, nnz := a.numCols(), a.nnz()
+	if cap(r.ptr) < m+1 {
+		r.ptr = make([]int32, m+1)
+		r.next = make([]int32, m)
+	}
+	r.ptr, r.next = r.ptr[:m+1], r.next[:m]
+	if cap(r.cols) < nnz {
+		r.cols = make([]int32, nnz, nnz+nnz/2)
+		r.vals = make([]float64, nnz, nnz+nnz/2)
+	}
+	r.cols, r.vals = r.cols[:nnz], r.vals[:nnz]
+	if cap(r.acc) < n {
+		// Headroom for a column-generation master that keeps growing.
+		r.acc = make([]float64, n, n+n/2+16)
+	}
+	r.acc = r.acc[:n]
+
+	cnt := r.ptr
+	for i := range cnt {
+		cnt[i] = 0
+	}
+	for _, row := range a.rows {
+		cnt[row+1]++
+	}
+	for i := 0; i < m; i++ {
+		cnt[i+1] += cnt[i]
+	}
+	copy(r.next, cnt[:m])
+	for j := 0; j < n; j++ {
+		for k := a.colPtr[j]; k < a.colPtr[j+1]; k++ {
+			row := a.rows[k]
+			p := r.next[row]
+			r.cols[p] = int32(j)
+			r.vals[p] = a.vals[k]
+			r.next[row] = p + 1
+		}
+	}
+	r.n, r.nnz = n, nnz
+}
+
+// mulTInto returns Aᵀv in the mirror's n-sized accumulator, valid until
+// the next call. Rows with a zero multiplier are skipped: their
+// products are exact zeros.
+func (r *csr) mulTInto(v []float64) []float64 {
+	acc := r.acc
+	for j := range acc {
+		acc[j] = 0
+	}
+	for i := 0; i+1 < len(r.ptr); i++ {
+		vi := v[i]
+		if vi == 0 {
+			continue
+		}
+		lo, hi := r.ptr[i], r.ptr[i+1]
+		cols, vals := r.cols[lo:hi], r.vals[lo:hi]
+		for k, c := range cols {
+			acc[c] += vi * vals[k]
+		}
+	}
+	return acc
+}
+
+// mulAddInto adds A·w onto dst, skipping zero weights.
+func (r *csr) mulAddInto(dst, w []float64) {
+	for i := range dst {
+		lo, hi := r.ptr[i], r.ptr[i+1]
+		cols, vals := r.cols[lo:hi], r.vals[lo:hi]
+		acc := dst[i]
+		for k, c := range cols {
+			if wc := w[c]; wc != 0 {
+				acc += vals[k] * wc
+			}
+		}
+		dst[i] = acc
 	}
 }
 

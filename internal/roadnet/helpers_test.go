@@ -2,6 +2,9 @@ package roadnet
 
 import (
 	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
 
 	"repro/internal/geom"
 )
@@ -59,11 +62,70 @@ func (g *Graph) NearestLocation(p geom.Point) Location {
 	bestD := math.Inf(1)
 	for _, e := range g.edges {
 		seg := geom.Segment{A: g.nodes[e.From].Pos, B: g.nodes[e.To].Pos}
-		t, d2 := seg.ClosestParam(p)
+		t, d2 := closestParam(seg, p)
 		if d2 < bestD {
 			bestD = d2
 			best = LocationFromStart(g, e.ID, t*e.Weight)
 		}
 	}
 	return best
+}
+
+// closestParam returns the parameter t in [0, 1] of the point on s
+// closest to p, along with the squared distance to that point.
+func closestParam(s geom.Segment, p geom.Point) (t, distSq float64) {
+	d := s.B.Sub(s.A)
+	den := d.Dot(d)
+	if den == 0 {
+		dp := p.Sub(s.A)
+		return 0, dp.Dot(dp)
+	}
+	t = p.Sub(s.A).Dot(d) / den
+	t = geom.Clamp(t, 0, 1)
+	c := s.At(t)
+	dp := p.Sub(c)
+	return t, dp.Dot(dp)
+}
+
+func TestSegmentClosestParam(t *testing.T) {
+	s := geom.Segment{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 2, Y: 0}}
+	cases := []struct {
+		p      geom.Point
+		t, dsq float64
+	}{
+		{geom.Point{X: 1, Y: 1}, 0.5, 1},
+		{geom.Point{X: -1, Y: 0}, 0, 1},
+		{geom.Point{X: 5, Y: 0}, 1, 9},
+	}
+	for _, c := range cases {
+		tt, dsq := closestParam(s, c.p)
+		if math.Abs(tt-c.t) > 1e-12 || math.Abs(dsq-c.dsq) > 1e-12 {
+			t.Fatalf("closestParam(%v) = %v, %v; want %v, %v", c.p, tt, dsq, c.t, c.dsq)
+		}
+	}
+	// Degenerate zero-length segment.
+	z := geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 1, Y: 1}}
+	tt, dsq := closestParam(z, geom.Point{X: 2, Y: 1})
+	if tt != 0 || dsq != 1 {
+		t.Fatalf("degenerate closestParam = %v, %v", tt, dsq)
+	}
+}
+
+func TestClosestParamIsMinimumProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	f := func(ax, ay, bx, by, px, py int16) bool {
+		s := geom.Segment{A: geom.Point{X: float64(ax) / 100, Y: float64(ay) / 100}, B: geom.Point{X: float64(bx) / 100, Y: float64(by) / 100}}
+		p := geom.Point{X: float64(px) / 100, Y: float64(py) / 100}
+		_, dBest := closestParam(s, p)
+		for i := 0; i <= 20; i++ {
+			d := p.Sub(s.At(float64(i) / 20))
+			if d.Dot(d) < dBest-1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -25,6 +25,29 @@ func TestDigestDeterministic(t *testing.T) {
 	}
 }
 
+// TestDigestPinned pins the digest of one literal spec that sets every
+// field of the preimage. Cache keys and store file names are this
+// digest, so a change to its encoding orphans every stored mechanism:
+// it must change only on purpose, with a new version tag.
+func TestDigestPinned(t *testing.T) {
+	spec := &SolveSpec{
+		Network: &Network{
+			Nodes: []Node{{X: 0, Y: 0}, {X: 0.4, Y: 0}, {X: 0, Y: 0.3}},
+			Edges: []Edge{{From: 0, To: 1, Weight: 0.4}, {From: 1, To: 2, Weight: 0.55}, {From: 2, To: 0, Weight: 0.3}},
+		},
+		Delta:     0.1,
+		Epsilon:   5,
+		Radius:    0.5,
+		Prior:     []float64{0.25, 0.75},
+		TaskPrior: []float64{0.5, 0.5},
+		Exact:     true,
+	}
+	const want = "9ef83919004813a0a547ef2d54ed894f80aa7ea52b5f73076723696101201470"
+	if got := spec.Digest(); got != want {
+		t.Fatalf("SolveSpec digest %s, pinned %s", got, want)
+	}
+}
+
 func TestDigestSensitivity(t *testing.T) {
 	base := testSpec(t).Digest()
 	mutations := map[string]func(*SolveSpec){

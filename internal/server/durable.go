@@ -140,7 +140,7 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 		s.stats.storeLoadFailed(false)
 		return nil
 	}
-	served, etdd, err := pr.EnforceGeoI(mech, geoITol)
+	served, etdd, err := pr.EnforceGeoI(mech, core.GeoITol)
 	if err != nil {
 		s.stats.storeLoadFailed(false)
 		return nil

@@ -56,10 +56,6 @@ import (
 	"repro/internal/store"
 )
 
-// geoITol is the violation ceiling enforced on every served mechanism;
-// an order of magnitude below the 1e-9 the service advertises.
-const geoITol = 1e-10
-
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
 	// CacheSize bounds the mechanism LRU (default 16).
@@ -394,7 +390,7 @@ func (s *Server) newEntry(pr *core.Problem, mech *core.Mechanism, etdd, bound fl
 // by EnforceGeoI — without touching the solve pool. The privacy
 // guarantee is identical to every other rung; only ETDD degrades.
 func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
-	served, etdd, err := pr.EnforceGeoI(pr.ExponentialMechanism(), geoITol)
+	served, etdd, err := pr.EnforceGeoI(pr.ExponentialMechanism(), core.GeoITol)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +465,7 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	var e *entry
 	if mech != nil {
 		// Repair failure is one more rung down, not a request error.
-		if served, etdd, err := pr.EnforceGeoI(mech, geoITol); err == nil {
+		if served, etdd, err := pr.EnforceGeoI(mech, core.GeoITol); err == nil {
 			e = s.newEntry(pr, served, etdd, bound, tier)
 		}
 	}

@@ -102,7 +102,10 @@ type Mechanism struct {
 	res  *core.CGResult
 }
 
-// Build discretises the network and solves the D-VLP obfuscation LP.
+// Build discretises the network and solves the D-VLP obfuscation LP. The
+// returned mechanism has passed the Geo-I repair gate vlpserved applies
+// (GeoIViolation is at most core.GeoITol), and QualityLoss reports the
+// repaired ETDD.
 func Build(r *RoadNetwork, p Params) (*Mechanism, error) {
 	if p.Delta <= 0 {
 		return nil, fmt.Errorf("vlp: Delta must be positive, got %v", p.Delta)
@@ -128,7 +131,20 @@ func Build(r *RoadNetwork, p Params) (*Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mechanism{prob: prob, mech: res.Mechanism, res: res}, nil
+	return repaired(prob, res)
+}
+
+// repaired wraps a solved mechanism after the same Geo-I repair gate
+// vlpserved applies: solver output is feasible only to solver
+// tolerance, so EnforceGeoI brings its violation to core.GeoITol, and
+// res carries the repaired mechanism and its ETDD.
+func repaired(prob *core.Problem, res *core.CGResult) (*Mechanism, error) {
+	mech, etdd, err := prob.EnforceGeoI(res.Mechanism, core.GeoITol)
+	if err != nil {
+		return nil, err
+	}
+	res.Mechanism, res.ETDD = mech, etdd
+	return &Mechanism{prob: prob, mech: mech, res: res}, nil
 }
 
 // NumIntervals returns K, the number of discretised intervals; priors
@@ -150,8 +166,10 @@ func (m *Mechanism) Obfuscate(rng *rand.Rand, truth Location) Location {
 
 // Sampler is a concurrency-safe obfuscation handle: it owns a seeded RNG
 // behind a mutex so any number of goroutines can draw obfuscated
-// locations from one shared (immutable) mechanism. This is the sampling
-// entry point the vlpserved service uses per cached mechanism.
+// locations from one shared (immutable) mechanism. It is the façade's
+// analogue of what vlpserved does per cached mechanism; the service
+// itself samples through its own per-entry lock and RNG
+// (internal/server's entry.sample), not through Sampler.
 type Sampler struct {
 	m   *Mechanism
 	mu  sync.Mutex
@@ -246,7 +264,8 @@ func (m *Mechanism) Save(w io.Writer) error {
 // CalibrateEpsilon searches for the privacy parameter whose optimal
 // mechanism yields (approximately) the requested adversary error in km —
 // the operational way to pick ε. It solves several mechanisms; expect
-// seconds to minutes depending on network size.
+// seconds to minutes depending on network size. Like Build, it returns
+// the mechanism after the Geo-I repair gate.
 func CalibrateEpsilon(r *RoadNetwork, delta, targetAdvError float64) (*Mechanism, error) {
 	part, err := discretize.New(r.g, delta)
 	if err != nil {
@@ -260,8 +279,7 @@ func CalibrateEpsilon(r *RoadNetwork, delta, targetAdvError float64) (*Mechanism
 	if err != nil {
 		return nil, err
 	}
-	cg := &core.CGResult{Mechanism: res.Mechanism, ETDD: res.ETDD}
-	return &Mechanism{prob: prob, mech: res.Mechanism, res: cg}, nil
+	return repaired(prob, &core.CGResult{Mechanism: res.Mechanism, ETDD: res.ETDD})
 }
 
 // Load reads a mechanism saved by Save (or produced by cmd/vlpsolve).
