@@ -6,9 +6,9 @@
 # Expect the race pass to take a few minutes — internal/core dominates.
 #
 #   ./ci.sh         full gate
-#   ./ci.sh -quick  build + vet + vlplint + lint-suite tests + the lp
-#                   digest/allocation gates (pre-push sanity, well
-#                   under a minute)
+#   ./ci.sh -quick  build + vet + vlplint + perfbench vet/tests +
+#                   lint-suite tests + the lp digest/allocation gates
+#                   (pre-push sanity, well under a minute)
 set -eux
 
 go build ./...
@@ -31,6 +31,12 @@ go run ./cmd/vlplint -json -baseline lint.baseline.json ./... > vlplint.json || 
     cat vlplint.json
     exit 1
 }
+
+# perfbench is its own module (perfbench/go.mod, replacing repro with
+# the root), so the builds above never compile it. Vet and test it in
+# both paths: a root change that drops an identifier the benchmark
+# compiles against must fail here, not only in the benchmark pipeline.
+(cd perfbench && go vet ./... && go test ./...)
 
 if [ "${1:-}" = "-quick" ]; then
     # The lint suite's own tests ride in -quick: the analyzers gate

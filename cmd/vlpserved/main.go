@@ -6,12 +6,16 @@
 // Usage:
 //
 //	vlpserved [-addr :8750] [-cache 16] [-solve-pool 2] [-serve-pool 32]
-//	          [-solve-wait 2m] [-solve-deadline 2m] [-no-upgrade] [-seed 1]
-//	          [-xi -0.05] [-relgap 0.02]
-//	          [-store-dir DIR] [-checkpoint-rounds 8] [-no-store]
+//	          [-solve-deadline 2m] [-seed 1] [-store-dir DIR]
 //	          [-fleet] [-advertise URL] [-instance NAME]
-//	          [-lease-ttl 10s] [-fleet-poll lease-ttl/3]
+//	          [-lease-ttl 10s] [-fleet-poll lease-ttl/3] [-drain 5m]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// Every instance solves with the same column-generation stop rule
+// (ξ −0.05, 2% relative gap, as vlp.Build), so the mechanism a spec
+// digest names never depends on process flags. The durable store is
+// always on; completed mechanisms and, every 8 CG rounds, mid-solve
+// checkpoints are snapshotted to -store-dir.
 //
 // Serving is two admission tiers: -solve-pool bounds concurrent cold
 // column-generation solves (excess cold requests get 429), -serve-pool
@@ -56,7 +60,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -67,16 +70,10 @@ func main() {
 	cache := flag.Int("cache", 16, "mechanism LRU capacity")
 	solvePool := flag.Int("solve-pool", 2, "solve-tier pool: max concurrent cold solves, excess gets 429")
 	servePool := flag.Int("serve-pool", 32, "serve-tier pool: max concurrent sampling requests, disjoint from the solve pool")
-	solveWait := flag.Duration("solve-wait", 2*time.Minute, "max time a request waits for a cold solve")
-	solveDeadline := flag.Duration("solve-deadline", 2*time.Minute, "max wall time per CG solve before it degrades to its incumbent (0 = unbounded)")
-	noUpgrade := flag.Bool("no-upgrade", false, "disable background re-solves that promote degraded cache entries")
+	solveDeadline := flag.Duration("solve-deadline", 2*time.Minute, "max wall time per CG solve before it degrades to its incumbent, which its waiters receive (0 = no per-solve deadline; a waiter then gives up with 504 after 2m)")
 	seed := flag.Int64("seed", 1, "base sampler seed")
-	xi := flag.Float64("xi", -0.05, "column-generation termination threshold ξ (≤ 0)")
-	relgap := flag.Float64("relgap", 0.02, "column-generation relative dual-gap stop")
 	storeDir := flag.String("store-dir", "", "durable snapshot store directory; empty selects vlpserved-store under the OS temp dir")
-	checkpointRounds := flag.Int("checkpoint-rounds", 0, "CG rounds between durable mid-solve checkpoints (0 = default 8, negative = no checkpoints)")
-	noStore := flag.Bool("no-store", false, "run purely in-memory: no snapshots, no checkpoints, no warm recovery")
-	fleet := flag.Bool("fleet", false, "join a shared-store serving fleet: lease-elected single writer, fenced commits (requires the store)")
+	fleet := flag.Bool("fleet", false, "join a shared-store serving fleet: lease-elected single writer, fenced commits")
 	advertise := flag.String("advertise", "", "base URL followers use to proxy solves to this instance while it leads (e.g. http://10.0.0.5:8750)")
 	instance := flag.String("instance", "", "fleet instance name, unique per process (default vlpserved-<pid>)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet lease duration: a dead leader is replaced within one TTL")
@@ -86,13 +83,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap/alloc profile at shutdown to this file")
 	flag.Parse()
 
-	// Chaos hooks, both opt-in via environment so a production binary is
-	// inert: $VLP_FAULTS arms fault sites at startup, and VLP_FAULT_CTL=1
-	// additionally mounts POST/GET/DELETE /debug/faults so a harness can
-	// re-arm a running process between fault phases.
-	if err := faultinject.ArmFromEnv(os.Getenv); err != nil {
-		fatalf("%s: %v", faultinject.EnvVar, err)
-	}
+	// Chaos hook, opt-in via environment so a production binary is
+	// inert: VLP_FAULT_CTL=1 mounts POST/GET/DELETE /debug/faults so a
+	// harness can arm fault sites in a running process between phases.
 	faultCtl := os.Getenv("VLP_FAULT_CTL") != ""
 
 	if *cpuprofile != "" {
@@ -110,23 +103,18 @@ func main() {
 	}
 	defer writeMemProfile(*memprofile)
 
-	var st *store.Store
-	if !*noStore {
-		dir := *storeDir
-		if dir == "" {
-			dir = filepath.Join(os.TempDir(), "vlpserved-store")
-		}
-		open := store.Open
-		if *fleet {
-			// Fleet commits must be fenced by the lease token.
-			open = store.OpenFleet
-		}
-		var err error
-		if st, err = open(dir); err != nil {
-			fatalf("store: %v", err)
-		}
-	} else if *fleet {
-		fatalf("-fleet needs the shared store; drop -no-store")
+	dir := *storeDir
+	if dir == "" {
+		dir = filepath.Join(os.TempDir(), "vlpserved-store")
+	}
+	open := store.Open
+	if *fleet {
+		// Fleet commits must be fenced by the lease token.
+		open = store.OpenFleet
+	}
+	st, err := open(dir)
+	if err != nil {
+		fatalf("store: %v", err)
 	}
 	var fleetCfg *server.FleetConfig
 	if *fleet {
@@ -139,25 +127,19 @@ func main() {
 	}
 
 	srv := server.New(context.Background(), server.Config{
-		CacheSize:        *cache,
-		MaxSolves:        *solvePool,
-		ServePool:        *servePool,
-		SolveWait:        *solveWait,
-		SolveDeadline:    *solveDeadline,
-		DisableUpgrade:   *noUpgrade,
-		Seed:             *seed,
-		CG:               core.CGOptions{Xi: *xi, RelGap: *relgap},
-		Store:            st,
-		CheckpointRounds: *checkpointRounds,
-		Fleet:            fleetCfg,
+		CacheSize:     *cache,
+		MaxSolves:     *solvePool,
+		ServePool:     *servePool,
+		SolveDeadline: *solveDeadline,
+		Seed:          *seed,
+		Store:         st,
+		Fleet:         fleetCfg,
 	})
-	if st != nil {
-		mode := "solo"
-		if *fleet {
-			mode = "fleet member"
-		}
-		fmt.Fprintf(os.Stderr, "vlpserved: durable store at %s (%s)\n", st.Dir(), mode)
+	mode := "solo"
+	if *fleet {
+		mode = "fleet member"
 	}
+	fmt.Fprintf(os.Stderr, "vlpserved: durable store at %s (%s)\n", st.Dir(), mode)
 	handler := srv.Handler()
 	if faultCtl {
 		mux := http.NewServeMux()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/lp"
 )
 
 // TestSolveCGCtxCancelMidRun is the cancellation-latency regression: a
@@ -57,21 +56,6 @@ func TestSolveCGCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := SolveCGCtx(ctx, pr, CGOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatalf("pre-cancelled solve returned a result: %+v", res)
-	}
-}
-
-// TestSolveCGHonoursLPContext: SolveCG runs under CGOptions.LP.Ctx, so
-// an already-cancelled one stops the solve before any master round.
-func TestSolveCGHonoursLPContext(t *testing.T) {
-	pr := tinyProblem(t, 42, 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := SolveCG(pr, CGOptions{LP: lp.Options{Ctx: ctx}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

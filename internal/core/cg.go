@@ -39,9 +39,6 @@ type CGOptions struct {
 	// family, so the loop restarts where the previous run stopped. A
 	// state whose shape does not match the problem is ignored.
 	Resume *CGState
-	// LP passes solver options to both master and subproblems. SolveCG
-	// runs under LP.Ctx; SolveCGCtx's own context replaces it.
-	LP lp.Options
 	// OnIteration, when non-nil, observes each round (for tracing and
 	// convergence experiments).
 	OnIteration func(iter int, stats CGIteration)
@@ -181,15 +178,13 @@ const cgSmoothing = 0.8
 // pricing duals with a verification pass at the exact master duals
 // before any optimality claim.
 //
-// SolveCG is SolveCGCtx under opts.LP.Ctx, or a background context
-// when that is nil.
+// SolveCG runs SolveCGCtx to completion; SolveCGCtx is the cancellable
+// entry point.
+//
+//lint:ignore ctxflow the run-to-completion wrapper of SolveCGCtx, which is the cancellable entry point
 func SolveCG(pr *Problem, opts CGOptions) (*CGResult, error) {
-	ctx := opts.LP.Ctx
-	if ctx == nil {
-		//lint:ignore ctxflow a nil LP.Ctx means run to completion, as everywhere in lp.Options
-		ctx = context.Background()
-	}
-	return SolveCGCtx(ctx, pr, opts)
+	//lint:ignore ctxflow the run-to-completion wrapper of SolveCGCtx, which is the cancellable entry point
+	return SolveCGCtx(context.Background(), pr, opts)
 }
 
 // SolveCGCtx solves D-VLP by column generation under a context.
@@ -261,7 +256,7 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 
 	// Persistent master: compiled once over the seed pool, grown in place
 	// as columns arrive.
-	ms, err := newMasterState(pr, columns, rho, opts.LP)
+	ms, err := newMasterState(pr, columns, rho)
 	if err != nil {
 		return nil, fmt.Errorf("core: CG master setup: %w", err)
 	}
@@ -584,7 +579,7 @@ type masterState struct {
 }
 
 // newMasterState compiles the master over the initial column pool.
-func newMasterState(pr *Problem, columns []cgColumn, rho float64, lpOpts lp.Options) (*masterState, error) {
+func newMasterState(pr *Problem, columns []cgColumn, rho float64) (*masterState, error) {
 	k := pr.Part.K()
 	ms := &masterState{k: k}
 	prob := lp.NewProblem(2 * k)
@@ -602,7 +597,7 @@ func newMasterState(pr *Problem, columns []cgColumn, rho float64, lpOpts lp.Opti
 	for _, c := range columns {
 		prob.AddColumn(c.cost, ms.colEntries(c))
 	}
-	sv, err := lp.NewIPMSolver(prob, lpOpts)
+	sv, err := lp.NewIPMSolver(prob, lp.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -737,7 +732,7 @@ func newPricer(pr *Problem, opts CGOptions) (*pricer, error) {
 	}
 	p.workers = make([]*lp.Prepared, workers)
 	for w := range p.workers {
-		pp, err := lp.Prepare(dual, opts.LP)
+		pp, err := lp.Prepare(dual, lp.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -14,8 +14,6 @@ type DirectOptions struct {
 	// to the complete O(K³) enumeration — only viable for tiny K, and
 	// used by tests to verify the reduction preserves the optimum.
 	FullConstraints bool
-	// LP passes solver options through.
-	LP lp.Options
 }
 
 // DirectResult reports the monolithic solve.
@@ -36,7 +34,10 @@ type DirectResult struct {
 //
 // With reduced constraints the pair set is Algorithm 1's; each unordered
 // pair contributes both directions. Intended for small K (the LP has K²
-// variables); the column-generation solver scales much further.
+// variables); the column-generation solver scales much further. It
+// runs to completion: nothing on the serving path calls it.
+//
+//lint:ignore ctxflow an offline small-K solve that runs to completion; the serving path solves through SolveCGCtx
 func SolveDirect(pr *Problem, opts DirectOptions) (*DirectResult, error) {
 	k := pr.Part.K()
 	prob := lp.NewProblem(k * k)
@@ -73,7 +74,7 @@ func SolveDirect(pr *Problem, opts DirectOptions) (*DirectResult, error) {
 		}
 	}
 
-	sol, err := lp.Solve(prob, opts.LP)
+	sol, err := lp.Solve(prob, lp.Options{})
 	if err != nil {
 		return nil, err
 	}

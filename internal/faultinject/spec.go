@@ -12,12 +12,6 @@ import (
 	"time"
 )
 
-// EnvVar is the environment variable ArmFromEnv reads. It lets a parent
-// process (the chaos harness, a shell) arm fault sites inside a real
-// child binary: the child calls ArmFromEnv at startup and the armed
-// sites behave exactly as if a test had called Set.
-const EnvVar = "VLP_FAULTS"
-
 // ParseSpec parses a comma-separated fault spec into per-site Faults.
 // Each entry is
 //
@@ -109,17 +103,6 @@ func ArmSpec(spec string) error {
 		}
 	}
 	return nil
-}
-
-// ArmFromEnv arms the spec in $VLP_FAULTS, if set. Binaries that want
-// to be chaos-testable call it once at startup; with the variable unset
-// it is a no-op and the registry stays cold.
-func ArmFromEnv(getenv func(string) string) error {
-	spec := getenv(EnvVar)
-	if spec == "" {
-		return nil
-	}
-	return ArmSpec(spec)
 }
 
 // Sites returns the currently armed site names, sorted.

@@ -161,7 +161,7 @@ func TestParseSpecEdgeCases(t *testing.T) {
 	})
 }
 
-func TestArmSpecAndEnv(t *testing.T) {
+func TestArmSpec(t *testing.T) {
 	defer Reset()
 	if err := ArmSpec("x=err:boom;times=1"); err != nil {
 		t.Fatal(err)
@@ -190,22 +190,6 @@ func TestArmSpecAndEnv(t *testing.T) {
 	}
 	if err := At("z"); err != nil {
 		t.Fatalf("failed ArmSpec partially armed: %v", err)
-	}
-
-	// Env arming: unset is a no-op, set arms the spec.
-	if err := ArmFromEnv(func(string) string { return "" }); err != nil {
-		t.Fatal(err)
-	}
-	if err := ArmFromEnv(func(k string) string {
-		if k != EnvVar {
-			t.Fatalf("read %q, want %q", k, EnvVar)
-		}
-		return "envsite=err:from env"
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := At("envsite"); err == nil || err.Error() != "from env" {
-		t.Fatalf("env-armed site returned %v", err)
 	}
 }
 

@@ -40,17 +40,6 @@ func Lerp(p, q Point, t float64) Point {
 // Midpoint returns the midpoint of the segment pq.
 func Midpoint(p, q Point) Point { return Lerp(p, q, 0.5) }
 
-// Segment is a directed straight segment from A to B.
-type Segment struct {
-	A, B Point
-}
-
-// Length returns the Euclidean length of the segment.
-func (s Segment) Length() float64 { return Dist(s.A, s.B) }
-
-// At returns the point a fraction t along the segment from A.
-func (s Segment) At(t float64) Point { return Lerp(s.A, s.B, t) }
-
 // Clamp restricts v to the interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -61,7 +61,7 @@ func (g *Graph) NearestLocation(p geom.Point) Location {
 	best := Location{Edge: NoEdge}
 	bestD := math.Inf(1)
 	for _, e := range g.edges {
-		seg := geom.Segment{A: g.nodes[e.From].Pos, B: g.nodes[e.To].Pos}
+		seg := segment{A: g.nodes[e.From].Pos, B: g.nodes[e.To].Pos}
 		t, d2 := closestParam(seg, p)
 		if d2 < bestD {
 			bestD = d2
@@ -71,9 +71,17 @@ func (g *Graph) NearestLocation(p geom.Point) Location {
 	return best
 }
 
+// segment is a directed straight segment from A to B.
+type segment struct {
+	A, B geom.Point
+}
+
+// At returns the point a fraction t along the segment from A.
+func (s segment) At(t float64) geom.Point { return geom.Lerp(s.A, s.B, t) }
+
 // closestParam returns the parameter t in [0, 1] of the point on s
 // closest to p, along with the squared distance to that point.
-func closestParam(s geom.Segment, p geom.Point) (t, distSq float64) {
+func closestParam(s segment, p geom.Point) (t, distSq float64) {
 	d := s.B.Sub(s.A)
 	den := d.Dot(d)
 	if den == 0 {
@@ -88,7 +96,7 @@ func closestParam(s geom.Segment, p geom.Point) (t, distSq float64) {
 }
 
 func TestSegmentClosestParam(t *testing.T) {
-	s := geom.Segment{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 2, Y: 0}}
+	s := segment{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 2, Y: 0}}
 	cases := []struct {
 		p      geom.Point
 		t, dsq float64
@@ -104,7 +112,7 @@ func TestSegmentClosestParam(t *testing.T) {
 		}
 	}
 	// Degenerate zero-length segment.
-	z := geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 1, Y: 1}}
+	z := segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 1, Y: 1}}
 	tt, dsq := closestParam(z, geom.Point{X: 2, Y: 1})
 	if tt != 0 || dsq != 1 {
 		t.Fatalf("degenerate closestParam = %v, %v", tt, dsq)
@@ -114,7 +122,7 @@ func TestSegmentClosestParam(t *testing.T) {
 func TestClosestParamIsMinimumProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(ax, ay, bx, by, px, py int16) bool {
-		s := geom.Segment{A: geom.Point{X: float64(ax) / 100, Y: float64(ay) / 100}, B: geom.Point{X: float64(bx) / 100, Y: float64(by) / 100}}
+		s := segment{A: geom.Point{X: float64(ax) / 100, Y: float64(ay) / 100}, B: geom.Point{X: float64(bx) / 100, Y: float64(by) / 100}}
 		p := geom.Point{X: float64(px) / 100, Y: float64(py) / 100}
 		_, dBest := closestParam(s, p)
 		for i := 0; i <= 20; i++ {

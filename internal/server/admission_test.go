@@ -142,23 +142,26 @@ func TestAdmissionIsolatesCachedServing(t *testing.T) {
 }
 
 // TestServeGateShedsPastQueueBound covers the serve tier's own
-// admission policy in isolation: with capacity and queue both exhausted
-// by parked requests, the next request is shed immediately with 429 and
-// counted in admission_rejects, and releases restore the gauge to zero.
+// admission policy in isolation: with the slot and the serveQueueFactor
+// queue both exhausted by parked requests, the next request is shed
+// immediately with 429 and counted in admission_rejects, and releases
+// restore the gauge to zero.
 func TestServeGateShedsPastQueueBound(t *testing.T) {
-	srv := New(context.Background(), Config{ServePool: 1, ServeQueue: 1})
+	srv := New(context.Background(), Config{ServePool: 1})
 	g := srv.serveGate
 
 	// Fill the slot.
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	// Fill the queue: a context-bounded waiter parks.
-	parked := make(chan error, 1)
+	// Fill the queue: context-bounded waiters park.
+	parked := make(chan error, serveQueueFactor)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { parked <- g.acquire(ctx) }()
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats().ServeQueueDepth == 2 })
+	for i := 0; i < serveQueueFactor; i++ {
+		go func() { parked <- g.acquire(ctx) }()
+	}
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats().ServeQueueDepth == 1+serveQueueFactor })
 
 	// Past capacity+queue: immediate shed, no blocking.
 	if err := g.acquire(context.Background()); err != ErrBusy {
@@ -168,11 +171,13 @@ func TestServeGateShedsPastQueueBound(t *testing.T) {
 		t.Fatalf("admission_rejects = %d, want 1", snap.AdmissionRejects)
 	}
 
-	// Releasing the slot admits the parked waiter; a cancelled waiter
-	// leaves no residue in the gauge.
-	g.release()
-	if err := <-parked; err != nil {
-		t.Fatalf("parked waiter got %v after a release", err)
+	// Each release admits one parked waiter; a cancelled waiter leaves
+	// no residue in the gauge.
+	for i := 0; i < serveQueueFactor; i++ {
+		g.release()
+		if err := <-parked; err != nil {
+			t.Fatalf("parked waiter %d got %v after a release", i, err)
+		}
 	}
 	g.release()
 	if snap := srv.Stats(); snap.ServeQueueDepth != 0 {

@@ -8,11 +8,11 @@ import (
 // breaker is the circuit breaker on the follower→leader proxy rung. A
 // blackholed leader (partition, SIGSTOP, dead-but-leased) would
 // otherwise charge every follower miss the full proxy retry budget
-// before it degrades; after BreakerThreshold consecutive failures the
-// breaker opens and misses fall straight to the ε/2 fallback rung —
-// identical privacy, bounded latency. After BreakerCooldown one probe
-// request is let through (half-open): success closes the breaker,
-// failure re-opens it for another cooldown.
+// before it degrades; after proxyFailuresToTrip consecutive failures
+// the breaker opens and misses fall straight to the ε/2 fallback rung —
+// identical privacy, bounded latency. After a cooldown of one lease TTL
+// one probe request is let through (half-open): success closes the
+// breaker, failure re-opens it for another cooldown.
 //
 // States: closed (proxying normally), open (all proxies refused),
 // half-open (exactly one probe in flight).

@@ -68,9 +68,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestBreakerThresholdIsConsecutive: interleaved successes keep the
-// breaker closed forever — only an unbroken run of failures trips it.
-func TestBreakerThresholdIsConsecutive(t *testing.T) {
+// TestBreakerTripsOnlyOnConsecutiveFailures: interleaved successes keep
+// the breaker closed forever — only an unbroken run of failures trips
+// it.
+func TestBreakerTripsOnlyOnConsecutiveFailures(t *testing.T) {
 	b := newBreaker(2, time.Minute)
 	for i := 0; i < 10; i++ {
 		if !b.allow() {

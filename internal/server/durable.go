@@ -16,18 +16,6 @@ import (
 // durability of one snapshot, a read failure or corrupt file costs one
 // cold solve, and neither ever surfaces to a client.
 
-// checkpointEvery resolves the effective checkpoint cadence: zero when
-// no store is configured or checkpointing is disabled.
-func (s *Server) checkpointEvery() int {
-	if s.store == nil || s.cfg.CheckpointRounds < 0 {
-		return 0
-	}
-	if s.cfg.CheckpointRounds == 0 {
-		return defaultCheckpointRounds
-	}
-	return s.cfg.CheckpointRounds
-}
-
 // persistEntry snapshots a completed entry to the store. On the optimal
 // tier the mid-solve checkpoint (now superseded) and the recovery
 // warm-start are dropped too. No-op without a store; write failures are
@@ -68,7 +56,7 @@ func (s *Server) persistEntry(key string, spec *serial.SolveSpec, e *entry) {
 }
 
 // writeCheckpoint durably snapshots a mid-solve column pool; called from
-// the solver's OnState hook every checkpointEvery rounds. While the
+// the solver's OnState hook every CheckpointRounds rounds. While the
 // store is ENOSPC-degraded, checkpoints are shed without touching the
 // disk: they are pure recovery optimisation, and hammering a full disk
 // with doomed multi-megabyte column pools only delays its recovery.

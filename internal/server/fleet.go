@@ -67,20 +67,26 @@ type FleetConfig struct {
 	// Poll is the heartbeat/refresh cadence (default TTL/3): leaders
 	// renew, followers refresh from the store and stand for election.
 	Poll time.Duration
-	// Proxy is the retrying client for follower→leader solve proxying;
-	// the default retries once with a short jittered backoff so a
-	// follower miss fails over to the fallback rung quickly, and bounds
-	// each request at TTL/2 so a stalled (SIGSTOP'd, partitioned) leader
-	// cannot hang a follower past its own failover horizon.
-	Proxy *retryhttp.Client
-	// BreakerThreshold is how many consecutive proxy failures open the
-	// circuit breaker (default 3): while open, follower misses skip the
-	// proxy rung entirely and degrade straight to the ε/2 fallback.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before letting
-	// one probe request through (default TTL — by then a failover has
-	// either produced a reachable leader or nothing has changed).
-	BreakerCooldown time.Duration
+}
+
+// The follower→leader proxy rung. The proxy client retries once with
+// a short jittered backoff so a follower miss fails over to the
+// fallback rung quickly, and bounds each request at TTL/2 so a stalled
+// (SIGSTOP'd, partitioned) leader cannot hang a follower past its own
+// failover horizon. proxyFailuresToTrip consecutive proxy failures
+// open the circuit breaker: while open, follower misses skip the proxy
+// rung entirely and degrade straight to the ε/2 fallback. It stays open
+// for one TTL before letting a probe through — by then a failover has
+// either produced a reachable leader or nothing has changed.
+const proxyFailuresToTrip = 3
+
+func newProxyClient(ttl time.Duration) *retryhttp.Client {
+	return &retryhttp.Client{
+		HTTP:        &http.Client{Timeout: ttl / 2},
+		MaxAttempts: 2,
+		BaseDelay:   50 * time.Millisecond,
+		MaxDelay:    time.Second,
+	}
 }
 
 func (f *FleetConfig) withDefaults() *FleetConfig {
@@ -93,20 +99,6 @@ func (f *FleetConfig) withDefaults() *FleetConfig {
 	}
 	if g.Instance == "" {
 		g.Instance = fmt.Sprintf("vlpserved-%d", os.Getpid())
-	}
-	if g.Proxy == nil {
-		g.Proxy = &retryhttp.Client{
-			HTTP:        &http.Client{Timeout: g.TTL / 2},
-			MaxAttempts: 2,
-			BaseDelay:   50 * time.Millisecond,
-			MaxDelay:    time.Second,
-		}
-	}
-	if g.BreakerThreshold <= 0 {
-		g.BreakerThreshold = 3
-	}
-	if g.BreakerCooldown <= 0 {
-		g.BreakerCooldown = g.TTL
 	}
 	return &g
 }
@@ -313,7 +305,7 @@ func (s *Server) followerEntry(ctx context.Context, key string, spec *serial.Sol
 // The attempt is gated by the proxy circuit breaker: lease-lookup
 // refusals don't count (no leader on file is not a leader failure), but
 // every admitted attempt reports its outcome, so a blackholed leader
-// opens the breaker after BreakerThreshold misses and subsequent
+// opens the breaker after proxyFailuresToTrip misses and subsequent
 // requests skip the retry budget entirely.
 func (s *Server) proxySolve(ctx context.Context, spec *serial.SolveSpec) bool {
 	fc := s.cfg.Fleet
@@ -329,7 +321,7 @@ func (s *Server) proxySolve(ctx context.Context, spec *serial.SolveSpec) bool {
 	}
 	reached := false
 	if ferr := faultinject.At(FaultSiteFleetProxy); ferr == nil {
-		status, perr := fc.Proxy.PostJSON(ctx, rec.URL+"/solve", spec, nil)
+		status, perr := s.proxy.PostJSON(ctx, rec.URL+"/solve", spec, nil)
 		reached = perr == nil && status >= 200 && status < 300
 	}
 	s.proxyBreaker.result(reached)

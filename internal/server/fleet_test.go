@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/retryhttp"
 	"repro/internal/serial"
 	"repro/internal/store"
 )
@@ -97,8 +96,8 @@ func TestFleetRolesAndCleanHandover(t *testing.T) {
 // not cached so the next miss re-escalates toward the leader.
 func TestFleetFollowerFallbackRung(t *testing.T) {
 	dir := t.TempDir()
-	// A dead advertised URL: connection refused, so the proxy attempt
-	// fails fast and the follower walks down to the fallback rung.
+	// A dead advertised URL: connection refused, so the proxy attempts
+	// fail fast and the follower walks down to the fallback rung.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
@@ -110,8 +109,7 @@ func TestFleetFollowerFallbackRung(t *testing.T) {
 	srv := New(context.Background(), Config{
 		Store:          fleetStore(t, dir),
 		DisableUpgrade: true,
-		Fleet: &FleetConfig{Instance: "b", TTL: time.Hour, Poll: 10 * time.Second,
-			Proxy: &retryhttp.Client{MaxAttempts: 1, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}},
+		Fleet:          &FleetConfig{Instance: "b", TTL: time.Hour, Poll: 10 * time.Second},
 	})
 	defer srv.Shutdown(context.Background())
 	if snap := srv.Stats(); snap.LeaseState != "follower" {
@@ -438,12 +436,13 @@ func TestFleetFollowerLeaderHeader(t *testing.T) {
 
 // TestFleetProxyBreakerTrips: the circuit breaker on the proxy rung,
 // end to end against a real follower. The leaseholder is blackholed at
-// the FaultSiteFleetProxy injection point for exactly BreakerThreshold
-// attempts; after the trip, follower misses must reach the ε/2 rung
-// without touching the leader at all — the advertised URL is live and
-// counting, and it must stay at zero hits while the breaker is open.
-// Forcing the cooldown to have elapsed then admits a single half-open
-// probe, which succeeds and closes the breaker. Run under -race in ci.
+// the FaultSiteFleetProxy injection point for exactly
+// proxyFailuresToTrip attempts; after the trip, follower misses must
+// reach the ε/2 rung without touching the leader at all — the
+// advertised URL is live and counting, and it must stay at zero hits
+// while the breaker is open. Forcing the cooldown to have elapsed then
+// admits a single half-open probe, which succeeds and closes the
+// breaker. Run under -race in ci.
 func TestFleetProxyBreakerTrips(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -463,13 +462,11 @@ func TestFleetProxyBreakerTrips(t *testing.T) {
 		t.Fatalf("planting external lease: ok=%v err=%v", ok, err)
 	}
 
-	const threshold = 3
+	const threshold = proxyFailuresToTrip
 	srv := New(context.Background(), Config{
 		Store:          fleetStore(t, dir),
 		DisableUpgrade: true,
-		Fleet: &FleetConfig{Instance: "b", TTL: time.Hour, Poll: 10 * time.Second,
-			BreakerThreshold: threshold, BreakerCooldown: time.Hour,
-			Proxy: &retryhttp.Client{MaxAttempts: 1, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}},
+		Fleet:          &FleetConfig{Instance: "b", TTL: time.Hour, Poll: 10 * time.Second},
 	})
 	defer srv.Shutdown(context.Background())
 	if snap := srv.Stats(); snap.LeaseState != "follower" || snap.ProxyBreakerState != "closed" {

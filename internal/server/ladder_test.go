@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -139,26 +142,55 @@ func TestLadderFallbackOnSolverError(t *testing.T) {
 // TestLadderSolveDeadline: the per-solve deadline converts a slow solve
 // into a degraded entry instead of an error. A long injected delay at
 // the pricing site stalls the solve well past the deadline after the
-// first master round has completed.
+// first master round has completed. The second case runs vlpserved's
+// default ratio, SolveWait == SolveDeadline, through the handler: the
+// waiter must receive the degraded rung the deadline produces, not a
+// 504 from a wait that expires with it.
 func TestLadderSolveDeadline(t *testing.T) {
 	defer faultinject.Reset()
-	faultinject.Set(core.FaultSiteCGPricing, faultinject.Fault{Delay: time.Second, Times: 1})
-	srv := New(context.Background(), Config{DisableUpgrade: true, SolveDeadline: 300 * time.Millisecond})
-	start := time.Now()
-	e, _, err := srv.mechanismFor(context.Background(), ladderSpec(t))
-	if err != nil {
-		t.Fatalf("deadline-bound solve must degrade, got error %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("solve took %v despite the deadline", elapsed)
-	}
-	if e.tier == serial.QualityOptimal {
-		t.Fatal("solve stalled past its deadline still claims the optimal tier")
-	}
-	assertServable(t, e)
-	if snap := srv.Stats(); snap.CancelledSolves != 1 {
-		t.Errorf("cancelled_solves = %d, want 1", snap.CancelledSolves)
-	}
+	t.Run("direct", func(t *testing.T) {
+		faultinject.Set(core.FaultSiteCGPricing, faultinject.Fault{Delay: time.Second, Times: 1})
+		srv := New(context.Background(), Config{DisableUpgrade: true, SolveDeadline: 300 * time.Millisecond})
+		start := time.Now()
+		e, _, err := srv.mechanismFor(context.Background(), ladderSpec(t))
+		if err != nil {
+			t.Fatalf("deadline-bound solve must degrade, got error %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("solve took %v despite the deadline", elapsed)
+		}
+		if e.tier == serial.QualityOptimal {
+			t.Fatal("solve stalled past its deadline still claims the optimal tier")
+		}
+		assertServable(t, e)
+		if snap := srv.Stats(); snap.CancelledSolves != 1 {
+			t.Errorf("cancelled_solves = %d, want 1", snap.CancelledSolves)
+		}
+	})
+	t.Run("wait-equals-deadline", func(t *testing.T) {
+		faultinject.Set(core.FaultSiteCGPricing, faultinject.Fault{Delay: time.Second, Times: 1})
+		srv := New(context.Background(), Config{
+			DisableUpgrade: true,
+			SolveWait:      300 * time.Millisecond,
+			SolveDeadline:  300 * time.Millisecond,
+		})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		code, body := postJSONB(t, ts, "/solve", ladderSpec(t))
+		if code != http.StatusOK {
+			t.Fatalf("deadline-bound solve answered %d, want 200: %s", code, body)
+		}
+		var sr serial.SolveResponse
+		if err := json.Unmarshal([]byte(body), &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Quality != serial.QualityIncumbent && sr.Quality != serial.QualityFallback {
+			t.Fatalf("quality %q, want incumbent or fallback", sr.Quality)
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestExactSpecKeepsConfiguredLimits regression-tests the option-merge

@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/retryhttp"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 	"repro/internal/store"
@@ -68,15 +69,15 @@ type Config struct {
 	// serve tier, default 32). The serve pool is disjoint from the solve
 	// pool by construction: cached obfuscation never queues behind cold
 	// solves, which is what keeps cached tail latency flat while the
-	// solver saturates.
+	// solver saturates. Up to serveQueueFactor×ServePool more requests
+	// may wait for a slot before the gate sheds load with 429.
 	ServePool int
-	// ServeQueue bounds how many requests may wait for a serve-pool slot
-	// before the gate sheds load with 429 (default 8×ServePool).
-	ServeQueue int
-	// SolveWait caps how long a request waits for a cold solve before
-	// giving up with 504; the solve itself keeps running (until its own
-	// deadline or abandonment) and its result lands in the cache
-	// (default 2 minutes).
+	// SolveWait caps how long a request waits for a cold solve that has
+	// no SolveDeadline before giving up with 504; the solve itself keeps
+	// running (until abandonment or shutdown) and its result lands in
+	// the cache (default 2 minutes). With a SolveDeadline the wait is
+	// bounded by the deadline instead, so the waiter receives the
+	// degraded rung the deadline produces rather than a 504.
 	SolveWait time.Duration
 	// SolveDeadline caps the wall time of one column-generation solve.
 	// A solve that outlives it is cancelled and degrades to the best
@@ -102,9 +103,7 @@ type Config struct {
 	// server purely in-memory.
 	Store *store.Store
 	// CheckpointRounds is how many completed CG rounds pass between
-	// durable mid-solve checkpoints when Store is set: 0 selects the
-	// default (8), negative disables checkpointing while keeping entry
-	// persistence.
+	// durable mid-solve checkpoints when Store is set (default 8).
 	CheckpointRounds int
 
 	// Fleet, when non-nil, runs this server as a member of a
@@ -114,9 +113,9 @@ type Config struct {
 	Fleet *FleetConfig
 }
 
-// defaultCheckpointRounds is the checkpoint cadence when a store is
-// configured but CheckpointRounds is zero.
-const defaultCheckpointRounds = 8
+// serveQueueFactor sizes the serve tier's wait queue as a multiple of
+// its pool.
+const serveQueueFactor = 8
 
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
@@ -128,11 +127,11 @@ func (c Config) withDefaults() Config {
 	if c.ServePool <= 0 {
 		c.ServePool = 32
 	}
-	if c.ServeQueue <= 0 {
-		c.ServeQueue = 8 * c.ServePool
-	}
 	if c.SolveWait <= 0 {
 		c.SolveWait = 2 * time.Minute
+	}
+	if c.CheckpointRounds <= 0 {
+		c.CheckpointRounds = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -252,8 +251,10 @@ type Server struct {
 	// loop so the X-VLP-Leader response header never reads the store on
 	// the request path.
 	leaderURL atomic.Value
-	// proxyBreaker is the circuit breaker on the follower→leader proxy
-	// rung (breaker.go); nil outside fleet mode.
+	// proxy is the retrying client of the follower→leader proxy rung
+	// and proxyBreaker its circuit breaker (breaker.go); both nil
+	// outside fleet mode.
+	proxy        *retryhttp.Client
 	proxyBreaker *breaker
 
 	// storeDegraded latches when a durable write hits a full disk
@@ -279,7 +280,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		cache:     newMechCache(cfg.CacheSize),
 		flight:    newGroup(&st.coalesced, &st.solveQueueDepth),
 		slots:     make(chan struct{}, cfg.MaxSolves),
-		serveGate: newTierGate(cfg.ServePool, cfg.ServeQueue, &st.serveQueueDepth, &st.admissionRejects),
+		serveGate: newTierGate(cfg.ServePool, serveQueueFactor*cfg.ServePool, &st.serveQueueDepth, &st.admissionRejects),
 		stats:     st,
 	}
 	s.ctx, s.cancel = context.WithCancel(ctx)
@@ -288,7 +289,8 @@ func New(ctx context.Context, cfg Config) *Server {
 	s.store = cfg.Store
 	switch {
 	case s.store != nil && cfg.Fleet != nil:
-		s.proxyBreaker = newBreaker(cfg.Fleet.BreakerThreshold, cfg.Fleet.BreakerCooldown)
+		s.proxy = newProxyClient(cfg.Fleet.TTL)
+		s.proxyBreaker = newBreaker(proxyFailuresToTrip, cfg.Fleet.TTL)
 		s.startFleet()
 	case s.store != nil:
 		s.recoverFromStore()
@@ -312,8 +314,15 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 	if s.closed.Load() {
 		return nil, false, ErrClosed
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, s.cfg.SolveWait)
-	defer cancel()
+	// A solve with a deadline ends about one master round past it,
+	// holding a servable rung, so its waiters wait for that rung; only a
+	// solve with no deadline is bounded on the waiting side.
+	waitCtx := ctx
+	if s.cfg.SolveDeadline <= 0 {
+		var cancel context.CancelFunc
+		waitCtx, cancel = context.WithTimeout(ctx, s.cfg.SolveWait)
+		defer cancel()
+	}
 	e, err := s.flight.do(waitCtx, key, s.ctx, s.cfg.SolveDeadline, func(solveCtx context.Context) (*entry, error) {
 		// Double-check under singleflight: a previous flight may have
 		// populated the cache between our miss and becoming leader.
@@ -411,7 +420,7 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	opts := s.cfg.CG
 	if spec.Exact {
 		// Exact tightens only the stop criteria; the configured
-		// iteration/worker/LP limits still apply. (A previous version
+		// iteration/worker limits still apply. (A previous version
 		// replaced the whole option set here, silently unbounding exact
 		// solves.)
 		opts.Xi = 0
@@ -430,8 +439,8 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	}
 	// With a store configured, periodically snapshot the run's column
 	// pool so a kill mid-solve costs at most CheckpointRounds rounds.
-	if every := s.checkpointEvery(); every > 0 {
-		opts.CheckpointEvery = every
+	if s.store != nil {
+		opts.CheckpointEvery = s.cfg.CheckpointRounds
 		opts.OnState = func(iter int, st *core.CGState) {
 			s.writeCheckpoint(spec, iter+1, st)
 		}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/calibrate"
@@ -65,10 +64,6 @@ func (r *RoadNetwork) AddRoad(a, b int, weight float64) {
 func (r *RoadNetwork) AddTwoWayRoad(a, b int, weight float64) {
 	r.g.AddTwoWay(roadnet.NodeID(a), roadnet.NodeID(b), weight)
 }
-
-// Graph exposes the underlying graph for advanced use alongside the
-// internal packages.
-func (r *RoadNetwork) Graph() *roadnet.Graph { return r.g }
 
 // Location is a point on the road network: the i-th directed road (in
 // insertion order) at a travel distance FromStart from its starting
@@ -162,52 +157,6 @@ func (m *Mechanism) IntervalOf(l Location) int {
 func (m *Mechanism) Obfuscate(rng *rand.Rand, truth Location) Location {
 	obf := m.mech.Sample(rng, m.toInternal(truth))
 	return m.fromInternal(obf)
-}
-
-// Sampler is a concurrency-safe obfuscation handle: it owns a seeded RNG
-// behind a mutex so any number of goroutines can draw obfuscated
-// locations from one shared (immutable) mechanism. It is the façade's
-// analogue of what vlpserved does per cached mechanism; the service
-// itself samples through its own per-entry lock and RNG
-// (internal/server's entry.sample), not through Sampler.
-type Sampler struct {
-	m   *Mechanism
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// Sampler returns a new concurrency-safe sampler over the mechanism,
-// seeded deterministically: two samplers with equal seeds over equal
-// mechanisms produce identical obfuscation streams when called from a
-// single goroutine.
-func (m *Mechanism) Sampler(seed int64) *Sampler {
-	return &Sampler{m: m, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Obfuscate draws an obfuscated location for the true location. Safe for
-// concurrent use.
-func (s *Sampler) Obfuscate(truth Location) Location {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Obfuscate(s.rng, truth)
-}
-
-// Digest returns a deterministic content digest of (network, params):
-// hex-encoded SHA-256 over a canonical binary encoding of the graph
-// topology and every Build parameter that shapes the solved mechanism.
-// Equal inputs digest equal across processes, which makes the digest a
-// sound cache key for solved mechanisms (vlpserved keys its LRU on it).
-func Digest(r *RoadNetwork, p Params) string {
-	spec := &serial.SolveSpec{
-		Network:   serial.FromGraph(r.g),
-		Delta:     p.Delta,
-		Epsilon:   p.Epsilon,
-		Radius:    p.Radius,
-		Prior:     p.WorkerPrior,
-		TaskPrior: p.TaskPrior,
-		Exact:     p.Exact,
-	}
-	return spec.Digest()
 }
 
 // QualityLoss returns the mechanism's expected traveling-distance
