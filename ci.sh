@@ -116,14 +116,18 @@ go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
 go test -count=1 -cpu 1,4 -run 'TestGoldenMechanismDigests' ./internal/lp
 
 # Allocation-regression gate: the warm-start hot paths (persistent
-# master re-solve, persistent pricing subproblems) and Dijkstra's typed
-# heap carry AllocsPerRun budgets; run them without -race, whose
-# instrumentation changes alloc counts. A failure here means a kernel
-# started allocating per round (or per heap push).
-go test -count=1 -run 'Allocs' ./internal/lp ./internal/core ./internal/roadnet
+# master re-solve, persistent pricing subproblems), Dijkstra's typed
+# heap and the cached /obfuscate handler carry AllocsPerRun budgets; run
+# them without -race, whose instrumentation changes alloc counts. A
+# failure here means a kernel started allocating per round (or per heap
+# push), or a cached request started allocating per request again.
+go test -count=1 -run 'Allocs' ./internal/lp ./internal/core ./internal/roadnet ./internal/server
 
 # Fuzz smoke: ten seconds per serial decoder, enough to catch a freshly
-# introduced parsing crash without stalling the gate.
+# introduced parsing crash (or, for the /obfuscate codec, a divergence
+# from encoding/json) without stalling the gate.
 go test -fuzz=FuzzNetworkRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzMechanismRoundTrip -fuzztime=10s -run '^$' ./internal/serial
 go test -fuzz=FuzzStoreDecode -fuzztime=10s -run '^$' ./internal/serial
+# The /obfuscate hot-path codec against encoding/json, its oracle.
+go test -fuzz=FuzzObfuscateWire -fuzztime=10s -run '^$' ./internal/serial

@@ -3,6 +3,8 @@
 // functions, so every finding here requires interprocedural summaries.
 package privtaint
 
+import "strconv"
+
 type Loc struct {
 	Road      int
 	FromStart float64
@@ -44,4 +46,38 @@ func first(req ObfuscateRequest) Loc {
 func dump(req ObfuscateRequest, enc *Encoder) {
 	l := first(req)
 	_ = enc.Encode(l) // want `true location reaches a wire/store encoder without Geo-I obfuscation`
+}
+
+type ResponseWriter interface {
+	Write([]byte) (int, error)
+}
+
+type ObfuscateResponse struct {
+	Key       string
+	Locations []Loc
+}
+
+// AppendObfuscateResponse mirrors serial's hand-rolled /obfuscate
+// encoder: it grows its dst parameter in place, a flow the engine does
+// not follow, so only its sink role catches a true location handed to
+// it on the way to the response.
+func AppendObfuscateResponse(dst []byte, r *ObfuscateResponse) ([]byte, error) {
+	for _, l := range r.Locations {
+		dst = strconv.AppendInt(dst, int64(l.Road), 10)
+		dst = strconv.AppendFloat(dst, l.FromStart, 'g', -1, 64)
+	}
+	return dst, nil
+}
+
+// serveUnsampled answers with the decoded batch itself: the encoder and
+// the ResponseWriter.Write sit one call away.
+func serveUnsampled(w ResponseWriter, req ObfuscateRequest) {
+	respond(w, "k", req.Locations) // want `true location reaches a wire encoder via call to respond`
+}
+
+func respond(w ResponseWriter, key string, out []Loc) {
+	buf, err := AppendObfuscateResponse(nil, &ObfuscateResponse{Key: key, Locations: out})
+	if err == nil {
+		_, _ = w.Write(buf)
+	}
 }

@@ -41,3 +41,32 @@ func count(req ObfuscateRequest, enc *Encoder) {
 func spec(req ObfuscateRequest, enc *Encoder) {
 	_ = enc.Encode(req.Epsilon)
 }
+
+type ResponseWriter interface {
+	Write([]byte) (int, error)
+}
+
+type ObfuscateResponse struct {
+	Key       string
+	Locations []Loc
+}
+
+func AppendObfuscateResponse(dst []byte, r *ObfuscateResponse) ([]byte, error) {
+	return append(dst, byte(len(r.Locations))), nil
+}
+
+// serveSampled encodes only sampled locations into the response.
+func serveSampled(w ResponseWriter, req ObfuscateRequest, m *Mechanism) {
+	out := make([]Loc, 0, len(req.Locations))
+	for _, loc := range req.Locations {
+		out = append(out, m.Sample(loc))
+	}
+	respond(w, "k", out)
+}
+
+func respond(w ResponseWriter, key string, out []Loc) {
+	buf, err := AppendObfuscateResponse(nil, &ObfuscateResponse{Key: key, Locations: out})
+	if err == nil {
+		_, _ = w.Write(buf)
+	}
+}

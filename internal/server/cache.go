@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 )
 
@@ -9,21 +10,35 @@ import (
 // spec's content digest. A solved mechanism is immutable apart from its
 // internally-locked sampler state, so entries are shared freely between
 // requests; eviction merely drops the cache's reference.
+//
+// A second index maps request forms to keys (see formID): each cached
+// key keeps the first form recorded for it, and evicting the key drops
+// its form, so the index never outgrows the LRU.
 type mechCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used; values are *entry
-	items map[string]*list.Element
+	mu     sync.Mutex
+	max    int
+	ll     *list.List // front = most recently used; values are *entry
+	items  map[string]*list.Element
+	forms  map[formID]string
+	formOf map[string]formID
 }
+
+// formID identifies an /obfuscate request body with its location batch
+// cut out: SHA-256 over the cut offset, the bytes before it and the
+// bytes after the batch. Equal forms carry byte-identical specs, so they
+// decode to the same spec and key whatever batch they carry.
+type formID [sha256.Size]byte
 
 func newMechCache(max int) *mechCache {
 	if max < 1 {
 		max = 1
 	}
 	return &mechCache{
-		max:   max,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, max),
+		max:    max,
+		ll:     list.New(),
+		items:  make(map[string]*list.Element, max),
+		forms:  make(map[formID]string, max),
+		formOf: make(map[string]formID, max),
 	}
 }
 
@@ -37,6 +52,35 @@ func (c *mechCache) get(key string) (*entry, bool) {
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*entry), true
+}
+
+// getForm returns the entry whose key form f was recorded for, promoting
+// it to most recently used.
+func (c *mechCache) getForm(f formID) (*entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key, ok := c.forms[f]
+	if !ok {
+		return nil, false
+	}
+	el := c.items[key]
+	c.ll.MoveToFront(el)
+	return el.Value.(*entry), true
+}
+
+// setForm records f as the form of key, if the cache holds key and key
+// has no form yet.
+func (c *mechCache) setForm(key string, f formID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.items[key]; !ok {
+		return
+	}
+	if _, ok := c.formOf[key]; ok {
+		return
+	}
+	c.forms[f] = key
+	c.formOf[key] = f
 }
 
 // add inserts (or refreshes) key and returns how many entries were
@@ -54,7 +98,12 @@ func (c *mechCache) add(key string, e *entry) int {
 	for c.ll.Len() > c.max {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*entry).key)
+		key := back.Value.(*entry).key
+		delete(c.items, key)
+		if f, ok := c.formOf[key]; ok {
+			delete(c.forms, f)
+			delete(c.formOf, key)
+		}
 		evicted++
 	}
 	return evicted
