@@ -117,10 +117,12 @@ go test -count=1 -cpu 1,4 -run 'TestGoldenMechanismDigests' ./internal/lp
 
 # Allocation-regression gate: the warm-start hot paths (persistent
 # master re-solve, persistent pricing subproblems), Dijkstra's typed
-# heap and the cached /obfuscate handler carry AllocsPerRun budgets; run
-# them without -race, whose instrumentation changes alloc counts. A
-# failure here means a kernel started allocating per round (or per heap
-# push), or a cached request started allocating per request again.
+# heap, the cached /obfuscate handler and the store read-through
+# (TestStoreReadThroughAllocs) carry AllocsPerRun budgets; run them
+# without -race, whose instrumentation changes alloc counts. A failure
+# here means a kernel started allocating per round (or per heap push),
+# a cached request started allocating per request again, or a
+# read-through started re-deriving its network's geometry.
 go test -count=1 -run 'Allocs' ./internal/lp ./internal/core ./internal/roadnet ./internal/server
 
 # Fuzz smoke: ten seconds per serial decoder, enough to catch a freshly

@@ -187,3 +187,43 @@ func TestGeoIViolation(t *testing.T) {
 		t.Fatalf("identity mechanism reported Geo-I-compliant (violation %v)", v)
 	}
 }
+
+// TestEnforceGeoIRejectsNonFinite: a mechanism with a NaN row or an
+// infinite entry scores +Inf on the Geo-I check, so EnforceGeoI never
+// returns it; it falls to the exponential rung, which is finite and
+// feasible.
+func TestEnforceGeoIRejectsNonFinite(t *testing.T) {
+	pr := smallProblem(t, 25, 4)
+	k := pr.Part.K()
+	for name, poison := range map[string]func(z []float64){
+		"nan-row": func(z []float64) {
+			for j := 0; j < k; j++ {
+				z[3*k+j] = math.NaN()
+			}
+		},
+		"inf-entry": func(z []float64) { z[5*k+7] = math.Inf(1) },
+	} {
+		z := append([]float64(nil), pr.ExponentialMechanism().Z...)
+		poison(z)
+		bad := &Mechanism{Part: pr.Part, Z: z}
+		if v := pr.GeoIViolation(bad); !math.IsInf(v, 1) {
+			t.Errorf("%s: GeoIViolation = %v, want +Inf", name, v)
+		}
+		served, etdd, err := pr.EnforceGeoI(bad, GeoITol)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if served == bad {
+			t.Fatalf("%s: EnforceGeoI returned the non-finite mechanism", name)
+		}
+		if math.IsNaN(etdd) || math.IsInf(etdd, 0) {
+			t.Errorf("%s: served ETDD %v", name, etdd)
+		}
+		if err := served.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if v := pr.GeoIViolation(served); v > GeoITol {
+			t.Errorf("%s: served mechanism violates Geo-I by %g", name, v)
+		}
+	}
+}

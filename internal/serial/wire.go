@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 
 	"repro/internal/core"
@@ -84,13 +85,7 @@ func (s *SolveSpec) Problem() (*core.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	var priorP, priorQ []float64
-	if len(s.Prior) > 0 {
-		priorP, priorQ = s.Prior, s.Prior
-	}
-	if len(s.TaskPrior) > 0 {
-		priorQ = s.TaskPrior
-	}
+	priorP, priorQ := s.priors()
 	return core.NewProblem(part, core.Config{
 		Epsilon: s.Epsilon,
 		Radius:  s.Radius,
@@ -99,49 +94,100 @@ func (s *SolveSpec) Problem() (*core.Problem, error) {
 	})
 }
 
+// ProblemOn builds the spec's D-VLP instance on an existing geometry
+// instead of deriving one: only the priors and the cost matrix are new.
+// The caller vouches that geo is what Problem would derive, i.e. that it
+// came from a spec with the same GeometryKey.
+func (s *SolveSpec) ProblemOn(geo *core.Geometry) (*core.Problem, error) {
+	priorP, priorQ := s.priors()
+	return core.NewProblemOn(geo, priorP, priorQ)
+}
+
+// priors returns the worker and task priors the spec asks for (nil for
+// uniform): the task prior falls back to the worker prior.
+func (s *SolveSpec) priors() (priorP, priorQ []float64) {
+	if len(s.Prior) > 0 {
+		priorP, priorQ = s.Prior, s.Prior
+	}
+	if len(s.TaskPrior) > 0 {
+		priorQ = s.TaskPrior
+	}
+	return priorP, priorQ
+}
+
+// specHash writes the canonical binary encoding that Digest and
+// GeometryKey hash.
+type specHash struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newSpecHash(tag string) *specHash {
+	w := &specHash{h: sha256.New()}
+	w.h.Write([]byte(tag))
+	return w
+}
+
+func (w *specHash) u64(v uint64) {
+	binary.BigEndian.PutUint64(w.buf[:], v)
+	w.h.Write(w.buf[:])
+}
+
+func (w *specHash) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+// geometry writes the fields the prior-independent half of the problem
+// depends on: the network topology, δ, ε and r.
+func (w *specHash) geometry(s *SolveSpec) {
+	w.u64(uint64(len(s.Network.Nodes)))
+	for _, n := range s.Network.Nodes {
+		w.f64(n.X)
+		w.f64(n.Y)
+	}
+	w.u64(uint64(len(s.Network.Edges)))
+	for _, e := range s.Network.Edges {
+		w.u64(uint64(int64(e.From)))
+		w.u64(uint64(int64(e.To)))
+		w.f64(e.Weight)
+	}
+	w.f64(s.Delta)
+	w.f64(s.Epsilon)
+	w.f64(s.Radius)
+}
+
 // Digest returns a deterministic content digest of the spec: the
 // hex-encoded SHA-256 of a canonical binary encoding of the network
 // topology and every solve parameter. Equal specs always digest equal;
 // the digest is stable across processes and releases of this package
 // (the encoding is versioned).
 func (s *SolveSpec) Digest() string {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	h.Write([]byte("vlp-solve-spec-v1"))
-	u64(uint64(len(s.Network.Nodes)))
-	for _, n := range s.Network.Nodes {
-		f64(n.X)
-		f64(n.Y)
-	}
-	u64(uint64(len(s.Network.Edges)))
-	for _, e := range s.Network.Edges {
-		u64(uint64(int64(e.From)))
-		u64(uint64(int64(e.To)))
-		f64(e.Weight)
-	}
-	f64(s.Delta)
-	f64(s.Epsilon)
-	f64(s.Radius)
-	u64(uint64(len(s.Prior)))
+	w := newSpecHash("vlp-solve-spec-v1")
+	w.geometry(s)
+	w.u64(uint64(len(s.Prior)))
 	for _, p := range s.Prior {
-		f64(p)
+		w.f64(p)
 	}
-	u64(uint64(len(s.TaskPrior)))
+	w.u64(uint64(len(s.TaskPrior)))
 	for _, p := range s.TaskPrior {
-		f64(p)
+		w.f64(p)
 	}
 	if s.Exact {
-		u64(1)
+		w.u64(1)
 	} else {
-		u64(0)
+		w.u64(0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// GeometryKey returns the SHA-256 of the Digest encoding restricted to
+// the network, δ, ε and r — everything core.Geometry depends on, and
+// nothing else. Specs with equal keys derive the same geometry whatever
+// their priors or exact flag.
+func (s *SolveSpec) GeometryKey() [sha256.Size]byte {
+	w := newSpecHash("vlp-geometry-v1")
+	w.geometry(s)
+	var key [sha256.Size]byte
+	w.h.Sum(key[:0])
+	return key
 }
 
 // Quality tiers of a served mechanism, carried on every solve and

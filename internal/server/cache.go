@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"sync"
+
+	"repro/internal/core"
 )
 
 // mechCache is a bounded LRU of solved mechanisms keyed by the solve
@@ -14,6 +16,12 @@ import (
 // A second index maps request forms to keys (see formID): each cached
 // key keeps the first form recorded for it, and evicting the key drops
 // its form, so the index never outgrows the LRU.
+//
+// A third maps geometry keys (serial.SolveSpec.GeometryKey) to the
+// core.Geometry of a cached entry, so a spec on an already-derived road
+// network at the same δ, ε and r builds only its prior-dependent costs.
+// It counts the cached entries using each geometry and drops one when no
+// cached entry uses it any more, so it holds nothing the LRU does not.
 type mechCache struct {
 	mu     sync.Mutex
 	max    int
@@ -21,6 +29,16 @@ type mechCache struct {
 	items  map[string]*list.Element
 	forms  map[formID]string
 	formOf map[string]formID
+	geoms  map[geomKey]*geomUse
+}
+
+// geomKey is a spec's serial.SolveSpec.GeometryKey.
+type geomKey [sha256.Size]byte
+
+// geomUse is one indexed geometry and how many cached entries use it.
+type geomUse struct {
+	geo  *core.Geometry
+	refs int
 }
 
 // formID identifies an /obfuscate request body with its location batch
@@ -39,6 +57,45 @@ func newMechCache(max int) *mechCache {
 		items:  make(map[string]*list.Element, max),
 		forms:  make(map[formID]string, max),
 		formOf: make(map[string]formID, max),
+		geoms:  make(map[geomKey]*geomUse),
+	}
+}
+
+// geometry returns the indexed geometry for k, or nil.
+func (c *mechCache) geometry(k geomKey) *core.Geometry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if u, ok := c.geoms[k]; ok {
+		return u.geo
+	}
+	return nil
+}
+
+// retain counts e as a user of its geometry, indexing the geometry if
+// its key has none. An entry whose key already maps to another geometry
+// (two misses derived it concurrently) is not counted: it keeps its own
+// geometry alive and the index keeps the first. Callers hold c.mu.
+func (c *mechCache) retain(e *entry) {
+	if e.geom == (geomKey{}) {
+		return
+	}
+	u, ok := c.geoms[e.geom]
+	if !ok {
+		u = &geomUse{geo: e.prob.Geometry}
+		c.geoms[e.geom] = u
+	}
+	if u.geo == e.prob.Geometry {
+		u.refs++
+	}
+}
+
+// release undoes retain for an entry leaving the cache. Callers hold
+// c.mu.
+func (c *mechCache) release(e *entry) {
+	if u, ok := c.geoms[e.geom]; ok && u.geo == e.prob.Geometry {
+		if u.refs--; u.refs == 0 {
+			delete(c.geoms, e.geom)
+		}
 	}
 }
 
@@ -88,7 +145,9 @@ func (c *mechCache) setForm(key string, f formID) {
 func (c *mechCache) add(key string, e *entry) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.retain(e)
 	if el, ok := c.items[key]; ok {
+		c.release(el.Value.(*entry))
 		el.Value = e
 		c.ll.MoveToFront(el)
 		return 0
@@ -98,7 +157,9 @@ func (c *mechCache) add(key string, e *entry) int {
 	for c.ll.Len() > c.max {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		key := back.Value.(*entry).key
+		old := back.Value.(*entry)
+		c.release(old)
+		key := old.key
 		delete(c.items, key)
 		if f, ok := c.formOf[key]; ok {
 			delete(c.forms, f)

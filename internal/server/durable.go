@@ -91,8 +91,12 @@ func isDiskFull(err error) bool {
 // the spec's own discretisation, validate as row-stochastic, and pass
 // the same EnforceGeoI repair gate every freshly solved mechanism
 // passes — a snapshot that fails any of it costs a re-solve, never a
-// privacy-violating mechanism. A decode-valid snapshot whose semantics
-// are off is left in place: the re-solve's persist overwrites it.
+// privacy-violating mechanism. The problem it checks against reuses a
+// cached entry's geometry when one matches (problemFor), so a
+// read-through on an already-derived network builds only the cost
+// matrix; the check still runs against the full constraint set. A
+// decode-valid snapshot whose semantics are off is left in place: the
+// re-solve's persist overwrites it.
 //
 // A nil spec means "whatever the snapshot was solved for": the fleet
 // refresh loop loads by digest alone, and the snapshot's embedded spec
@@ -112,7 +116,7 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 	if spec == nil {
 		spec = &se.Spec
 	}
-	pr, err := spec.Problem()
+	pr, gk, err := s.problemFor(spec)
 	if err != nil {
 		s.stats.storeLoadFailed(false)
 		return nil
@@ -135,6 +139,7 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 	}
 	e := s.newEntry(pr, served, etdd, se.Bound, se.Tier)
 	e.key = key
+	e.geom = gk
 	// A failed state restore only loses the warm start, not the entry.
 	// Disk bytes are untrusted even after the checksum, so the restore
 	// re-runs the coverage check decode does not.

@@ -150,8 +150,11 @@ func (c Config) withDefaults() Config {
 
 // entry is one cached mechanism with its concurrency-safe sampler.
 type entry struct {
-	key       string
-	prob      *core.Problem
+	key  string
+	prob *core.Problem
+	// geom is the spec's GeometryKey, under which the cache indexes
+	// prob's geometry for reuse; zero leaves the entry out of the index.
+	geom      geomKey
 	mech      *core.Mechanism
 	etdd      float64
 	bound     float64
@@ -406,6 +409,21 @@ func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
 	return s.newEntry(pr, served, etdd, 0, serial.QualityFallback), nil
 }
 
+// problemFor assembles spec's D-VLP instance, reusing the geometry of a
+// cached entry with the same network, δ, ε and r when there is one, so
+// only the prior-dependent cost matrix is built; otherwise it derives
+// everything. The key it returns indexes the problem's geometry once an
+// entry holding it is cached.
+func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, error) {
+	gk := geomKey(spec.GeometryKey())
+	if geo := s.cache.geometry(gk); geo != nil {
+		pr, err := spec.ProblemOn(geo)
+		return pr, gk, err
+	}
+	pr, err := spec.Problem()
+	return pr, gk, err
+}
+
 // solve runs the full offline pipeline for a validated spec and applies
 // the degradation ladder: an optimal column-generation solve when it
 // completes within its context, else the interrupted run's best
@@ -413,7 +431,7 @@ func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
 // repaired to exact Geo-I feasibility before it becomes servable, so
 // the privacy guarantee never degrades — only ETDD does.
 func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
-	pr, err := spec.Problem()
+	pr, gk, err := s.problemFor(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -488,6 +506,7 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		// where this one stopped.
 		e.state = res.State
 	}
+	e.geom = gk
 	return e, nil
 }
 
