@@ -6,13 +6,17 @@
 # Expect the race pass to take a few minutes — internal/core dominates.
 #
 #   ./ci.sh         full gate
-#   ./ci.sh -quick  build + vet + vlplint + perfbench vet/tests +
+#   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
 #                   lint-suite tests + the lp digest/allocation gates
 #                   (pre-push sanity, well under a minute)
 set -eux
 
 go build ./...
 go vet ./...
+# Type-check the non-amd64 build as well (internal/lp/syrk_noasm.go):
+# the host build and the vlplint loader see only the host's files, so a
+# deletion deadcode suggests must not break another platform unseen.
+GOARCH=arm64 go vet ./...
 # Formatting gate: every Go file in the module must be gofmt-clean.
 test -z "$(gofmt -l .)"
 
@@ -22,7 +26,9 @@ test -z "$(gofmt -l .)"
 # nilness/shadow) and the whole-program invariants (privtaint: no true
 # location reaches a sink unsampled; lockorder: acyclic global lock
 # graph including the lease flock; errflow: durable-I/O errors never
-# dropped; goctx: every goroutine cancellable or joined). Zero findings
+# dropped; goctx: every goroutine cancellable or joined; deadcode: every
+# function reached from a main, init, package-level var or the exported
+# repro API, so code with no caller fails the gate). Zero findings
 # against the checked-in (empty) baseline is a hard gate; the full
 # finding list is emitted as the vlplint.json artifact either way. See
 # DESIGN.md "Static analysis" for the invariant catalogue and the

@@ -4,9 +4,9 @@
 // stats counters, context plumbing, tolerance-based float comparison,
 // chaos-suite fault coverage, and kernel determinism — plus nilness and
 // shadow checks that go vet does not run by default, and the
-// whole-program analyzers (privtaint, lockorder, errflow, goctx) that
-// track taint, lock order, error flow, and goroutine lifecycles across
-// function and package boundaries.
+// whole-program analyzers (privtaint, lockorder, errflow, goctx,
+// deadcode) that track taint, lock order, error flow, goroutine
+// lifecycles and reachability across function and package boundaries.
 //
 // Usage:
 //
@@ -185,9 +185,13 @@ func run(suite []registry.Scoped, patterns []string) ([]record, error) {
 			}
 		}
 	}
-	// Whole-program analyzers see everything the loader pulled in —
-	// summaries must cross package boundaries — but only report inside
-	// packages that were both requested and in scope.
+	// Whole-program analyzers see the whole module whatever was
+	// requested — summaries must cross package boundaries, and deadcode's
+	// roots are every main — but only report inside packages that were
+	// both requested and in scope.
+	if _, err := l.Load("./..."); err != nil {
+		return nil, err
+	}
 	var passes []*analysis.Pass
 	for _, p := range l.Loaded() {
 		passes = append(passes, &analysis.Pass{

@@ -1,10 +1,9 @@
 // Package assign implements the server-side multi-vehicle task
 // assignment of the paper's Fig. 14 experiment: given an estimated
 // travel-cost matrix (based on the workers' *obfuscated* locations), the
-// server matches every task to a distinct vehicle. An optimal
-// minimum-cost matching (the O(n³) Hungarian algorithm with potentials)
-// and a greedy baseline are provided; the experiment then accounts the
-// matching's *true* travel cost.
+// server matches every task to a distinct vehicle by an optimal
+// minimum-cost matching (the O(n³) Hungarian algorithm with potentials);
+// the experiment then accounts the matching's *true* travel cost.
 package assign
 
 import (
@@ -97,42 +96,4 @@ func Hungarian(cost [][]float64) ([]int, float64, error) {
 		}
 	}
 	return out, total, nil
-}
-
-// Greedy assigns rows in order, each to its cheapest unused column — the
-// myopic baseline a naive dispatcher would use.
-func Greedy(cost [][]float64) ([]int, float64, error) {
-	n := len(cost)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	m := len(cost[0])
-	if m < n {
-		return nil, 0, fmt.Errorf("assign: %d rows exceed %d columns", n, m)
-	}
-	used := make([]bool, m)
-	out := make([]int, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		best, bestC := -1, math.Inf(1)
-		for j := 0; j < m; j++ {
-			if !used[j] && cost[i][j] < bestC {
-				best, bestC = j, cost[i][j]
-			}
-		}
-		used[best] = true
-		out[i] = best
-		total += bestC
-	}
-	return out, total, nil
-}
-
-// TotalCost sums cost[i][match[i]] — used to account an assignment made
-// on estimated costs against the true cost matrix.
-func TotalCost(cost [][]float64, match []int) float64 {
-	total := 0.0
-	for i, j := range match {
-		total += cost[i][j]
-	}
-	return total
 }

@@ -108,42 +108,6 @@ func TestHungarianRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestGreedyNeverBeatsHungarian(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(5)
-		m := n + rng.Intn(4)
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, m)
-			for j := range cost[i] {
-				cost[i][j] = rng.Float64() * 10
-			}
-		}
-		_, hTotal, err := Hungarian(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gMatch, gTotal, err := Greedy(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hTotal > gTotal+1e-9 {
-			t.Fatalf("trial %d: Hungarian %v worse than greedy %v", trial, hTotal, gTotal)
-		}
-		if math.Abs(TotalCost(cost, gMatch)-gTotal) > 1e-9 {
-			t.Fatalf("TotalCost disagrees with greedy total")
-		}
-		seen := map[int]bool{}
-		for _, j := range gMatch {
-			if seen[j] {
-				t.Fatalf("greedy reused a column: %v", gMatch)
-			}
-			seen[j] = true
-		}
-	}
-}
-
 func TestHungarianNegativeCosts(t *testing.T) {
 	cost := [][]float64{
 		{-5, 2},

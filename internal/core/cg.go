@@ -118,6 +118,8 @@ type CGState struct {
 }
 
 // Columns returns the pool size (0 for a nil state).
+//
+//lint:ignore deadcode a test probe of the column pool, used by core's CG warm-start and snapshot tests and server's ladder tests
 func (st *CGState) Columns() int {
 	if st == nil {
 		return 0

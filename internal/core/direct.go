@@ -35,9 +35,9 @@ type DirectResult struct {
 // With reduced constraints the pair set is Algorithm 1's; each unordered
 // pair contributes both directions. Intended for small K (the LP has K²
 // variables); the column-generation solver scales much further. It
-// runs to completion: nothing on the serving path calls it.
+// runs to completion: only tests and benchmarks call it, as an oracle.
 //
-//lint:ignore ctxflow an offline small-K solve that runs to completion; the serving path solves through SolveCGCtx
+//lint:ignore ctxflow,deadcode the monolithic-LP oracle of the core, attack and planar tests and the root benchmarks: it runs to completion, and the serving path solves through SolveCGCtx
 func SolveDirect(pr *Problem, opts DirectOptions) (*DirectResult, error) {
 	k := pr.Part.K()
 	prob := lp.NewProblem(k * k)

@@ -122,6 +122,8 @@ func (g *Geometry) Sym() *roadnet.DistMatrix {
 
 // Built reports whether Red and Sym have been computed for this
 // geometry so far. A custom problem's supplied ones do not count.
+//
+//lint:ignore deadcode a test probe of lazy derivation, used by core's problem and oracle tests and server's durable read-through tests
 func (g *Geometry) Built() (red, sym bool) {
 	return g.redBuilt.Load(), g.symBuilt.Load()
 }

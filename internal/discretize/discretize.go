@@ -34,11 +34,6 @@ type Interval struct {
 // Length returns the interval's length along the edge.
 func (iv Interval) Length() float64 { return iv.StartToEnd - iv.EndToEnd }
 
-// Start returns the location of u_k^s.
-func (iv Interval) Start() roadnet.Location {
-	return roadnet.Location{Edge: iv.Edge, ToEnd: iv.StartToEnd}
-}
-
 // End returns the location of u_k^e.
 func (iv Interval) End() roadnet.Location {
 	return roadnet.Location{Edge: iv.Edge, ToEnd: iv.EndToEnd}
@@ -142,9 +137,6 @@ func intervalCount(w, delta float64) int {
 // K returns the number of intervals |U|.
 func (p *Partition) K() int { return p.k }
 
-// NodeDist exposes the underlying node-to-node distance matrix.
-func (p *Partition) NodeDist() *roadnet.DistMatrix { return p.nodeDist }
-
 // Locate returns the index of the interval containing the location.
 func (p *Partition) Locate(l roadnet.Location) int {
 	first := p.edgeFirst[l.Edge]
@@ -214,10 +206,6 @@ func (p *Partition) MidDist(i, l int) float64 { return p.midDist[i*p.k+l] }
 func (p *Partition) MidDistMin(i, l int) float64 {
 	return math.Min(p.midDist[i*p.k+l], p.midDist[l*p.k+i])
 }
-
-// EndDist returns d_G(u_i^e, u_l^e), the distance between interval ending
-// points that weights the Geo-I constraints (Eq. 20).
-func (p *Partition) EndDist(i, l int) float64 { return p.endDist[i*p.k+l] }
 
 // EndDistMin returns d_G^min(u_i^e, u_l^e).
 func (p *Partition) EndDistMin(i, l int) float64 {

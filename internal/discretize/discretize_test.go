@@ -9,6 +9,13 @@ import (
 	"repro/internal/roadnet"
 )
 
+// NodeDist exposes the underlying node-to-node distance matrix.
+func (p *Partition) NodeDist() *roadnet.DistMatrix { return p.nodeDist }
+
+// EndDist returns d_G(u_i^e, u_l^e), the distance between interval ending
+// points that weights the Geo-I constraints (Eq. 20).
+func (p *Partition) EndDist(i, l int) float64 { return p.endDist[i*p.k+l] }
+
 func smallGrid(t *testing.T, seed int64) *roadnet.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -22,9 +22,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Norm returns the Euclidean length of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
@@ -54,11 +51,6 @@ func Clamp(v, lo, hi float64) float64 {
 // BoundingBox is an axis-aligned rectangle.
 type BoundingBox struct {
 	Min, Max Point
-}
-
-// Contains reports whether p lies inside the box (inclusive).
-func (b BoundingBox) Contains(p Point) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
 }
 
 // Expand grows the box to include p.

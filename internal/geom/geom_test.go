@@ -15,9 +15,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Fatalf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 1 {
-		t.Fatalf("Dot = %v", got)
-	}
 }
 
 func TestDistAndNorm(t *testing.T) {
@@ -50,9 +47,6 @@ func TestBoundingBox(t *testing.T) {
 	b := BoundsOf(pts)
 	if b.Min != (Point{0, -1}) || b.Max != (Point{2, 3}) {
 		t.Fatalf("bounds = %v", b)
-	}
-	if !b.Contains(Point{1, 1}) || b.Contains(Point{3, 0}) {
-		t.Fatal("Contains wrong")
 	}
 	defer func() {
 		if recover() == nil {

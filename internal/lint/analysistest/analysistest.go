@@ -43,6 +43,8 @@ var wantRE = regexp.MustCompile("// want (`[^`]*`|\"[^\"]*\")")
 // analyzer, and diffs diagnostics against want comments. The testdata
 // directory is resolved relative to the calling test's working
 // directory, which for `go test` is the analyzer's own package dir.
+//
+//lint:ignore deadcode the harness every analyzer's own test runs; nothing but tests calls it
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	if a.Reset != nil {

@@ -253,40 +253,5 @@ func (g *Graph) SCCs() [][]*Node {
 	return sccs
 }
 
-// Reaches reports whether from can reach any function satisfying pred
-// through the graph's edges (from itself included). Visited memoizes
-// across calls so a whole-program sweep stays linear; pass a fresh map
-// per predicate.
-func Reaches(from *Node, pred func(*types.Func) bool, visited map[*Node]int) bool {
-	const (
-		inProgress = 1
-		no         = 2
-		yes        = 3
-	)
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		switch visited[n] {
-		case yes:
-			return true
-		case no, inProgress:
-			return false
-		}
-		if pred(n.Func) {
-			visited[n] = yes
-			return true
-		}
-		visited[n] = inProgress
-		for _, e := range n.Out {
-			if e.Callee != nil && walk(e.Callee) {
-				visited[n] = yes
-				return true
-			}
-		}
-		visited[n] = no
-		return false
-	}
-	return walk(from)
-}
-
 // Pos returns a deterministic anchor position for a node.
 func (n *Node) Pos() token.Pos { return n.Decl.Name.Pos() }

@@ -1,7 +1,6 @@
 package callgraph
 
 import (
-	"go/types"
 	"strings"
 	"testing"
 
@@ -85,17 +84,4 @@ func TestSCCOrder(t *testing.T) {
 	}
 	aRun := g.node(t, "Run")
 	_ = aRun // Run nodes exist; ordering vs top checked via leaf
-}
-
-func TestReaches(t *testing.T) {
-	g := buildTestGraph(t)
-	top := g.node(t, "top")
-	visited := make(map[*Node]int)
-	if !Reaches(top, func(fn *types.Func) bool { return fn.Name() == "leaf" }, visited) {
-		t.Error("top should reach leaf through (A).Run")
-	}
-	leaf := g.node(t, "leaf")
-	if Reaches(leaf, func(fn *types.Func) bool { return fn.Name() == "top" }, make(map[*Node]int)) {
-		t.Error("leaf must not reach top")
-	}
 }

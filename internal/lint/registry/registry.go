@@ -11,6 +11,7 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/analyzers/atomicstats"
 	"repro/internal/lint/analyzers/ctxflow"
+	"repro/internal/lint/analyzers/deadcode"
 	"repro/internal/lint/analyzers/errflow"
 	"repro/internal/lint/analyzers/faultpoint"
 	"repro/internal/lint/analyzers/floateq"
@@ -94,6 +95,11 @@ func All() []Scoped {
 			Analyzer: goctx.Analyzer,
 			Scope:    regexp.MustCompile(`^repro/internal/(server|chaos)$`),
 			Why:      "whole-program goroutine audit: every spawn must be cancellable via ctx or joined via WaitGroup/drain",
+		},
+		{
+			Analyzer: deadcode.Analyzer,
+			Scope:    regexp.MustCompile(`^repro(/|$)`),
+			Why:      "whole-program reachability: every function is reached from a main, init, package-level var or the exported repro API",
 		},
 	}
 }

@@ -25,3 +25,33 @@ func (p *Problem) DebugString() string {
 	}
 	return out
 }
+
+// Objective evaluates c·x for this problem's objective.
+func (p *Problem) Objective(x []float64) float64 {
+	v := 0.0
+	for j, c := range p.objective {
+		v += c * x[j]
+	}
+	return v
+}
+
+// invertDense inverts an m×m row-major matrix with Gauss-Jordan
+// elimination and partial pivoting. It reports false for (numerically)
+// singular input.
+func invertDense(a []float64, m int) ([]float64, bool) {
+	work := make([]float64, len(a))
+	copy(work, a)
+	inv := make([]float64, m*m)
+	if !invertDenseInto(work, inv, m) {
+		return nil, false
+	}
+	return inv, true
+}
+
+// NumRows returns the compiled row count.
+func (pp *Prepared) NumRows() int { return pp.s.m }
+
+// Solve runs a cold two-phase solve from the all-artificial basis. The
+// returned Solution (including its X and Duals slices) is owned by the
+// Prepared instance and invalidated by the next solve.
+func (pp *Prepared) Solve() (*Solution, error) { return pp.solveWith(nil) }

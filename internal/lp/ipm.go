@@ -28,6 +28,8 @@ const FaultSiteIPM = "lp/ipm"
 // For re-solve sequences that mutate one instance in place (column
 // generation masters), IPMSolver keeps the compiled form, the workspace
 // and the previous iterate alive and warm-starts each Solve.
+//
+//lint:ignore deadcode the one-shot reference IPMSolver is tested against (lp tests) and the root BenchmarkIPMCoveringLP's solver
 func SolveIPM(p *Problem, opts Options) (*Solution, error) {
 	if len(p.constraints) == 0 {
 		return nil, ErrNoConstraints

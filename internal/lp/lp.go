@@ -836,19 +836,6 @@ func (s *simplex) directionInto(j int, d []float64) {
 	}
 }
 
-// invertDense inverts an m×m row-major matrix with Gauss-Jordan
-// elimination and partial pivoting. It reports false for (numerically)
-// singular input.
-func invertDense(a []float64, m int) ([]float64, bool) {
-	work := make([]float64, len(a))
-	copy(work, a)
-	inv := make([]float64, m*m)
-	if !invertDenseInto(work, inv, m) {
-		return nil, false
-	}
-	return inv, true
-}
-
 // invertDenseInto inverts the m×m row-major matrix in work into inv,
 // destroying work. Both buffers are caller-provided so the periodic
 // refactorisations allocate nothing.
@@ -934,13 +921,4 @@ func (p *Problem) Violation(x []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// Objective evaluates c·x for this problem's objective.
-func (p *Problem) Objective(x []float64) float64 {
-	v := 0.0
-	for j, c := range p.objective {
-		v += c * x[j]
-	}
-	return v
 }

@@ -90,9 +90,6 @@ func (pp *Prepared) refreshPert(i int) {
 	pp.bPert[i] = perturbed(pp.s.bOrig[i], pp.pertU[i])
 }
 
-// NumRows returns the compiled row count.
-func (pp *Prepared) NumRows() int { return pp.s.m }
-
 // SetRHS updates the right-hand side of row i for subsequent solves. The
 // row's operator and coefficients are unchanged.
 func (pp *Prepared) SetRHS(i int, v float64) {
@@ -120,11 +117,6 @@ func (pp *Prepared) Basis(dst *Basis) *Basis {
 	dst.cols = append(dst.cols[:0], pp.s.basis...)
 	return dst
 }
-
-// Solve runs a cold two-phase solve from the all-artificial basis. The
-// returned Solution (including its X and Duals slices) is owned by the
-// Prepared instance and invalidated by the next solve.
-func (pp *Prepared) Solve() (*Solution, error) { return pp.solveWith(nil) }
 
 // SolveFrom warm-starts from a basis snapshot, falling back to a cold
 // solve whenever the snapshot is nil, stale, numerically singular or

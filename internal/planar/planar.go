@@ -9,10 +9,10 @@
 // snap-to-road step is the identity here — the adversary and the server
 // evaluate the reported interval directly.
 //
-// A discrete planar exponential mechanism (the workhorse of the original
-// geo-indistinguishability paper by Andrés et al., CCS'13, adapted from
-// the continuous planar Laplacian to the interval alphabet) is included
-// as a second, closed-form baseline.
+// Solve2D solves the LP by column generation. The package's tests check
+// it against the monolithic LP (core.SolveDirect) on the same problem,
+// and against a discrete planar exponential mechanism (Andrés et al.,
+// CCS'13) that they build themselves.
 package planar
 
 import (
@@ -27,25 +27,17 @@ import (
 	"repro/internal/roadnet"
 )
 
+// spannerStretch is the greedy-spanner dilation t > 1. Following
+// CCS'14, constraints are placed on spanner edges at the nominal ε with
+// Euclidean exponents; chains certify ε-Geo-I w.r.t. the spanner
+// metric, i.e. (ε·t)-Geo-I w.r.t. the Euclidean one — the baseline's
+// documented approximation.
+const spannerStretch = 1.3
+
 // Options tune the 2Db solve.
 type Options struct {
-	// Stretch is the greedy-spanner dilation t > 1 (default 1.3).
-	// Following CCS'14, constraints are placed on spanner edges at the
-	// nominal ε with Euclidean exponents; chains certify ε-Geo-I w.r.t.
-	// the spanner metric, i.e. (ε·t)-Geo-I w.r.t. the Euclidean one —
-	// the baseline's documented approximation.
-	Stretch float64
-	// Direct switches to the monolithic LP (small K only).
-	Direct bool
 	// CG passes options to the column-generation solver.
 	CG core.CGOptions
-}
-
-func (o Options) withDefaults() Options {
-	if o.Stretch <= 1 {
-		o.Stretch = 1.3
-	}
-	return o
 }
 
 // Result carries the solved planar mechanism and its Euclidean loss.
@@ -54,54 +46,37 @@ type Result struct {
 	// EuclidLoss is the mechanism's expected Euclidean distortion
 	// E‖x − x̃‖, the objective 2Db optimises.
 	EuclidLoss float64
-	// Pairs is the number of spanner constraint pairs used.
-	Pairs int
 }
 
 // Solve2D computes the 2Db mechanism for the given privacy parameters
 // and worker prior (nil = uniform). radius ≤ 0 constrains all pairs.
 func Solve2D(part *discretize.Partition, eps, radius float64, priorP []float64, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	if eps <= 0 {
 		return nil, fmt.Errorf("planar: epsilon must be positive, got %v", eps)
 	}
-	k := part.K()
 	if priorP == nil {
-		priorP = core.UniformPrior(k)
+		priorP = core.UniformPrior(part.K())
 	}
-
-	pts := midpoints(part)
-	costs := euclidCosts(pts, priorP)
-	pairs := SpannerPairs(pts, opts.Stretch)
-
-	// Spanner metric for seeding: shortest paths over the spanner edges
-	// (a true metric, and spanner-edge consistent).
-	sym := spannerMetric(pts, pairs)
-
-	pr, err := core.NewCustomProblem(part, eps, radius, priorP, costs, pairs, sym)
+	pr, err := spannerProblem(part, eps, radius, priorP)
 	if err != nil {
 		return nil, err
 	}
-
-	var mech *core.Mechanism
-	if opts.Direct {
-		res, err := core.SolveDirect(pr, core.DirectOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mech = res.Mechanism
-	} else {
-		res, err := core.SolveCG(pr, opts.CG)
-		if err != nil {
-			return nil, err
-		}
-		mech = res.Mechanism
+	res, err := core.SolveCG(pr, opts.CG)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{
-		Mechanism:  mech,
-		EuclidLoss: EuclidLoss(part, mech, priorP),
-		Pairs:      len(pairs),
-	}, nil
+	return &Result{Mechanism: res.Mechanism, EuclidLoss: EuclidLoss(part, res.Mechanism, priorP)}, nil
+}
+
+// spannerProblem builds the 2Db LP: Euclidean costs under priorP, and
+// Geo-I constraints on the edges of the greedy spanner.
+func spannerProblem(part *discretize.Partition, eps, radius float64, priorP []float64) (*core.Problem, error) {
+	pts := midpoints(part)
+	pairs := SpannerPairs(pts, spannerStretch)
+	// Spanner metric for seeding: shortest paths over the spanner edges
+	// (a true metric, and spanner-edge consistent).
+	sym := spannerMetric(pts, pairs)
+	return core.NewCustomProblem(part, eps, radius, priorP, euclidCosts(pts, priorP), pairs, sym)
 }
 
 // laneOffset separates the two directions of a two-way street in the
@@ -249,53 +224,4 @@ func spannerMetric(pts []geom.Point, pairs []geoi.UnorderedPair) *roadnet.DistMa
 		g.AddTwoWay(roadnet.NodeID(pr.A), roadnet.NodeID(pr.B), pr.D)
 	}
 	return g.AllPairs()
-}
-
-// MaxEuclidViolation measures the largest violation of ε-Geo-I under the
-// Euclidean metric by the mechanism (≤ 0 means satisfied): for every
-// ordered interval pair within radius, z_{i,j} ≤ e^{ε‖x_i−x_l‖} z_{l,j}.
-func MaxEuclidViolation(part *discretize.Partition, m *core.Mechanism, eps, radius float64) float64 {
-	pts := midpoints(part)
-	k := part.K()
-	worst := math.Inf(-1)
-	for i := 0; i < k; i++ {
-		for l := 0; l < k; l++ {
-			if i == l {
-				continue
-			}
-			d := geom.Dist(pts[i], pts[l])
-			if radius > 0 && d > radius {
-				continue
-			}
-			f := math.Exp(eps * d)
-			for j := 0; j < k; j++ {
-				if v := m.Prob(i, j) - f*m.Prob(l, j); v > worst {
-					worst = v
-				}
-			}
-		}
-	}
-	return worst
-}
-
-// ExponentialMechanism2D is the discrete planar analogue of the CCS'13
-// planar Laplace mechanism over the interval alphabet: row i draws
-// interval l with probability ∝ e^{−(ε/2)·‖x_i − x_l‖}. The ε/2 exponent
-// absorbs the normalisation so the result satisfies ε-Geo-I under the
-// Euclidean metric.
-func ExponentialMechanism2D(part *discretize.Partition, eps float64) *core.Mechanism {
-	pts := midpoints(part)
-	k := part.K()
-	z := make([]float64, k*k)
-	for i := 0; i < k; i++ {
-		sum := 0.0
-		for l := 0; l < k; l++ {
-			z[i*k+l] = math.Exp(-eps / 2 * geom.Dist(pts[i], pts[l]))
-			sum += z[i*k+l]
-		}
-		for l := 0; l < k; l++ {
-			z[i*k+l] /= sum
-		}
-	}
-	return &core.Mechanism{Part: part, Z: z}
 }

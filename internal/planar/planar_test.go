@@ -24,6 +24,71 @@ func testPartition(t *testing.T, seed int64, delta float64) *discretize.Partitio
 	return part
 }
 
+// solve2DDirect solves the problem Solve2D builds (radius 0, uniform
+// prior) by the monolithic LP, the oracle for the CG solve.
+func solve2DDirect(t *testing.T, part *discretize.Partition, eps float64) *Result {
+	t.Helper()
+	prior := core.UniformPrior(part.K())
+	pr, err := spannerProblem(part, eps, 0, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.SolveDirect(pr, core.DirectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Result{Mechanism: res.Mechanism, EuclidLoss: EuclidLoss(part, res.Mechanism, prior)}
+}
+
+// MaxEuclidViolation measures the largest violation of ε-Geo-I under the
+// Euclidean metric by the mechanism (≤ 0 means satisfied): for every
+// ordered interval pair within radius, z_{i,j} ≤ e^{ε‖x_i−x_l‖} z_{l,j}.
+func MaxEuclidViolation(part *discretize.Partition, m *core.Mechanism, eps, radius float64) float64 {
+	pts := midpoints(part)
+	k := part.K()
+	worst := math.Inf(-1)
+	for i := 0; i < k; i++ {
+		for l := 0; l < k; l++ {
+			if i == l {
+				continue
+			}
+			d := geom.Dist(pts[i], pts[l])
+			if radius > 0 && d > radius {
+				continue
+			}
+			f := math.Exp(eps * d)
+			for j := 0; j < k; j++ {
+				if v := m.Prob(i, j) - f*m.Prob(l, j); v > worst {
+					worst = v
+				}
+			}
+		}
+	}
+	return worst
+}
+
+// ExponentialMechanism2D is the discrete planar analogue of the CCS'13
+// planar Laplace mechanism over the interval alphabet: row i draws
+// interval l with probability ∝ e^{−(ε/2)·‖x_i − x_l‖}. The ε/2 exponent
+// absorbs the normalisation so the result satisfies ε-Geo-I under the
+// Euclidean metric.
+func ExponentialMechanism2D(part *discretize.Partition, eps float64) *core.Mechanism {
+	pts := midpoints(part)
+	k := part.K()
+	z := make([]float64, k*k)
+	for i := 0; i < k; i++ {
+		sum := 0.0
+		for l := 0; l < k; l++ {
+			z[i*k+l] = math.Exp(-eps / 2 * geom.Dist(pts[i], pts[l]))
+			sum += z[i*k+l]
+		}
+		for l := 0; l < k; l++ {
+			z[i*k+l] /= sum
+		}
+	}
+	return &core.Mechanism{Part: part, Z: z}
+}
+
 func TestSpannerPairsStretchProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geom.Point, 25)
@@ -61,17 +126,13 @@ func TestSpannerPairsStretchProperty(t *testing.T) {
 func TestSolve2DSatisfiesStretchedEuclidGeoI(t *testing.T) {
 	part := testPartition(t, 2, 0.3)
 	const eps = 3.0
-	const stretch = 1.3
-	res, err := Solve2D(part, eps, 0, nil, Options{Direct: true, Stretch: stretch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve2DDirect(t, part, eps)
 	if err := res.Mechanism.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// CCS'14 semantics: exact ε w.r.t. the spanner metric, hence ε·t
 	// w.r.t. the Euclidean one.
-	if v := MaxEuclidViolation(part, res.Mechanism, eps*stretch, 0); v > 1e-6 {
+	if v := MaxEuclidViolation(part, res.Mechanism, eps*spannerStretch, 0); v > 1e-6 {
 		t.Fatalf("2Db mechanism violates (ε·t)-Euclidean Geo-I by %v", v)
 	}
 }
@@ -79,10 +140,7 @@ func TestSolve2DSatisfiesStretchedEuclidGeoI(t *testing.T) {
 func TestSolve2DOptimisesEuclidLoss(t *testing.T) {
 	part := testPartition(t, 3, 0.3)
 	const eps = 4.0
-	res, err := Solve2D(part, eps, 0, nil, Options{Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve2DDirect(t, part, eps)
 	expo := ExponentialMechanism2D(part, eps)
 	if res.EuclidLoss > EuclidLoss(part, expo, nil)+1e-9 {
 		t.Fatalf("optimal 2Db loss %v worse than exponential baseline %v",
@@ -93,10 +151,7 @@ func TestSolve2DOptimisesEuclidLoss(t *testing.T) {
 func TestSolve2DCGMatchesDirect(t *testing.T) {
 	part := testPartition(t, 4, 0.3)
 	const eps = 3.0
-	direct, err := Solve2D(part, eps, 0, nil, Options{Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := solve2DDirect(t, part, eps)
 	cg, err := Solve2D(part, eps, 0, nil, Options{CG: core.CGOptions{Xi: 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +165,7 @@ func TestSolve2DEpsilonMonotone(t *testing.T) {
 	part := testPartition(t, 5, 0.3)
 	prev := math.Inf(1)
 	for _, eps := range []float64{1, 3, 9} {
-		res, err := Solve2D(part, eps, 0, nil, Options{Direct: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solve2DDirect(t, part, eps)
 		if res.EuclidLoss > prev+1e-9 {
 			t.Fatalf("Euclid loss rose with eps: %v -> %v", prev, res.EuclidLoss)
 		}

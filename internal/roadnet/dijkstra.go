@@ -141,8 +141,3 @@ func (g *Graph) AllPairs() *DistMatrix {
 
 // Dist returns the shortest traveling distance from u to v.
 func (m *DistMatrix) Dist(u, v NodeID) float64 { return m.d[int(u)*m.n+int(v)] }
-
-// Min returns min{d(u,v), d(v,u)}.
-func (m *DistMatrix) Min(u, v NodeID) float64 {
-	return math.Min(m.Dist(u, v), m.Dist(v, u))
-}

@@ -79,20 +79,23 @@ type segment struct {
 // At returns the point a fraction t along the segment from A.
 func (s segment) At(t float64) geom.Point { return geom.Lerp(s.A, s.B, t) }
 
+// dot returns the dot product p · q.
+func dot(p, q geom.Point) float64 { return p.X*q.X + p.Y*q.Y }
+
 // closestParam returns the parameter t in [0, 1] of the point on s
 // closest to p, along with the squared distance to that point.
 func closestParam(s segment, p geom.Point) (t, distSq float64) {
 	d := s.B.Sub(s.A)
-	den := d.Dot(d)
+	den := dot(d, d)
 	if den == 0 {
 		dp := p.Sub(s.A)
-		return 0, dp.Dot(dp)
+		return 0, dot(dp, dp)
 	}
-	t = p.Sub(s.A).Dot(d) / den
+	t = dot(p.Sub(s.A), d) / den
 	t = geom.Clamp(t, 0, 1)
 	c := s.At(t)
 	dp := p.Sub(c)
-	return t, dp.Dot(dp)
+	return t, dot(dp, dp)
 }
 
 func TestSegmentClosestParam(t *testing.T) {
@@ -127,7 +130,7 @@ func TestClosestParamIsMinimumProperty(t *testing.T) {
 		_, dBest := closestParam(s, p)
 		for i := 0; i <= 20; i++ {
 			d := p.Sub(s.At(float64(i) / 20))
-			if d.Dot(d) < dBest-1e-9 {
+			if dot(d, d) < dBest-1e-9 {
 				return false
 			}
 		}

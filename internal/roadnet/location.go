@@ -37,6 +37,8 @@ func (l Location) Point(g *Graph) geom.Point {
 
 // Valid reports whether the location lies on an existing edge with an
 // offset within the edge length.
+//
+//lint:ignore deadcode a test oracle for generated and served locations, used by roadnet, core, server and trace tests
 func (l Location) Valid(g *Graph) bool {
 	if l.Edge < 0 || int(l.Edge) >= g.NumEdges() {
 		return false

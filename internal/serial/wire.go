@@ -59,7 +59,10 @@ func (s *SolveSpec) Validate() error {
 	if !finite(s.Radius) || s.Radius < 0 {
 		return fmt.Errorf("serial: invalid radius %v", s.Radius)
 	}
-	for name, prior := range map[string][]float64{"prior": s.Prior, "task_prior": s.TaskPrior} {
+	// A fixed order: a spec with two bad priors must get the same error,
+	// and the same 400 body, on every call.
+	for k, prior := range [...][]float64{s.Prior, s.TaskPrior} {
+		name := [...]string{"prior", "task_prior"}[k]
 		if len(prior) > maxWireK {
 			return fmt.Errorf("serial: %s has %d entries, cap is %d", name, len(prior), maxWireK)
 		}

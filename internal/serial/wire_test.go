@@ -94,3 +94,18 @@ func TestSolveSpecValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveSpecValidateStableError checks that a spec whose two priors
+// are both invalid always gets the same error: identical bad /solve or
+// /obfuscate requests must get identical 400 bodies.
+func TestSolveSpecValidateStableError(t *testing.T) {
+	s := testSpec(t)
+	s.Prior = []float64{-1}
+	s.TaskPrior = []float64{-1}
+	const want = "serial: prior[0] = -1 is not a probability"
+	for i := 0; i < 200; i++ {
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package stats holds the small statistics helpers the experiment
 // harness uses to summarise per-vehicle and per-run measurements: means,
-// quantiles, box-plot five-number summaries and fixed-width histograms.
+// quantiles and box-plot five-number summaries.
 package stats
 
 import (
@@ -19,21 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the sample standard deviation (n−1 denominator); it
-// returns NaN for fewer than two values.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Min returns the smallest value; NaN for an empty slice.
@@ -112,55 +97,6 @@ func Summarize(xs []float64) BoxPlot {
 func (b BoxPlot) String() string {
 	return fmt.Sprintf("n=%d min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g mean=%.4g",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int // values below Lo
-	Over    int // values at or above Hi
-	Samples int
-}
-
-// NewHistogram builds a histogram of xs with the given bin count.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: NewHistogram needs bins > 0 and hi > lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		h.Samples++
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			h.Counts[int((x-lo)/w)]++
-		}
-	}
-	return h
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Normalize sums to 1 over in-range bins, returning densities.
-func (h *Histogram) Normalize() []float64 {
-	in := h.Samples - h.Under - h.Over
-	out := make([]float64, len(h.Counts))
-	if in == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(in)
-	}
-	return out
 }
 
 // RelChange returns (b − a)/a as a signed fraction — the quantity behind

@@ -15,11 +15,8 @@ func TestMeanStd(t *testing.T) {
 	if !almost(Mean(xs), 5) {
 		t.Fatalf("mean = %v, want 5", Mean(xs))
 	}
-	if got := Std(xs); math.Abs(got-2.138089935) > 1e-6 {
-		t.Fatalf("std = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Std([]float64{1})) {
-		t.Fatal("empty/short inputs must give NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Fatal("empty input must give NaN")
 	}
 }
 
@@ -84,28 +81,6 @@ func TestQuantileOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.5, 1.5, 2.5, 3, 99}
-	h := NewHistogram(xs, 0, 3, 3)
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if !almost(h.BinCenter(0), 0.5) {
-		t.Fatalf("bin center = %v", h.BinCenter(0))
-	}
-	dens := h.Normalize()
-	tot := 0.0
-	for _, d := range dens {
-		tot += d
-	}
-	if !almost(tot, 1) {
-		t.Fatalf("densities sum to %v", tot)
 	}
 }
 
