@@ -7,15 +7,16 @@
 #
 #   ./ci.sh         full gate
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
-#                   lint-suite tests + the lp digest/allocation gates
+#                   lint-suite tests + the lp digest/SYRK/allocation gates
 #                   (pre-push sanity, well under a minute)
 set -eux
 
 go build ./...
 go vet ./...
-# Type-check the non-amd64 build as well (internal/lp/syrk_noasm.go):
-# the host build and the vlplint loader see only the host's files, so a
-# deletion deadcode suggests must not break another platform unseen.
+# Type-check the non-amd64 build as well, the one without the AVX2
+# SYRK assembly (internal/lp/syrk_amd64.*): the host build sees only
+# the host's files, so a deletion deadcode suggests must not break
+# another platform unseen.
 GOARCH=arm64 go vet ./...
 # Formatting gate: every Go file in the module must be gofmt-clean.
 test -z "$(gofmt -l .)"
@@ -49,10 +50,11 @@ if [ "${1:-}" = "-quick" ]; then
     # every push, so a broken // want expectation or a regressed taint
     # summary must surface in the pre-push check, not the full gate.
     go test ./internal/lint/...
-    # The lp digest and allocation gates (about 2 s): an lp refactor that
-    # moves a golden digest or starts allocating per solve fails before
-    # push, not only in the full gate below.
-    go test -count=1 -run 'TestGoldenMechanismDigests|Allocs' ./internal/lp
+    # The lp digest, SYRK bit-identity and allocation gates (about 2 s):
+    # an lp refactor that moves a golden digest, lets the Go and AVX2
+    # SYRK kernels round apart, or starts allocating per solve fails
+    # before push, not only in the full gate below.
+    go test -count=1 -run 'TestGoldenMechanismDigests|TestSyrkKernelsBitIdentical|Allocs' ./internal/lp
     exit 0
 fi
 
@@ -117,8 +119,9 @@ go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
 # bytes (SolveCG, EnforceGeoI, serial.WriteJSON) of the K12/K24/K44
 # benchmark tiers and one heterogeneous-epsilon instance must hash to the
 # checked-in SHA-256 table, at 1 and 4 pricing workers and at GOMAXPROCS
-# 1 and 4. The pure-Go SYRK kernel's table is checked everywhere, the
-# AVX2 kernel's table where the host supports it.
+# 1 and 4. There is one table: the SYRK runs the AVX2 assembly where
+# the CPU has AVX2 and FMA and the Go kernel elsewhere, with the same
+# bits (TestSyrkKernelsBitIdentical).
 go test -count=1 -cpu 1,4 -run 'TestGoldenMechanismDigests' ./internal/lp
 
 # Allocation-regression gate: the warm-start hot paths (persistent

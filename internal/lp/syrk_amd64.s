@@ -1,25 +1,25 @@
-// AVX2+FMA inner kernel for syrkUpperInto: eight simultaneous dot
-// products of a 2×4 row block, vectorised four doubles wide. Only used
-// when syrk_amd64.go's CPUID probe confirms AVX2, FMA and OS-enabled
-// YMM state; every caller falls back to the pure-Go kernel otherwise.
+// AVX2+FMA syrkKernel for syrkUpperInto: eight simultaneous dot
+// products of a 2×4 row block, vectorised four doubles wide. The
+// portable kernel, syrkDot2x4Go in syrk.go, computes the same bits;
+// syrk_amd64.go installs this one at init when its CPUID probe confirms
+// AVX2, FMA and OS-enabled YMM state.
 
 #include "textflag.h"
 
-// func syrkDot2x4(wi0, wi1, w0, w1, w2, w3 *float64, n int, out *[8]float64)
+// func syrkDot2x4AVX2(wi0, wi1, w0, w1, w2, w3 []float64) [8]float64
 //
-// n must be a multiple of 4 (the Go wrapper peels the remainder).
-// out receives the eight dot products wi{0,1}·w{0..3}; each sum is the
-// four vector-lane partials combined (l0+l2)+(l1+l3), a fixed order, so
-// results are deterministic on every machine that takes this path.
-TEXT ·syrkDot2x4(SB), NOSPLIT, $0-64
-	MOVQ wi0+0(FP), SI
-	MOVQ wi1+8(FP), DI
-	MOVQ w0+16(FP), R8
-	MOVQ w1+24(FP), R9
-	MOVQ w2+32(FP), R10
-	MOVQ w3+40(FP), R11
-	MOVQ n+48(FP), CX
-	MOVQ out+56(FP), DX
+// Covers the first len(wi0)&^3 elements (the caller adds the rest).
+// Vector lane k accumulates t ≡ k (mod 4); each result is the four lane
+// partials combined (l0+l2)+(l1+l3), the order syrkDot2x4Go uses.
+TEXT ·syrkDot2x4AVX2(SB), NOSPLIT, $0-208
+	MOVQ wi0_base+0(FP), SI
+	MOVQ wi1_base+24(FP), DI
+	MOVQ w0_base+48(FP), R8
+	MOVQ w1_base+72(FP), R9
+	MOVQ w2_base+96(FP), R10
+	MOVQ w3_base+120(FP), R11
+	MOVQ wi0_len+8(FP), CX
+	LEAQ ret+144(FP), DX
 
 	VXORPD Y0, Y0, Y0 // wi0·w0
 	VXORPD Y1, Y1, Y1 // wi0·w1

@@ -57,9 +57,12 @@ func (g *group) do(ctx context.Context, key string, base context.Context, timeou
 	g.mu.Lock()
 	c, ok := g.m[key]
 	if !ok {
-		solveCtx, cancel := context.WithCancel(base)
+		var solveCtx context.Context
+		var cancel context.CancelFunc
 		if timeout > 0 {
 			solveCtx, cancel = context.WithTimeout(base, timeout)
+		} else {
+			solveCtx, cancel = context.WithCancel(base)
 		}
 		c = &call{done: make(chan struct{}), cancel: cancel}
 		g.m[key] = c
