@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/assign"
@@ -600,18 +601,87 @@ func benchServePost(b *testing.B, h http.Handler, path string, payload []byte) {
 	}
 }
 
+// cgCounter tallies the column-generation rounds and admitted columns
+// of a server's solves, reported per benchmark op.
+type cgCounter struct{ rounds, columns atomic.Int64 }
+
+// options observes every round and keeps the server's default stop
+// criteria.
+func (c *cgCounter) options() core.CGOptions {
+	return core.CGOptions{OnIteration: func(_ int, it core.CGIteration) {
+		c.rounds.Add(1)
+		c.columns.Add(int64(it.ColumnsAdded))
+	}}
+}
+
+func (c *cgCounter) report(b *testing.B) {
+	b.ReportMetric(float64(c.rounds.Load())/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(c.columns.Load())/float64(b.N), "cols/op")
+}
+
 // BenchmarkServeColdSolve measures the cold path: a fresh vlpserved
-// instance receiving a spec it has never seen, forcing a full CG solve.
+// instance receiving a spec it has never seen, forcing a full CG solve
+// from seed columns.
 func BenchmarkServeColdSolve(b *testing.B) {
 	e := benchSetup(b)
 	payload, err := json.Marshal(benchServeSpec(e))
 	if err != nil {
 		b.Fatal(err)
 	}
+	var cg cgCounter
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv := server.New(context.Background(), server.Config{CacheSize: 1, MaxSolves: 1})
+		srv := server.New(context.Background(), server.Config{CacheSize: 1, MaxSolves: 1, CG: cg.options()})
 		benchServePost(b, srv.Handler(), "/solve", payload)
+	}
+	b.StopTimer()
+	cg.report(b)
+}
+
+// BenchmarkServeDonorSolve measures a cold solve on an already-solved
+// road network: one server solves a warm-up spec, then every op posts a
+// never-seen spec whose prior jitters the warm-up's by ±0.1%, so column
+// generation resumes from the warm-up solve's donor pool and bases.
+func BenchmarkServeDonorSolve(b *testing.B) {
+	e := benchSetup(b)
+	spec := benchServeSpec(e)
+	var cg cgCounter
+	srv := server.New(context.Background(), server.Config{CacheSize: 4, MaxSolves: 1, CG: cg.options()})
+	h := srv.Handler()
+	warm, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchServePost(b, h, "/solve", warm)
+
+	rng := rand.New(rand.NewSource(46))
+	payloads := make([][]byte, b.N)
+	for i := range payloads {
+		s := *spec
+		s.Prior = make([]float64, len(e.prior))
+		sum := 0.0
+		for j, p := range e.prior {
+			s.Prior[j] = p * (1 + 0.001*(2*rng.Float64()-1))
+			sum += s.Prior[j]
+		}
+		for j := range s.Prior {
+			s.Prior[j] /= sum
+		}
+		if payloads[i], err = json.Marshal(&s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cg = cgCounter{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchServePost(b, h, "/solve", payloads[i])
+	}
+	b.StopTimer()
+	cg.report(b)
+	if got := srv.Stats().DonorSolves; got != uint64(b.N) {
+		b.Fatalf("donor_solves = %d, want %d", got, b.N)
 	}
 }
 

@@ -111,9 +111,12 @@ go run ./cmd/vlpchaos -check BENCH_chaos.json
 # deliberately slow cold solve holds every solve-pool slot, and a
 # same-digest burst costs exactly one solve because singleflight gives
 # it one flight and only the flight leader takes a solve-pool slot.
+# The donor tests ride along: concurrent cold solves on one road network
+# all resume from that network's shared donor pool and pricing bases,
+# which must stay immutable under the race detector.
 # These also run in the -race pass above; the explicit run keeps the
 # gate legible and fails fast when the admission layer regresses.
-go test -race -run 'TestAdmission|TestServeGate|TestCoalesce' ./internal/server
+go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestSolveCGDonorResume' ./internal/server ./internal/core
 
 # Golden-digest gate: digests change only on purpose. The served wire
 # bytes (SolveCG, EnforceGeoI, serial.WriteJSON) of the K12/K24/K44

@@ -35,9 +35,13 @@ type CGOptions struct {
 	// Workers is the pricing parallelism (default GOMAXPROCS).
 	Workers int
 	// Resume, when non-nil, seeds the master with the column pool of a
-	// previous run on the same problem instead of the synthetic seed
-	// family, so the loop restarts where the previous run stopped. A
-	// state whose shape does not match the problem is ignored.
+	// previous run instead of the synthetic seed family, and warm-starts
+	// each pricing subproblem from that run's final basis, so the loop
+	// restarts where the previous run stopped. The previous run may have
+	// had another prior: the polyhedra Λ_l depend only on the geometry
+	// (network, δ, ε, r), so every pooled column stays feasible, and each
+	// is re-costed against this problem. A state whose shape does not
+	// match the problem is ignored.
 	Resume *CGState
 	// OnIteration, when non-nil, observes each round (for tracing and
 	// convergence experiments).
@@ -111,10 +115,17 @@ type CGResult struct {
 // pool. A run resumed from it (CGOptions.Resume) re-admits every column
 // the previous run priced out, so an interrupted or gap-limited solve
 // continues rather than restarts — the background-upgrade path of the
-// serving layer warm-starts from its incumbent's state this way.
+// serving layer warm-starts from its incumbent's state this way, and a
+// cold solve of a new prior on an already-solved geometry from its
+// donor's.
 type CGState struct {
 	k       int
 	columns []cgColumn
+	// bases are the run's final per-l pricing bases (a nil entry for a
+	// subproblem never solved to optimality). Only a finished run's
+	// State carries them; checkpoints and restored snapshots do not.
+	// Read-only: a resumed pricer starts from them and captures its own.
+	bases []*lp.Basis
 }
 
 // Columns returns the pool size (0 for a nil state).
@@ -220,17 +231,26 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 	k := pr.Part.K()
 
 	var columns []cgColumn
-	if opts.Resume.validFor(k) {
-		// Restart from a previous run's pool: the columns are immutable,
-		// so sharing the backing entries (but not the slice header) with
-		// the donor state is safe.
-		columns = append(make([]cgColumn, 0, len(opts.Resume.columns)+k), opts.Resume.columns...)
+	resume := opts.Resume
+	if resume.validFor(k) {
+		// Restart from a previous run's pool, re-costed for this
+		// problem's prior (on the run's own problem the costs come out
+		// unchanged). The extreme points are immutable, so sharing their
+		// entries with the previous run's state is safe.
+		columns = make([]cgColumn, len(resume.columns), len(resume.columns)+k)
+		for i, c := range resume.columns {
+			columns[i] = cgColumn{l: c.l, z: c.z, cost: pr.columnCost(c.l, c.z)}
+		}
 	} else {
+		resume = nil
 		columns = seedColumns(pr)
 	}
 	sub, err := newPricer(pr, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: CG pricing setup: %w", err)
+	}
+	if resume != nil {
+		sub.startBases = resume.bases
 	}
 	res = &CGResult{LowerBound: math.Inf(-1)}
 	var lambda []float64
@@ -449,9 +469,9 @@ rounds:
 	normalizeRows(z, k)
 	res.Mechanism = &Mechanism{Part: pr.Part, Z: z}
 	res.ETDD = pr.ETDD(res.Mechanism)
-	// Snapshot the pool for CGOptions.Resume; the slice is never mutated
-	// after this point.
-	res.State = &CGState{k: k, columns: columns}
+	// Snapshot the pool and the pricing bases for CGOptions.Resume; the
+	// pricer is done, so neither is mutated after this point.
+	res.State = &CGState{k: k, columns: columns, bases: sub.dualBases}
 	// The Lagrangian bound can be vacuous (negative) when the loop stops
 	// very early; quality loss is non-negative by definition.
 	if res.LowerBound < 0 {
@@ -689,6 +709,9 @@ type pricer struct {
 
 	workers   []*lp.Prepared // one persistent dual instance per worker
 	dualBases []*lp.Basis
+	// startBases are a resumed run's bases (nil on a seeded run): sub_l's
+	// first solve starts from startBases[l], which is never written.
+	startBases []*lp.Basis
 }
 
 func newPricer(pr *Problem, opts CGOptions) (*pricer, error) {
@@ -799,7 +822,10 @@ func (p *pricer) priceAll(ctx context.Context, pi []float64) ([]float64, []cgCol
 // only −w moves between rounds (by however much the master duals moved),
 // that basis is typically a handful of dual-simplex pivots from
 // re-optimal; a stale basis silently costs a cold solve, never a wrong
-// answer.
+// answer. A resumed run's first solve of sub_l starts from the previous
+// run's basis, which SolveFrom only reads; Basis then copies the new one
+// into this run's own slot, so a state shared by concurrent resumes is
+// never written.
 func (p *pricer) priceOne(ctx context.Context, dual *lp.Prepared, l int, pi []float64) (float64, cgColumn, error) {
 	if err := faultinject.At(FaultSiteCGPricing); err != nil {
 		return 0, cgColumn{}, fmt.Errorf("injected fault: %w", err)
@@ -810,7 +836,11 @@ func (p *pricer) priceOne(ctx context.Context, dual *lp.Prepared, l int, pi []fl
 		w := p.pr.Costs[i*k+l] - pi[i]
 		dual.SetRHS(i, -w)
 	}
-	sol, err := dual.SolveFrom(p.dualBases[l])
+	from := p.dualBases[l]
+	if from == nil && p.startBases != nil {
+		from = p.startBases[l]
+	}
+	sol, err := dual.SolveFrom(from)
 	if err != nil {
 		return 0, cgColumn{}, err
 	}

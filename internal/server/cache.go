@@ -22,6 +22,8 @@ import (
 // network at the same δ, ε and r builds only its prior-dependent costs.
 // It counts the cached entries using each geometry and drops one when no
 // cached entry uses it any more, so it holds nothing the LRU does not.
+// The same record keeps the geometry's donor column pool (see
+// Server.solve), which therefore lives and dies with it.
 type mechCache struct {
 	mu     sync.Mutex
 	max    int
@@ -39,6 +41,11 @@ type geomKey [sha256.Size]byte
 type geomUse struct {
 	geo  *core.Geometry
 	refs int
+	// donor is the final state of the first cached optimal-tier solve
+	// on this geometry that started from seed columns (nil until one is
+	// cached). Cold solves of other specs on the geometry resume column
+	// generation from it. Immutable.
+	donor *core.CGState
 }
 
 // formID identifies an /obfuscate request body with its location batch
@@ -61,20 +68,24 @@ func newMechCache(max int) *mechCache {
 	}
 }
 
-// geometry returns the indexed geometry for k, or nil.
-func (c *mechCache) geometry(k geomKey) *core.Geometry {
+// geometry returns the indexed geometry for k and its donor state, or
+// nils.
+func (c *mechCache) geometry(k geomKey) (*core.Geometry, *core.CGState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if u, ok := c.geoms[k]; ok {
-		return u.geo
+		return u.geo, u.donor
 	}
-	return nil
+	return nil, nil
 }
 
 // retain counts e as a user of its geometry, indexing the geometry if
-// its key has none. An entry whose key already maps to another geometry
-// (two misses derived it concurrently) is not counted: it keeps its own
-// geometry alive and the index keeps the first. Callers hold c.mu.
+// its key has none, and moves e's donor state onto the geometry if it
+// has no donor yet (a later one is dropped, so no entry keeps a pool).
+// An entry whose key already maps to another geometry (two misses
+// derived it concurrently) is not counted: it keeps its own geometry
+// alive and the index keeps the first. Its donor state is still taken,
+// since equal keys give equal polyhedra Λ_l. Callers hold c.mu.
 func (c *mechCache) retain(e *entry) {
 	if e.geom == (geomKey{}) {
 		return
@@ -87,6 +98,10 @@ func (c *mechCache) retain(e *entry) {
 	if u.geo == e.prob.Geometry {
 		u.refs++
 	}
+	if u.donor == nil {
+		u.donor = e.donor
+	}
+	e.donor = nil
 }
 
 // release undoes retain for an entry leaving the cache. Callers hold

@@ -116,7 +116,7 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 	if spec == nil {
 		spec = &se.Spec
 	}
-	pr, gk, err := s.problemFor(spec)
+	pr, gk, _, err := s.problemFor(spec)
 	if err != nil {
 		s.stats.storeLoadFailed(false)
 		return nil

@@ -284,7 +284,7 @@ func (s *Server) followerEntry(ctx context.Context, key string, spec *serial.Sol
 			return warm, nil
 		}
 	}
-	pr, _, err := s.problemFor(spec)
+	pr, _, _, err := s.problemFor(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -229,7 +229,7 @@ func TestGeometrySharedAcrossSpecs(t *testing.T) {
 		srv.cache.add(key, &entry{key: key})
 	}
 	for _, g := range groups {
-		if geo := srv.cache.geometry(geomKey(g.seed[0].GeometryKey())); geo != nil {
+		if geo, _ := srv.cache.geometry(geomKey(g.seed[0].GeometryKey())); geo != nil {
 			t.Errorf("evicted geometry for ε %v r %v still indexed", g.seed[0].Epsilon, g.seed[0].Radius)
 		}
 	}

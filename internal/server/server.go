@@ -166,6 +166,11 @@ type entry struct {
 	// degraded (nil on the optimal tier); the background upgrade resumes
 	// column generation from it instead of restarting. Immutable.
 	state *core.CGState
+	// donor is the final state of an optimal-tier solve that started
+	// from seed columns (nil otherwise) until cache.add moves it onto
+	// the entry's geometry as that geometry's donor. Guarded by the
+	// cache's lock once the entry is added.
+	donor *core.CGState
 
 	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
 	// is the only mutable sampler state.
@@ -413,15 +418,16 @@ func (s *Server) fallbackEntry(pr *core.Problem) (*entry, error) {
 // cached entry with the same network, δ, ε and r when there is one, so
 // only the prior-dependent cost matrix is built; otherwise it derives
 // everything. The key it returns indexes the problem's geometry once an
-// entry holding it is cached.
-func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, error) {
+// entry holding it is cached; the state is that geometry's donor (nil
+// if it has none), read under the same lock as the geometry.
+func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, *core.CGState, error) {
 	gk := geomKey(spec.GeometryKey())
-	if geo := s.cache.geometry(gk); geo != nil {
+	if geo, donor := s.cache.geometry(gk); geo != nil {
 		pr, err := spec.ProblemOn(geo)
-		return pr, gk, err
+		return pr, gk, donor, err
 	}
 	pr, err := spec.Problem()
-	return pr, gk, err
+	return pr, gk, nil, err
 }
 
 // solve runs the full offline pipeline for a validated spec and applies
@@ -430,8 +436,15 @@ func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, err
 // incumbent, else the closed-form exponential mechanism. Every rung is
 // repaired to exact Geo-I feasibility before it becomes servable, so
 // the privacy guarantee never degrades — only ETDD does.
+//
+// Column generation starts from the first of: this spec's degraded
+// incumbent, its checkpoint recovered from disk, or the donor of its
+// geometry — the final pool and pricing bases of the first cached
+// optimal solve on the same network, δ, ε and r that started from seed
+// columns. Only such a seeded solve donates, so a donor-resumed
+// mechanism is a function of its spec and its donor's spec.
 func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
-	pr, gk, err := s.problemFor(spec)
+	pr, gk, donor, err := s.problemFor(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -448,12 +461,16 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	// column pool; resume column generation from it rather than restart.
 	// (Only the background upgrade and post-eviction re-solves can see a
 	// cached entry here — a plain cache hit never reaches solve.) Second
-	// choice: a checkpoint recovered from disk after a restart.
+	// choice: a checkpoint recovered from disk after a restart; third,
+	// the geometry's donor.
 	key := spec.Digest()
 	if prev, ok := s.cache.get(key); ok && prev.state != nil {
 		opts.Resume = prev.state
 	} else if st, ok := s.resume.Load(key); ok {
 		opts.Resume = st.(*core.CGState)
+	} else if donor != nil {
+		opts.Resume = donor
+		s.stats.donorSolved()
 	}
 	// With a store configured, periodically snapshot the run's column
 	// pool so a kill mid-solve costs at most CheckpointRounds rounds.
@@ -505,6 +522,9 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		// Keep the interrupted run's pool so the upgrade re-solve starts
 		// where this one stopped.
 		e.state = res.State
+	}
+	if e.tier == serial.QualityOptimal && opts.Resume == nil {
+		e.donor = res.State
 	}
 	e.geom = gk
 	return e, nil

@@ -21,6 +21,7 @@ type stats struct {
 	nCancelled atomic.Uint64 // solves that observed context cancellation/deadline
 	nPanics    atomic.Uint64 // solver panics recovered into the ladder
 	nUpgrades  atomic.Uint64 // degraded entries promoted by a background re-solve
+	nDonor     atomic.Uint64 // solves resumed from their geometry's donor pool
 	solveTotal atomic.Int64  // cumulative solve wall time, nanoseconds
 	solveMax   atomic.Int64  // longest single solve, nanoseconds
 
@@ -59,6 +60,7 @@ func (s *stats) degraded()        { s.nDegraded.Add(1) }
 func (s *stats) cancelled()       { s.nCancelled.Add(1) }
 func (s *stats) panicRecovered()  { s.nPanics.Add(1) }
 func (s *stats) upgraded()        { s.nUpgrades.Add(1) }
+func (s *stats) donorSolved()     { s.nDonor.Add(1) }
 func (s *stats) storeWrote()      { s.storeWrites.Add(1) }
 func (s *stats) storeShed()       { s.storeShedded.Add(1) }
 func (s *stats) recovered()       { s.nRecovered.Add(1) }
@@ -138,6 +140,9 @@ type StatsSnapshot struct {
 	CancelledSolves uint64 `json:"cancelled_solves"`
 	PanicRecoveries uint64 `json:"panic_recoveries"`
 	Upgrades        uint64 `json:"upgrades"`
+	// DonorSolves counts solves that started column generation from
+	// their geometry's donor pool instead of seed columns.
+	DonorSolves uint64 `json:"donor_solves"`
 	// Serving-tier admission and coalescing. SolveQueueDepth and
 	// ServeQueueDepth are instantaneous gauges (how many requests are
 	// waiting on a cold-solve flight / inside the serve gate right now);
@@ -214,6 +219,7 @@ func (s *stats) snapshot(cache *mechCache, leaseState string, fence uint64, brea
 		CancelledSolves:   s.nCancelled.Load(),
 		PanicRecoveries:   s.nPanics.Load(),
 		Upgrades:          s.nUpgrades.Load(),
+		DonorSolves:       s.nDonor.Load(),
 
 		SolveQueueDepth:   s.solveQueueDepth.Load(),
 		ServeQueueDepth:   s.serveQueueDepth.Load(),
