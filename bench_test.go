@@ -490,34 +490,7 @@ func BenchmarkSimplexCoveringLP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := lp.Solve(p, lp.Options{})
-		if err != nil || sol.Status != lp.Optimal {
-			b.Fatalf("%v %v", err, sol.Status)
-		}
-	}
-}
-
-func BenchmarkIPMCoveringLP(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	p := lp.NewProblem(60)
-	for j := 0; j < 60; j++ {
-		p.SetObjectiveCoeff(j, 1+rng.Float64())
-	}
-	for i := 0; i < 40; i++ {
-		terms := make([]lp.Term, 0, 12)
-		for j := 0; j < 60; j++ {
-			if rng.Float64() < 0.2 {
-				terms = append(terms, lp.Term{Var: j, Coef: 0.5 + rng.Float64()})
-			}
-		}
-		if len(terms) == 0 {
-			terms = append(terms, lp.Term{Var: i % 60, Coef: 1})
-		}
-		p.AddConstraint(terms, lp.GE, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := lp.SolveIPM(p, lp.Options{})
+		sol, err := lp.Solve(p)
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("%v %v", err, sol.Status)
 		}

@@ -52,8 +52,10 @@ if [ "${1:-}" = "-quick" ]; then
     go test ./internal/lint/...
     # The lp digest, SYRK bit-identity and allocation gates (about 2 s):
     # an lp refactor that moves a golden digest, lets the Go and AVX2
-    # SYRK kernels round apart, or starts allocating per solve fails
-    # before push, not only in the full gate below.
+    # SYRK kernels round apart, or starts allocating on a hot path (a
+    # warm IPM or pricing re-solve, the pricing sweep, or the master's
+    # column append, IPMSolver.AddColumn) fails before push, not only in
+    # the full gate below.
     go test -count=1 -run 'TestGoldenMechanismDigests|TestSyrkKernelsBitIdentical|Allocs' ./internal/lp
     exit 0
 fi

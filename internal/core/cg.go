@@ -600,10 +600,10 @@ type masterState struct {
 	entryBuf []lp.Term // scratch for column entries
 }
 
-// newMasterState compiles the master over the initial column pool.
+// newMasterState compiles the master over the 2K slacks, then appends
+// the initial column pool.
 func newMasterState(pr *Problem, columns []cgColumn, rho float64) (*masterState, error) {
 	k := pr.Part.K()
-	ms := &masterState{k: k}
 	prob := lp.NewProblem(2 * k)
 	for s := 0; s < 2*k; s++ {
 		prob.SetObjectiveCoeff(s, rho)
@@ -616,19 +616,19 @@ func newMasterState(pr *Problem, columns []cgColumn, rho float64) (*masterState,
 	for l := 0; l < k; l++ {
 		prob.AddConstraint(nil, lp.EQ, 1)
 	}
-	for _, c := range columns {
-		prob.AddColumn(c.cost, ms.colEntries(c))
-	}
-	sv, err := lp.NewIPMSolver(prob, lp.Options{})
+	sv, err := lp.NewIPMSolver(prob)
 	if err != nil {
 		return nil, err
 	}
-	ms.sv = sv
+	ms := &masterState{k: k, sv: sv}
+	for _, c := range columns {
+		ms.addColumn(c)
+	}
 	return ms, nil
 }
 
-// colEntries renders a column's constraint entries (unit rows it touches
-// plus its convexity row) into the shared scratch buffer.
+// colEntries renders a column's entries in ascending row order (unit
+// rows it touches, then its convexity row) into the scratch buffer.
 func (ms *masterState) colEntries(c cgColumn) []lp.Term {
 	ms.entryBuf = ms.entryBuf[:0]
 	for i, v := range c.z {
@@ -757,7 +757,7 @@ func newPricer(pr *Problem, opts CGOptions) (*pricer, error) {
 	}
 	p.workers = make([]*lp.Prepared, workers)
 	for w := range p.workers {
-		pp, err := lp.Prepare(dual, lp.Options{})
+		pp, err := lp.Prepare(dual)
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func SolveDirect(pr *Problem, opts DirectOptions) (*DirectResult, error) {
 		}
 	}
 
-	sol, err := lp.Solve(prob, lp.Options{})
+	sol, err := lp.Solve(prob)
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,12 @@
 //
 //  2. Every exported function or method whose name starts with "Solve"
 //     must be cancellable: it must accept a context.Context parameter,
-//     or take an options struct carrying one (lp.Options.Ctx), or hang
-//     off a receiver through which a context is reachable
-//     (lp.IPMSolver → ipm → Options → Ctx). A Solve entry point with no
-//     route to a context cannot participate in the ladder.
+//     or take an options struct carrying one, or hang off a receiver
+//     through which a context is reachable (lp.IPMSolver → ipm → ctx,
+//     installed by SetContext). A Solve entry point with no route to a
+//     context cannot participate in the ladder; a run-to-completion
+//     oracle such as lp.Solve says so in a //lint:ignore ctxflow
+//     directive.
 package ctxflow
 
 import (

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -55,3 +56,33 @@ func (pp *Prepared) NumRows() int { return pp.s.m }
 // returned Solution (including its X and Duals slices) is owned by the
 // Prepared instance and invalidated by the next solve.
 func (pp *Prepared) Solve() (*Solution, error) { return pp.solveWith(nil) }
+
+// Violation reports the largest constraint violation of x under the
+// problem's rows, for solution verification.
+func (p *Problem) Violation(x []float64) float64 {
+	worst := 0.0
+	for _, c := range p.constraints {
+		lhs := 0.0
+		for _, t := range c.Terms {
+			lhs += t.Coef * x[t.Var]
+		}
+		var v float64
+		switch c.Op {
+		case LE:
+			v = lhs - c.RHS
+		case GE:
+			v = c.RHS - lhs
+		case EQ:
+			v = math.Abs(lhs - c.RHS)
+		}
+		if v > worst {
+			worst = v
+		}
+	}
+	for _, xi := range x {
+		if -xi > worst {
+			worst = -xi
+		}
+	}
+	return worst
+}

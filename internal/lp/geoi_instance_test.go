@@ -59,7 +59,7 @@ func TestSparsePricingSweepAllocs(t *testing.T) {
 	rng := xorshift64(0x94d049bb133111eb)
 	k := 8
 	p := geoIInstance(&rng, k)
-	pp, err := Prepare(p, Options{})
+	pp, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +85,17 @@ func TestSparsePricingSweepAllocs(t *testing.T) {
 	}
 }
 
-// TestIPMMatchesSimplexDegenerate checks that SolveIPM and the simplex
-// agree on a Geo-I instance with duplicate, redundant and singleton rows.
+// TestIPMMatchesSimplexDegenerate checks that IPMSolver, on the
+// equality form, and the simplex agree on a Geo-I instance with
+// duplicate, redundant and singleton rows.
 func TestIPMMatchesSimplexDegenerate(t *testing.T) {
 	rng := xorshift64(0x6a09e667f3bcc909)
 	p := geoIInstance(&rng, 6)
-	sx, err := Solve(p, Options{})
+	sx, err := Solve(p)
 	if err != nil || sx.Status != Optimal {
 		t.Fatalf("simplex: %+v, %v", sx, err)
 	}
-	ipm, err := SolveIPM(p, Options{})
-	if err != nil || ipm.Status != Optimal {
-		t.Fatalf("IPM: %+v, %v", ipm, err)
-	}
+	ipm := solveIPMOK(t, withSlacks(p))
 	if d := math.Abs(sx.Objective - ipm.Objective); d > 1e-6*(1+math.Abs(sx.Objective)) {
 		t.Fatalf("objectives differ: simplex %v, IPM %v", sx.Objective, ipm.Objective)
 	}

@@ -13,19 +13,30 @@ import (
 	"repro/internal/serial"
 )
 
-// goldenInstances mirror the K12/K24/K44 solver-benchmark tiers
-// (bench_test.go cgBenchSizes) plus one heterogeneous-ε instance: the
-// K24 network with a strict and a loose ε region.
-var goldenInstances = []struct {
+// goldenInstance is one pinned solve: a grid network, its δ, and how
+// the solve is set up.
+type goldenInstance struct {
 	name       string
 	rows, cols int
 	delta      float64
-	hetero     bool
-}{
-	{"K12", 2, 2, 0.3, false},
-	{"K24", 2, 3, 0.2, false},
-	{"K44", 3, 3, 0.15, false},
-	{"K24-hetero", 2, 3, 0.2, true},
+	// hetero gives the first half of the intervals ε 3, the rest ε 8.
+	hetero bool
+	// donor solves under a non-uniform prior, resumed from the seeded
+	// uniform-prior run's State (the server's donor-warm path).
+	donor bool
+}
+
+// goldenInstances mirror the K12/K24/K44 solver-benchmark tiers
+// (bench_test.go cgBenchSizes) plus two K24 variants: a heterogeneous-ε
+// instance with a strict and a loose ε region, and a resumed solve,
+// which builds its master from a previous run's column pool instead of
+// the seed columns.
+var goldenInstances = []goldenInstance{
+	{name: "K12", rows: 2, cols: 2, delta: 0.3},
+	{name: "K24", rows: 2, cols: 3, delta: 0.2},
+	{name: "K44", rows: 3, cols: 3, delta: 0.15},
+	{name: "K24-hetero", rows: 2, cols: 3, delta: 0.2, hetero: true},
+	{name: "K24-donor", rows: 2, cols: 3, delta: 0.2, donor: true},
 }
 
 // goldenDigests pins the SHA-256 of each instance's served wire bytes.
@@ -37,6 +48,7 @@ var goldenDigests = map[string]string{
 	"K24":        "ecadafb1904cfde0abee7b8740f861d20cf9116dbc711fa18ea687e736444dc0",
 	"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
 	"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
+	"K24-donor":  "0f90037f95c6488e8ba45a43c84a55c9c525e488e5e9df3e4960e98b0b0fc229",
 }
 
 // servedBytes solves one instance the way vlpserved does (column
@@ -45,19 +57,19 @@ var goldenDigests = map[string]string{
 // (serial.WriteJSON of serial.FromMechanism), the bytes vlpsolve and
 // vlp.Mechanism.Save write. A vlpserved store entry holds the binary
 // serial.EncodeStoredEntry snapshot instead.
-func servedBytes(t *testing.T, rows, cols int, delta float64, hetero bool, workers int) []byte {
+func servedBytes(t *testing.T, in goldenInstance, workers int) []byte {
 	t.Helper()
 	const eps = 5.0
 	rng := rand.New(rand.NewSource(77))
 	g := roadnet.Grid(rng, roadnet.GridConfig{
-		Rows: rows, Cols: cols, Spacing: 0.3, OneWayFrac: 0.5, WeightJitter: 0.15,
+		Rows: in.rows, Cols: in.cols, Spacing: 0.3, OneWayFrac: 0.5, WeightJitter: 0.15,
 	})
-	part, err := discretize.New(g, delta)
+	part, err := discretize.New(g, in.delta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Epsilon: eps}
-	if hetero {
+	if in.hetero {
 		k := part.K()
 		cfg.EpsilonAt = make([]float64, k)
 		for i := range cfg.EpsilonAt {
@@ -71,16 +83,37 @@ func servedBytes(t *testing.T, rows, cols int, delta float64, hetero bool, worke
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.SolveCG(pr, core.CGOptions{Xi: -0.05, RelGap: 0.02, Workers: workers})
+	opts := core.CGOptions{Xi: -0.05, RelGap: 0.02, Workers: workers}
+	res, err := core.SolveCG(pr, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if in.donor {
+		// A prior rising from 1 to 3 across the intervals, normalised.
+		k := part.K()
+		cfg.PriorP = make([]float64, k)
+		sum := 0.0
+		for i := range cfg.PriorP {
+			cfg.PriorP[i] = 1 + 2*float64(i)/float64(k-1)
+			sum += cfg.PriorP[i]
+		}
+		for i := range cfg.PriorP {
+			cfg.PriorP[i] /= sum
+		}
+		if pr, err = core.NewProblem(part, cfg); err != nil {
+			t.Fatal(err)
+		}
+		opts.Resume = res.State
+		if res, err = core.SolveCG(pr, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	served, etdd, err := pr.EnforceGeoI(res.Mechanism, core.GeoITol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := serial.WriteJSON(&buf, serial.FromMechanism(served, delta, eps, 0, etdd, res.LowerBound)); err != nil {
+	if err := serial.WriteJSON(&buf, serial.FromMechanism(served, in.delta, eps, 0, etdd, res.LowerBound)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -96,7 +129,7 @@ func TestGoldenMechanismDigests(t *testing.T) {
 	t.Run("avx2", func(t *testing.T) {
 		for _, in := range goldenInstances {
 			for _, workers := range []int{1, 4} {
-				sum := sha256.Sum256(servedBytes(t, in.rows, in.cols, in.delta, in.hetero, workers))
+				sum := sha256.Sum256(servedBytes(t, in, workers))
 				got := hex.EncodeToString(sum[:])
 				if want := goldenDigests[in.name]; got != want {
 					t.Errorf("%s with %d pricing workers: served digest %s, golden %s", in.name, workers, got, want)

@@ -1,68 +1,42 @@
 package lp
 
 import (
-	"fmt"
+	"context"
 	"math"
-
-	"repro/internal/faultinject"
 )
 
-// FaultSiteIPM is the fault-injection site visited once per SolveIPM
-// call and once per IPMSolver.Solve, before any factorisation work (see
+// FaultSiteIPM is the fault-injection site visited once per
+// IPMSolver.Solve, before any factorisation work (see
 // internal/faultinject).
 const FaultSiteIPM = "lp/ipm"
 
-// SolveIPM minimises the problem with an infeasible-start Mehrotra
-// predictor-corrector primal-dual interior-point method.
-//
-// The IPM complements the simplex solver: it does not return a vertex,
-// but it is essentially immune to the degeneracy and near-parallel
-// columns that stall pivoting methods, and it produces high-quality dual
-// prices — exactly what the Dantzig–Wolfe restricted master needs. Use
-// Solve when a basic (extreme-point) solution matters, SolveIPM when
-// robustness on degenerate instances matters.
-//
-// Infeasible or unbounded problems surface as IterationLimit: the method
-// is intended for instances known to be feasible and bounded (the CG
-// master always is).
-// For re-solve sequences that mutate one instance in place (column
-// generation masters), IPMSolver keeps the compiled form, the workspace
-// and the previous iterate alive and warm-starts each Solve.
-//
-//lint:ignore deadcode the one-shot reference IPMSolver is tested against (lp tests) and the root BenchmarkIPMCoveringLP's solver
-func SolveIPM(p *Problem, opts Options) (*Solution, error) {
-	if len(p.constraints) == 0 {
-		return nil, ErrNoConstraints
-	}
-	if err := faultinject.At(FaultSiteIPM); err != nil {
-		return nil, fmt.Errorf("lp: injected fault: %w", err)
-	}
-	ip := newIPM(p, opts)
-	ws := &ipmWorkspace{}
-	ip.fit(ws)
-	return ip.coldRun(make([]float64, ip.n), make([]float64, ip.m), make([]float64, ip.n), ws)
-}
-
-// ipm holds the standard-form data min c·x s.t. Ax = b, x ≥ 0.
+// ipm holds the standard-form data min c·x s.t. Ax = b, x ≥ 0 of an
+// equality-row problem, solved by an infeasible-start Mehrotra
+// predictor-corrector primal-dual interior-point method. Rows enter
+// as given, neither sign-flipped nor scaled: on the one shape it
+// solves, the column-generation master, unit rows carry the ±1 slacks
+// plus column entries in [0, 1], convexity rows carry 1s and every
+// right-hand side is 1, so every row's equilibration factor is 1 and
+// no sign flips. Every column is a caller variable.
 type ipm struct {
-	opt Options
+	// ctx, when non-nil, is polled every Newton iteration
+	// (IPMSolver.SetContext).
+	ctx context.Context
 
-	m, n    int
-	mat     csc // A by column, row-scaled, pooled CSC storage
-	b       []float64
-	c       []float64
-	numOrig int
-	rowSign []int
-	rowScl  []float64
+	m, n int
+	mat  csc // A by column, pooled CSC storage
+	b    []float64
+	c    []float64
 }
 
-func newIPM(p *Problem, opts Options) *ipm {
-	ip := &ipm{m: len(p.constraints), numOrig: p.numVars, rowSign: rowSigns(p.constraints)}
-	ip.mat, ip.b, ip.rowScl = standardForm(p, ip.rowSign, 0)
-	ip.n = ip.mat.numCols()
-	ip.c = make([]float64, ip.n)
-	copy(ip.c, p.objective)
-	ip.opt = opts.withDefaults(ip.m, ip.n)
+// newIPM compiles p, whose rows must all be EQ.
+func newIPM(p *Problem) *ipm {
+	ip := &ipm{m: len(p.constraints), n: p.numVars, b: make([]float64, len(p.constraints))}
+	for i, c := range p.constraints {
+		ip.b[i] = c.RHS
+	}
+	ip.mat = newCSCBuilder(p.constraints, p.numVars, 0, nil)
+	ip.c = append([]float64(nil), p.objective...)
 	return ip
 }
 
@@ -292,8 +266,8 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		lastIter = iter
 		// A Newton iteration costs a dense Cholesky (O(m³)); polling the
 		// context here bounds abandonment latency to one factorisation.
-		if ip.opt.Ctx != nil {
-			if err := ip.opt.Ctx.Err(); err != nil {
+		if ip.ctx != nil {
+			if err := ip.ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
@@ -636,12 +610,12 @@ func (ip *ipm) solveNewton(chol []float64, d, rp, rd, rc, x, s, dy, dx, ds, rhs 
 	}
 }
 
-// finish maps the interior solution back to the caller's variables.
+// finish copies the interior solution out, clamping x at zero.
 func (ip *ipm) finish(x, y []float64, iters int) *Solution {
 	sol := &Solution{Status: Optimal, Iterations: iters}
-	sol.X = make([]float64, ip.numOrig)
+	sol.X = make([]float64, ip.n)
 	obj := 0.0
-	for j := 0; j < ip.numOrig; j++ {
+	for j := 0; j < ip.n; j++ {
 		v := x[j]
 		if v < 0 {
 			v = 0
@@ -650,10 +624,7 @@ func (ip *ipm) finish(x, y []float64, iters int) *Solution {
 		obj += ip.c[j] * v
 	}
 	sol.Objective = obj
-	sol.Duals = make([]float64, ip.m)
-	for i := 0; i < ip.m; i++ {
-		sol.Duals[i] = y[i] * float64(ip.rowSign[i]) * ip.rowScl[i]
-	}
+	sol.Duals = append([]float64(nil), y...)
 	return sol
 }
 

@@ -6,11 +6,47 @@ import (
 	"testing"
 )
 
+// withSlacks restates p in the equality form IPMSolver accepts: each
+// ≤ row gains a +1 slack column and each ≥ row a −1 surplus column,
+// appended after p's variables in row order. The new variables are
+// free of cost, so the optimum, its objective and the row duals are
+// p's.
+func withSlacks(p *Problem) *Problem {
+	n := p.numVars
+	for _, c := range p.constraints {
+		if c.Op != EQ {
+			n++
+		}
+	}
+	eq := NewProblem(n)
+	copy(eq.objective, p.objective)
+	slack := p.numVars
+	for _, c := range p.constraints {
+		terms := append([]Term(nil), c.Terms...)
+		switch c.Op {
+		case LE:
+			terms = append(terms, Term{Var: slack, Coef: 1})
+			slack++
+		case GE:
+			terms = append(terms, Term{Var: slack, Coef: -1})
+			slack++
+		}
+		eq.AddConstraint(terms, EQ, c.RHS)
+	}
+	return eq
+}
+
+// solveIPMOK solves the equality-form problem with a fresh IPMSolver
+// and checks the result is optimal and feasible.
 func solveIPMOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := SolveIPM(p, Options{})
+	sv, err := NewIPMSolver(p)
 	if err != nil {
-		t.Fatalf("SolveIPM: %v\n%s", err, p.DebugString())
+		t.Fatalf("NewIPMSolver: %v\n%s", err, p.DebugString())
+	}
+	sol, err := sv.Solve()
+	if err != nil {
+		t.Fatalf("IPMSolver.Solve: %v\n%s", err, p.DebugString())
 	}
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal\n%s", sol.Status, p.DebugString())
@@ -26,7 +62,7 @@ func TestIPMSimpleLE(t *testing.T) {
 	p.SetObjective([]float64{-1, -2})
 	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 4)
 	p.AddConstraint([]Term{{1, 1}}, LE, 2)
-	sol := solveIPMOK(t, p)
+	sol := solveIPMOK(t, withSlacks(p))
 	if math.Abs(sol.Objective+6) > 1e-5 {
 		t.Fatalf("objective = %v, want -6", sol.Objective)
 	}
@@ -66,11 +102,11 @@ func TestIPMMatchesSimplexRandom(t *testing.T) {
 			}
 			p.AddConstraint(terms, GE, 1+rng.Float64()*5)
 		}
-		sx, err := Solve(p, Options{})
+		sx, err := Solve(p)
 		if err != nil || sx.Status != Optimal {
 			t.Fatalf("trial %d simplex: %v %v", trial, err, sx.Status)
 		}
-		si := solveIPMOK(t, p)
+		si := solveIPMOK(t, withSlacks(p))
 		if math.Abs(sx.Objective-si.Objective) > 1e-4*(1+math.Abs(sx.Objective)) {
 			t.Fatalf("trial %d: IPM %v != simplex %v\n%s", trial, si.Objective, sx.Objective, p.DebugString())
 		}
@@ -83,16 +119,25 @@ func TestIPMDualsStrongDuality(t *testing.T) {
 	p.AddConstraint([]Term{{0, 1}, {1, 1}}, EQ, 10)
 	p.AddConstraint([]Term{{0, 1}}, GE, 2)
 	p.AddConstraint([]Term{{1, 1}}, GE, 3)
-	sol := solveIPMOK(t, p)
+	sol := solveIPMOK(t, withSlacks(p))
 	dual := 10*sol.Duals[0] + 2*sol.Duals[1] + 3*sol.Duals[2]
 	if math.Abs(dual-sol.Objective) > 1e-5*(1+math.Abs(dual)) {
 		t.Fatalf("strong duality violated: dual %v primal %v", dual, sol.Objective)
+	}
+	sx, err := Solve(p)
+	if err != nil || sx.Status != Optimal {
+		t.Fatalf("simplex: %v %v", err, sx.Status)
+	}
+	if math.Abs(sx.Objective-sol.Objective) > 1e-5*(1+math.Abs(sx.Objective)) {
+		t.Fatalf("IPM %v != simplex %v", sol.Objective, sx.Objective)
 	}
 }
 
 func TestIPMDegenerateParallelColumns(t *testing.T) {
 	// Many near-parallel columns under equality rows: the structure that
-	// stalls pivoting methods. IPM must sail through.
+	// stalls pivoting methods. IPM must sail through. Row i is drawn at
+	// scale base_i and divided by it: IPMSolver takes rows as given, so
+	// they arrive equilibrated, as the master's do.
 	rng := rand.New(rand.NewSource(12))
 	const m, n = 30, 120
 	p := NewProblem(n)
@@ -107,14 +152,25 @@ func TestIPMDegenerateParallelColumns(t *testing.T) {
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {
 			v := base[i] * (1 + 1e-4*rng.NormFloat64())
-			rows[i] = append(rows[i], Term{j, v})
+			rows[i] = append(rows[i], Term{j, v / base[i]})
 		}
 	}
 	for i := 0; i < m; i++ {
-		p.AddConstraint(rows[i], EQ, base[i]*10)
+		p.AddConstraint(rows[i], EQ, 10)
 	}
 	sol := solveIPMOK(t, p)
 	if sol.Iterations >= 200 {
 		t.Fatalf("IPM failed to converge in %d iterations", sol.Iterations)
+	}
+	sx, err := Solve(p)
+	if err != nil || sx.Status != Optimal {
+		t.Fatalf("simplex: %v %v", err, sx.Status)
+	}
+	// On this ill-conditioned instance the IPM ends on an accepted
+	// iterate, whose per-column complementarity of up to about 3e-6
+	// (run's gapAccept2) sums over n = 120 columns to an objective gap
+	// near 1e-3.
+	if math.Abs(sx.Objective-sol.Objective) > 1e-3*(1+math.Abs(sx.Objective)) {
+		t.Fatalf("IPM %v != simplex %v", sol.Objective, sx.Objective)
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/faultinject"
 )
 
 // IPMSolver is a persistent interior-point instance for re-solve
 // sequences that mutate one problem in place — the restricted master of
-// a column-generation loop. It keeps the compiled standard form, the
+// a column-generation loop. It keeps the compiled matrix, the
 // Newton-loop workspace and the previous optimal iterate alive across
 // solves: AddColumn appends a priced-out column without rebuilding
 // anything, SetObjectiveCoeff retunes costs (stabilization penalties),
@@ -19,11 +18,13 @@ import (
 // the usual cold start automatically whenever the warm point is stale or
 // fails to converge.
 //
-// The instance is compiled for equality-constrained problems (every row
-// EQ): that keeps appended columns in one-to-one correspondence with
-// standard-form columns. Row equilibration factors are frozen at
-// NewIPMSolver time and applied to appended columns, so all rows stay on
-// a consistent scale. Not safe for concurrent use.
+// The instance accepts the master's shape only: every row EQ, taken as
+// given (no sign flip, no equilibration), so the variables are exactly
+// the matrix columns and an appended column is stored as the caller
+// passes it. Infeasible or unbounded problems surface as
+// IterationLimit: the method is meant for instances known to be
+// feasible and bounded, as the stabilized master always is. Not safe
+// for concurrent use.
 type IPMSolver struct {
 	ip *ipm
 	ws *ipmWorkspace
@@ -31,17 +32,13 @@ type IPMSolver struct {
 	// Previous optimal iterate; warm-start seed for the next Solve.
 	warmX, warmY, warmS []float64
 	haveWarm            bool
-
-	entryBuf []Term    // scratch for AddColumn's sorted, scaled entries
-	rowBuf   []int32   // scratch for AddColumn's merged CSC entries
-	valBuf   []float64 // scratch for AddColumn's merged CSC entries
 }
 
 // NewIPMSolver compiles the problem. Every constraint row must be EQ; a
-// problem with inequality rows (whose standard form appends slack
-// columns after the originals) is rejected because AddColumn could no
-// longer grow the tail of the column array.
-func NewIPMSolver(p *Problem, opts Options) (*IPMSolver, error) {
+// problem with inequality rows is rejected, since its slack columns
+// would have to sit after the originals, where AddColumn grows the
+// column array.
+func NewIPMSolver(p *Problem) (*IPMSolver, error) {
 	if len(p.constraints) == 0 {
 		return nil, ErrNoConstraints
 	}
@@ -50,7 +47,7 @@ func NewIPMSolver(p *Problem, opts Options) (*IPMSolver, error) {
 			return nil, fmt.Errorf("lp: IPMSolver requires equality rows, row %d is %v", i, c.Op)
 		}
 	}
-	return &IPMSolver{ip: newIPM(p, opts), ws: &ipmWorkspace{}}, nil
+	return &IPMSolver{ip: newIPM(p), ws: &ipmWorkspace{}}, nil
 }
 
 // NumVars returns the current column count.
@@ -63,44 +60,26 @@ func (sv *IPMSolver) SetObjectiveCoeff(j int, v float64) {
 
 // SetContext installs the cancellation context polled by subsequent
 // solves; nil runs to completion.
-func (sv *IPMSolver) SetContext(ctx context.Context) { sv.ip.opt.Ctx = ctx }
+func (sv *IPMSolver) SetContext(ctx context.Context) { sv.ip.ctx = ctx }
 
 // AddColumn appends a new non-negative variable with objective
-// coefficient cost; in entries, Term.Var is a row index. The compiled
-// form grows in place and the warm iterate is extended so the next Solve
-// still warm-starts.
+// coefficient cost; in entries, Term.Var is a row index. The entries
+// are stored as given, so their rows must be strictly ascending (the
+// order formNormal exploits) and in range; AddColumn panics otherwise.
+// The warm iterate is extended so the next Solve still warm-starts.
 func (sv *IPMSolver) AddColumn(cost float64, entries []Term) int {
 	ip := sv.ip
-	j := ip.n
-
-	sv.entryBuf = sv.entryBuf[:0]
-	for _, e := range entries {
+	for k, e := range entries {
 		if e.Var < 0 || e.Var >= ip.m {
 			panic(fmt.Sprintf("lp: column references row %d of %d", e.Var, ip.m))
 		}
-		if e.Coef == 0 {
-			continue
+		if k > 0 && e.Var <= entries[k-1].Var {
+			panic(fmt.Sprintf("lp: column rows not strictly ascending: row %d after row %d", e.Var, entries[k-1].Var))
 		}
-		sv.entryBuf = append(sv.entryBuf, Term{Var: e.Var, Coef: e.Coef * ip.rowScl[e.Var] * float64(ip.rowSign[e.Var])})
 	}
-	// formNormal exploits ascending row order within each column.
-	sort.Slice(sv.entryBuf, func(a, b int) bool { return sv.entryBuf[a].Var < sv.entryBuf[b].Var })
-
-	sv.rowBuf, sv.valBuf = sv.rowBuf[:0], sv.valBuf[:0]
-	for _, e := range sv.entryBuf {
-		if k := len(sv.rowBuf); k > 0 && sv.rowBuf[k-1] == int32(e.Var) {
-			sv.valBuf[k-1] += e.Coef
-			continue
-		}
-		sv.rowBuf = append(sv.rowBuf, int32(e.Var))
-		sv.valBuf = append(sv.valBuf, e.Coef)
-	}
-	ip.mat.appendCol(sv.rowBuf, sv.valBuf)
+	j := ip.mat.appendCol(entries)
 	ip.c = append(ip.c, cost)
 	ip.n++
-	// EQ-only problems carry no slack columns, so every standard-form
-	// column is an original variable and must appear in Solution.X.
-	ip.numOrig++
 
 	if sv.haveWarm {
 		// Seed the new coordinate: a small primal mass keeps the point
@@ -109,7 +88,8 @@ func (sv *IPMSolver) AddColumn(cost float64, entries []Term) int {
 		// post-pricing warm start wants it.
 		floor := sv.warmFloor()
 		sv.warmX = append(sv.warmX, floor)
-		slack := cost - dotRange(sv.warmY, sv.rowBuf, sv.valBuf)
+		rows, vals := ip.mat.col(j)
+		slack := cost - dotRange(sv.warmY, rows, vals)
 		if slack < floor {
 			slack = floor
 		}

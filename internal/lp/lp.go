@@ -1,6 +1,14 @@
 // Package lp implements the self-contained linear-programming solvers
-// used throughout the VLP reproduction: a dense revised simplex (Solve)
-// and a Mehrotra predictor-corrector interior-point method (SolveIPM).
+// used throughout the VLP reproduction, one per LP shape the paper's
+// Dantzig–Wolfe decomposition produces:
+//
+//   - a dense revised simplex over general-form problems: one-shot
+//     (Solve, the monolithic D-VLP LP and the package's correctness
+//     oracle) and compiled once for warm re-solves under changing
+//     right-hand sides (Prepare, the pricing duals), and
+//   - a persistent Mehrotra predictor-corrector interior-point method
+//     for the restricted master (NewIPMSolver), which grows one column
+//     at a time.
 //
 // The simplex carries the numerical defenses this problem family needs:
 //
@@ -20,7 +28,7 @@
 //
 // The IPM complements it on instances that defeat any pivoting method —
 // the heavily degenerate CG master with near-parallel columns — at the
-// cost of returning interior (non-vertex) solutions; see SolveIPM.
+// cost of returning interior (non-vertex) solutions; see IPMSolver.
 //
 // The package is deliberately stdlib-only: the paper's pipeline needs
 // many small-to-medium LPs (hundreds of rows and columns) rather than one
@@ -132,29 +140,6 @@ func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) int {
 	return len(p.constraints) - 1
 }
 
-// AddColumn appends a new non-negative decision variable with objective
-// coefficient cost and one coefficient per existing constraint row, and
-// returns its index. In entries, Term.Var is interpreted as a *row*
-// index (the value returned by AddConstraint), not a variable index.
-// This is the growth API of column generation: the restricted master
-// gains one column per priced-out extreme point without being rebuilt.
-func (p *Problem) AddColumn(cost float64, entries []Term) int {
-	j := p.numVars
-	p.numVars++
-	p.objective = append(p.objective, cost)
-	for _, e := range entries {
-		if e.Var < 0 || e.Var >= len(p.constraints) {
-			panic(fmt.Sprintf("lp: column references row %d of %d", e.Var, len(p.constraints)))
-		}
-		if e.Coef == 0 {
-			continue
-		}
-		row := &p.constraints[e.Var]
-		row.Terms = append(row.Terms, Term{Var: j, Coef: e.Coef})
-	}
-	return j
-}
-
 // Status reports the outcome of a solve.
 type Status int
 
@@ -165,8 +150,8 @@ const (
 	Unbounded
 	IterationLimit
 	// Cancelled is internal to the pivot loop: a solve abandoned via
-	// Options.Ctx surfaces to callers as the context's error, never as a
-	// Solution with this status.
+	// the context of Prepared.SetContext surfaces to callers as the
+	// context's error, never as a Solution with this status.
 	Cancelled
 )
 
@@ -203,29 +188,11 @@ type Solution struct {
 	Iterations int
 }
 
-// Options tune the solver. The zero value selects sensible defaults.
-type Options struct {
-	// MaxIter bounds total pivots (default 50 000 + 50·(m+n)).
-	MaxIter int
-	// Ctx, when non-nil, lets callers abandon a solve early: Solve and
-	// SolveIPM poll it (every few simplex pivots, every IPM Newton
-	// iteration) and return Ctx.Err() as soon as it is done. Nil means
-	// run to completion.
-	Ctx context.Context
-}
-
-func (o Options) withDefaults(m, n int) Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50000 + 50*(m+n)
-	}
-	return o
-}
-
 // simplexTol is the simplex feasibility/optimality tolerance.
 const simplexTol = 1e-9
 
 // refactorPeriod is how many pivots pass between recomputations of
-// the basis inverse; Solve's drift retry refactors far more often.
+// the basis inverse.
 const refactorPeriod = 120
 
 // ErrNoConstraints is returned when a problem has no rows: the optimum of
@@ -235,45 +202,23 @@ var ErrNoConstraints = errors.New("lp: problem has no constraints")
 
 // Solve minimises the problem and returns the solution. A non-nil error
 // is returned only for malformed inputs; Infeasible/Unbounded outcomes
-// are reported through Solution.Status.
+// are reported through Solution.Status. Rows are equilibrated (scaled
+// by their largest coefficient magnitude) before the simplex runs.
 //
-// Rows are equilibrated (scaled by their largest coefficient magnitude)
-// before the simplex runs, and an optimal solution is verified against
-// the original rows; on the rare numerically-drifted solve, one retry
-// with aggressive refactorisation runs automatically.
-func Solve(p *Problem, opts Options) (*Solution, error) {
+//lint:ignore ctxflow the one-shot oracle of the lp tests and of core.SolveDirect, which runs to completion too; the cancellable LP paths are Prepared and IPMSolver, through SetContext
+func Solve(p *Problem) (*Solution, error) {
 	if len(p.constraints) == 0 {
 		return nil, ErrNoConstraints
 	}
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	sol, err := newSimplex(p, opts).solve()
-	if err != nil || sol.Status != Optimal {
-		return sol, err
-	}
-	if p.Violation(sol.X) <= 1e-6 {
-		return sol, nil
-	}
-	retry := newSimplex(p, opts)
-	retry.refactorEvery = 8
-	sol2, err := retry.solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol2.Status == Optimal && p.Violation(sol2.X) <= p.Violation(sol.X) {
-		return sol2, nil
-	}
-	return sol, nil
+	return newSimplex(p).solve()
 }
 
 // simplex carries the equality-form problem and the revised-simplex state.
 type simplex struct {
-	opt Options
-	// refactorEvery is the pivot period of the basis-inverse rebuild.
-	refactorEvery int
+	// ctx, when non-nil, is polled every few pivots (Prepared.SetContext).
+	ctx context.Context
+	// maxIter bounds total pivots: 50 000 + 50·(m+n).
+	maxIter int
 
 	m int // rows
 	n int // total columns incl. slack/surplus and artificials
@@ -313,7 +258,7 @@ type simplex struct {
 	sinceRefactor int
 }
 
-func newSimplex(p *Problem, opts Options) *simplex {
+func newSimplex(p *Problem) *simplex {
 	s := compileSimplex(p, rowSigns(p.constraints))
 	// Identity start: each ≤ row's +1 slack, and an artificial column
 	// for every row without one.
@@ -330,7 +275,7 @@ func newSimplex(p *Problem, opts Options) *simplex {
 			s.basis[i] = s.mat.appendUnitCol(int32(i), 1)
 		}
 	}
-	s.sizeState(p, opts)
+	s.sizeState(p)
 	for i, j := range s.basis {
 		s.inBase[j] = true
 		s.binv[i*s.m+i] = 1
@@ -365,7 +310,7 @@ func compileSimplex(p *Problem, sign []int) *simplex {
 // sizeState allocates the phase-2 costs (in the column-scaled
 // variables), the basis bookkeeping and every pivot-loop workspace once
 // the artificial columns are in place, and records the unperturbed rhs.
-func (s *simplex) sizeState(p *Problem, opts Options) {
+func (s *simplex) sizeState(p *Problem) {
 	m := s.m
 	s.n = s.mat.numCols()
 	s.cost = make([]float64, s.n)
@@ -380,8 +325,7 @@ func (s *simplex) sizeState(p *Problem, opts Options) {
 	s.scratchDir = make([]float64, m)
 	s.bmatBuf = make([]float64, m*m)
 	s.invBuf = make([]float64, m*m)
-	s.opt = opts.withDefaults(m, s.n)
-	s.refactorEvery = refactorPeriod
+	s.maxIter = 50000 + 50*(m+s.n)
 }
 
 func (s *simplex) solve() (*Solution, error) {
@@ -401,7 +345,7 @@ func (s *simplex) solveInto(sol *Solution) error {
 		phase1 := s.phase1Cost()
 		status := s.iterate(phase1, nil)
 		if status == Cancelled {
-			return s.opt.Ctx.Err()
+			return s.ctx.Err()
 		}
 		if status == IterationLimit {
 			sol.Status, sol.Iterations = IterationLimit, s.pivots
@@ -430,7 +374,7 @@ func (s *simplex) solveInto(sol *Solution) error {
 	// Phase 2: original costs, artificials banned from entering.
 	status := s.iterate(s.cost, s.bannedArtificials())
 	if status == Cancelled {
-		return s.opt.Ctx.Err()
+		return s.ctx.Err()
 	}
 
 	sol.Status, sol.Iterations = status, s.pivots
@@ -565,11 +509,11 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 	bestObj := math.Inf(1)
 	sinceImprove := 0
 
-	for s.pivots < s.opt.MaxIter {
+	for s.pivots < s.maxIter {
 		// Cancellation poll: cheap relative to a pivot's O(m²) work, but
 		// still amortised over a few pivots to keep tiny LPs overhead-free.
-		if s.opt.Ctx != nil && s.pivots&31 == 0 {
-			if s.opt.Ctx.Err() != nil {
+		if s.ctx != nil && s.pivots&31 == 0 {
+			if s.ctx.Err() != nil {
 				return Cancelled
 			}
 		}
@@ -769,7 +713,7 @@ func (s *simplex) pivot(enter, leave int, dir []float64) {
 	s.inBase[enter] = true
 	s.pivots++
 	s.sinceRefactor++
-	if s.sinceRefactor >= s.refactorEvery {
+	if s.sinceRefactor >= refactorPeriod {
 		s.refactor()
 	}
 }
@@ -891,34 +835,4 @@ func swapRows(a []float64, m, i, j int) {
 	for k := 0; k < m; k++ {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// Violation reports the largest constraint violation of x under the
-// problem's rows, useful for solution verification in tests.
-func (p *Problem) Violation(x []float64) float64 {
-	worst := 0.0
-	for _, c := range p.constraints {
-		lhs := 0.0
-		for _, t := range c.Terms {
-			lhs += t.Coef * x[t.Var]
-		}
-		var v float64
-		switch c.Op {
-		case LE:
-			v = lhs - c.RHS
-		case GE:
-			v = c.RHS - lhs
-		case EQ:
-			v = math.Abs(lhs - c.RHS)
-		}
-		if v > worst {
-			worst = v
-		}
-	}
-	for _, xi := range x {
-		if -xi > worst {
-			worst = -xi
-		}
-	}
-	return worst
 }

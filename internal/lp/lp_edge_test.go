@@ -71,12 +71,14 @@ func TestMaxIterReportsLimit(t *testing.T) {
 		}
 		p.AddConstraint(terms, LE, 1+rng.Float64())
 	}
-	sol, err := Solve(p, Options{MaxIter: 1})
+	s := newSimplex(p)
+	s.maxIter = 1
+	sol, err := s.solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status == Optimal && sol.Iterations > 1 {
-		t.Fatalf("exceeded MaxIter: %d iterations", sol.Iterations)
+		t.Fatalf("exceeded the pivot limit: %d iterations", sol.Iterations)
 	}
 }
 
@@ -99,7 +101,11 @@ func TestIPMInfeasibleReportsLimit(t *testing.T) {
 	p.SetObjective([]float64{1})
 	p.AddConstraint([]Term{{0, 1}}, LE, 1)
 	p.AddConstraint([]Term{{0, 1}}, GE, 2)
-	sol, err := SolveIPM(p, Options{})
+	sv, err := NewIPMSolver(withSlacks(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := sv.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ func TestIPMTransportation(t *testing.T) {
 		p.AddConstraint(terms, EQ, 1)
 	}
 	si := solveIPMOK(t, p)
-	sx, err := Solve(p, Options{})
+	sx, err := Solve(p)
 	if err != nil || sx.Status != Optimal {
 		t.Fatalf("simplex: %v %v", err, sx.Status)
 	}

@@ -10,7 +10,7 @@ const tol = 1e-6
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v\n%s", err, p.DebugString())
 	}
@@ -79,7 +79,7 @@ func TestInfeasible(t *testing.T) {
 	p.SetObjective([]float64{1})
 	p.AddConstraint([]Term{{0, 1}}, LE, 1)
 	p.AddConstraint([]Term{{0, 1}}, GE, 2)
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective([]float64{-1, 0})
 	p.AddConstraint([]Term{{1, 1}}, LE, 1)
-	sol, err := Solve(p, Options{})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestUnbounded(t *testing.T) {
 
 func TestNoConstraints(t *testing.T) {
 	p := NewProblem(1)
-	if _, err := Solve(p, Options{}); err != ErrNoConstraints {
+	if _, err := Solve(p); err != ErrNoConstraints {
 		t.Fatalf("err = %v, want ErrNoConstraints", err)
 	}
 }
@@ -304,7 +304,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		}
 
 		want, feasible := bruteForce(p, n)
-		sol, err := Solve(p, Options{})
+		sol, err := Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -351,7 +351,7 @@ func TestStrongDualityRandom(t *testing.T) {
 			rhs[i] = 1 + rng.Float64()*5
 			p.AddConstraint(terms, GE, rhs[i]) // covering LP: always feasible
 		}
-		sol, err := Solve(p, Options{})
+		sol, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ type Prepared struct {
 }
 
 // Prepare compiles the problem for repeated warm-started solves.
-func Prepare(p *Problem, opts Options) (*Prepared, error) {
+func Prepare(p *Problem) (*Prepared, error) {
 	if len(p.constraints) == 0 {
 		return nil, ErrNoConstraints
 	}
@@ -73,7 +73,7 @@ func Prepare(p *Problem, opts Options) (*Prepared, error) {
 	for i := 0; i < m; i++ {
 		s.mat.appendUnitCol(int32(i), 1) // one artificial per row
 	}
-	s.sizeState(p, opts)
+	s.sizeState(p)
 
 	// Same anti-cycling stream as newSimplex, so tie-breaking behaviour
 	// matches the one-shot path.
@@ -102,7 +102,7 @@ func (pp *Prepared) SetRHS(i int, v float64) {
 
 // SetContext installs the cancellation context polled by subsequent
 // solves; nil runs to completion.
-func (pp *Prepared) SetContext(ctx context.Context) { pp.s.opt.Ctx = ctx }
+func (pp *Prepared) SetContext(ctx context.Context) { pp.s.ctx = ctx }
 
 // Basis snapshots the current basis into dst (allocating one if nil) and
 // returns it. Meaningful after a solve that ended Optimal; otherwise nil
@@ -127,8 +127,8 @@ func (pp *Prepared) SolveFrom(basis *Basis) (*Solution, error) { return pp.solve
 func (pp *Prepared) solveWith(basis *Basis) (*Solution, error) {
 	s := pp.s
 	pp.haveOpt = false
-	if s.opt.Ctx != nil {
-		if err := s.opt.Ctx.Err(); err != nil {
+	if s.ctx != nil {
+		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
@@ -139,7 +139,7 @@ func (pp *Prepared) solveWith(basis *Basis) (*Solution, error) {
 	if basis != nil && pp.tryWarm(basis) {
 		status := s.iterate(s.cost, s.bannedArtificials())
 		if status == Cancelled {
-			return nil, s.opt.Ctx.Err()
+			return nil, s.ctx.Err()
 		}
 		if status == Optimal {
 			pp.sol.Status, pp.sol.Iterations = Optimal, s.pivots
@@ -263,8 +263,8 @@ func (s *simplex) dualIterate(cost []float64, banned []bool, maxPivots int) Stat
 	const rcTol = 1e-7 // dual-feasibility slack on reduced costs
 
 	for n := 0; n < maxPivots; n++ {
-		if s.opt.Ctx != nil && n&15 == 0 {
-			if s.opt.Ctx.Err() != nil {
+		if s.ctx != nil && n&15 == 0 {
+			if s.ctx.Err() != nil {
 				return Cancelled
 			}
 		}

@@ -42,20 +42,23 @@ func (a *csc) appendUnitCol(row int32, val float64) int {
 	return j
 }
 
-// appendCol appends a column whose entries are already in ascending row
-// order with no duplicates, returning its index.
-func (a *csc) appendCol(rows []int32, vals []float64) int {
+// appendCol appends a column whose entries (Term.Var a row index) are
+// already in strictly ascending row order, returning its index.
+func (a *csc) appendCol(entries []Term) int {
 	j := a.numCols()
-	a.rows = append(a.rows, rows...)
-	a.vals = append(a.vals, vals...)
+	for _, e := range entries {
+		a.rows = append(a.rows, int32(e.Var))
+		a.vals = append(a.vals, e.Coef)
+	}
 	a.colPtr = append(a.colPtr, int32(len(a.rows)))
 	return j
 }
 
 // newCSCBuilder starts a builder for a matrix over numVars structural
-// columns; extraCap reserves pool headroom for unit columns appended
-// after the build (slacks, artificials) so the tail appends do not
-// reallocate.
+// columns, with row i's coefficients multiplied by rowFactor[i] (nil
+// leaves them as given); extraCap reserves pool headroom for unit
+// columns appended after the build (slacks, artificials) so the tail
+// appends do not reallocate.
 func newCSCBuilder(constraints []Constraint, numVars, extraCap int, rowFactor []float64) csc {
 	// Pass 1: count entries per column (duplicates included; merging
 	// only shrinks columns, compacted below).
@@ -82,7 +85,10 @@ func newCSCBuilder(constraints []Constraint, numVars, extraCap int, rowFactor []
 	next := make([]int32, numVars)
 	copy(next, a.colPtr[:numVars])
 	for i, c := range constraints {
-		f := rowFactor[i]
+		f := 1.0
+		if rowFactor != nil {
+			f = rowFactor[i]
+		}
 		for _, t := range c.Terms {
 			k := next[t.Var]
 			if lo := a.colPtr[t.Var]; k > lo && a.rows[k-1] == int32(i) {
@@ -163,7 +169,7 @@ func rowScales(cs []Constraint) []float64 {
 }
 
 // rowSigns returns −1 for each row with a negative right-hand side and
-// +1 otherwise: the one-shot layouts negate those rows so that b ≥ 0.
+// +1 otherwise: the one-shot simplex negates those rows so that b ≥ 0.
 func rowSigns(cs []Constraint) []int {
 	sign := make([]int, len(cs))
 	for i, c := range cs {
@@ -175,8 +181,7 @@ func rowSigns(cs []Constraint) []int {
 	return sign
 }
 
-// standardForm compiles p's rows into the equality form every solver
-// here works on. Row i is multiplied by sign[i] and by its rowScales
+// standardForm compiles p's rows into the simplex's equality form. Row i is multiplied by sign[i] and by its rowScales
 // factor, and one slack (+1) per ≤ row or surplus (−1) per ≥ row of the
 // signed rows is appended after the original columns, in row order
 // (negating a row swaps ≤ and ≥). artCap reserves pool headroom for

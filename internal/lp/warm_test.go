@@ -36,11 +36,11 @@ func TestPreparedMatchesOneShotSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		p := randomCoveringLP(rng, 12+rng.Intn(20), 8+rng.Intn(16))
-		want, err := Solve(p, Options{})
+		want, err := Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: one-shot: %v", trial, err)
 		}
-		pp, err := Prepare(p, Options{})
+		pp, err := Prepare(p)
 		if err != nil {
 			t.Fatalf("trial %d: prepare: %v", trial, err)
 		}
@@ -66,7 +66,7 @@ func TestPreparedMatchesOneShotSolve(t *testing.T) {
 func TestPreparedWarmRHSChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomCoveringLP(rng, 30, 20)
-	pp, err := Prepare(p, Options{})
+	pp, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPreparedWarmRHSChange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
-		want, err := Solve(cold, Options{})
+		want, err := Solve(cold)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
@@ -118,7 +118,7 @@ func TestPreparedWarmRHSChange(t *testing.T) {
 func TestPreparedPoisonedBasisFallsBackCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := randomCoveringLP(rng, 24, 16)
-	pp, err := Prepare(p, Options{})
+	pp, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,53 +159,45 @@ func TestPreparedPoisonedBasisFallsBackCold(t *testing.T) {
 	}
 }
 
-func TestAddColumnMatchesRebuild(t *testing.T) {
-	// A tiny transportation-style LP grown one column at a time must
-	// match the same LP built in one shot.
-	build := func(withExtra bool) *Problem {
-		p := NewProblem(3)
-		p.SetObjective([]float64{2, 3, 1})
-		p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}, {Var: 2, Coef: 1}}, EQ, 4)
-		p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 2, Coef: -1}}, LE, 1)
-		if withExtra {
-			p.AddColumn(0.5, []Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 2}})
-		}
-		return p
+// eqTestProblem is a small all-EQ problem suitable for IPMSolver; extra
+// appends a fifth column (cost 0.1, on both rows), the one
+// TestIPMSolverWarmMatchesCold adds to a live solver.
+func eqTestProblem(extra bool) *Problem {
+	n := 4
+	if extra {
+		n = 5
 	}
-	grown := build(true)
-	direct := NewProblem(4)
-	direct.SetObjective([]float64{2, 3, 1, 0.5})
-	direct.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}, {Var: 2, Coef: 1}, {Var: 3, Coef: 1}}, EQ, 4)
-	direct.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 2, Coef: -1}, {Var: 3, Coef: 2}}, LE, 1)
-
-	a, err := Solve(grown, Options{})
-	if err != nil {
-		t.Fatal(err)
+	p := NewProblem(n)
+	copy(p.objective, []float64{1, 2, 1.5, 0.3, 0.1})
+	r0 := []Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}, {Var: 2, Coef: 1}}
+	r1 := []Term{{Var: 1, Coef: 1}, {Var: 2, Coef: 2}, {Var: 3, Coef: 1}}
+	if extra {
+		r0 = append(r0, Term{Var: 4, Coef: 1})
+		r1 = append(r1, Term{Var: 4, Coef: 1})
 	}
-	b, err := Solve(direct, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Status != Optimal || b.Status != Optimal {
-		t.Fatalf("status %v vs %v", a.Status, b.Status)
-	}
-	if math.Abs(a.Objective-b.Objective) > 1e-9 {
-		t.Fatalf("objective %v vs %v", a.Objective, b.Objective)
-	}
-}
-
-// eqTestProblem is a small all-EQ problem suitable for IPMSolver.
-func eqTestProblem() *Problem {
-	p := NewProblem(4)
-	p.SetObjective([]float64{1, 2, 1.5, 0.3})
-	p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}, {Var: 2, Coef: 1}}, EQ, 2)
-	p.AddConstraint([]Term{{Var: 1, Coef: 1}, {Var: 2, Coef: 2}, {Var: 3, Coef: 1}}, EQ, 3)
+	p.AddConstraint(r0, EQ, 2)
+	p.AddConstraint(r1, EQ, 3)
 	return p
 }
 
+// checkAgainstSimplex solves p with the simplex oracle and fails unless
+// the IPM solution got matches its objective and is feasible for p.
+func checkAgainstSimplex(t *testing.T, what string, p *Problem, got *Solution) {
+	t.Helper()
+	want, err := Solve(p)
+	if err != nil || want.Status != Optimal {
+		t.Fatalf("%s: simplex %v %v", what, err, want.Status)
+	}
+	if got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-6 {
+		t.Fatalf("%s: IPM %v obj %v, simplex %v", what, got.Status, got.Objective, want.Objective)
+	}
+	if v := p.Violation(got.X); v > 1e-6 {
+		t.Fatalf("%s: IPM solution violates by %g", what, v)
+	}
+}
+
 func TestIPMSolverWarmMatchesCold(t *testing.T) {
-	p := eqTestProblem()
-	sv, err := NewIPMSolver(p, Options{})
+	sv, err := NewIPMSolver(eqTestProblem(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,29 +205,17 @@ func TestIPMSolverWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := SolveIPM(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Status != Optimal || math.Abs(first.Objective-ref.Objective) > 1e-6 {
-		t.Fatalf("first solve %v obj %v, want %v", first.Status, first.Objective, ref.Objective)
-	}
+	checkAgainstSimplex(t, "first solve", eqTestProblem(false), first)
 
-	// Grow a cheap column and warm re-solve; compare to a rebuilt solve.
+	// Grow a cheap column and warm re-solve; compare to the problem
+	// built with that column from the start.
 	sv.AddColumn(0.1, []Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}})
 	warm, err := sv.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := eqTestProblem()
-	p2.AddColumn(0.1, []Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}})
-	ref2, err := SolveIPM(p2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != Optimal || math.Abs(warm.Objective-ref2.Objective) > 1e-6 {
-		t.Fatalf("warm solve %v obj %v, want %v", warm.Status, warm.Objective, ref2.Objective)
-	}
+	p2 := eqTestProblem(true)
+	checkAgainstSimplex(t, "warm solve", p2, warm)
 	// Objective mutation (the rho escalation path).
 	sv.SetObjectiveCoeff(3, 9)
 	p2.SetObjectiveCoeff(3, 9)
@@ -243,26 +223,71 @@ func TestIPMSolverWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref3, err := SolveIPM(p2, Options{})
+	checkAgainstSimplex(t, "post-retune solve", p2, warm2)
+}
+
+// TestIPMSolverAddColumnAllocs guards the master's column append: on a
+// live solver (warm iterate present), AddColumn stores the caller's
+// entries as they are and extends the warm point, so it allocates
+// nothing beyond the amortised growth of its arrays.
+func TestIPMSolverAddColumnAllocs(t *testing.T) {
+	sv, err := NewIPMSolver(eqTestProblem(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm2.Status != Optimal || math.Abs(warm2.Objective-ref3.Objective) > 1e-6 {
-		t.Fatalf("post-retune solve %v obj %v, want %v", warm2.Status, warm2.Objective, ref3.Objective)
+	if _, err := sv.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	entries := []Term{{Var: 0, Coef: 0.5}, {Var: 1, Coef: 1}}
+	allocs := testing.AllocsPerRun(1000, func() {
+		sv.AddColumn(0.7, entries)
+	})
+	if allocs > 0 {
+		t.Fatalf("AddColumn allocates %v objects per call, want 0 amortised", allocs)
+	}
+	if got := sv.NumVars(); got != 4+1001 {
+		t.Fatalf("NumVars = %d after 1001 appends to 4 columns", got)
+	}
+}
+
+func TestIPMSolverAddColumnRejectsBadRows(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		entries []Term
+	}{
+		{"descending", []Term{{Var: 1, Coef: 1}, {Var: 0, Coef: 1}}},
+		{"duplicate", []Term{{Var: 0, Coef: 1}, {Var: 0, Coef: 1}}},
+		{"out of range", []Term{{Var: 0, Coef: 1}, {Var: 2, Coef: 1}}},
+		{"negative", []Term{{Var: -1, Coef: 1}}},
+	} {
+		sv, err := NewIPMSolver(eqTestProblem(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s rows %v: AddColumn did not panic", tc.name, tc.entries)
+				}
+			}()
+			sv.AddColumn(1, tc.entries)
+		}()
+		if got := sv.NumVars(); got != 4 {
+			t.Errorf("%s rows: NumVars = %d after the rejected append, want 4", tc.name, got)
+		}
 	}
 }
 
 func TestIPMSolverRejectsInequalityRows(t *testing.T) {
 	p := NewProblem(2)
 	p.AddConstraint([]Term{{Var: 0, Coef: 1}}, LE, 1)
-	if _, err := NewIPMSolver(p, Options{}); err == nil {
+	if _, err := NewIPMSolver(p); err == nil {
 		t.Fatal("expected rejection of inequality rows")
 	}
 }
 
 func TestIPMSolverResolveAllocs(t *testing.T) {
-	p := eqTestProblem()
-	sv, err := NewIPMSolver(p, Options{})
+	sv, err := NewIPMSolver(eqTestProblem(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +310,7 @@ func TestIPMSolverResolveAllocs(t *testing.T) {
 func TestPreparedWarmResolveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := randomCoveringLP(rng, 30, 20)
-	pp, err := Prepare(p, Options{})
+	pp, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
