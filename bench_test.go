@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +29,7 @@ import (
 	"repro/internal/roadnet"
 	"repro/internal/serial"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -612,6 +615,27 @@ func BenchmarkServeColdSolve(b *testing.B) {
 	cg.report(b)
 }
 
+// jitteredPayload marshals spec under a never-seen prior that jitters
+// the bench prior by ±0.1%: a new digest on spec's geometry.
+func jitteredPayload(b *testing.B, e *benchEnv, spec *serial.SolveSpec, rng *rand.Rand) []byte {
+	b.Helper()
+	s := *spec
+	s.Prior = make([]float64, len(e.prior))
+	sum := 0.0
+	for j, p := range e.prior {
+		s.Prior[j] = p * (1 + 0.001*(2*rng.Float64()-1))
+		sum += s.Prior[j]
+	}
+	for j := range s.Prior {
+		s.Prior[j] /= sum
+	}
+	payload, err := json.Marshal(&s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return payload
+}
+
 // BenchmarkServeDonorSolve measures a cold solve on an already-solved
 // road network: one server solves a warm-up spec, then every op posts a
 // never-seen spec whose prior jitters the warm-up's by ±0.1%, so column
@@ -631,19 +655,7 @@ func BenchmarkServeDonorSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(46))
 	payloads := make([][]byte, b.N)
 	for i := range payloads {
-		s := *spec
-		s.Prior = make([]float64, len(e.prior))
-		sum := 0.0
-		for j, p := range e.prior {
-			s.Prior[j] = p * (1 + 0.001*(2*rng.Float64()-1))
-			sum += s.Prior[j]
-		}
-		for j := range s.Prior {
-			s.Prior[j] /= sum
-		}
-		if payloads[i], err = json.Marshal(&s); err != nil {
-			b.Fatal(err)
-		}
+		payloads[i] = jitteredPayload(b, e, spec, rng)
 	}
 	cg = cgCounter{}
 	b.ReportAllocs()
@@ -656,6 +668,56 @@ func BenchmarkServeDonorSolve(b *testing.B) {
 	if got := srv.Stats().DonorSolves; got != uint64(b.N) {
 		b.Fatalf("donor_solves = %d, want %d", got, b.N)
 	}
+}
+
+// BenchmarkServeStoredDonorSolve measures the first miss of a fresh
+// server over a store holding the network's pool checkpoint, as after a
+// restart: every op starts a server over a copy of the warm-up solve's
+// store and posts a never-seen jittered spec, whose solve resumes from
+// the stored pool (which carries no pricing bases), then persists its
+// entry and checkpoints its final pool. pool-B is the checkpoint's size.
+func BenchmarkServeStoredDonorSolve(b *testing.B) {
+	e := benchSetup(b)
+	spec := benchServeSpec(e)
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchServePost(b, server.New(context.Background(), server.Config{Store: st}).Handler(), "/solve", warm)
+	name := store.GeometryName(spec) + store.CheckpointExt
+	pool, err := os.ReadFile(filepath.Join(st.Dir(), name))
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := jitteredPayload(b, e, spec, rand.New(rand.NewSource(46)))
+
+	var cg cgCounter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), pool, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		srv := server.New(context.Background(), server.Config{Store: st, CacheSize: 1, MaxSolves: 1, CG: cg.options()})
+		benchServePost(b, srv.Handler(), "/solve", payload)
+		if got := srv.Stats().DonorSolves; got != 1 {
+			b.Fatalf("donor_solves = %d, want 1", got)
+		}
+	}
+	b.StopTimer()
+	cg.report(b)
+	b.ReportMetric(float64(len(pool)), "pool-B")
 }
 
 // BenchmarkServeObfuscateCached measures the hot path: batched

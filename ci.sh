@@ -74,8 +74,10 @@ go test -race -run 'TestStore' ./internal/server ./internal/store
 
 # Kill-and-restart recovery gate: a real vlpserved process is SIGKILLed
 # after a solve and again mid-solve; its successor over the same store
-# directory must serve the finished mechanism with zero cold solves and
-# complete the interrupted one from its checkpoint.
+# directory must serve the finished mechanism with zero cold solves, and
+# answer its first request for the interrupted spec optimal with every
+# solve resumed from the network's pool checkpoint (solves ==
+# donor_solves ≥ 1), a repeat of it cached.
 go test -count=1 -run 'TestKillRestartRecovery' ./cmd/vlpserved
 
 # In-process lease/fence protocol tests under -race; the multi-process
@@ -90,7 +92,10 @@ go test -race -run 'TestFleet|TestLease' ./internal/server ./internal/store
 # location, a live member with no 2xx in a healthy phase, a second
 # solve of a digest (or a follower cold-solve) before the first fault,
 # a fencing-token regression, a pause that failed to fence the old
-# leader out, or a dirty store replay. The test also requires the
+# leader out, a promoted leader that never resumed the pause's spec (a
+# new prior on a warmup network) from the pool checkpoint, or a dirty
+# store replay (every pool checkpoint is also loaded under its geometry
+# key and restored). The test also requires the
 # healthy baseline to keep up with two thirds of its open-loop schedule
 # and to serve from cache. The emitted report is archived as
 # BENCH_chaos.json.
@@ -99,9 +104,11 @@ VLP_CHAOS_OUT="$PWD/BENCH_chaos.json" go test -count=1 -run 'TestChaosSmoke' ./c
 # Kill-the-leader failover gate: three real vlpserved processes share a
 # store in -fleet mode; the lease-holding leader is SIGKILLed mid-solve
 # and a follower must take over within one lease TTL with a bumped
-# fencing token, resume the interrupted solve from its checkpoint, and
-# keep the remaining follower on the proxy path (zero local cold
-# solves). The measured window is stamped into BENCH_chaos.json as
+# fencing token and start no solve on promotion; its first request for
+# the interrupted spec must end optimal with every solve resumed from
+# the network's pool checkpoint (solves == donor_solves ≥ 1), a repeat
+# cached, while the remaining follower stays on the proxy path (zero
+# local cold solves). The measured window is stamped into BENCH_chaos.json as
 # failover_ms, so this step must run after the chaos gate wrote it; the
 # stamped file is then re-validated through the strict schema gate
 # (chaos.ValidateJSON).

@@ -121,7 +121,7 @@ func main() {
 	fmt.Printf("  counters: %d solves, %d writes, %d shed writes, %d breaker trips, %d lease losses\n",
 		rep.Counters.Solves, rep.Counters.StoreWrites, rep.Counters.StoreWriteShed,
 		rep.Counters.ProxyBreakerTrips, rep.Counters.LeaseLosses)
-	fmt.Printf("  audit: %d entries, %d checkpoints, %d quarantined, max Geo-I violation %.3g\n",
+	fmt.Printf("  audit: %d entries, %d pool checkpoints, %d quarantined, max Geo-I violation %.3g\n",
 		rep.Audit.Entries, rep.Audit.Checkpoints, rep.Audit.Quarantined, rep.Audit.MaxGeoIViolation)
 	fmt.Printf("  report: %s\n", *out)
 

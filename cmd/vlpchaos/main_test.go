@@ -18,8 +18,9 @@ import (
 // 429 (timeouts only from the paused leader), every 2xx in-domain,
 // every live member serving in each healthy phase, one solve per
 // digest until the first fault, fencing tokens only ever up, ENOSPC
-// shedding writes instead of requests, and a byte-clean store replay
-// at the end. The healthy baseline must also keep up with its open-loop
+// shedding writes instead of requests, the leader a pause promotes
+// resuming a warmup network from its pool checkpoint, and a byte-clean
+// store replay at the end. The healthy baseline must also keep up with its open-loop
 // schedule and serve from cache. The emitted report must pass the
 // strict BENCH_chaos.json schema gate; set VLP_CHAOS_OUT to archive it.
 func TestChaosSmoke(t *testing.T) {
@@ -58,6 +59,9 @@ func TestChaosSmoke(t *testing.T) {
 	}
 	if rep.Audit.Entries < 2 {
 		t.Fatalf("replay found %d entries, want >= 2 (warmup snapshots)", rep.Audit.Entries)
+	}
+	if rep.Audit.Checkpoints < 2 {
+		t.Fatalf("replay found %d pool checkpoints, want >= 2 (one per warmup network)", rep.Audit.Checkpoints)
 	}
 	if rep.FailoverFenceBumps != 1 {
 		t.Fatalf("%d failover fence bumps, want 1 (one leader-pause phase)", rep.FailoverFenceBumps)

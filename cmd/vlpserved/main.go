@@ -14,8 +14,10 @@
 // Every instance solves with the same column-generation stop rule
 // (ξ −0.05, 2% relative gap, as vlp.Build), so the mechanism a spec
 // digest names never depends on process flags. The durable store is
-// always on; completed mechanisms and, every 8 CG rounds, mid-solve
-// checkpoints are snapshotted to -store-dir.
+// always on: completed mechanisms and each road network's column pool
+// (every 8 CG rounds of the solve that seeds it, and at its end) are
+// snapshotted to -store-dir. After a restart a cold solve on a stored
+// network resumes from its pool; startup itself solves nothing.
 //
 // Serving is two admission tiers: -solve-pool bounds concurrent cold
 // column-generation solves (excess cold requests get 429), -serve-pool
@@ -29,8 +31,8 @@
 // commits (every commit fenced by its lease token), followers serve
 // read-through from the store, proxy misses to the leader's -advertise
 // URL, or degrade to the exponential-fallback rung. Kill the leader
-// and a follower takes over within one -lease-ttl, resuming the dead
-// leader's interrupted solves from their durable checkpoints. See the
+// and a follower takes over within one -lease-ttl, resuming what the
+// dead leader was solving from stored pools on first request. See the
 // README's "Fleet quickstart".
 //
 // Endpoints (JSON bodies; see internal/serial for the wire structs):

@@ -166,8 +166,9 @@ func slowSpec(t *testing.T) *serial.SolveSpec {
 // TestKillRestartRecovery is the end-to-end crash suite: a vlpserved
 // process is SIGKILLed — once after completing a solve, once in the
 // middle of one — and its successor over the same store directory must
-// serve the completed mechanism without a cold solve and finish the
-// interrupted solve from its checkpoint.
+// serve the completed mechanism without a cold solve, and answer its
+// first request for the interrupted spec by resuming from the pool
+// checkpoint that network left on disk.
 func TestKillRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real server processes")
@@ -206,38 +207,44 @@ func TestKillRestartRecovery(t *testing.T) {
 	}
 
 	// Life 2, part two: start a slow exact solve, kill mid-run as soon as
-	// a checkpoint is durable.
+	// its network's pool checkpoint is durable.
 	slow := slowSpec(t)
 	go func() {
 		// The request dies with the process; the solve's progress is the
-		// checkpoint file, not the response.
+		// pool checkpoint, not the response.
 		_, _ = s2.solveSpec(slow, 5*time.Minute)
 	}()
 	s2.waitStat("checkpoint_writes", 1, time.Minute)
 	s2.kill()
 
-	// Life 3: the interrupted solve is recovered and finished in the
-	// background; the quick spec still serves warm alongside it.
+	// Life 3: startup solves nothing, and the completed spec still serves
+	// warm.
 	s3 := startServed(t, bin, freeAddr(t), "-store-dir", dir)
-	s3.waitStat("recovered_solves", 1, 10*time.Second)
 	if _, err := s3.solveSpec(spec, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	s3.waitStat("store_writes", 1, 2*time.Minute) // recovered solve persisted optimal
-	st = s3.stats()
-	if st["solves"] != 0 {
-		t.Fatalf("restart cold-solved %v specs, want 0 (recovery is background, quick spec is warm)", st["solves"])
+	if st = s3.stats(); st["solves"] != 0 {
+		t.Fatalf("restart cold-solved %v specs, want 0 (the quick spec is warm)", st["solves"])
 	}
-	// The recovered mechanism is served from cache without any new solve.
+	// The first request for the interrupted spec is an ordinary miss
+	// whose solve resumes from the stored pool: no seeded re-solve.
 	res, err := s3.solveSpec(slow, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res["cached"] != true {
-		t.Fatal("recovered solve not served from cache")
-	}
 	if q, ok := res["quality"].(string); ok && q != "" && q != serial.QualityOptimal {
 		t.Fatalf("recovered solve served tier %q, want optimal", q)
+	}
+	st = s3.stats()
+	if st["donor_solves"] < 1 || st["solves"] != st["donor_solves"] {
+		t.Fatalf("solves=%v donor_solves=%v, want every solve resumed from a pool", st["solves"], st["donor_solves"])
+	}
+	// A repeat is served from cache without any new solve.
+	if res, err = s3.solveSpec(slow, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if res["cached"] != true {
+		t.Fatal("recovered solve not served from cache")
 	}
 }
 
@@ -277,9 +284,9 @@ func startFleetMember(t *testing.T, bin, dir, name string) *served {
 // TestLeaderFailover is the kill-the-leader suite: three real vlpserved
 // processes share one store directory; the leader is SIGKILLed in the
 // middle of a checkpointing solve; a follower must win the election
-// within roughly one lease TTL, re-enqueue the interrupted solve from
-// its durable checkpoint, and finish it — while the remaining follower
-// keeps serving by proxying cold specs to the new leader.
+// within roughly one lease TTL and answer the interrupted spec by
+// resuming from its network's pool checkpoint — while the remaining
+// follower keeps serving by proxying cold specs to the new leader.
 func TestLeaderFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real server processes")
@@ -300,15 +307,14 @@ func TestLeaderFailover(t *testing.T) {
 		}
 	}
 
-	// Kill the leader mid-solve, as soon as a checkpoint is durable.
+	// Kill the leader mid-solve, as soon as a pool checkpoint is durable.
 	slow := slowSpec(t)
 	go func() { _, _ = s1.solveSpec(slow, 5*time.Minute) }()
 	s1.waitStat("checkpoint_writes", 1, time.Minute)
 	killedAt := time.Now()
 	s1.kill()
 
-	// A follower is elected within ~TTL and its promotion re-enqueues
-	// the dead leader's interrupted solve.
+	// A follower is elected within ~TTL; its promotion starts no solve.
 	var leader, follower *served
 	deadline := time.Now().Add(15 * time.Second)
 	for leader == nil && time.Now().Before(deadline) {
@@ -329,10 +335,11 @@ func TestLeaderFailover(t *testing.T) {
 	if fence := leader.stats()["fence_token"]; fence < 2 {
 		t.Fatalf("new leader fence_token = %v, want ≥ 2 (takeover bumps)", fence)
 	}
-	leader.waitStat("recovered_solves", 1, 10*time.Second)
-	// The re-enqueued solve finishes in the background and commits under
-	// the new fence.
-	leader.waitStat("store_writes", 1, 2*time.Minute)
+	if st := leader.stats(); st["solves"] != 0 {
+		t.Fatalf("promotion ran %v solves, want 0", st["solves"])
+	}
+	// The first request for the interrupted spec resumes from the dead
+	// leader's pool checkpoint and commits under the new fence.
 	res, err := leader.solveSpec(slow, time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -340,9 +347,20 @@ func TestLeaderFailover(t *testing.T) {
 	if q, ok := res["quality"].(string); ok && q != "" && q != serial.QualityOptimal {
 		t.Fatalf("recovered solve served tier %q, want optimal", q)
 	}
+	if st := leader.stats(); st["donor_solves"] < 1 || st["solves"] != st["donor_solves"] || st["store_writes"] < 1 {
+		t.Fatalf("solves=%v donor_solves=%v store_writes=%v, want a committed solve resumed from the pool",
+			st["solves"], st["donor_solves"], st["store_writes"])
+	}
+	// A repeat is served from cache.
+	if res, err = leader.solveSpec(slow, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if res["cached"] != true {
+		t.Fatal("recovered solve not served from cache")
+	}
 	// The failover window: SIGKILL of the lease holder to the first
-	// optimal-tier serve by its successor — election, checkpoint
-	// recovery, and the recommit all inside it.
+	// optimal-tier serve by its successor — election, the solve resumed
+	// from the pool checkpoint, and its commit all inside it.
 	failover := time.Since(killedAt)
 	t.Logf("failover window: SIGKILL -> first optimal serve in %v", failover)
 	recordFailover(t, failover)

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serial"
@@ -17,8 +19,9 @@ const auditTol = 1e-8
 // auditStore is the end-of-run replay: with every process dead, a
 // fresh Store over the shared directory must scan clean (nothing left
 // to quarantine — torn temp files do not count, a real crash leaves
-// those too) and every committed mechanism must still satisfy its own
-// spec's Geo-I constraints. Returned violations feed the report's
+// those too), every committed mechanism must still satisfy its own
+// spec's Geo-I constraints, and every pool checkpoint must restore
+// under its own geometry key. Returned violations feed the report's
 // global violation list.
 func auditStore(dir string) (AuditResult, []string) {
 	var violations []string
@@ -35,34 +38,55 @@ func auditStore(dir string) (AuditResult, []string) {
 		fail("audit: replay scan: %v", err)
 		return AuditResult{}, violations
 	}
-	a := AuditResult{
-		Entries:     len(rep.Entries),
-		Checkpoints: len(rep.Checkpoints),
-		Quarantined: rep.Quarantined,
-	}
+	a := AuditResult{Entries: len(rep.Entries), Quarantined: rep.Quarantined}
 	if rep.Quarantined > 0 {
 		fail("audit: replay scan quarantined %d files", rep.Quarantined)
 	}
-	for _, se := range rep.Entries {
-		e, err := st.LoadEntry(se.Digest)
+	for _, digest := range rep.Entries {
+		e, err := st.LoadEntry(digest)
 		if err != nil {
-			fail("audit: entry %s unreadable on replay: %v", se.Digest, err)
+			fail("audit: entry %s unreadable on replay: %v", digest, err)
 			continue
 		}
 		v, err := entryViolation(e)
 		if err != nil {
-			fail("audit: entry %s: %v", se.Digest, err)
+			fail("audit: entry %s: %v", digest, err)
 			continue
 		}
 		if v > a.MaxGeoIViolation {
 			a.MaxGeoIViolation = v
 		}
 		if v > auditTol {
-			fail("audit: entry %s (%s tier) violates Geo-I by %g", se.Digest, e.Tier, v)
+			fail("audit: entry %s (%s tier) violates Geo-I by %g", digest, e.Tier, v)
+		}
+	}
+	pools, _ := filepath.Glob(filepath.Join(dir, "*"+store.CheckpointExt))
+	a.Checkpoints = len(pools)
+	for _, path := range pools {
+		if err := checkpointValid(st, strings.TrimSuffix(filepath.Base(path), store.CheckpointExt)); err != nil {
+			fail("audit: pool checkpoint %s: %v", filepath.Base(path), err)
 		}
 	}
 	a.ReplayClean = len(violations) == 0
 	return a, violations
+}
+
+// checkpointValid loads one geometry's pool checkpoint, which checks
+// its spec's key against the file name, and restores it for a problem
+// rebuilt from that spec.
+func checkpointValid(st *store.Store, geometry string) error {
+	ck, err := st.LoadCheckpoint(geometry)
+	if err != nil {
+		return err
+	}
+	if _, err := core.RestoreCGState(&ck.State); err != nil {
+		return err
+	}
+	pr, err := ck.Spec.Problem()
+	if err == nil && ck.State.K != pr.Part.K() {
+		err = fmt.Errorf("pool has K = %d, its spec's problem %d", ck.State.K, pr.Part.K())
+	}
+	return err
 }
 
 // entryViolation rebuilds the D-VLP instance from the entry's own spec

@@ -14,9 +14,12 @@
 //     digest exactly once (followers never cold-solve),
 //   - a member's nonzero fencing token never decreases, and a leader
 //     pause forces the fleet-wide fence high-water to increase,
+//   - the leader a pause promotes resumes the pause's spec, a new prior
+//     on a warmup network, from that network's pool checkpoint,
 //   - after the run, a fresh store replay is clean (zero quarantined
-//     files) and every committed mechanism still satisfies its spec's
-//     (ε, r)-Geo-I constraints to tolerance.
+//     files), every committed mechanism still satisfies its spec's
+//     (ε, r)-Geo-I constraints to tolerance, and every pool checkpoint
+//     restores under its own geometry key.
 //
 // cmd/vlpchaos is the CLI; ci.sh runs the bounded TestChaosSmoke gate
 // and archives the emitted report as BENCH_chaos.json.
@@ -163,6 +166,19 @@ func chaosSpec(seed int64, i int) *serial.SolveSpec {
 		Rows: 2, Cols: 2, Spacing: 0.3, WeightJitter: 0.2,
 	}))
 	return &serial.SolveSpec{Network: net, Delta: 0.3, Epsilon: 5}
+}
+
+// repriced is base under a prior rising linearly over its intervals.
+func repriced(base *serial.SolveSpec) (*serial.SolveSpec, error) {
+	pr, err := base.Problem()
+	if err != nil {
+		return nil, fmt.Errorf("chaos: reprice spec: %w", err)
+	}
+	spec, k := *base, pr.Part.K()
+	for i := 1; i <= k; i++ {
+		spec.Prior = append(spec.Prior, float64(2*i)/float64(k*(k+1)))
+	}
+	return &spec, nil
 }
 
 // phaseRNG seeds one phase's request schedule. Each phase reseeds from

@@ -101,22 +101,10 @@ func (m *member) rawStats() (map[string]interface{}, error) {
 	return raw, nil
 }
 
-func (m *member) leaseState() (string, error) {
+// stat fetches one field of GET /stats (nil when absent).
+func (m *member) stat(key string) (interface{}, error) {
 	raw, err := m.rawStats()
-	if err != nil {
-		return "", err
-	}
-	s, _ := raw["lease_state"].(string)
-	return s, nil
-}
-
-func (m *member) fence() (uint64, error) {
-	raw, err := m.rawStats()
-	if err != nil {
-		return 0, err
-	}
-	f, _ := raw["fence_token"].(float64)
-	return uint64(f), nil
+	return raw[key], err
 }
 
 // armFault POSTs a faultinject spec to the member's control surface.

@@ -83,7 +83,9 @@ type Counters struct {
 // the shared directory after every process is dead, plus a Geo-I
 // recheck of every committed mechanism against its own spec.
 type AuditResult struct {
-	Entries     int `json:"entries"`
+	Entries int `json:"entries"`
+	// Checkpoints counts geometry pool checkpoints, each loaded under its
+	// own geometry key and restored against its spec's problem.
 	Checkpoints int `json:"checkpoints"`
 	// Quarantined counts files the fresh scan had to move aside; any
 	// nonzero value means a fault phase leaked a torn or corrupt commit.

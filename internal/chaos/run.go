@@ -35,6 +35,9 @@ type runner struct {
 	violationCount int
 	phases         []PhaseResult
 	fenceBumps     int
+	// donorFrom maps members to donor_solves at the leader pause's
+	// start while checkDonor is pending; nil otherwise.
+	donorFrom map[int]float64
 }
 
 // Run executes the configured fault schedule against a fresh fleet and
@@ -155,11 +158,7 @@ func (r *runner) awaitLeader(timeout time.Duration) (int, error) {
 			if m.paused || m.killed {
 				continue
 			}
-			st, err := m.leaseState()
-			if err != nil {
-				continue
-			}
-			if st == "leader" {
+			if st, err := m.stat("lease_state"); err == nil && st == "leader" {
 				leader = m.index
 				leaders++
 			}
@@ -206,11 +205,9 @@ func (r *runner) warmup() (uint64, error) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		raw, err := r.members[leader].rawStats()
-		if err == nil {
-			if w, _ := raw["store_writes"].(float64); w >= 2 {
-				break
-			}
+		raw, _ := r.members[leader].rawStats()
+		if w, _ := raw["store_writes"].(float64); w >= 2 {
+			break
 		}
 		if !time.Now().Before(deadline) {
 			return 0, fmt.Errorf("chaos: warmup snapshots never became durable")
@@ -252,8 +249,15 @@ func (r *runner) runPhase(pi int) error {
 		ph.Name, ph.Duration, leader, ph.FaultSpec, ph.Target)
 
 	// Every phase introduces one genuinely cold spec, so fault paths
-	// that only fire on misses (persist, proxy) see real work.
+	// that only fire on misses (persist, proxy) see real work; the
+	// pause's spec reprices a warmup network (see checkDonor).
 	fresh := chaosSpec(r.cfg.Seed, len(r.specs))
+	if ph.PauseLeader {
+		if fresh, err = repriced(r.specs[0]); err != nil {
+			return err
+		}
+		r.donorFrom = r.donorSolves()
+	}
 	if ph.FaultSpec != "" {
 		for _, m := range r.selectTargets(ph.Target, leader) {
 			if err := m.armFault(ph.FaultSpec); err != nil {
@@ -300,6 +304,7 @@ func (r *runner) runPhase(pi int) error {
 	res.FenceHighWater = r.fenceHigh
 	res.Solves = r.scrapeCounters().Solves
 	r.checkSolves(&res, ph)
+	r.checkDonor(pi == len(r.cfg.Phases)-1)
 	r.phases = append(r.phases, res)
 	r.cfg.Logf("chaos: phase %q done: %d requests (%d ok, %d shed, %d tolerated, %d violations)",
 		ph.Name, res.Requests, res.OK, res.Shed, res.Tolerated, res.Violations)
@@ -408,7 +413,7 @@ func (r *runner) classifyPhase(res *PhaseResult, ph Phase, paused int, outs []ou
 // phase: until the schedule's first fault or pause, the fleet-wide
 // solve count must equal the distinct digests requested so far — the
 // leader solved each exactly once and no follower cold-solved. Faults
-// legitimately re-solve (a shed commit, a recovered checkpoint), so
+// legitimately re-solve (a shed commit, a proxy that timed out), so
 // the rule ends there.
 func (r *runner) checkSolves(res *PhaseResult, ph Phase) {
 	if !ph.healthy() {
@@ -418,6 +423,34 @@ func (r *runner) checkSolves(res *PhaseResult, ph Phase) {
 		r.violate("phase %q: fleet ran %d solves for %d distinct digests, want exactly one each",
 			res.Name, res.Solves, len(r.requested))
 	}
+}
+
+// checkDonor settles the check a leader pause arms: the promoted
+// leader, new to the pause's network, must resume the pause's spec from
+// its pool checkpoint, raising its donor_solves. A request may reach it
+// only in a later phase, so only the last phase reports a violation.
+func (r *runner) checkDonor(last bool) {
+	if r.donorFrom == nil {
+		return
+	}
+	if leader, err := r.awaitLeader(10 * r.cfg.TTL); err == nil && r.donorSolves()[leader] > r.donorFrom[leader] {
+		r.cfg.Logf("chaos: leader m%d resumed a solve from a pool checkpoint", leader)
+		r.donorFrom = nil
+	} else if last {
+		r.violate("the leader promoted by the pause never resumed a solve from a pool checkpoint")
+	}
+}
+
+// donorSolves reads each reachable member's /stats donor_solves.
+func (r *runner) donorSolves() map[int]float64 {
+	out := make(map[int]float64)
+	for _, m := range r.members {
+		if !m.paused && !m.killed {
+			v, _ := m.stat("donor_solves")
+			out[m.index], _ = v.(float64)
+		}
+	}
+	return out
 }
 
 // classify applies the availability contract to one raw outcome and
@@ -497,7 +530,9 @@ func (r *runner) scanFences() {
 		if m.paused || m.killed {
 			continue
 		}
-		f, err := m.fence()
+		v, err := m.stat("fence_token")
+		fv, _ := v.(float64)
+		f := uint64(fv)
 		if err != nil || f == 0 {
 			continue
 		}

@@ -47,12 +47,9 @@ type CGOptions struct {
 	// convergence experiments).
 	OnIteration func(iter int, stats CGIteration)
 	// OnState, when non-nil and CheckpointEvery > 0, receives an
-	// immutable snapshot of the column pool after every CheckpointEvery
-	// completed rounds. This is the serving layer's checkpoint hook: the
-	// snapshot is Resume-able, so a process killed between rounds can
-	// restart column generation from its last persisted pool instead of
-	// from scratch. The callback runs synchronously on the solver
-	// goroutine — a slow callback extends the solve by its own latency.
+	// immutable, Resume-able snapshot of the column pool after every
+	// CheckpointEvery completed rounds: the serving layer's pool
+	// checkpoint hook. It runs synchronously on the solver goroutine.
 	OnState func(iter int, st *CGState)
 	// CheckpointEvery is the round period of OnState; 0 disables it.
 	CheckpointEvery int

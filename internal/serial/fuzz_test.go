@@ -165,7 +165,11 @@ func FuzzStoreDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ckBytes, err := EncodeStoredCheckpoint(&StoredCheckpoint{Spec: entry.Spec, Rounds: 3, State: *entry.State})
+	// A pool checkpoint as a donor writes it: the spec of one prior on
+	// the geometry, and its final pool.
+	ckSpec := entry.Spec
+	ckSpec.Prior = []float64{0.5, 0.25, 0.25}
+	ckBytes, err := EncodeStoredCheckpoint(&StoredCheckpoint{Spec: ckSpec, Rounds: 3, State: *entry.State})
 	if err != nil {
 		f.Fatal(err)
 	}

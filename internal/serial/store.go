@@ -65,14 +65,14 @@ type StoredEntry struct {
 	State *core.CGStateSnapshot
 }
 
-// StoredCheckpoint is a durable mid-solve snapshot: the spec being
-// solved and the column pool as of Rounds completed CG rounds. A process
-// killed mid-solve resumes from the latest checkpoint via
-// core.CGOptions.Resume instead of starting over.
+// StoredCheckpoint is a durable column pool of one road network: the
+// spec whose solve wrote it and its pool after Rounds CG rounds. The
+// pool depends only on the spec's geometry (network, δ, ε, r), so a
+// cold solve of any spec on that geometry can resume from it.
 type StoredCheckpoint struct {
 	Spec   SolveSpec
 	Rounds int
-	// Fence mirrors StoredEntry.Fence for mid-solve checkpoints.
+	// Fence mirrors StoredEntry.Fence for pool checkpoints.
 	Fence uint64
 	State core.CGStateSnapshot
 }

@@ -88,9 +88,13 @@ func TestStoredEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoredCheckpointRoundTrip: a geometry's pool checkpoint keeps the
+// full spec of the solve that wrote it, prior included, so the store
+// can check its geometry key against the file name.
 func TestStoredCheckpointRoundTrip(t *testing.T) {
 	e := storedTestEntry(t, 3)
 	c := &StoredCheckpoint{Spec: e.Spec, Rounds: 7, Fence: 9, State: *e.State}
+	c.Spec.Prior = []float64{0.5, 0.25, 0.25}
 	data, err := EncodeStoredCheckpoint(c)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +105,9 @@ func TestStoredCheckpointRoundTrip(t *testing.T) {
 	}
 	if got.Rounds != 7 || got.Spec.Digest() != c.Spec.Digest() || len(got.State.Columns) != len(c.State.Columns) || got.Fence != 9 {
 		t.Fatalf("checkpoint changed across round trip: %+v", got)
+	}
+	if got.Spec.GeometryKey() != e.Spec.GeometryKey() {
+		t.Fatal("the writer's prior moved its checkpoint to another geometry")
 	}
 	data2, err := EncodeStoredCheckpoint(got)
 	if err != nil {

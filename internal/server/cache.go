@@ -42,9 +42,9 @@ type geomUse struct {
 	geo  *core.Geometry
 	refs int
 	// donor is the final state of the first cached optimal-tier solve
-	// on this geometry that started from seed columns (nil until one is
-	// cached). Cold solves of other specs on the geometry resume column
-	// generation from it. Immutable.
+	// on this geometry that started from seeds or the stored pool (nil
+	// until one is cached). Cold solves of other specs on the geometry
+	// resume column generation from it. Immutable.
 	donor *core.CGState
 }
 

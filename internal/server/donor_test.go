@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/serial"
+	"repro/internal/store"
 )
 
 // at returns a copy of spec at ε and r: another geometry on the same
@@ -35,14 +38,15 @@ func solveVia(t *testing.T, srv *Server, spec *serial.SolveSpec) *entry {
 }
 
 // TestDonorPool checks the donor rule: only a cached optimal solve that
-// started from seed columns donates its final state to its geometry;
-// cold solves of other specs on that geometry resume from it, after an
-// incumbent's pool or a recovered checkpoint; the donor never crosses ε
-// or r, never grows, and leaves with the geometry's last cached entry.
+// started from seed columns or the stored pool checkpoint donates its
+// final state to its geometry; cold solves of other specs on that
+// geometry resume from it, after an incumbent's pool and before the
+// stored checkpoint; the donor never crosses ε or r, never grows, and
+// leaves with the geometry's last cached entry.
 func TestDonorPool(t *testing.T) {
 	// serve-churn's specs: one K=45 network at ε 4, a ±0.1% prior jitter
 	// per spec.
-	pool := churnSpecs(t, 32)
+	pool := churnSpecs(t, 33)
 	next := func() *serial.SolveSpec {
 		spec := pool[0]
 		pool = pool[1:]
@@ -163,6 +167,8 @@ func TestDonorPool(t *testing.T) {
 		}
 	})
 
+	// The incumbent comes first, then the in-memory donor, then the
+	// stored checkpoint, which comes before seed columns.
 	t.Run("incumbent-and-checkpoint-first", func(t *testing.T) {
 		// An incumbent's pool, from a run cancelled in its first round on
 		// a server with no donor.
@@ -182,16 +188,26 @@ func TestDonorPool(t *testing.T) {
 			t.Fatalf("incumbent: state %v err %v", inc != nil && inc.state != nil, err)
 		}
 
-		srv := New(context.Background(), Config{DisableUpgrade: true})
+		// A seeded solve gives the geometry its donor and its pool
+		// checkpoint. Garbage then replaces the checkpoint: a solve that
+		// read it would quarantine it and count a load error.
+		st := testStore(t)
+		srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
 		solveVia(t, srv, next())
 		if donorOf(srv, degraded) == nil {
 			t.Fatal("no donor")
 		}
+		path := filepath.Join(st.Dir(), store.GeometryName(degraded)+store.CheckpointExt)
+		pool, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		inc.key = degraded.Digest()
 		srv.cache.add(inc.key, inc)
-		recovered := next()
-		srv.resume.Store(recovered.Digest(), inc.state)
-		for _, spec := range []*serial.SolveSpec{degraded, recovered} {
+		for i, spec := range []*serial.SolveSpec{degraded, next()} {
 			e, err := srv.solve(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
@@ -199,9 +215,27 @@ func TestDonorPool(t *testing.T) {
 			if e.tier != serial.QualityOptimal || e.donor != nil {
 				t.Errorf("resumed solve: tier %q, donates %v; want optimal, no donation", e.tier, e.donor != nil)
 			}
+			if got := srv.Stats().DonorSolves; got != uint64(i) {
+				t.Errorf("after solve %d: donor_solves = %d, want %d: the incumbent comes first, then the donor", i, got, i)
+			}
 		}
-		if got := srv.Stats().DonorSolves; got != 0 {
-			t.Errorf("donor_solves = %d, want 0: the incumbent and the checkpoint come first", got)
+		if got := srv.Stats().StoreLoadErrors; got != 0 {
+			t.Errorf("store_load_errors = %d: a solve with a warmer pool read the checkpoint", got)
+		}
+
+		// With no donor in memory, the stored pool comes next, and the
+		// solve that resumed from it donates.
+		if err := os.WriteFile(path, pool, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fresh := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+		e, err := fresh.solve(context.Background(), next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := fresh.Stats(); snap.DonorSolves != 1 || snap.StoreLoadErrors != 0 || e.donor == nil {
+			t.Errorf("stored-pool solve: donor_solves %d, load errors %d, donates %v; want 1, 0, true",
+				snap.DonorSolves, snap.StoreLoadErrors, e.donor != nil)
 		}
 	})
 

@@ -9,25 +9,32 @@ import (
 	"repro/internal/store"
 )
 
-// Durable-store glue: converting between the in-memory cache entry and
-// its on-disk snapshot, the checkpoint write path, and startup recovery.
-// Everything here is best-effort by design — the store makes the server
-// cheaper to restart, never less available: a write failure costs
-// durability of one snapshot, a read failure or corrupt file costs one
-// cold solve, and neither ever surfaces to a client.
+// Durable-store glue: cache entries and each road network's pool
+// checkpoint, its durable warm start. Everything here is best-effort —
+// the store makes the server cheaper to restart, never less available:
+// a write failure costs durability of one snapshot, a bad read one cold
+// solve, and neither ever surfaces to a client. There is no recovery
+// pass: after a crash, the first request for an interrupted spec (or
+// any on its network) is an ordinary miss resuming from storedPool.
 
-// persistEntry snapshots a completed entry to the store. On the optimal
-// tier the mid-solve checkpoint (now superseded) and the recovery
-// warm-start are dropped too. No-op without a store; write failures are
-// swallowed — the entry still serves from memory.
-//
-// Full-disk handling: an ENOSPC failure latches storeDegraded, which
-// sheds checkpoint writes (writeCheckpoint) while entry persists keep
-// going as cheap recovery probes — one snapshot per completed solve.
-// The first persist that lands clears the latch, so durability resumes
-// by itself when space returns. Every write failed or skipped while
-// handling the condition is counted in store_write_shed.
-func (s *Server) persistEntry(key string, spec *serial.SolveSpec, e *entry) {
+// admit caches a solved entry and persists it; when its geometry
+// adopted the entry's final pool as donor, that pool is checkpointed
+// too. It returns how many entries the cache evicted.
+func (s *Server) admit(spec *serial.SolveSpec, e *entry) int {
+	donor, rounds := e.donor, e.rounds
+	evicted := s.cache.add(e.key, e)
+	s.persistEntry(spec, e)
+	if donor != nil && s.store != nil {
+		s.writeCheckpoint(spec, rounds, donor)
+	}
+	return evicted
+}
+
+// persistEntry snapshots a completed entry to the store. No-op without
+// a store; write failures are swallowed — the entry still serves from
+// memory. Entry persists keep going while the store is ENOSPC-degraded,
+// as cheap recovery probes: the first that lands clears the latch.
+func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 	if s.store == nil {
 		return
 	}
@@ -40,49 +47,63 @@ func (s *Server) persistEntry(key string, spec *serial.SolveSpec, e *entry) {
 		Z:     e.mech.Z,
 		State: e.state.Snapshot(),
 	}
-	if err := s.store.WriteEntry(se); err != nil {
-		if isDiskFull(err) {
-			s.storeDegraded.Store(true)
-			s.stats.storeShed()
-		}
-		return
-	}
-	s.storeDegraded.Store(false)
-	s.stats.storeWrote()
-	if e.tier == serial.QualityOptimal {
-		s.store.DeleteCheckpoint(key)
-		s.resume.Delete(key)
+	if s.landed(s.store.WriteEntry(se)) {
+		s.storeDegraded.Store(false)
+		s.stats.storeWrote()
 	}
 }
 
-// writeCheckpoint durably snapshots a mid-solve column pool; called from
-// the solver's OnState hook every CheckpointRounds rounds. While the
-// store is ENOSPC-degraded, checkpoints are shed without touching the
-// disk: they are pure recovery optimisation, and hammering a full disk
-// with doomed multi-megabyte column pools only delays its recovery.
+// writeCheckpoint durably records st as the pool of spec's geometry:
+// every checkpointRounds rounds of a solve that may donate, and from
+// admit with the pool its geometry adopted. Under poolMu it writes only
+// while the geometry has no donor or st is it, so the last pool written
+// is the adopted one. An ENOSPC-degraded store sheds it without I/O.
 func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) {
 	if s.storeDegraded.Load() {
 		s.stats.storeShed()
 		return
 	}
-	snap := st.Snapshot()
-	if snap == nil {
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	if _, donor := s.cache.geometry(geomKey(spec.GeometryKey())); donor != nil && donor != st {
 		return
 	}
-	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *snap}
-	if err := s.store.WriteCheckpoint(ck); err != nil {
-		if isDiskFull(err) {
-			s.storeDegraded.Store(true)
-			s.stats.storeShed()
-		}
-		return
+	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *st.Snapshot()}
+	if s.landed(s.store.WriteCheckpoint(ck)) {
+		s.stats.checkpointWrote()
 	}
-	s.stats.checkpointWrote()
 }
 
-// isDiskFull reports whether a store write failed for lack of space.
-func isDiskFull(err error) bool {
-	return errors.Is(err, syscall.ENOSPC)
+// landed reports whether a store write succeeded. A full disk (ENOSPC)
+// latches storeDegraded and counts the write in store_write_shed.
+func (s *Server) landed(err error) bool {
+	if errors.Is(err, syscall.ENOSPC) {
+		s.storeDegraded.Store(true)
+		s.stats.storeShed()
+	}
+	return err == nil
+}
+
+// storedPool returns the pool checkpoint of spec's geometry, restored
+// and checked against pr, or nil: no store, no checkpoint, or one that
+// fails validation (counted; quarantined when corrupt).
+func (s *Server) storedPool(spec *serial.SolveSpec, pr *core.Problem) *core.CGState {
+	if s.store == nil {
+		return nil
+	}
+	ck, err := s.store.LoadCheckpoint(store.GeometryName(spec))
+	if err != nil {
+		if !errors.Is(err, store.ErrNotFound) {
+			s.stats.storeLoadFailed(errors.Is(err, store.ErrCorrupt))
+		}
+		return nil
+	}
+	st, err := core.RestoreCGState(&ck.State)
+	if err != nil || ck.State.K != pr.Part.K() {
+		s.stats.storeLoadFailed(false)
+		return nil
+	}
+	return st
 }
 
 // entryFromStore rebuilds a servable cache entry from the durable
@@ -117,13 +138,9 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 		spec = &se.Spec
 	}
 	pr, gk, _, err := s.problemFor(spec)
-	if err != nil {
-		s.stats.storeLoadFailed(false)
-		return nil
-	}
-	if pr.Part.K() != se.K {
-		// The snapshot was written against a different discretisation
-		// (version skew); its matrix means nothing for this problem.
+	if err != nil || pr.Part.K() != se.K {
+		// A K mismatch means the snapshot was written against another
+		// discretisation (version skew): its matrix means nothing here.
 		s.stats.storeLoadFailed(false)
 		return nil
 	}
@@ -149,44 +166,10 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 	return e
 }
 
-// recoverFromStore scans the store at startup: corrupt files are
-// quarantined (counted, never fatal), checkpoints of solves the previous
-// process never finished are turned into warm-starts and re-enqueued in
-// the background, and completed entries stay on disk for lazy loading on
-// first request. Called from New before the server accepts traffic.
-func (s *Server) recoverFromStore() {
-	rep, err := s.store.Scan()
-	if err != nil {
-		// Unreadable directory: run as a purely in-memory server.
-		return
-	}
-	s.stats.scanQuarantined(rep.Quarantined)
-	optimal := make(map[string]bool, len(rep.Entries))
-	for _, se := range rep.Entries {
-		if se.Tier == serial.QualityOptimal {
-			optimal[se.Digest] = true
-		}
-	}
-	for _, ck := range rep.Checkpoints {
-		spec := ck.Spec
-		digest := spec.Digest()
-		if optimal[digest] {
-			// The solve finished (optimal entry on disk) but the process
-			// died before the checkpoint was cleaned up. Stale; drop it.
-			s.store.DeleteCheckpoint(digest)
-			continue
-		}
-		st, err := core.RestoreCGState(&ck.State)
-		if err != nil {
-			s.stats.storeLoadFailed(false)
-			s.store.DeleteCheckpoint(digest)
-			continue
-		}
-		s.resume.Store(digest, st)
-		s.stats.recovered()
-		// Re-enqueue the interrupted solve: scheduleUpgrade runs it on
-		// the root context, warm from the resume map, and persists +
-		// promotes the result when it reaches the optimal tier.
-		s.scheduleUpgrade(digest, &spec)
+// scanStore quarantines (and counts) corrupt files, starting no solve;
+// entries stay on disk until first request. Run by New and promote.
+func (s *Server) scanStore() {
+	if rep, err := s.store.Scan(); err == nil {
+		s.stats.scanQuarantined(rep.Quarantined)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,20 +170,21 @@ func TestStoreServesEvictedEntry(t *testing.T) {
 	assertServable(t, e)
 }
 
-// interruptedSolve runs a real solve that gets cancelled mid-run on a
-// server with checkpointing every round, returning the degraded entry.
+// interruptedSolve runs a real seeded solve on a server with a store
+// and cancels it in the round that writes its first pool checkpoint,
+// returning the degraded entry. spec must run past checkpointRounds
+// rounds under a zero gap; cadenceSpec does.
 func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*Server, *entry) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv := New(context.Background(), Config{
-		Store:            st,
-		CheckpointRounds: 1,
-		DisableUpgrade:   true,
+		Store:          st,
+		DisableUpgrade: true,
 		CG: core.CGOptions{
 			Xi: -1e-9, RelGap: -1, // force many rounds so the cancel lands mid-run
 			OnIteration: func(iter int, _ core.CGIteration) {
-				if iter == 0 {
+				if iter == checkpointRounds-1 {
 					cancel()
 				}
 			},
@@ -198,31 +200,37 @@ func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*S
 	return srv, e
 }
 
+// cadenceSpec is a K=45 spec whose zero-gap solve runs 35 CG rounds,
+// several checkpoint cadences.
+func cadenceSpec(t *testing.T) *serial.SolveSpec {
+	t.Helper()
+	return churnSpecs(t, 1)[0]
+}
+
 // TestStoreDegradedEntryStateSurvives: a degraded entry's resumable
 // column pool makes it to disk and back, and the interrupted run left
-// durable mid-solve checkpoints behind.
+// its geometry's pool checkpoint behind.
 func TestStoreDegradedEntryStateSurvives(t *testing.T) {
 	st := testStore(t)
-	spec := ladderSpec(t)
+	spec := cadenceSpec(t)
 	key := spec.Digest()
 	srvA, e := interruptedSolve(t, st, spec)
-	if snap := srvA.Stats(); snap.CheckpointWrites == 0 {
-		t.Fatal("no checkpoint written by an interrupted checkpointing solve")
+	if snap := srvA.Stats(); snap.CheckpointWrites != 1 {
+		t.Fatalf("checkpoint_writes = %d, want 1 from the interrupted solve's cadence", snap.CheckpointWrites)
 	}
-	if _, err := st.LoadCheckpoint(key); err != nil {
-		t.Fatalf("checkpoint not on disk: %v", err)
+	if _, err := st.LoadCheckpoint(store.GeometryName(spec)); err != nil {
+		t.Fatalf("pool checkpoint not on disk: %v", err)
 	}
-	srvA.persistEntry(key, spec, e)
+	srvA.persistEntry(spec, e)
 	if _, err := st.LoadEntry(key); err != nil {
 		t.Fatalf("degraded entry not persisted: %v", err)
 	}
 
-	// Restart (upgrades off): the entry must come back with its resume
-	// state, and the checkpoint must be recognised as an interrupted
-	// solve.
+	// Restart (upgrades off): starting the server solves nothing, and
+	// the entry comes back with its resume state.
 	srvB := New(context.Background(), Config{Store: st, DisableUpgrade: true})
-	if snap := srvB.Stats(); snap.RecoveredSolves != 1 {
-		t.Fatalf("recovered_solves = %d, want 1", snap.RecoveredSolves)
+	if snap := srvB.Stats(); snap.Solves != 0 || snap.DonorSolves != 0 {
+		t.Fatalf("startup solved: solves=%d donor_solves=%d, want 0/0", snap.Solves, snap.DonorSolves)
 	}
 	e2 := srvB.entryFromStore(key, spec)
 	if e2 == nil {
@@ -249,65 +257,204 @@ func TestStoreDegradedEntryStateSurvives(t *testing.T) {
 	assertServable(t, done)
 }
 
-// TestStoreRecoveryReenqueuesInterruptedSolve: a checkpoint with no
-// completed entry is an interrupted solve; a restarting server must
-// finish it in the background and clean the checkpoint up.
+// TestStoreRecoveryReenqueuesInterruptedSolve: a pool checkpoint with
+// no completed entry is an interrupted solve. A restarting server starts
+// nothing for it; the interrupted solve is re-run by the first request,
+// which misses, resumes from the stored pool, donates its final pool to
+// the geometry, and checkpoints that same pool.
 func TestStoreRecoveryReenqueuesInterruptedSolve(t *testing.T) {
 	st := testStore(t)
-	spec := ladderSpec(t)
+	spec := cadenceSpec(t)
 	key := spec.Digest()
-	interruptedSolve(t, st, spec) // leaves a checkpoint, no entry persisted
+	interruptedSolve(t, st, spec) // leaves a pool checkpoint, no entry persisted
 
 	srv := New(context.Background(), Config{Store: st})
-	if snap := srv.Stats(); snap.RecoveredSolves != 1 {
-		t.Fatalf("recovered_solves = %d, want 1", snap.RecoveredSolves)
-	}
-	waitFor(t, 30*time.Second, func() bool {
-		e, ok := srv.cache.get(key)
-		return ok && e.tier == serial.QualityOptimal
-	})
-	// The upgrade caches its result before it counts and persists it:
-	// join it (Shutdown drains background work) before asserting on
-	// either.
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if snap := srv.Stats(); snap.Upgrades != 1 || snap.StoreWrites != 1 {
-		t.Fatalf("upgrades=%d store_writes=%d, want 1/1", snap.Upgrades, snap.StoreWrites)
+	if snap := srv.Stats(); snap.Solves != 0 || snap.Upgrades != 0 {
+		t.Fatalf("startup solved: solves=%d upgrades=%d, want 0/0", snap.Solves, snap.Upgrades)
 	}
-	if _, err := st.LoadCheckpoint(key); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("completed recovery left its checkpoint behind: %v", err)
+
+	srv = New(context.Background(), Config{Store: st})
+	e := solveVia(t, srv, spec)
+	if e.tier != serial.QualityOptimal {
+		t.Fatalf("recovered solve tier %q, want optimal", e.tier)
+	}
+	snap := srv.Stats()
+	if snap.Solves != 1 || snap.DonorSolves != 1 || snap.StoreWrites != 1 || snap.CheckpointWrites < 1 {
+		t.Fatalf("solves=%d donor_solves=%d store_writes=%d checkpoint_writes=%d, want 1/1/1/≥1",
+			snap.Solves, snap.DonorSolves, snap.StoreWrites, snap.CheckpointWrites)
 	}
 	if se, err := st.LoadEntry(key); err != nil || se.Tier != serial.QualityOptimal {
 		t.Fatalf("recovered solve not persisted optimal: %+v, %v", se, err)
 	}
+	ck, err := st.LoadCheckpoint(store.GeometryName(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if donor := donorOf(srv, spec); donor == nil || len(ck.State.Columns) != donor.Columns() {
+		t.Fatalf("stored pool has %d columns, the adopted donor %d", len(ck.State.Columns), donor.Columns())
+	}
+	if _, cached, err := srv.mechanismFor(context.Background(), spec); err != nil || !cached {
+		t.Fatalf("repeat request: cached=%v err=%v, want a cache hit", cached, err)
+	}
 }
 
-// TestStoreStaleCheckpointDropped: a checkpoint whose digest already has
-// an optimal entry on disk is leftover from a crash between the final
-// persist and the checkpoint cleanup; recovery deletes it instead of
-// re-solving.
+// TestStoredCheckpointBurstSolvesOnce: a burst of requests for an
+// interrupted spec after a restart is one ordinary miss — a single
+// flight, holding a solve-pool slot, resuming from the stored pool —
+// with the rest of the burst coalesced onto it.
+func TestStoredCheckpointBurstSolvesOnce(t *testing.T) {
+	const burst = 8
+	st := testStore(t)
+	spec := cadenceSpec(t)
+	interruptedSolve(t, st, spec)
+
+	srv := New(context.Background(), Config{Store: st, MaxSolves: 2})
+	var calls, outsidePool atomic.Int64
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+		calls.Add(1)
+		if len(srv.slots) != 1 {
+			outsidePool.Add(1)
+		}
+		// Hold the flight until the whole burst waits on it.
+		for srv.stats.solveQueueDepth.Load() < burst {
+			time.Sleep(time.Millisecond)
+		}
+		return srv.solve(ctx, spec)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e, _, err := srv.mechanismFor(context.Background(), spec); err != nil || e.tier != serial.QualityOptimal {
+				t.Errorf("burst request: err %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 || outsidePool.Load() != 0 {
+		t.Fatalf("%d solves, %d outside the solve pool; want 1 inside it", n, outsidePool.Load())
+	}
+	snap := srv.Stats()
+	if snap.Solves != 1 || snap.DonorSolves != 1 || snap.CoalescedRequests != burst-1 || snap.Upgrades != 0 {
+		t.Fatalf("solves=%d donor_solves=%d coalesced=%d upgrades=%d, want 1/1/%d/0",
+			snap.Solves, snap.DonorSolves, snap.CoalescedRequests, snap.Upgrades, burst-1)
+	}
+}
+
+// TestCheckpointFollowsAdoptedDonor: two seeded solves race on one
+// geometry. The first cached becomes the donor, and the pool on disk is
+// the donor's: the loser's final pool and any later cadence checkpoint
+// on the geometry are not written.
+func TestCheckpointFollowsAdoptedDonor(t *testing.T) {
+	st := testStore(t)
+	srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	specs := churnSpecs(t, 2)
+	var solved [2]*entry
+	for i, spec := range specs {
+		e, err := srv.solve(context.Background(), spec)
+		if err != nil || e.donor == nil {
+			t.Fatalf("seeded solve %d: donates %v, err %v", i, err == nil && e.donor != nil, err)
+		}
+		e.key = spec.Digest()
+		solved[i] = e
+	}
+	adopted := solved[0].donor
+	for i, e := range solved {
+		srv.admit(specs[i], e)
+	}
+	srv.writeCheckpoint(specs[1], checkpointRounds, mustState(t, specs[1]))
+	if donorOf(srv, specs[0]) != adopted {
+		t.Fatal("the first cached solve's pool is not the donor")
+	}
+	ck, err := st.LoadCheckpoint(store.GeometryName(specs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Spec.Digest() != specs[0].Digest() || len(ck.State.Columns) != adopted.Columns() {
+		t.Fatalf("stored pool from %s with %d columns, want the donor's %d", ck.Spec.Digest()[:12], len(ck.State.Columns), adopted.Columns())
+	}
+	if got := srv.Stats().CheckpointWrites; got != 1 {
+		t.Fatalf("checkpoint_writes = %d, want 1", got)
+	}
+}
+
+// TestStoreStaleCheckpointDropped: a pool checkpoint filed under
+// another geometry's key is stale for that key and never resumed from. The solve that finds it
+// quarantines it, counts it, runs from seed columns, and files its own
+// pool under the key.
 func TestStoreStaleCheckpointDropped(t *testing.T) {
 	st := testStore(t)
-	spec := ladderSpec(t)
-	key := spec.Digest()
-	srvA, e := interruptedSolve(t, st, spec)
-	e.tier = serial.QualityOptimal
-	e.state = nil
-	srvA.persistEntry(key, spec, e)
-	// persistEntry of an optimal entry already deletes the checkpoint;
-	// recreate one to model the crash-between-steps window.
-	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: 1, State: *mustState(t, spec).Snapshot()}
+	specs := testSpecs(t, 2)
+	ck := &serial.StoredCheckpoint{Spec: *specs[0], Rounds: 1, State: *mustState(t, specs[0]).Snapshot()}
 	if err := st.WriteCheckpoint(ck); err != nil {
 		t.Fatal(err)
 	}
-
-	srvB := New(context.Background(), Config{Store: st})
-	if snap := srvB.Stats(); snap.RecoveredSolves != 0 {
-		t.Fatalf("recovered_solves = %d, want 0 for a stale checkpoint", snap.RecoveredSolves)
+	if err := os.Rename(
+		filepath.Join(st.Dir(), store.GeometryName(specs[0])+store.CheckpointExt),
+		filepath.Join(st.Dir(), store.GeometryName(specs[1])+store.CheckpointExt),
+	); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.LoadCheckpoint(key); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("stale checkpoint survived recovery: %v", err)
+
+	srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	e := solveVia(t, srv, specs[1])
+	assertServable(t, e)
+	snap := srv.Stats()
+	if snap.CorruptQuarantined != 1 || snap.StoreLoadErrors != 1 || snap.DonorSolves != 0 {
+		t.Fatalf("corrupt_quarantined=%d store_load_errors=%d donor_solves=%d, want 1/1/0",
+			snap.CorruptQuarantined, snap.StoreLoadErrors, snap.DonorSolves)
+	}
+	got, err := st.LoadCheckpoint(store.GeometryName(specs[1]))
+	if err != nil || got.Spec.Digest() != specs[1].Digest() {
+		t.Fatalf("the seeded solve did not file its own pool: %v", err)
+	}
+}
+
+// TestStoreLegacyCheckpointIgnored: a store written before pool
+// checkpoints were keyed by geometry holds <digest>.ckpt files. Startup
+// quarantines and counts one instead of resuming or failing, and the
+// store's entries still serve.
+func TestStoreLegacyCheckpointIgnored(t *testing.T) {
+	st := testStore(t)
+	spec := ladderSpec(t)
+	srvA := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	first := solveVia(t, srvA, spec)
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := serial.DecodeStoredCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := old.Spec.Digest() + ".ckpt"
+	if err := os.WriteFile(filepath.Join(st.Dir(), name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	if snap := srvB.Stats(); snap.CorruptQuarantined != 1 {
+		t.Fatalf("corrupt_quarantined = %d, want 1 for the per-digest checkpoint", snap.CorruptQuarantined)
+	}
+	if _, err := os.Stat(filepath.Join(st.Dir(), name)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("per-digest checkpoint still in the store: %v", err)
+	}
+	e := solveVia(t, srvB, spec)
+	if e.etdd != first.etdd {
+		t.Fatalf("entry served ETDD %v, first life %v", e.etdd, first.etdd)
+	}
+	e2 := solveVia(t, srvB, &old.Spec)
+	assertServable(t, e2)
+	if snap := srvB.Stats(); snap.StoreLoads != 1 || snap.Solves != 1 || snap.DonorSolves != 0 {
+		t.Fatalf("store_loads=%d solves=%d donor_solves=%d, want 1/1/0: the per-digest checkpoint was resumed",
+			snap.StoreLoads, snap.Solves, snap.DonorSolves)
 	}
 }
 
@@ -426,18 +573,19 @@ func TestChaosStoreFaults(t *testing.T) {
 }
 
 // TestChaosCheckpointServeRace runs a checkpointing solve while other
-// goroutines hammer the cache, the stats endpoint and the sampler; under
-// -race this is the checkpoint-vs-serve data-race check.
+// goroutines hammer the stats endpoint and sample a cached mechanism;
+// under -race this is the checkpoint-vs-serve data-race check. The
+// solve stops one round past the checkpoint cadence, so it writes one
+// cadence checkpoint and its final pool.
 func TestChaosCheckpointServeRace(t *testing.T) {
 	st := testStore(t)
 	srv := New(context.Background(), Config{
-		Store:            st,
-		CheckpointRounds: 1,
-		DisableUpgrade:   true,
-		SolveDeadline:    600 * time.Millisecond,
-		CG:               core.CGOptions{Xi: -1e-9, RelGap: -1}, // keep generating columns until the deadline
+		Store:          st,
+		DisableUpgrade: true,
+		// Keep generating columns for checkpointRounds+1 rounds.
+		CG: core.CGOptions{Xi: -1e-9, RelGap: -1, MaxIterations: checkpointRounds + 1},
 	})
-	spec := ladderSpec(t)
+	hot := solveVia(t, srv, ladderSpec(t))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -452,23 +600,19 @@ func TestChaosCheckpointServeRace(t *testing.T) {
 				default:
 				}
 				srv.Stats()
-				if e, ok := srv.cache.get(spec.Digest()); ok {
-					ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-					_, _ = e.sample(ctx, e.prob.Part.WithRelativeLoc(0, 0.5))
-					cancel()
-				}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				_, _ = hot.sample(ctx, hot.prob.Part.WithRelativeLoc(0, 0.5))
+				cancel()
 			}
 		}()
 	}
-	e, _, err := srv.mechanismFor(context.Background(), spec)
+	before := srv.Stats().CheckpointWrites
+	e := solveVia(t, srv, cadenceSpec(t))
 	close(stop)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
 	assertServable(t, e)
-	if snap := srv.Stats(); snap.CheckpointWrites == 0 {
-		t.Fatal("no checkpoints written during the contested solve")
+	if got := srv.Stats().CheckpointWrites - before; got != 2 {
+		t.Fatalf("contested solve wrote %d checkpoints, want 2 (one cadence, one final)", got)
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // TestStoreWriteShedOnENOSPC: a full disk must never fail a request.
 // While the store reports ENOSPC, entry persists fail (counted as
-// shed, latching degradation), checkpoint writes are shed without
+// shed, latching degradation), pool checkpoint writes are shed without
 // touching the disk at all, and serving continues untouched; when
 // space returns the first successful persist clears the latch and
 // durability resumes — no restart, no operator action.
@@ -27,8 +27,9 @@ func TestStoreWriteShedOnENOSPC(t *testing.T) {
 	if _, _, err := srv.mechanismFor(context.Background(), specs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.StoreWriteShed != 0 {
-		t.Fatalf("baseline: store_writes=%d shed=%d, want 1/0", snap.StoreWrites, snap.StoreWriteShed)
+	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.CheckpointWrites != 1 || snap.StoreWriteShed != 0 {
+		t.Fatalf("baseline: store_writes=%d checkpoint_writes=%d shed=%d, want 1/1/0",
+			snap.StoreWrites, snap.CheckpointWrites, snap.StoreWriteShed)
 	}
 
 	// Disk fills: every store write now fails with ENOSPC.
@@ -63,15 +64,15 @@ func TestStoreWriteShedOnENOSPC(t *testing.T) {
 	state := mustState(t, specs[2])
 	srv.writeCheckpoint(specs[2], 1, state)
 	snap = srv.Stats()
-	if snap.CheckpointWrites != 0 {
-		t.Fatalf("checkpoint committed while degraded: %d", snap.CheckpointWrites)
+	if snap.CheckpointWrites != 1 {
+		t.Fatalf("checkpoint committed while degraded: checkpoint_writes=%d, want 1", snap.CheckpointWrites)
 	}
 	if snap.StoreWriteShed != shedBefore+1 {
 		t.Fatalf("shed=%d after checkpoint, want %d", snap.StoreWriteShed, shedBefore+1)
 	}
 
 	// Space returns: the next entry persist doubles as the probe, lands,
-	// clears the latch, and checkpoints flow again.
+	// clears the latch, and the same solve's pool checkpoint follows it.
 	faultinject.Clear(store.FaultSiteWrite)
 	if _, _, err := srv.mechanismFor(context.Background(), specs[2]); err != nil {
 		t.Fatal(err)
@@ -83,9 +84,11 @@ func TestStoreWriteShedOnENOSPC(t *testing.T) {
 	if srv.storeDegraded.Load() {
 		t.Fatal("degradation latch survived a successful persist")
 	}
-	srv.writeCheckpoint(specs[2], 2, state)
-	if snap = srv.Stats(); snap.CheckpointWrites != 1 {
-		t.Fatalf("checkpoint_writes=%d after recovery, want 1", snap.CheckpointWrites)
+	if snap.CheckpointWrites != 2 {
+		t.Fatalf("checkpoint_writes=%d after recovery, want 2", snap.CheckpointWrites)
+	}
+	if _, err := st.LoadCheckpoint(store.GeometryName(specs[2])); err != nil {
+		t.Fatalf("post-recovery pool checkpoint unreadable: %v", err)
 	}
 
 	// The recovered snapshot is really on disk.
@@ -95,7 +98,7 @@ func TestStoreWriteShedOnENOSPC(t *testing.T) {
 }
 
 // TestStoreWriteShedNonENOSPCDoesNotLatch: other write failures stay
-// best-effort one-offs — no latch, so the next checkpoint still tries.
+// best-effort one-offs — no latch, so the next write still tries.
 func TestStoreWriteShedNonENOSPCDoesNotLatch(t *testing.T) {
 	defer faultinject.Reset()
 	st := testStore(t)

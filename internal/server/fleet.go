@@ -25,11 +25,12 @@ import (
 //
 // Failover: the lease loop renews at Poll cadence; when the leader dies
 // its lease expires within TTL and the first follower tick thereafter
-// wins the election, bumps the fencing token, and re-enqueues the dead
-// leader's interrupted solves from their durable checkpoints
-// (recoverFromStore). A demoted leader discovers the loss at its next
-// renew (or its next commit, which the stale fence rejects), abandons
-// checkpointing cleanly, and keeps serving as a follower.
+// wins the election and bumps the fencing token. Promotion starts no
+// solve: the first request for a spec the dead leader was solving
+// misses like any other, and its solve resumes from that network's
+// pool checkpoint (storedPool). A demoted leader discovers the loss at
+// its next renew (or its next commit, which the stale fence rejects),
+// abandons checkpointing cleanly, and keeps serving as a follower.
 
 // Server lease states reported as /stats lease_state.
 const (
@@ -108,8 +109,8 @@ func (f *FleetConfig) withDefaults() *FleetConfig {
 // New after the solver plumbing is ready.
 func (s *Server) startFleet() {
 	fc := s.cfg.Fleet
-	if tok, ok, err := s.store.TryAcquire(fc.Instance, fc.Advertise, fc.TTL); err == nil && ok {
-		s.promote(tok)
+	if _, ok, err := s.store.TryAcquire(fc.Instance, fc.Advertise, fc.TTL); err == nil && ok {
+		s.promote()
 	} else {
 		s.role.Store(leaseFollower)
 		s.refreshFromStore()
@@ -161,21 +162,19 @@ func (s *Server) fleetTick() {
 		return
 	}
 	s.refreshFromStore()
-	if tok, ok, err := s.store.TryAcquire(fc.Instance, fc.Advertise, fc.TTL); err == nil && ok {
-		s.promote(tok)
+	if _, ok, err := s.store.TryAcquire(fc.Instance, fc.Advertise, fc.TTL); err == nil && ok {
+		s.promote()
 	} else {
 		s.refreshLeaderHint()
 	}
 }
 
 // promote installs this process as leader: solves, upgrades and
-// checkpoints are on, and the previous leader's interrupted solves are
-// re-enqueued from their durable checkpoints.
-func (s *Server) promote(token uint64) {
-	_ = token // the store carries the fence; the role flag is ours
+// checkpoints are on. The fence lives in the store, the role here.
+func (s *Server) promote() {
 	s.role.Store(leaseLeader)
 	s.leaderURL.Store("")
-	s.recoverFromStore()
+	s.scanStore()
 }
 
 // demote flips a leader that lost its lease into a follower. In-flight
@@ -252,11 +251,10 @@ func (s *Server) refreshFromStore() {
 		s.stats.scanQuarantined(rep.Quarantined)
 	}
 	loads := 0
-	for _, se := range rep.Delta {
+	for _, key := range rep.Delta {
 		if loads >= refreshLoadCap {
 			break
 		}
-		key := se.Digest
 		if _, cached := s.cache.get(key); !cached && s.cache.len() >= s.cfg.CacheSize {
 			// Never evict a hot mechanism for speculative warmth; an
 			// upgrade of something already cached is always taken.

@@ -310,9 +310,9 @@ func TestFleetStaleFenceDemotesLeader(t *testing.T) {
 
 // TestFleetFailoverRecoversCheckpoint: a leader that dies without
 // releasing (its release I/O faulted) leaves the lease to expire; the
-// follower wins the election within one TTL, bumps the token, and its
-// promotion re-enqueues the dead leader's interrupted solve from the
-// durable checkpoint.
+// follower wins the election within one TTL and bumps the token. Its
+// promotion starts no solve; its first request for the dead leader's
+// interrupted spec resumes from that network's pool checkpoint.
 func TestFleetFailoverRecoversCheckpoint(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -327,11 +327,11 @@ func TestFleetFailoverRecoversCheckpoint(t *testing.T) {
 		Fleet:          &FleetConfig{Instance: "b", TTL: 400 * time.Millisecond, Poll: 50 * time.Millisecond},
 	})
 	defer srvB.Shutdown(context.Background())
-	if snap := srvB.Stats(); snap.LeaseState != "follower" || snap.RecoveredSolves != 0 {
+	if snap := srvB.Stats(); snap.LeaseState != "follower" || snap.Solves != 0 {
 		t.Fatalf("pre-failover follower: %+v", snap)
 	}
 
-	// The "dead" leader's unfinished work: a mid-solve checkpoint,
+	// The "dead" leader's unfinished work: a pool checkpoint,
 	// committed through a solo (unfenced) handle standing in for the
 	// leader's own fenced write.
 	spec := testSpecs(t, 2)[1]
@@ -362,13 +362,15 @@ func TestFleetFailoverRecoversCheckpoint(t *testing.T) {
 	if rec, _, _ := srvB.store.LeaseHolder(); rec.Owner != "b" || rec.Token != 2 {
 		t.Fatalf("lease record after failover: %+v, want owner b token 2", rec)
 	}
-	// Promotion flips the role before it re-enqueues checkpoints: join
-	// the lease loop (Shutdown waits out its tick) before counting them.
-	if err := srvB.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
+	if snap := srvB.Stats(); snap.Solves != 0 || snap.DonorSolves != 0 {
+		t.Fatalf("promotion solved: solves=%d donor_solves=%d, want 0/0", snap.Solves, snap.DonorSolves)
 	}
-	if snap := srvB.Stats(); snap.RecoveredSolves != 1 {
-		t.Fatalf("recovered_solves = %d, want 1 (checkpoint re-enqueued on promotion)", snap.RecoveredSolves)
+	e := solveVia(t, srvB, spec)
+	if e.tier != serial.QualityOptimal {
+		t.Fatalf("recovered solve tier %q, want optimal", e.tier)
+	}
+	if snap := srvB.Stats(); snap.Solves != 1 || snap.DonorSolves != 1 {
+		t.Fatalf("solves=%d donor_solves=%d, want 1/1 (resumed from the pool checkpoint)", snap.Solves, snap.DonorSolves)
 	}
 }
 

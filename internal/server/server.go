@@ -97,14 +97,10 @@ type Config struct {
 	CG core.CGOptions
 
 	// Store, when non-nil, makes mechanisms durable: completed entries
-	// and mid-solve checkpoints are snapshotted to disk, cache misses
-	// check the store before paying for a cold solve, and New replays
-	// interrupted solves found on disk. Nil (the default) keeps the
-	// server purely in-memory.
+	// and each road network's column pool are snapshotted to disk, and
+	// cache misses check the store before paying for a cold solve (see
+	// durable.go). Nil (the default) keeps the server purely in-memory.
 	Store *store.Store
-	// CheckpointRounds is how many completed CG rounds pass between
-	// durable mid-solve checkpoints when Store is set (default 8).
-	CheckpointRounds int
 
 	// Fleet, when non-nil, runs this server as a member of a
 	// shared-store serving fleet (see fleet.go): Store is required and
@@ -116,6 +112,10 @@ type Config struct {
 // serveQueueFactor sizes the serve tier's wait queue as a multiple of
 // its pool.
 const serveQueueFactor = 8
+
+// checkpointRounds is the round period of a donating solve's pool
+// checkpoints (see writeCheckpoint).
+const checkpointRounds = 8
 
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
@@ -129,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SolveWait <= 0 {
 		c.SolveWait = 2 * time.Minute
-	}
-	if c.CheckpointRounds <= 0 {
-		c.CheckpointRounds = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -167,10 +164,11 @@ type entry struct {
 	// column generation from it instead of restarting. Immutable.
 	state *core.CGState
 	// donor is the final state of an optimal-tier solve that started
-	// from seed columns (nil otherwise) until cache.add moves it onto
-	// the entry's geometry as that geometry's donor. Guarded by the
-	// cache's lock once the entry is added.
-	donor *core.CGState
+	// from seed columns or the stored pool (nil otherwise), with its
+	// round count, until cache.add moves it onto the entry's geometry as
+	// its donor. Guarded by the cache's lock once the entry is added.
+	donor  *core.CGState
+	rounds int
 
 	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
 	// is the only mutable sampler state.
@@ -242,11 +240,9 @@ type Server struct {
 	upgrading sync.Map
 
 	// store is the durable snapshot store (nil without Config.Store);
-	// resume maps spec digest → *core.CGState restored from an on-disk
-	// checkpoint, consumed by solve as a warm-start and cleared when the
-	// digest reaches the optimal tier.
+	// poolMu orders pool checkpoints against donor adoption.
 	store  *store.Store
-	resume sync.Map
+	poolMu sync.Mutex
 
 	// Fleet state (see fleet.go): role is one of leaseSolo/Follower/
 	// Leader, driven by the lease loop; fleetStop ends that loop at
@@ -266,10 +262,8 @@ type Server struct {
 	proxyBreaker *breaker
 
 	// storeDegraded latches when a durable write hits a full disk
-	// (ENOSPC): while set, checkpoint writes are shed without touching
-	// the disk and entry persists double as recovery probes — the first
-	// one that lands clears the latch. Serving is never affected; the
-	// latch only spends (or saves) durability I/O.
+	// (ENOSPC; see landed). Serving is never affected; the latch only
+	// spends (or saves) durability I/O.
 	storeDegraded atomic.Bool
 
 	// solveFn builds the entry for a validated spec; tests substitute a
@@ -301,7 +295,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		s.proxyBreaker = newBreaker(proxyFailuresToTrip, cfg.Fleet.TTL)
 		s.startFleet()
 	case s.store != nil:
-		s.recoverFromStore()
+		s.scanStore()
 	}
 	return s
 }
@@ -371,9 +365,7 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 		}
 		ent.key = key
 		ent.solveTime = time.Since(start)
-		evicted := s.cache.add(key, ent)
-		s.stats.solved(ent.solveTime, evicted)
-		s.persistEntry(key, spec, ent)
+		s.stats.solved(ent.solveTime, s.admit(spec, ent))
 		if ent.tier != serial.QualityOptimal {
 			s.scheduleUpgrade(key, spec)
 		}
@@ -438,11 +430,12 @@ func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, *co
 // the privacy guarantee never degrades — only ETDD does.
 //
 // Column generation starts from the first of: this spec's degraded
-// incumbent, its checkpoint recovered from disk, or the donor of its
-// geometry — the final pool and pricing bases of the first cached
-// optimal solve on the same network, δ, ε and r that started from seed
-// columns. Only such a seeded solve donates, so a donor-resumed
-// mechanism is a function of its spec and its donor's spec.
+// incumbent, its geometry's donor (the final pool and pricing bases of
+// the first cached optimal solve on the same network, δ, ε and r that
+// may donate), the geometry's pool checkpoint on disk, or seed columns.
+// Only a solve from seeds or the stored pool donates, so a resumed
+// mechanism is a function of its spec, its donor's spec and the stored
+// pool that donor resumed from.
 func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
 	pr, gk, donor, err := s.problemFor(spec)
 	if err != nil {
@@ -460,22 +453,24 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	// A degraded incumbent for this spec carries the interrupted run's
 	// column pool; resume column generation from it rather than restart.
 	// (Only the background upgrade and post-eviction re-solves can see a
-	// cached entry here — a plain cache hit never reaches solve.) Second
-	// choice: a checkpoint recovered from disk after a restart; third,
-	// the geometry's donor.
-	key := spec.Digest()
-	if prev, ok := s.cache.get(key); ok && prev.state != nil {
+	// cached entry here — a plain cache hit never reaches solve.)
+	donates := false
+	if prev, ok := s.cache.get(spec.Digest()); ok && prev.state != nil {
 		opts.Resume = prev.state
-	} else if st, ok := s.resume.Load(key); ok {
-		opts.Resume = st.(*core.CGState)
 	} else if donor != nil {
 		opts.Resume = donor
 		s.stats.donorSolved()
+	} else {
+		donates = true
+		if st := s.storedPool(spec, pr); st != nil {
+			opts.Resume = st
+			s.stats.donorSolved()
+		}
 	}
-	// With a store configured, periodically snapshot the run's column
-	// pool so a kill mid-solve costs at most CheckpointRounds rounds.
-	if s.store != nil {
-		opts.CheckpointEvery = s.cfg.CheckpointRounds
+	// A solve that may donate checkpoints its pool every
+	// checkpointRounds rounds, which a kill mid-solve can cost at most.
+	if donates && s.store != nil {
+		opts.CheckpointEvery = checkpointRounds
 		opts.OnState = func(iter int, st *core.CGState) {
 			s.writeCheckpoint(spec, iter+1, st)
 		}
@@ -523,8 +518,8 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		// where this one stopped.
 		e.state = res.State
 	}
-	if e.tier == serial.QualityOptimal && opts.Resume == nil {
-		e.donor = res.State
+	if e.tier == serial.QualityOptimal && donates {
+		e.donor, e.rounds = res.State, len(res.Iterations)
 	}
 	e.geom = gk
 	return e, nil
@@ -561,9 +556,8 @@ func (s *Server) scheduleUpgrade(key string, spec *serial.SolveSpec) {
 		}
 		e.key = key
 		e.solveTime = time.Since(start)
-		s.cache.add(key, e)
+		s.admit(spec, e)
 		s.stats.upgraded()
-		s.persistEntry(key, spec, e)
 	}()
 }
 

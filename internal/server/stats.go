@@ -39,8 +39,7 @@ type stats struct {
 	storeLoads   atomic.Uint64 // cache misses answered from disk instead of a solve
 	storeLoadErr atomic.Uint64 // snapshot loads that failed (corrupt or I/O)
 	nQuarantined atomic.Uint64 // corrupt snapshots moved aside, scan + load paths
-	nRecovered   atomic.Uint64 // interrupted solves re-enqueued from checkpoints
-	ckptWrites   atomic.Uint64 // mid-solve checkpoints committed to disk
+	ckptWrites   atomic.Uint64 // pool checkpoints committed to disk
 	storeShedded atomic.Uint64 // durable writes failed or skipped while ENOSPC-degraded
 
 	// Fleet counters (fleet.go). lease_state and fence_token in /stats
@@ -63,7 +62,6 @@ func (s *stats) upgraded()        { s.nUpgrades.Add(1) }
 func (s *stats) donorSolved()     { s.nDonor.Add(1) }
 func (s *stats) storeWrote()      { s.storeWrites.Add(1) }
 func (s *stats) storeShed()       { s.storeShedded.Add(1) }
-func (s *stats) recovered()       { s.nRecovered.Add(1) }
 func (s *stats) checkpointWrote() { s.ckptWrites.Add(1) }
 
 func (s *stats) leaseRenewed() { s.leaseRenews.Add(1) }
@@ -141,7 +139,7 @@ type StatsSnapshot struct {
 	PanicRecoveries uint64 `json:"panic_recoveries"`
 	Upgrades        uint64 `json:"upgrades"`
 	// DonorSolves counts solves that started column generation from
-	// their geometry's donor pool instead of seed columns.
+	// their geometry's donor pool (in memory or on disk), not seeds.
 	DonorSolves uint64 `json:"donor_solves"`
 	// Serving-tier admission and coalescing. SolveQueueDepth and
 	// ServeQueueDepth are instantaneous gauges (how many requests are
@@ -154,17 +152,16 @@ type StatsSnapshot struct {
 	ServeQueueDepth   int64  `json:"serve_queue_depth"`
 	CoalescedRequests uint64 `json:"coalesced_requests"`
 	AdmissionRejects  uint64 `json:"admission_rejects"`
-	// Durability counters. StoreWrites/CheckpointWrites count snapshots
-	// committed; StoreLoads counts cache misses answered warm from disk
-	// (no solve ran); StoreLoadErrors counts snapshot loads that failed;
+	// Durability counters. StoreWrites counts entry snapshots and
+	// CheckpointWrites geometry pool checkpoints committed; StoreLoads
+	// counts cache misses answered warm from disk (no solve ran);
+	// StoreLoadErrors counts snapshot and pool loads that failed;
 	// CorruptQuarantined counts files moved aside as corrupt across scan
-	// and load paths; RecoveredSolves counts interrupted solves
-	// re-enqueued from checkpoints after a restart.
+	// and load paths.
 	StoreWrites        uint64 `json:"store_writes"`
 	StoreLoads         uint64 `json:"store_loads"`
 	StoreLoadErrors    uint64 `json:"store_load_errors"`
 	CorruptQuarantined uint64 `json:"corrupt_quarantined"`
-	RecoveredSolves    uint64 `json:"recovered_solves"`
 	CheckpointWrites   uint64 `json:"checkpoint_writes"`
 	// StoreWriteShed counts durable writes failed or deliberately
 	// skipped while the store was ENOSPC-degraded; QuarantineGCBytes is
@@ -230,7 +227,6 @@ func (s *stats) snapshot(cache *mechCache, leaseState string, fence uint64, brea
 		StoreLoads:         s.storeLoads.Load(),
 		StoreLoadErrors:    s.storeLoadErr.Load(),
 		CorruptQuarantined: s.nQuarantined.Load(),
-		RecoveredSolves:    s.nRecovered.Load(),
 		CheckpointWrites:   s.ckptWrites.Load(),
 		StoreWriteShed:     s.storeShedded.Load(),
 

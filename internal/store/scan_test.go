@@ -28,12 +28,13 @@ func TestScanShortCircuitNoReread(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The pool checkpoint is never read: Scan skips it by extension.
 	rep, err := s.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Loaded != 4 || len(rep.Delta) != 3 || len(rep.Entries) != 3 || len(rep.Checkpoints) != 1 {
-		t.Fatalf("first scan: loaded %d delta %d entries %d ckpts %d", rep.Loaded, len(rep.Delta), len(rep.Entries), len(rep.Checkpoints))
+	if rep.Loaded != 3 || len(rep.Delta) != 3 || len(rep.Entries) != 3 {
+		t.Fatalf("first scan: loaded %d delta %d entries %d", rep.Loaded, len(rep.Delta), len(rep.Entries))
 	}
 
 	// Nothing changed: the rescan must not read a single file.
@@ -46,8 +47,8 @@ func TestScanShortCircuitNoReread(t *testing.T) {
 	if rep2.Loaded != 0 || len(rep2.Delta) != 0 {
 		t.Fatalf("rescan of unchanged dir: loaded %d delta %d, want 0/0", rep2.Loaded, len(rep2.Delta))
 	}
-	if len(rep2.Entries) != 3 || len(rep2.Checkpoints) != 1 {
-		t.Fatalf("rescan dropped cached results: entries %d ckpts %d", len(rep2.Entries), len(rep2.Checkpoints))
+	if len(rep2.Entries) != 3 {
+		t.Fatalf("rescan dropped cached results: entries %d", len(rep2.Entries))
 	}
 
 	// A new commit surfaces as exactly one load, in Delta.
@@ -59,7 +60,7 @@ func TestScanShortCircuitNoReread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.Loaded != 1 || len(rep3.Delta) != 1 || rep3.Delta[0].Digest != e4.Spec.Digest() {
+	if rep3.Loaded != 1 || len(rep3.Delta) != 1 || rep3.Delta[0] != e4.Spec.Digest() {
 		t.Fatalf("scan after new commit: loaded %d delta %+v", rep3.Loaded, rep3.Delta)
 	}
 	if len(rep3.Entries) != 4 {
@@ -77,18 +78,20 @@ func TestScanShortCircuitNoReread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep4.Loaded != 1 || len(rep4.Delta) != 1 || rep4.Delta[0].Tier != serial.QualityOptimal {
+	if rep4.Loaded != 1 || len(rep4.Delta) != 1 || rep4.Delta[0] != up.Spec.Digest() {
 		t.Fatalf("scan after upgrade: loaded %d delta %+v", rep4.Loaded, rep4.Delta)
 	}
 
 	// A vanished file falls out of the report.
-	s.DeleteCheckpoint(ck.Spec.Digest())
+	if err := os.Remove(filepath.Join(s.Dir(), up.Spec.Digest()+entryExt)); err != nil {
+		t.Fatal(err)
+	}
 	rep5, err := s.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep5.Checkpoints) != 0 || rep5.Loaded != 0 {
-		t.Fatalf("scan after delete: ckpts %d loaded %d", len(rep5.Checkpoints), rep5.Loaded)
+	if len(rep5.Entries) != 3 || rep5.Loaded != 0 {
+		t.Fatalf("scan after delete: entries %d loaded %d", len(rep5.Entries), rep5.Loaded)
 	}
 }
 

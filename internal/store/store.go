@@ -1,9 +1,10 @@
 // Package store is the durable, crash-safe snapshot store behind the
 // obfuscation service's mechanism cache. Two snapshot kinds live in one
-// directory, both keyed by the solve spec's content digest:
+// directory:
 //
-//	<digest>.mech — a completed (possibly degraded) cache entry
-//	<digest>.ckpt — a mid-solve checkpoint of the CG column pool
+//	<digest>.mech   — a completed (possibly degraded) cache entry
+//	<geometry>.pool — a road network's column-pool checkpoint, keyed by
+//	                  the hex serial.SolveSpec.GeometryKey; never served
 //
 // Durability protocol: every write goes to a temp file in the same
 // directory, is fsynced, atomically renamed over the final name, and the
@@ -11,7 +12,7 @@
 // at any instant, and a crash mid-write leaves only ignorable temp
 // debris, never a half-written committed file. Snapshots are versioned
 // and SHA-256-checksummed by internal/serial; a file that fails
-// checksum, version or semantic validation (including a digest that does
+// checksum, version or semantic validation (including a key that does
 // not match its file name) is quarantined into a subdirectory — kept for
 // forensics, removed from the serving path — and reported, never served
 // and never fatal. The worst outcome of any corruption is a cold
@@ -23,6 +24,7 @@
 package store
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -54,7 +56,7 @@ const (
 
 const (
 	entryExt      = ".mech"
-	checkpointExt = ".ckpt"
+	CheckpointExt = ".pool" // a geometry's pool checkpoint; Scan skips it
 	tmpPrefix     = "tmp-"
 	quarantineDir = "quarantine"
 
@@ -133,13 +135,11 @@ type Store struct {
 	dirSettled bool
 }
 
-// scanCached is one committed file's cached Scan outcome: exactly one
-// of entry/ckpt is set.
+// scanCached is the (size, mtime) stamp of a committed entry Scan
+// validated.
 type scanCached struct {
 	size  int64
 	mtime time.Time
-	entry *ScanEntry
-	ckpt  *serial.StoredCheckpoint
 }
 
 // Open creates (if needed) and returns the store at dir in
@@ -186,16 +186,23 @@ func (s *Store) WriteEntry(e *serial.StoredEntry) error {
 	return s.commit(e.Spec.Digest()+entryExt, data)
 }
 
-// WriteCheckpoint durably persists a mid-solve checkpoint under its
-// spec's digest, replacing any previous checkpoint for that digest.
-// Like WriteEntry it stamps the current fencing token.
+// WriteCheckpoint durably persists a column-pool checkpoint under its
+// spec's geometry key, replacing the geometry's previous one. Like
+// WriteEntry it stamps the current fencing token.
 func (s *Store) WriteCheckpoint(c *serial.StoredCheckpoint) error {
 	c.Fence = s.fence.Load()
 	data, err := serial.EncodeStoredCheckpoint(c)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return s.commit(c.Spec.Digest()+checkpointExt, data)
+	return s.commit(GeometryName(&c.Spec)+CheckpointExt, data)
+}
+
+// GeometryName is the hex form of spec's GeometryKey that names its
+// geometry's pool checkpoint.
+func GeometryName(spec *serial.SolveSpec) string {
+	k := spec.GeometryKey()
+	return hex.EncodeToString(k[:])
 }
 
 // LoadEntry reads and validates the committed entry snapshot for
@@ -203,84 +210,62 @@ func (s *Store) WriteCheckpoint(c *serial.StoredCheckpoint) error {
 // spec does not hash to the digest naming the file — is quarantined and
 // reported as ErrCorrupt; a missing file is ErrNotFound.
 func (s *Store) LoadEntry(digest string) (*serial.StoredEntry, error) {
-	name := digest + entryExt
+	return load(s, digest, entryExt, serial.DecodeStoredEntry, func(e *serial.StoredEntry) string { return e.Spec.Digest() })
+}
+
+// LoadCheckpoint is LoadEntry for the pool checkpoint of the geometry
+// named geometry (see GeometryName).
+func (s *Store) LoadCheckpoint(geometry string) (*serial.StoredCheckpoint, error) {
+	return load(s, geometry, CheckpointExt, serial.DecodeStoredCheckpoint, func(c *serial.StoredCheckpoint) string { return GeometryName(&c.Spec) })
+}
+
+// load reads and decodes the committed snapshot key+ext, quarantining
+// one that fails to decode or whose spec keys to another name.
+func load[T any](s *Store, key, ext string, decode func([]byte) (*T, error), keyOf func(*T) string) (*T, error) {
+	name := key + ext
 	data, err := s.read(name)
 	if err != nil {
 		return nil, err
 	}
-	e, err := serial.DecodeStoredEntry(data)
-	if err == nil && e.Spec.Digest() != digest {
-		err = fmt.Errorf("embedded spec digest %s does not match file name", e.Spec.Digest())
+	v, err := decode(data)
+	if err == nil && keyOf(v) != key {
+		err = fmt.Errorf("embedded spec keys to %s, not the file name", keyOf(v))
 	}
 	if err != nil {
 		s.quarantine(name)
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
-	return e, nil
-}
-
-// LoadCheckpoint reads and validates the committed checkpoint for
-// digest; same ErrNotFound/ErrCorrupt contract as LoadEntry.
-func (s *Store) LoadCheckpoint(digest string) (*serial.StoredCheckpoint, error) {
-	name := digest + checkpointExt
-	data, err := s.read(name)
-	if err != nil {
-		return nil, err
-	}
-	c, err := serial.DecodeStoredCheckpoint(data)
-	if err == nil && c.Spec.Digest() != digest {
-		err = fmt.Errorf("embedded spec digest %s does not match file name", c.Spec.Digest())
-	}
-	if err != nil {
-		s.quarantine(name)
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
-	}
-	return c, nil
-}
-
-// DeleteCheckpoint removes the checkpoint for digest (a completed
-// optimal solve supersedes it). Deleting a missing checkpoint is a
-// no-op.
-func (s *Store) DeleteCheckpoint(digest string) {
-	_ = os.Remove(filepath.Join(s.dir, digest+checkpointExt))
-}
-
-// ScanEntry describes one valid committed entry snapshot found by Scan.
-type ScanEntry struct {
-	Digest string
-	Tier   string
+	return v, nil
 }
 
 // ScanReport is the outcome of a startup or refresh scan.
 type ScanReport struct {
-	// Entries lists the valid entry snapshots (digest + tier), lazily
+	// Entries lists the digests of the valid entry snapshots, lazily
 	// loadable via LoadEntry.
-	Entries []ScanEntry
-	// Checkpoints holds the decoded, validated mid-solve checkpoints —
-	// the interrupted solves a restarting server re-enqueues.
-	Checkpoints []*serial.StoredCheckpoint
+	Entries []string
 	// Quarantined counts files moved aside this scan for failing
 	// checksum, version or semantic validation.
 	Quarantined int
 	// Delta lists the entries that are new or changed since the
 	// previous Scan on this Store — what a follower's refresh loop
 	// feeds into its cache.
-	Delta []ScanEntry
+	Delta []string
 	// Loaded counts files actually read and decoded this scan; a scan
 	// over an unchanged directory reports 0 (everything served from the
 	// per-file stamp cache).
 	Loaded int
 }
 
-// Scan walks the store directory, validating every committed snapshot:
-// valid entries and checkpoints are reported, corrupt files are
-// quarantined, and temp debris from crashed writes is deleted (only
+// Scan walks the store directory, validating every committed entry:
+// valid entries are reported, pool checkpoints are skipped undecoded
+// (LoadCheckpoint validates one when a solve asks for it), corrupt
+// files are quarantined, and temp debris from crashed writes is deleted (only
 // once older than debrisGrace — in a fleet a peer may be mid-commit).
 // Scan never fails on the content of any individual file — a torn
 // write or hostile bytes cost that one file, nothing else.
 //
-// Repeated scans are cheap: each file's (size, mtime) is cached with
-// its decoded result, so an unchanged file is never re-read, and an
+// Repeated scans are cheap: each valid entry's (size, mtime) is
+// cached, so an unchanged file is never re-read, and an
 // unchanged directory (by mtime, once quiescent for scanSettle) is not
 // even re-listed. The directory is stat'ed before the walk, so a
 // writer racing the walk can only make the cache conservatively stale
@@ -301,12 +286,12 @@ func (s *Store) Scan() (*ScanReport, error) {
 		return nil, fmt.Errorf("store: scan: %w", err)
 	}
 	loaded, quarantined := 0, 0
-	var delta []ScanEntry
+	var delta []string
 	live := make(map[string]bool, len(names))
 	for _, de := range names {
 		name := de.Name()
-		if de.IsDir() || name == leaseName || name == leaseLockName {
-			continue // quarantine/, the lease protocol's files
+		if de.IsDir() || name == leaseName || name == leaseLockName || strings.HasSuffix(name, CheckpointExt) {
+			continue // quarantine/, the lease protocol's files, pool checkpoints
 		}
 		if strings.HasPrefix(name, tmpPrefix) {
 			// Debris of a write that never committed: the rename never
@@ -325,43 +310,28 @@ func (s *Store) Scan() (*ScanReport, error) {
 			live[name] = true
 			continue
 		}
-		switch {
-		case strings.HasSuffix(name, entryExt):
-			digest := strings.TrimSuffix(name, entryExt)
-			e, err := s.LoadEntry(digest)
-			if err != nil {
-				// LoadEntry quarantined a corrupt file already; count it.
-				if errors.Is(err, ErrCorrupt) {
-					quarantined++
-				}
-				continue
-			}
-			loaded++
-			se := ScanEntry{Digest: digest, Tier: e.Tier}
-			s.scanCache[name] = scanCached{size: fi.Size(), mtime: fi.ModTime(), entry: &se}
-			delta = append(delta, se)
-			live[name] = true
-		case strings.HasSuffix(name, checkpointExt):
-			digest := strings.TrimSuffix(name, checkpointExt)
-			c, err := s.LoadCheckpoint(digest)
-			if err != nil {
-				if errors.Is(err, ErrCorrupt) {
-					quarantined++
-				}
-				continue
-			}
-			loaded++
-			s.scanCache[name] = scanCached{size: fi.Size(), mtime: fi.ModTime(), ckpt: c}
-			live[name] = true
-		default:
+		if !strings.HasSuffix(name, entryExt) {
 			// Unknown file kind in the store directory: treat exactly
 			// like a corrupt snapshot — move it out of the way.
 			s.quarantine(name)
 			quarantined++
+			continue
 		}
+		digest := strings.TrimSuffix(name, entryExt)
+		if _, err := s.LoadEntry(digest); err != nil {
+			// LoadEntry quarantined a corrupt file already; count it.
+			if errors.Is(err, ErrCorrupt) {
+				quarantined++
+			}
+			continue
+		}
+		loaded++
+		s.scanCache[name] = scanCached{size: fi.Size(), mtime: fi.ModTime()}
+		delta = append(delta, digest)
+		live[name] = true
 	}
-	// Files that disappeared (completed checkpoints deleted, peers'
-	// quarantines) fall out of the cache and the report.
+	// Files that disappeared (peers' quarantines) fall out of the cache
+	// and the report.
 	for name := range s.scanCache {
 		if !live[name] {
 			delete(s.scanCache, name)
@@ -382,20 +352,12 @@ func (s *Store) Scan() (*ScanReport, error) {
 
 // reportFromCache materialises a fresh ScanReport (callers own it) from
 // the stamp cache, in digest order for determinism.
-func (s *Store) reportFromCache(loaded int, delta []ScanEntry, quarantined int) *ScanReport {
+func (s *Store) reportFromCache(loaded int, delta []string, quarantined int) *ScanReport {
 	rep := &ScanReport{Loaded: loaded, Delta: delta, Quarantined: quarantined}
-	for _, c := range s.scanCache {
-		switch {
-		case c.entry != nil:
-			rep.Entries = append(rep.Entries, *c.entry)
-		case c.ckpt != nil:
-			rep.Checkpoints = append(rep.Checkpoints, c.ckpt)
-		}
+	for name := range s.scanCache {
+		rep.Entries = append(rep.Entries, strings.TrimSuffix(name, entryExt))
 	}
-	sort.Slice(rep.Entries, func(i, j int) bool { return rep.Entries[i].Digest < rep.Entries[j].Digest })
-	sort.Slice(rep.Checkpoints, func(i, j int) bool {
-		return rep.Checkpoints[i].Spec.Digest() < rep.Checkpoints[j].Spec.Digest()
-	})
+	sort.Strings(rep.Entries)
 	return rep
 }
 

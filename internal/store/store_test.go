@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -95,31 +96,54 @@ func TestStoreEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreCheckpointRoundTrip: a pool checkpoint is filed under its
+// spec's geometry key, so a spec with another prior on the same
+// geometry reads the same one and a later write replaces it; a
+// checkpoint filed under another geometry's key is quarantined.
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	s := openTestStore(t)
 	e := testEntry(t, 2, 3)
 	c := &serial.StoredCheckpoint{Spec: e.Spec, Rounds: 9, State: *e.State}
-	digest := c.Spec.Digest()
+	geometry := GeometryName(&c.Spec)
 
-	if _, err := s.LoadCheckpoint(digest); !errors.Is(err, ErrNotFound) {
+	if _, err := s.LoadCheckpoint(geometry); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("load before write: %v, want ErrNotFound", err)
 	}
 	if err := s.WriteCheckpoint(c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.LoadCheckpoint(digest)
+	got, err := s.LoadCheckpoint(geometry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rounds != 9 || got.Spec.Digest() != digest || len(got.State.Columns) != 3 {
+	if got.Rounds != 9 || got.Spec.Digest() != c.Spec.Digest() || len(got.State.Columns) != 3 {
 		t.Fatalf("checkpoint changed across store round trip: %+v", got)
 	}
 
-	s.DeleteCheckpoint(digest)
-	if _, err := s.LoadCheckpoint(digest); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("load after delete: %v, want ErrNotFound", err)
+	other := *c
+	other.Spec.Prior = []float64{0.2, 0.3, 0.5}
+	other.Rounds = 3
+	if GeometryName(&other.Spec) != geometry {
+		t.Fatal("a prior changed the geometry key")
 	}
-	s.DeleteCheckpoint(digest) // deleting a missing checkpoint is a no-op
+	if err := s.WriteCheckpoint(&other); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.LoadCheckpoint(geometry); err != nil || got.Rounds != 3 || got.Spec.Digest() != other.Spec.Digest() {
+		t.Fatalf("second writer on the geometry: %+v, %v", got, err)
+	}
+
+	misnamed := testSpec(t, 3)
+	misnamed.Epsilon++
+	if err := os.Rename(filepath.Join(s.Dir(), geometry+CheckpointExt), filepath.Join(s.Dir(), GeometryName(&misnamed)+CheckpointExt)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadCheckpoint(GeometryName(&misnamed)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("misnamed checkpoint: %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), quarantineDir, GeometryName(&misnamed)+CheckpointExt)); err != nil {
+		t.Fatalf("misnamed checkpoint not quarantined: %v", err)
+	}
 }
 
 // TestStoreCommitFaults kills the durability protocol at every injected
@@ -199,7 +223,7 @@ func TestStoreShortWriteLeavesOnlyDebris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Entries) != 0 || len(rep.Checkpoints) != 0 || rep.Quarantined != 0 {
+	if len(rep.Entries) != 0 || rep.Quarantined != 0 {
 		t.Fatalf("scan over debris: %+v, want empty report", rep)
 	}
 	// Fresh debris is untouched: it could be a live peer's in-flight
@@ -327,9 +351,11 @@ func TestStoreCorruptionQuarantine(t *testing.T) {
 	})
 }
 
-// TestStoreScan: a directory holding valid entries, a valid checkpoint,
-// a corrupt snapshot, temp debris and a foreign file scans into exactly
-// the right report without ever failing.
+// TestStoreScan: a directory holding valid entries, a pool checkpoint,
+// a corrupt snapshot, a per-digest checkpoint from before pools were
+// keyed by geometry, temp debris and a foreign file scans into exactly
+// the right report without ever failing. Scan leaves pool checkpoints
+// alone, valid or not: only LoadCheckpoint decodes one.
 func TestStoreScan(t *testing.T) {
 	s := openTestStore(t)
 
@@ -349,8 +375,8 @@ func TestStoreScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plant a corrupt entry, a corrupt checkpoint, temp debris and a
-	// foreign file.
+	// Plant a corrupt entry, a per-digest checkpoint, a torn pool
+	// checkpoint, temp debris and a foreign file.
 	badEntry := testEntry(t, 13, 3)
 	badData, err := serial.EncodeStoredEntry(badEntry)
 	if err != nil {
@@ -361,7 +387,10 @@ func TestStoreScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tornSpec := testSpec(t, 14)
-	if err := os.WriteFile(filepath.Join(s.Dir(), tornSpec.Digest()+checkpointExt), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.Dir(), tornSpec.Digest()+".ckpt"), []byte("per digest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir(), GeometryName(&tornSpec)+CheckpointExt), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(s.Dir(), tmpPrefix+"abandoned-123"), []byte("half a write"), 0o644); err != nil {
@@ -378,32 +407,30 @@ func TestStoreScan(t *testing.T) {
 	if len(rep.Entries) != 2 {
 		t.Fatalf("scan found %d entries, want 2: %+v", len(rep.Entries), rep.Entries)
 	}
-	tiers := map[string]string{}
-	for _, se := range rep.Entries {
-		tiers[se.Digest] = se.Tier
-	}
-	if tiers[e1.Spec.Digest()] != serial.QualityIncumbent || tiers[e2.Spec.Digest()] != serial.QualityOptimal {
-		t.Fatalf("scan tiers wrong: %v", tiers)
-	}
-	if len(rep.Checkpoints) != 1 || rep.Checkpoints[0].Spec.Digest() != e3.Spec.Digest() || rep.Checkpoints[0].Rounds != 4 {
-		t.Fatalf("scan checkpoints wrong: %+v", rep.Checkpoints)
+	want := []string{e1.Spec.Digest(), e2.Spec.Digest()}
+	sort.Strings(want)
+	if rep.Entries[0] != want[0] || rep.Entries[1] != want[1] {
+		t.Fatalf("scan entries %v, want %v", rep.Entries, want)
 	}
 	if rep.Quarantined != 3 {
-		t.Fatalf("scan quarantined %d files, want 3 (corrupt entry, corrupt checkpoint, foreign file)", rep.Quarantined)
+		t.Fatalf("scan quarantined %d files, want 3 (corrupt entry, per-digest checkpoint, foreign file)", rep.Quarantined)
 	}
 
 	// Survivors still load; debris is gone; a rescan is clean.
 	if _, err := s.LoadEntry(e1.Spec.Digest()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadCheckpoint(e3.Spec.Digest()); err != nil {
+	if _, err := s.LoadCheckpoint(GeometryName(&e3.Spec)); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), GeometryName(&tornSpec)+CheckpointExt)); err != nil {
+		t.Fatalf("scan touched a pool checkpoint: %v", err)
 	}
 	rep2, err := s.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Entries) != 2 || len(rep2.Checkpoints) != 1 || rep2.Quarantined != 0 {
+	if len(rep2.Entries) != 2 || rep2.Quarantined != 0 {
 		t.Fatalf("rescan not clean: %+v", rep2)
 	}
 }
