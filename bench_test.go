@@ -577,9 +577,10 @@ func benchServePost(b *testing.B, h http.Handler, path string, payload []byte) {
 	}
 }
 
-// cgCounter tallies the column-generation rounds and admitted columns
-// of a server's solves, reported per benchmark op.
-type cgCounter struct{ rounds, columns atomic.Int64 }
+// cgCounter tallies the column-generation rounds, admitted columns and
+// master Newton iterations of a server's solves, reported per benchmark
+// op.
+type cgCounter struct{ rounds, columns, ipmIters atomic.Int64 }
 
 // options observes every round and keeps the server's default stop
 // criteria.
@@ -587,12 +588,14 @@ func (c *cgCounter) options() core.CGOptions {
 	return core.CGOptions{OnIteration: func(_ int, it core.CGIteration) {
 		c.rounds.Add(1)
 		c.columns.Add(int64(it.ColumnsAdded))
+		c.ipmIters.Add(int64(it.MasterIterations))
 	}}
 }
 
 func (c *cgCounter) report(b *testing.B) {
 	b.ReportMetric(float64(c.rounds.Load())/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(c.columns.Load())/float64(b.N), "cols/op")
+	b.ReportMetric(float64(c.ipmIters.Load())/float64(b.N), "ipm-iters/op")
 }
 
 // BenchmarkServeColdSolve measures the cold path: a fresh vlpserved
@@ -639,7 +642,8 @@ func jitteredPayload(b *testing.B, e *benchEnv, spec *serial.SolveSpec, rng *ran
 // BenchmarkServeDonorSolve measures a cold solve on an already-solved
 // road network: one server solves a warm-up spec, then every op posts a
 // never-seen spec whose prior jitters the warm-up's by ±0.1%, so column
-// generation resumes from the warm-up solve's donor pool and bases.
+// generation resumes from the warm-up solve's donor pool, master
+// iterate and pricing bases.
 func BenchmarkServeDonorSolve(b *testing.B) {
 	e := benchSetup(b)
 	spec := benchServeSpec(e)
@@ -674,8 +678,10 @@ func BenchmarkServeDonorSolve(b *testing.B) {
 // server over a store holding the network's pool checkpoint, as after a
 // restart: every op starts a server over a copy of the warm-up solve's
 // store and posts a never-seen jittered spec, whose solve resumes from
-// the stored pool (which carries no pricing bases), then persists its
-// entry and checkpoints its final pool. pool-B is the checkpoint's size.
+// the stored pool (which carries no master iterate and no pricing
+// bases, so both start cold), then persists its entry; its final pool is
+// checkpointed only if it gained columns. pool-B is the checkpoint's
+// size.
 func BenchmarkServeStoredDonorSolve(b *testing.B) {
 	e := benchSetup(b)
 	spec := benchServeSpec(e)

@@ -35,13 +35,17 @@ type CGOptions struct {
 	// Workers is the pricing parallelism (default GOMAXPROCS).
 	Workers int
 	// Resume, when non-nil, seeds the master with the column pool of a
-	// previous run instead of the synthetic seed family, and warm-starts
+	// previous run instead of the synthetic seed family, starts the first
+	// master solve from that run's final interior iterate, and warm-starts
 	// each pricing subproblem from that run's final basis, so the loop
 	// restarts where the previous run stopped. The previous run may have
 	// had another prior: the polyhedra Λ_l depend only on the geometry
-	// (network, δ, ε, r), so every pooled column stays feasible, and each
-	// is re-costed against this problem. A state whose shape does not
-	// match the problem is ignored.
+	// (network, δ, ε, r), and so does the master's feasible set (its rows
+	// all have right-hand side 1), so every pooled column stays feasible
+	// and only the costs move: each column is re-costed against this
+	// problem. A state without an iterate or bases (a checkpoint, a
+	// restored snapshot) resumes the master and pricing cold. A state
+	// whose shape does not match the problem is ignored.
 	Resume *CGState
 	// OnIteration, when non-nil, observes each round (for tracing and
 	// convergence experiments).
@@ -82,6 +86,10 @@ type CGIteration struct {
 	// Verified reports that pricing ran at the exact master duals (not a
 	// smoothed point), so MinZeta is exact.
 	Verified bool
+	// MasterIterations is the Newton iteration count of the round's
+	// master solve (lp.Solution.Iterations): the warm- versus cold-start
+	// signal of the master.
+	MasterIterations int
 	// Elapsed is the wall time of the round.
 	Elapsed time.Duration
 }
@@ -115,19 +123,27 @@ type CGResult struct {
 // serving layer warm-starts from its incumbent's state this way, and a
 // cold solve of a new prior on an already-solved geometry from its
 // donor's.
+//
+// A finished run's State also carries the run's final master iterate
+// and pricing bases, which live in memory only: checkpoints (OnState)
+// and snapshots (Snapshot, RestoreCGState) hold the pool alone, so a run
+// resumed from one starts its master and pricing cold, and its bits can
+// differ from a run resumed from the in-memory state it was taken of.
 type CGState struct {
 	k       int
 	columns []cgColumn
+	// master is the run's final master iterate, extended over the
+	// columns appended after the last master solve (nil when that solve
+	// did not end optimal). Read-only: a resumed master starts from a
+	// copy.
+	master *lp.Iterate
 	// bases are the run's final per-l pricing bases (a nil entry for a
-	// subproblem never solved to optimality). Only a finished run's
-	// State carries them; checkpoints and restored snapshots do not.
-	// Read-only: a resumed pricer starts from them and captures its own.
+	// subproblem never solved to optimality). Read-only: a resumed
+	// pricer starts from them and captures its own.
 	bases []*lp.Basis
 }
 
 // Columns returns the pool size (0 for a nil state).
-//
-//lint:ignore deadcode a test probe of the column pool, used by core's CG warm-start and snapshot tests and server's ladder tests
 func (st *CGState) Columns() int {
 	if st == nil {
 		return 0
@@ -279,6 +295,11 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 	if err != nil {
 		return nil, fmt.Errorf("core: CG master setup: %w", err)
 	}
+	if resume != nil {
+		// The master's rows do not depend on the prior, so the previous
+		// run's final point is a warm start for the re-costed pool.
+		ms.sv.StartFrom(resume.master)
+	}
 
 	var piStab []float64 // dual point of the best Lagrangian bound
 
@@ -294,8 +315,9 @@ rounds:
 		merr := faultinject.At(FaultSiteCGMaster)
 		var masterObj, slack float64
 		var lam, piM, muM []float64
+		var masterIters int
 		if merr == nil {
-			masterObj, lam, piM, muM, slack, merr = ms.solve(ctx)
+			masterObj, lam, piM, muM, slack, masterIters, merr = ms.solve(ctx)
 		}
 		if merr != nil {
 			if lambda == nil {
@@ -367,10 +389,11 @@ rounds:
 			}
 
 			it = CGIteration{
-				MasterObj:  masterObj,
-				MinZeta:    minRc,
-				LowerBound: bound,
-				Verified:   verified,
+				MasterObj:        masterObj,
+				MinZeta:          minRc,
+				LowerBound:       bound,
+				Verified:         verified,
+				MasterIterations: masterIters,
 			}
 
 			if minRc >= xi {
@@ -466,9 +489,10 @@ rounds:
 	normalizeRows(z, k)
 	res.Mechanism = &Mechanism{Part: pr.Part, Z: z}
 	res.ETDD = pr.ETDD(res.Mechanism)
-	// Snapshot the pool and the pricing bases for CGOptions.Resume; the
-	// pricer is done, so neither is mutated after this point.
-	res.State = &CGState{k: k, columns: columns, bases: sub.dualBases}
+	// Snapshot the pool, the master iterate and the pricing bases for
+	// CGOptions.Resume; the master and the pricer are done, so none is
+	// mutated after this point.
+	res.State = &CGState{k: k, columns: columns, master: ms.sv.Iterate(), bases: sub.dualBases}
 	// The Lagrangian bound can be vacuous (negative) when the loop stops
 	// very early; quality loss is non-negative by definition.
 	if res.LowerBound < 0 {
@@ -650,9 +674,10 @@ func (ms *masterState) setRho(rho float64) {
 }
 
 // solve re-solves the live master, returning its objective, the column
-// weights λ, the duals π (unit rows) and μ (convexity rows), and the
-// total mass on stabilization slacks. The returned slices alias the
-// solver's solution and are valid until the next solve.
+// weights λ, the duals π (unit rows) and μ (convexity rows), the total
+// mass on stabilization slacks and the Newton iteration count. The
+// returned slices alias the solver's solution and are valid until the
+// next solve.
 //
 // Stabilization: the master's unit rows are softened to
 // Σ ẑ_k λ + s_k⁺ − s_k⁻ = 1 with cost ρ per unit of slack, which caps the
@@ -663,20 +688,20 @@ func (ms *masterState) setRho(rho float64) {
 // interior-point method, which needs no vertex (the recovered mechanism
 // is a convex combination anyway) and produces the well-centred duals
 // column generation wants.
-func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu []float64, slackUse float64, err error) {
+func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu []float64, slackUse float64, iters int, err error) {
 	ms.sv.SetContext(ctx)
 	sol, err := ms.sv.Solve()
 	if err != nil {
-		return 0, nil, nil, nil, 0, err
+		return 0, nil, nil, nil, 0, 0, err
 	}
 	if sol.Status != lp.Optimal {
-		return 0, nil, nil, nil, 0, fmt.Errorf("master LP (%d rows, %d cols) ended %v after %d IPM iterations",
+		return 0, nil, nil, nil, 0, 0, fmt.Errorf("master LP (%d rows, %d cols) ended %v after %d IPM iterations",
 			2*ms.k, ms.sv.NumVars(), sol.Status, sol.Iterations)
 	}
 	for s := 0; s < 2*ms.k; s++ {
 		slackUse += sol.X[s]
 	}
-	return sol.Objective, sol.X[2*ms.k:], sol.Duals[:ms.k], sol.Duals[ms.k : 2*ms.k], slackUse, nil
+	return sol.Objective, sol.X[2*ms.k:], sol.Duals[:ms.k], sol.Duals[ms.k : 2*ms.k], slackUse, sol.Iterations, nil
 }
 
 // pricer solves the K pricing subproblems.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/discretize"
+	"repro/internal/lp"
 	"repro/internal/roadnet"
 	"repro/internal/trace"
 )
@@ -59,13 +60,17 @@ func jitteredPrior(rng *rand.Rand, base []float64, frac float64) []float64 {
 	return p
 }
 
-// stateFingerprint renders a state's columns and bases, unexported
-// fields included, so any write to a shared state shows as a change.
+// stateFingerprint renders a state's columns, master iterate and bases,
+// unexported fields included and every float in hexadecimal (exact to
+// the bit), so any write to a shared state shows as a change.
 func stateFingerprint(st *CGState) string {
-	s := fmt.Sprint(st.k, st.columns)
+	s := fmt.Sprintf("%x %x", st.k, st.columns)
+	if st.master != nil {
+		s += fmt.Sprintf(" %x", *st.master)
+	}
 	for _, b := range st.bases {
 		if b != nil {
-			s += fmt.Sprint(*b)
+			s += fmt.Sprintf(" %x", *b)
 		}
 	}
 	return s
@@ -75,8 +80,7 @@ func stateFingerprint(st *CGState) string {
 // another prior over the same geometry: once for a ±0.1% jitter of the
 // donor's prior and once for the prior of another simulated fleet. The
 // resumed run must serve a Geo-I mechanism no worse than the cold run
-// by more than RelGap and no better than the certified bound, and
-// concurrent resumes must leave the shared donor state untouched.
+// by more than RelGap and no better than the certified bound.
 func TestSolveCGDonorResume(t *testing.T) {
 	g, part := donorPart(t)
 	base := tracePrior(t, g, part, 7)
@@ -142,16 +146,172 @@ func TestSolveCGDonorResume(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// Four concurrent resumes share the donor state; the race detector
-	// and the fingerprint both watch for writes to it.
+// donorGeometry is one road network's D-VLP instance factory, with the
+// prior its donor is solved on.
+type donorGeometry struct {
+	name    string
+	problem func(prior []float64) *Problem
+	prior   []float64
+}
+
+// donorGeometries are the solve-cold benchmark's K=48 instance (the
+// bench_test.go network, prior and ε) and the K24 golden instance
+// (internal/lp golden_test.go) under a uniform prior.
+func donorGeometries(t *testing.T) []donorGeometry {
+	t.Helper()
+	on := func(part *discretize.Partition, eps float64) func([]float64) *Problem {
+		return func(prior []float64) *Problem {
+			pr, err := NewProblem(part, Config{Epsilon: eps, PriorP: prior, PriorQ: prior})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pr
+		}
+	}
+	rng := rand.New(rand.NewSource(77))
+	g := roadnet.Grid(rng, roadnet.GridConfig{Rows: 3, Cols: 3, Spacing: 0.3, OneWayFrac: 0.5, WeightJitter: 0.15})
+	bench, err := discretize.New(g, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := trace.Simulate(rng, g, trace.SimConfig{
+		Vehicles: 12, Duration: 900, RecordEvery: 7, SpeedKmh: 30, CenterBias: 1, DropoutProb: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchPrior := trace.PriorFromTraces(bench, traces, 0.5)
+
+	g24 := roadnet.Grid(rand.New(rand.NewSource(77)), roadnet.GridConfig{Rows: 2, Cols: 3, Spacing: 0.3, OneWayFrac: 0.5, WeightJitter: 0.15})
+	golden, err := discretize.New(g24, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := make([]float64, golden.K())
+	for i := range uniform {
+		uniform[i] = 1 / float64(len(uniform))
+	}
+	return []donorGeometry{
+		{"bench-K48", on(bench, 5), benchPrior},
+		{"golden-K24", on(golden, 5), uniform},
+	}
+}
+
+// TestSolveCGDonorResumeWarmMaster resumes ±0.1% jitters of a donor's
+// prior twice each: from the donor's in-memory state, whose first master
+// solve starts from the donor's final interior iterate, and from the
+// same state after a Snapshot/RestoreCGState round trip, which drops the
+// iterate and the pricing bases, as a pool read back from disk does. The
+// two must serve the same quality loss, both must pass the Geo-I repair
+// gate as row-stochastic mechanisms, and the warm first master must take
+// fewer Newton iterations than the cold one.
+func TestSolveCGDonorResumeWarmMaster(t *testing.T) {
+	for _, geo := range donorGeometries(t) {
+		t.Run(geo.name, func(t *testing.T) {
+			donor, err := SolveCG(geo.problem(geo.prior), donorOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if donor.State.master == nil {
+				t.Fatal("the donor's State carries no master iterate")
+			}
+			restored, err := RestoreCGState(donor.State.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.master != nil || restored.bases != nil {
+				t.Fatal("a restored snapshot carries the in-memory iterate or bases")
+			}
+			serve := func(pr *Problem, resume *CGState) (*CGResult, float64) {
+				t.Helper()
+				opts := donorOpts
+				opts.Resume = resume
+				res, err := SolveCG(pr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				served, etdd, err := pr.EnforceGeoI(res.Mechanism, GeoITol)
+				if err != nil {
+					t.Fatalf("EnforceGeoI: %v", err)
+				}
+				if v := pr.GeoIViolation(served); v > GeoITol {
+					t.Errorf("served Geo-I violation %g above %g", v, GeoITol)
+				}
+				if e := served.RowStochasticError(); e > 1e-9 {
+					t.Errorf("served rows miss 1 by up to %g", e)
+				}
+				return res, etdd
+			}
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 10; trial++ {
+				pr := geo.problem(jitteredPrior(rng, geo.prior, 0.001))
+				warm, warmETDD := serve(pr, donor.State)
+				cold, coldETDD := serve(pr, restored)
+				if d := math.Abs(warmETDD-coldETDD) / coldETDD; d > 1e-6 {
+					t.Errorf("trial %d: warm-master ETDD %.10f, cold-master %.10f (%.2g relative)", trial, warmETDD, coldETDD, d)
+				}
+				w, c := warm.Iterations[0].MasterIterations, cold.Iterations[0].MasterIterations
+				if w >= c {
+					t.Errorf("trial %d: warm first master took %d Newton iterations, cold %d", trial, w, c)
+				}
+				if trial == 0 {
+					t.Logf("first master: warm %d, cold %d Newton iterations; ETDD %.10f vs %.10f", w, c, warmETDD, coldETDD)
+				}
+			}
+		})
+	}
+}
+
+// TestSolveCGDonorResumeForeignIterate resumes from a state whose master
+// iterate belongs to another road network, so its length does not match
+// the master: the iterate is ignored, and the run ends optimal with the
+// bits of a resume that carries no iterate at all.
+func TestSolveCGDonorResumeForeignIterate(t *testing.T) {
+	geos := donorGeometries(t)
+	k48, k24 := geos[0], geos[1]
+	donor, err := SolveCG(k48.problem(k48.prior), donorOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := SolveCG(k24.problem(k24.prior), donorOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := k48.problem(jitteredPrior(rand.New(rand.NewSource(6)), k48.prior, 0.001))
+	solve := func(master *lp.Iterate) *CGResult {
+		t.Helper()
+		opts := donorOpts
+		opts.Resume = &CGState{k: donor.State.k, columns: donor.State.columns, master: master, bases: donor.State.bases}
+		res, err := SolveCG(pr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := solve(foreign.State.master), solve(nil)
+	if fmt.Sprintf("%x", got.Mechanism.Z) != fmt.Sprintf("%x", want.Mechanism.Z) {
+		t.Fatalf("a foreign iterate changed the mechanism: ETDD %v, without it %v", got.ETDD, want.ETDD)
+	}
+}
+
+// TestSolveCGDonorResumeConcurrent runs 8 resumes from one shared donor
+// state at once, as every miss on a served geometry does. Under the race
+// detector and bit for bit, the donor's columns, master iterate and
+// pricing bases must come out as they went in.
+func TestSolveCGDonorResumeConcurrent(t *testing.T) {
+	geo := donorGeometries(t)[0]
+	donor, err := SolveCG(geo.problem(geo.prior), donorOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := stateFingerprint(donor.State)
 	columns := donor.State.Columns()
 	var wg sync.WaitGroup
-	errs := make([]error, 4)
+	errs := make([]error, 8)
 	for w := range errs {
-		prior := jitteredPrior(rand.New(rand.NewSource(int64(10+w))), base, 0.001)
-		pr := problem(prior)
+		pr := geo.problem(jitteredPrior(rand.New(rand.NewSource(int64(10+w))), geo.prior, 0.001))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

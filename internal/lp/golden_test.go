@@ -48,7 +48,7 @@ var goldenDigests = map[string]string{
 	"K24":        "ecadafb1904cfde0abee7b8740f861d20cf9116dbc711fa18ea687e736444dc0",
 	"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
 	"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
-	"K24-donor":  "0f90037f95c6488e8ba45a43c84a55c9c525e488e5e9df3e4960e98b0b0fc229",
+	"K24-donor":  "1b82d80d9bc5a019ca2fd1550142ca11e61599f3ee238955da96fb8fce30f47b",
 }
 
 // servedBytes solves one instance the way vlpserved does (column

@@ -16,7 +16,8 @@ import (
 // anything, SetObjectiveCoeff retunes costs (stabilization penalties),
 // and each Solve warm-starts from the previous iterate, falling back to
 // the usual cold start automatically whenever the warm point is stale or
-// fails to converge.
+// fails to converge. Iterate and StartFrom carry that iterate to another
+// instance of the same shape: a resumed column-generation run's master.
 //
 // The instance accepts the master's shape only: every row EQ, taken as
 // given (no sign flip, no equilibration), so the variables are exactly
@@ -118,10 +119,50 @@ func (sv *IPMSolver) warmFloor() float64 {
 	return f
 }
 
+// Iterate is an opaque interior point (x, y, s) of an IPMSolver
+// instance: the final iterate of a solve, extended by any columns
+// appended after it. It is immutable once handed out, so one Iterate
+// may seed any number of solvers, concurrently.
+type Iterate struct {
+	x, y, s []float64
+}
+
+// Iterate returns a copy of the point the next Solve would warm-start
+// from, or nil when there is none (no solve yet, or the last one did not
+// end Optimal).
+func (sv *IPMSolver) Iterate() *Iterate {
+	if !sv.haveWarm {
+		return nil
+	}
+	return &Iterate{
+		x: append([]float64(nil), sv.warmX...),
+		y: append([]float64(nil), sv.warmY...),
+		s: append([]float64(nil), sv.warmS...),
+	}
+}
+
+// StartFrom makes the next Solve warm-start from a copy of it, as if it
+// were this instance's own previous iterate: the point is floored back
+// into the interior, and a run that does not end Optimal is retried
+// cold. it is only read. An iterate whose lengths do not match the
+// instance's current columns and rows is ignored, as is nil: the next
+// Solve then starts as it would have.
+func (sv *IPMSolver) StartFrom(it *Iterate) {
+	if it == nil || len(it.x) != sv.ip.n || len(it.s) != sv.ip.n || len(it.y) != sv.ip.m {
+		return
+	}
+	sv.warmX = append(sv.warmX[:0], it.x...)
+	sv.warmY = append(sv.warmY[:0], it.y...)
+	sv.warmS = append(sv.warmS[:0], it.s...)
+	sv.haveWarm = true
+}
+
 // Solve minimises the current instance, warm-starting from the previous
-// optimal iterate when one exists. A warm attempt that fails to reach
-// optimality is retried cold before anything is reported, so warm
-// starting never changes outcomes — only iteration counts.
+// optimal iterate (or the one StartFrom installed) when one exists. A
+// warm attempt that fails to reach optimality is retried cold before
+// anything is reported, so warm starting never changes the status a
+// solve ends with; it does change iteration counts and the bits of the
+// returned point, which is another point within the same tolerances.
 func (sv *IPMSolver) Solve() (*Solution, error) {
 	if err := faultinject.At(FaultSiteIPM); err != nil {
 		return nil, fmt.Errorf("lp: injected fault: %w", err)
@@ -133,6 +174,8 @@ func (sv *IPMSolver) Solve() (*Solution, error) {
 		x, y, s := sv.warmPoint()
 		sol, err := ip.run(x, y, s, sv.ws)
 		if err != nil {
+			// run stopped mid-way through the warm buffers.
+			sv.haveWarm = false
 			return nil, err
 		}
 		if sol.Status == Optimal {

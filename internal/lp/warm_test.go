@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,6 +225,126 @@ func TestIPMSolverWarmMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstSimplex(t, "post-retune solve", p2, warm2)
+}
+
+// perturbedCosts returns a copy of p whose objective coefficients are
+// each scaled by a factor uniform in [1−frac, 1+frac].
+func perturbedCosts(rng *rand.Rand, p *Problem, frac float64) *Problem {
+	q := *p
+	q.objective = append([]float64(nil), p.objective...)
+	for j := range q.objective {
+		q.objective[j] *= 1 + frac*(2*rng.Float64()-1)
+	}
+	return &q
+}
+
+// TestIPMSolverStartFrom carries one solver's final iterate to another
+// instance of the same shape whose costs moved by ±0.1%, as a resumed
+// column-generation master does: the seeded solve must reach the cold
+// solve's optimum in fewer Newton iterations, and the handed-out iterate
+// must come back unchanged.
+func TestIPMSolverStartFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	p := withSlacks(randomCoveringLP(rng, 24, 16))
+	donor, err := NewIPMSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if donor.Iterate() != nil {
+		t.Fatal("an unsolved instance hands out an iterate")
+	}
+	if _, err := donor.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	it := donor.Iterate()
+	if it == nil {
+		t.Fatal("an optimal solve left no iterate")
+	}
+	before := fmt.Sprintf("%x", *it)
+
+	for trial := 0; trial < 5; trial++ {
+		q := perturbedCosts(rng, p, 0.001)
+		coldSv, err := NewIPMSolver(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := coldSv.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmSv, err := NewIPMSolver(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmSv.StartFrom(it)
+		warm, err := warmSv.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != Optimal || math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("trial %d: warm %v objective %v, cold %v", trial, warm.Status, warm.Objective, cold.Objective)
+		}
+		if warm.Iterations >= cold.Iterations {
+			t.Errorf("trial %d: warm start took %d Newton iterations, cold %d", trial, warm.Iterations, cold.Iterations)
+		}
+	}
+	if fmt.Sprintf("%x", *it) != before {
+		t.Fatal("StartFrom or Solve wrote to the seeding iterate")
+	}
+}
+
+// TestIPMSolverPoisonedIterateFallsBackCold seeds a solver with iterates
+// it cannot use. One of the wrong length is ignored; one holding NaN or
+// Inf fails its warm run, which Solve retries cold. Either way the
+// solve ends with the cold solve's bits. An iterate on the boundary
+// (all zero, negative) is floored into the interior and must still end
+// at the cold optimum.
+func TestIPMSolverPoisonedIterateFallsBackCold(t *testing.T) {
+	p := eqTestProblem(false)
+	sv, err := NewIPMSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sv.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(n int, v float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	good := sv.Iterate()
+	n, m := len(good.x), len(good.y)
+	for _, tc := range []struct {
+		name     string
+		it       *Iterate
+		coldBits bool
+	}{
+		{"short x", &Iterate{x: fill(n-1, 1), y: fill(m, 0), s: fill(n, 1)}, true},
+		{"long y", &Iterate{x: fill(n, 1), y: fill(m+1, 0), s: fill(n, 1)}, true},
+		{"short s", &Iterate{x: fill(n, 1), y: fill(m, 0), s: fill(n-1, 1)}, true},
+		{"NaN", &Iterate{x: fill(n, math.NaN()), y: fill(m, 0), s: fill(n, 1)}, true},
+		{"Inf", &Iterate{x: fill(n, 1), y: fill(m, math.Inf(1)), s: fill(n, math.Inf(1))}, true},
+		{"zero", &Iterate{x: fill(n, 0), y: fill(m, 0), s: fill(n, 0)}, false},
+		{"negative", &Iterate{x: fill(n, -1), y: fill(m, -5), s: fill(n, -1)}, false},
+	} {
+		sv, err := NewIPMSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv.StartFrom(tc.it)
+		got, err := sv.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkAgainstSimplex(t, tc.name, p, got)
+		if tc.coldBits && fmt.Sprintf("%x", got.X) != fmt.Sprintf("%x", want.X) {
+			t.Errorf("%s: X %v, want the cold solve's %v", tc.name, got.X, want.X)
+		}
+	}
 }
 
 // TestIPMSolverAddColumnAllocs guards the master's column append: on a

@@ -19,15 +19,30 @@ import (
 
 // admit caches a solved entry and persists it; when its geometry
 // adopted the entry's final pool as donor, that pool is checkpointed
-// too. It returns how many entries the cache evicted.
+// too, unless the record on disk already holds it. It returns how many
+// entries the cache evicted.
 func (s *Server) admit(spec *serial.SolveSpec, e *entry) int {
-	donor, rounds := e.donor, e.rounds
+	donor, rounds, storedAt := e.donor, e.rounds, e.storedAt
 	evicted := s.cache.add(e.key, e)
 	s.persistEntry(spec, e)
-	if donor != nil && s.store != nil {
+	if donor != nil && s.store != nil && !s.stillStored(storedAt) {
 		s.writeCheckpoint(spec, rounds, donor)
 	}
 	return evicted
+}
+
+// stillStored reports whether an entry's donor, whose storedAt this is,
+// is the pool of the stored record its solve resumed from, unchanged,
+// with no pool checkpoint landed since that record was read: the record
+// on disk then holds the donor's pool already (up to column costs, which
+// every resume recomputes), and rewriting it would only repeat an
+// fsync'd commit on the request path. No later write can replace it:
+// once the donor is adopted, writeCheckpoint refuses every other pool
+// on its geometry.
+func (s *Server) stillStored(storedAt uint64) bool {
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	return storedAt != 0 && storedAt == s.poolWrites+1
 }
 
 // persistEntry snapshots a completed entry to the store. No-op without
@@ -55,7 +70,8 @@ func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 
 // writeCheckpoint durably records st as the pool of spec's geometry:
 // every checkpointRounds rounds of a solve that may donate, and from
-// admit with the pool its geometry adopted. Under poolMu it writes only
+// admit with the pool its geometry adopted, unless that pool is the
+// stored record's (stillStored). Under poolMu it writes only
 // while the geometry has no donor or st is it, so the last pool written
 // is the adopted one. An ENOSPC-degraded store sheds it without I/O.
 func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) {
@@ -70,6 +86,7 @@ func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CG
 	}
 	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *st.Snapshot()}
 	if s.landed(s.store.WriteCheckpoint(ck)) {
+		s.poolWrites++
 		s.stats.checkpointWrote()
 	}
 }
@@ -86,24 +103,29 @@ func (s *Server) landed(err error) bool {
 
 // storedPool returns the pool checkpoint of spec's geometry, restored
 // and checked against pr, or nil: no store, no checkpoint, or one that
-// fails validation (counted; quarantined when corrupt).
-func (s *Server) storedPool(spec *serial.SolveSpec, pr *core.Problem) *core.CGState {
+// fails validation (counted; quarantined when corrupt). With a pool it
+// returns 1 + the count of pool checkpoints landed before the read, the
+// entry's storedAt should the solve leave the pool unchanged.
+func (s *Server) storedPool(spec *serial.SolveSpec, pr *core.Problem) (*core.CGState, uint64) {
 	if s.store == nil {
-		return nil
+		return nil, 0
 	}
+	s.poolMu.Lock()
+	at := s.poolWrites + 1
+	s.poolMu.Unlock()
 	ck, err := s.store.LoadCheckpoint(store.GeometryName(spec))
 	if err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
 			s.stats.storeLoadFailed(errors.Is(err, store.ErrCorrupt))
 		}
-		return nil
+		return nil, 0
 	}
 	st, err := core.RestoreCGState(&ck.State)
 	if err != nil || ck.State.K != pr.Part.K() {
 		s.stats.storeLoadFailed(false)
-		return nil
+		return nil, 0
 	}
-	return st
+	return st, at
 }
 
 // entryFromStore rebuilds a servable cache entry from the durable

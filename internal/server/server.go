@@ -169,6 +169,10 @@ type entry struct {
 	// its donor. Guarded by the cache's lock once the entry is added.
 	donor  *core.CGState
 	rounds int
+	// storedAt is nonzero when donor is, unchanged, the pool of the
+	// stored record the solve resumed from: then it is 1 + poolWrites as
+	// read before that record was loaded (see stillStored).
+	storedAt uint64
 
 	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
 	// is the only mutable sampler state.
@@ -240,9 +244,13 @@ type Server struct {
 	upgrading sync.Map
 
 	// store is the durable snapshot store (nil without Config.Store);
-	// poolMu orders pool checkpoints against donor adoption.
-	store  *store.Store
-	poolMu sync.Mutex
+	// poolMu orders pool checkpoints against donor adoption and guards
+	// poolWrites, the count of pool checkpoints that landed, by which a
+	// solve resumed from a stored pool tells whether that record is still
+	// the one on disk.
+	store      *store.Store
+	poolMu     sync.Mutex
+	poolWrites uint64
 
 	// Fleet state (see fleet.go): role is one of leaseSolo/Follower/
 	// Leader, driven by the lease loop; fleetStop ends that loop at
@@ -430,9 +438,10 @@ func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, *co
 // the privacy guarantee never degrades — only ETDD does.
 //
 // Column generation starts from the first of: this spec's degraded
-// incumbent, its geometry's donor (the final pool and pricing bases of
-// the first cached optimal solve on the same network, δ, ε and r that
-// may donate), the geometry's pool checkpoint on disk, or seed columns.
+// incumbent, its geometry's donor (the final pool, master iterate and
+// pricing bases of the first cached optimal solve on the same network,
+// δ, ε and r that may donate), the geometry's pool checkpoint on disk,
+// or seed columns.
 // Only a solve from seeds or the stored pool donates, so a resumed
 // mechanism is a function of its spec, its donor's spec and the stored
 // pool that donor resumed from.
@@ -455,6 +464,8 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	// (Only the background upgrade and post-eviction re-solves can see a
 	// cached entry here — a plain cache hit never reaches solve.)
 	donates := false
+	var stored *core.CGState
+	var storedAt uint64
 	if prev, ok := s.cache.get(spec.Digest()); ok && prev.state != nil {
 		opts.Resume = prev.state
 	} else if donor != nil {
@@ -462,8 +473,8 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		s.stats.donorSolved()
 	} else {
 		donates = true
-		if st := s.storedPool(spec, pr); st != nil {
-			opts.Resume = st
+		if stored, storedAt = s.storedPool(spec, pr); stored != nil {
+			opts.Resume = stored
 			s.stats.donorSolved()
 		}
 	}
@@ -520,6 +531,11 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	}
 	if e.tier == serial.QualityOptimal && donates {
 		e.donor, e.rounds = res.State, len(res.Iterations)
+		// Columns are only ever appended, so an equal count is the
+		// stored pool unchanged.
+		if stored != nil && res.State.Columns() == stored.Columns() {
+			e.storedAt = storedAt
+		}
 	}
 	e.geom = gk
 	return e, nil
