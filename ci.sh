@@ -7,7 +7,8 @@
 #
 #   ./ci.sh         full gate
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
-#                   lint-suite tests + the lp digest/SYRK/allocation gates
+#                   lint-suite tests + the lp digest/SYRK/allocation gates +
+#                   the store codec/round-trip tests
 #                   (pre-push sanity, well under a minute)
 set -eux
 
@@ -57,6 +58,12 @@ if [ "${1:-}" = "-quick" ]; then
     # column append, IPMSolver.AddColumn) fails before push, not only in
     # the full gate below.
     go test -count=1 -run 'TestGoldenMechanismDigests|TestSyrkKernelsBitIdentical|Allocs' ./internal/lp
+    # The durable-store codec and round-trip tests (about 1 s): an entry
+    # or pool codec change that stops decoding older files, re-encodes
+    # them with drift, or breaks the store's commit/scan round trip fails
+    # before push, not only in the full gate.
+    go test -count=1 -run 'TestStored' ./internal/serial
+    go test -count=1 -run 'TestStore' ./internal/store
     exit 0
 fi
 

@@ -119,10 +119,11 @@ type CGResult struct {
 // CGState is an opaque snapshot of a column-generation run's column
 // pool. A run resumed from it (CGOptions.Resume) re-admits every column
 // the previous run priced out, so an interrupted or gap-limited solve
-// continues rather than restarts — the background-upgrade path of the
-// serving layer warm-starts from its incumbent's state this way, and a
-// cold solve of a new prior on an already-solved geometry from its
-// donor's.
+// continues rather than restarts. The serving layer keeps one pool per
+// road network (δ, ε, r): a cold solve on an already-solved geometry
+// resumes from its donor's state in memory, and failing that (a
+// background upgrade of a degraded entry included) from the geometry's
+// pool checkpoint on disk.
 //
 // A finished run's State also carries the run's final master iterate
 // and pricing bases, which live in memory only: checkpoints (OnState)

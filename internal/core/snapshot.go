@@ -32,11 +32,8 @@ type CGColumnSnapshot struct {
 // Snapshot exports the state's column pool. The returned snapshot shares
 // no mutable storage obligations with the solver — CGState columns are
 // immutable once created — but callers must treat the nested slices as
-// read-only all the same. A nil state snapshots to nil.
+// read-only all the same.
 func (st *CGState) Snapshot() *CGStateSnapshot {
-	if st == nil {
-		return nil
-	}
 	s := &CGStateSnapshot{K: st.k, Columns: make([]CGColumnSnapshot, len(st.columns))}
 	for i, c := range st.columns {
 		s.Columns[i] = CGColumnSnapshot{L: c.l, Z: c.z, Cost: c.cost}
@@ -79,12 +76,8 @@ func (s *CGStateSnapshot) Validate() error {
 // every convexity row — the same structural requirement CGOptions.Resume
 // enforces, so a restored state is never silently ignored by the solver
 // for a reason validation could have caught. Untrusted (disk, wire)
-// snapshots must come through here. A nil snapshot restores to nil
-// without error.
+// snapshots must come through here.
 func RestoreCGState(s *CGStateSnapshot) (*CGState, error) {
-	if s == nil {
-		return nil, nil
-	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

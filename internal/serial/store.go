@@ -46,8 +46,8 @@ const maxPoolColumns = 1 << 22
 
 // StoredEntry is a durable snapshot of one completed (possibly degraded)
 // cache entry: the spec that keys it, the served mechanism and its
-// quality metadata, plus — on degraded tiers — the interrupted run's
-// resumable column pool.
+// quality metadata. It holds no column pool: pools belong to the road
+// network and live in its StoredCheckpoint.
 type StoredEntry struct {
 	Spec  SolveSpec
 	Tier  string // one of the Quality* constants
@@ -60,9 +60,6 @@ type StoredEntry struct {
 	// store layer stamps it; forensics on a quarantined snapshot can then
 	// attribute the write to a leadership term.
 	Fence uint64
-	// State is the degraded entry's resumable pool (nil on the optimal
-	// tier), so an upgrade re-solve still starts warm after a restart.
-	State *core.CGStateSnapshot
 }
 
 // StoredCheckpoint is a durable column pool of one road network: the
@@ -114,14 +111,6 @@ func (e *StoredEntry) Validate() error {
 			return fmt.Errorf("stored entry row %d sums to %v, want 1", i, sum)
 		}
 	}
-	if e.State != nil {
-		if err := validateState(e.State); err != nil {
-			return err
-		}
-		if e.State.K != e.K {
-			return fmt.Errorf("stored entry state K = %d, mechanism K = %d", e.State.K, e.K)
-		}
-	}
 	return nil
 }
 
@@ -163,12 +152,7 @@ func EncodeStoredEntry(e *StoredEntry) ([]byte, error) {
 	w.f64(e.Bound)
 	w.u64(uint64(e.K))
 	w.f64s(e.Z)
-	if e.State == nil {
-		w.u64(0)
-	} else {
-		w.u64(1)
-		w.state(e.State)
-	}
+	w.u64(0) // the pool flag: entries carry no pool
 	return w.seal(), nil
 }
 
@@ -222,9 +206,17 @@ func DecodeStoredEntry(data []byte) (*StoredEntry, error) {
 	switch hasState {
 	case 0:
 	case 1:
-		e.State = &core.CGStateSnapshot{}
-		if err := r.state(e.State); err != nil {
+		// Entries of older writers carry a degraded run's pool here: it
+		// is checked like every other field, then dropped.
+		var st core.CGStateSnapshot
+		if err := r.state(&st); err != nil {
 			return nil, err
+		}
+		if err := validateState(&st); err != nil {
+			return nil, fmt.Errorf("serial: stored entry state: %w", err)
+		}
+		if st.K != k {
+			return nil, fmt.Errorf("serial: stored entry state K = %d, mechanism K = %d", st.K, k)
 		}
 	default:
 		return nil, fmt.Errorf("serial: stored entry state flag %d", hasState)

@@ -2,6 +2,7 @@ package serial
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,19 +19,13 @@ func storedTestSpec(tb testing.TB) SolveSpec {
 	return SolveSpec{Network: net, Delta: 0.3, Epsilon: 5}
 }
 
-// storedTestEntry builds a valid degraded entry snapshot (uniform rows,
-// one CG column per block) over k intervals.
+// storedTestEntry builds a valid degraded entry snapshot (uniform rows)
+// over k intervals.
 func storedTestEntry(tb testing.TB, k int) *StoredEntry {
 	tb.Helper()
 	z := make([]float64, k*k)
 	for i := range z {
 		z[i] = 1 / float64(k)
-	}
-	cols := make([]core.CGColumnSnapshot, k)
-	for l := range cols {
-		zc := make([]float64, k)
-		zc[l] = 1
-		cols[l] = core.CGColumnSnapshot{L: l, Z: zc, Cost: 0.25}
 	}
 	return &StoredEntry{
 		Spec:  storedTestSpec(tb),
@@ -40,50 +35,69 @@ func storedTestEntry(tb testing.TB, k int) *StoredEntry {
 		K:     k,
 		Z:     z,
 		Fence: 3,
-		State: &core.CGStateSnapshot{K: k, Columns: cols},
 	}
 }
 
+// storedTestPool builds a valid column pool over k intervals, one CG
+// column per block.
+func storedTestPool(k int) *core.CGStateSnapshot {
+	cols := make([]core.CGColumnSnapshot, k)
+	for l := range cols {
+		zc := make([]float64, k)
+		zc[l] = 1
+		cols[l] = core.CGColumnSnapshot{L: l, Z: zc, Cost: 0.25}
+	}
+	return &core.CGStateSnapshot{K: k, Columns: cols}
+}
+
+// legacyEntry encodes e as writers did when degraded entries carried
+// their run's pool: with pool in the entry's pool field.
+func legacyEntry(tb testing.TB, e *StoredEntry, pool *core.CGStateSnapshot) []byte {
+	tb.Helper()
+	data, err := EncodeStoredEntry(e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Drop the checksum and the zero pool flag before it.
+	w := &snapWriter{buf: append([]byte(nil), data[:len(data)-sha256.Size-8]...)}
+	w.u64(1)
+	w.state(pool)
+	return w.seal()
+}
+
+// TestStoredEntryRoundTrip: an entry survives encode and decode, and an
+// older writer's entry with a pool decodes to the same entry, pool
+// dropped, re-encoding without it.
 func TestStoredEntryRoundTrip(t *testing.T) {
-	for _, withState := range []bool{true, false} {
-		e := storedTestEntry(t, 3)
-		if !withState {
-			e.State = nil
-			e.Tier = QualityOptimal
-		}
-		data, err := EncodeStoredEntry(e)
+	e := storedTestEntry(t, 3)
+	data, err := EncodeStoredEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{"current": data, "legacy": legacyEntry(t, e, storedTestPool(3))} {
+		got, err := DecodeStoredEntry(in)
 		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeStoredEntry(data)
-		if err != nil {
-			t.Fatalf("withState=%v: %v", withState, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got.Tier != e.Tier || got.ETDD != e.ETDD || got.Bound != e.Bound || got.K != e.K || got.Fence != e.Fence {
-			t.Fatalf("metadata changed: %+v vs %+v", got, e)
+			t.Fatalf("%s: metadata changed: %+v vs %+v", name, got, e)
 		}
 		if got.Spec.Digest() != e.Spec.Digest() {
-			t.Fatal("spec digest changed across round trip")
+			t.Fatalf("%s: spec digest changed across round trip", name)
 		}
 		for i := range e.Z {
 			if got.Z[i] != e.Z[i] {
-				t.Fatalf("Z[%d] changed: %v vs %v", i, got.Z[i], e.Z[i])
+				t.Fatalf("%s: Z[%d] changed: %v vs %v", name, i, got.Z[i], e.Z[i])
 			}
 		}
-		if withState {
-			if got.State == nil || got.State.K != e.State.K || len(got.State.Columns) != len(e.State.Columns) {
-				t.Fatal("state dropped or reshaped across round trip")
-			}
-		} else if got.State != nil {
-			t.Fatal("state appeared from nowhere")
-		}
-		// Deterministic: re-encoding the decoded value is byte-identical.
+		// Deterministic: re-encoding the decoded value gives the current
+		// encoding, byte for byte.
 		data2, err := EncodeStoredEntry(got)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(data, data2) {
-			t.Fatal("entry encoding is not a fixed point")
+			t.Fatalf("%s: entry re-encodes to other bytes", name)
 		}
 	}
 }
@@ -93,7 +107,7 @@ func TestStoredEntryRoundTrip(t *testing.T) {
 // can check its geometry key against the file name.
 func TestStoredCheckpointRoundTrip(t *testing.T) {
 	e := storedTestEntry(t, 3)
-	c := &StoredCheckpoint{Spec: e.Spec, Rounds: 7, Fence: 9, State: *e.State}
+	c := &StoredCheckpoint{Spec: e.Spec, Rounds: 7, Fence: 9, State: *storedTestPool(3)}
 	c.Spec.Prior = []float64{0.5, 0.25, 0.25}
 	data, err := EncodeStoredCheckpoint(c)
 	if err != nil {
@@ -161,28 +175,39 @@ func TestStoredDecodeRejectsCorruption(t *testing.T) {
 
 // TestStoredValidateRejectsBadValues: encode refuses snapshots whose
 // fields violate the invariants the decoder would reject, so a corrupt
-// snapshot can never be committed by a correct writer.
+// snapshot can never be committed by a correct writer; and decode
+// rejects an older writer's entry whose pool is invalid.
 func TestStoredValidateRejectsBadValues(t *testing.T) {
 	cases := map[string]func(*StoredEntry){
-		"NaN in Z":          func(e *StoredEntry) { e.Z[0] = math.NaN() },
-		"Inf in Z":          func(e *StoredEntry) { e.Z[0] = math.Inf(1) },
-		"negative row":      func(e *StoredEntry) { e.Z[0] = -0.5; e.Z[1] += 0.5 },
-		"row not summing":   func(e *StoredEntry) { e.Z[0] += 0.5 },
-		"bad tier":          func(e *StoredEntry) { e.Tier = "bogus" },
-		"negative ETDD":     func(e *StoredEntry) { e.ETDD = -1 },
-		"NaN bound":         func(e *StoredEntry) { e.Bound = math.NaN() },
-		"K mismatch":        func(e *StoredEntry) { e.K = 2 },
-		"state K mismatch":  func(e *StoredEntry) { e.State.K = 2 },
-		"state col L":       func(e *StoredEntry) { e.State.Columns[0].L = 99 },
-		"state col NaN":     func(e *StoredEntry) { e.State.Columns[0].Z[0] = math.NaN() },
-		"state col above 1": func(e *StoredEntry) { e.State.Columns[0].Z[0] = 1.5 },
-		"spec epsilon":      func(e *StoredEntry) { e.Spec.Epsilon = -1 },
+		"NaN in Z":        func(e *StoredEntry) { e.Z[0] = math.NaN() },
+		"Inf in Z":        func(e *StoredEntry) { e.Z[0] = math.Inf(1) },
+		"negative row":    func(e *StoredEntry) { e.Z[0] = -0.5; e.Z[1] += 0.5 },
+		"row not summing": func(e *StoredEntry) { e.Z[0] += 0.5 },
+		"bad tier":        func(e *StoredEntry) { e.Tier = "bogus" },
+		"negative ETDD":   func(e *StoredEntry) { e.ETDD = -1 },
+		"NaN bound":       func(e *StoredEntry) { e.Bound = math.NaN() },
+		"K mismatch":      func(e *StoredEntry) { e.K = 2 },
+		"spec epsilon":    func(e *StoredEntry) { e.Spec.Epsilon = -1 },
 	}
 	for name, mutate := range cases {
 		e := storedTestEntry(t, 3)
 		mutate(e)
 		if _, err := EncodeStoredEntry(e); err == nil {
 			t.Errorf("%s: encode accepted an invalid snapshot", name)
+		}
+	}
+	pools := map[string]func(*core.CGStateSnapshot){
+		"state K mismatch":  func(p *core.CGStateSnapshot) { *p = *storedTestPool(2) },
+		"state col L":       func(p *core.CGStateSnapshot) { p.Columns[0].L = 99 },
+		"state col NaN":     func(p *core.CGStateSnapshot) { p.Columns[0].Z[0] = math.NaN() },
+		"state col above 1": func(p *core.CGStateSnapshot) { p.Columns[0].Z[0] = 1.5 },
+		"state no columns":  func(p *core.CGStateSnapshot) { p.Columns = nil },
+	}
+	for name, mutate := range pools {
+		pool := storedTestPool(3)
+		mutate(pool)
+		if _, err := DecodeStoredEntry(legacyEntry(t, storedTestEntry(t, 3), pool)); err == nil {
+			t.Errorf("%s: decode accepted an invalid pool", name)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/serial"
 )
 
 // mechCache is a bounded LRU of solved mechanisms keyed by the solve
@@ -80,12 +81,13 @@ func (c *mechCache) geometry(k geomKey) (*core.Geometry, *core.CGState) {
 }
 
 // retain counts e as a user of its geometry, indexing the geometry if
-// its key has none, and moves e's donor state onto the geometry if it
-// has no donor yet (a later one is dropped, so no entry keeps a pool).
-// An entry whose key already maps to another geometry (two misses
-// derived it concurrently) is not counted: it keeps its own geometry
-// alive and the index keeps the first. Its donor state is still taken,
-// since equal keys give equal polyhedra Λ_l. Callers hold c.mu.
+// its key has none, and takes e's pool: it becomes the geometry's donor
+// if e is optimal and the geometry has no donor yet, and is dropped
+// otherwise, so no entry keeps a pool. An entry whose key already maps
+// to another geometry (two misses derived it concurrently) is not
+// counted: it keeps its own geometry alive and the index keeps the
+// first. Its pool may still donate, since equal keys give equal
+// polyhedra Λ_l. Callers hold c.mu.
 func (c *mechCache) retain(e *entry) {
 	if e.geom == (geomKey{}) {
 		return
@@ -98,10 +100,10 @@ func (c *mechCache) retain(e *entry) {
 	if u.geo == e.prob.Geometry {
 		u.refs++
 	}
-	if u.donor == nil {
-		u.donor = e.donor
+	if u.donor == nil && e.tier == serial.QualityOptimal {
+		u.donor = e.pool
 	}
-	e.donor = nil
+	e.pool = nil
 }
 
 // release undoes retain for an entry leaving the cache. Callers hold

@@ -40,9 +40,9 @@ func solveVia(t *testing.T, srv *Server, spec *serial.SolveSpec) *entry {
 // TestDonorPool checks the donor rule: only a cached optimal solve that
 // started from seed columns or the stored pool checkpoint donates its
 // final state to its geometry; cold solves of other specs on that
-// geometry resume from it, after an incumbent's pool and before the
-// stored checkpoint; the donor never crosses ε or r, never grows, and
-// leaves with the geometry's last cached entry.
+// geometry resume from it, before the stored checkpoint; the donor never
+// crosses ε or r, never grows, and leaves with the geometry's last
+// cached entry.
 func TestDonorPool(t *testing.T) {
 	// serve-churn's specs: one K=45 network at ε 4, a ±0.1% prior jitter
 	// per spec.
@@ -90,8 +90,8 @@ func TestDonorPool(t *testing.T) {
 			}
 		}
 		// A donor-resumed solve offers no state of its own.
-		if e, err := srv.solve(context.Background(), next()); err != nil || e.donor != nil {
-			t.Errorf("donor-resumed solve: donates %v, err %v", err == nil && e.donor != nil, err)
+		if e, err := srv.solve(context.Background(), next()); err != nil || e.pool != nil {
+			t.Errorf("donor-resumed solve: donates %v, err %v", err == nil && e.pool != nil, err)
 		}
 		if got := srv.Stats().DonorSolves; got != 21 {
 			t.Errorf("donor_solves = %d, want 21", got)
@@ -167,11 +167,12 @@ func TestDonorPool(t *testing.T) {
 		}
 	})
 
-	// The incumbent comes first, then the in-memory donor, then the
-	// stored checkpoint, which comes before seed columns.
-	t.Run("incumbent-and-checkpoint-first", func(t *testing.T) {
-		// An incumbent's pool, from a run cancelled in its first round on
-		// a server with no donor.
+	// The in-memory donor comes first, even for a spec whose incumbent
+	// is cached, then the stored checkpoint, which comes before seed
+	// columns.
+	t.Run("donor-then-checkpoint", func(t *testing.T) {
+		// An incumbent, from a run cancelled in its first round on a
+		// server with no donor.
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cut := New(context.Background(), Config{DisableUpgrade: true, CG: core.CGOptions{
@@ -184,8 +185,8 @@ func TestDonorPool(t *testing.T) {
 		}})
 		degraded := next()
 		inc, err := cut.solve(ctx, degraded)
-		if err != nil || inc.state == nil {
-			t.Fatalf("incumbent: state %v err %v", inc != nil && inc.state != nil, err)
+		if err != nil || inc.tier != serial.QualityIncumbent {
+			t.Fatalf("incumbent: err %v", err)
 		}
 
 		// A seeded solve gives the geometry its donor and its pool
@@ -212,11 +213,11 @@ func TestDonorPool(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.tier != serial.QualityOptimal || e.donor != nil {
-				t.Errorf("resumed solve: tier %q, donates %v; want optimal, no donation", e.tier, e.donor != nil)
+			if e.tier != serial.QualityOptimal || e.pool != nil {
+				t.Errorf("resumed solve: tier %q, donates %v; want optimal, no donation", e.tier, e.pool != nil)
 			}
-			if got := srv.Stats().DonorSolves; got != uint64(i) {
-				t.Errorf("after solve %d: donor_solves = %d, want %d: the incumbent comes first, then the donor", i, got, i)
+			if got := srv.Stats().DonorSolves; got != uint64(i+1) {
+				t.Errorf("after solve %d: donor_solves = %d, want %d: the donor comes first", i, got, i+1)
 			}
 		}
 		if got := srv.Stats().StoreLoadErrors; got != 0 {
@@ -233,9 +234,9 @@ func TestDonorPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap := fresh.Stats(); snap.DonorSolves != 1 || snap.StoreLoadErrors != 0 || e.donor == nil {
+		if snap := fresh.Stats(); snap.DonorSolves != 1 || snap.StoreLoadErrors != 0 || e.pool == nil {
 			t.Errorf("stored-pool solve: donor_solves %d, load errors %d, donates %v; want 1, 0, true",
-				snap.DonorSolves, snap.StoreLoadErrors, e.donor != nil)
+				snap.DonorSolves, snap.StoreLoadErrors, e.pool != nil)
 		}
 	})
 

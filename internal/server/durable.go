@@ -17,27 +17,27 @@ import (
 // pass: after a crash, the first request for an interrupted spec (or
 // any on its network) is an ordinary miss resuming from storedPool.
 
-// admit caches a solved entry and persists it; when its geometry
-// adopted the entry's final pool as donor, that pool is checkpointed
-// too, unless the record on disk already holds it. It returns how many
-// entries the cache evicted.
+// admit caches a solved entry and persists it. The entry's final pool,
+// on any tier, is checkpointed too, unless the record on disk already
+// holds it; writeCheckpoint refuses it when the geometry adopted another
+// pool as donor. It returns how many entries the cache evicted.
 func (s *Server) admit(spec *serial.SolveSpec, e *entry) int {
-	donor, rounds, storedAt := e.donor, e.rounds, e.storedAt
+	pool, rounds, storedAt := e.pool, e.rounds, e.storedAt
 	evicted := s.cache.add(e.key, e)
 	s.persistEntry(spec, e)
-	if donor != nil && s.store != nil && !s.stillStored(storedAt) {
-		s.writeCheckpoint(spec, rounds, donor)
+	if pool != nil && s.store != nil && !s.stillStored(storedAt) {
+		s.writeCheckpoint(spec, rounds, pool)
 	}
 	return evicted
 }
 
-// stillStored reports whether an entry's donor, whose storedAt this is,
+// stillStored reports whether an entry's pool, whose storedAt this is,
 // is the pool of the stored record its solve resumed from, unchanged,
 // with no pool checkpoint landed since that record was read: the record
-// on disk then holds the donor's pool already (up to column costs, which
-// every resume recomputes), and rewriting it would only repeat an
-// fsync'd commit on the request path. No later write can replace it:
-// once the donor is adopted, writeCheckpoint refuses every other pool
+// on disk then holds the pool already (up to column costs, which every
+// resume recomputes), and rewriting it would only repeat an fsync'd
+// commit on the request path. Once the pool is adopted as donor, no
+// later write can replace it: writeCheckpoint refuses every other pool
 // on its geometry.
 func (s *Server) stillStored(storedAt uint64) bool {
 	s.poolMu.Lock()
@@ -60,7 +60,6 @@ func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 		Bound: e.bound,
 		K:     e.mech.K(),
 		Z:     e.mech.Z,
-		State: e.state.Snapshot(),
 	}
 	if s.landed(s.store.WriteEntry(se)) {
 		s.storeDegraded.Store(false)
@@ -70,18 +69,19 @@ func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 
 // writeCheckpoint durably records st as the pool of spec's geometry:
 // every checkpointRounds rounds of a solve that may donate, and from
-// admit with the pool its geometry adopted, unless that pool is the
-// stored record's (stillStored). Under poolMu it writes only
-// while the geometry has no donor or st is it, so the last pool written
-// is the adopted one. An ENOSPC-degraded store sheds it without I/O.
+// admit with that solve's final pool, unless it is the stored record's
+// (stillStored). Under poolMu it writes only while the geometry has no
+// donor or st is it, so once a donor is adopted the last pool written is
+// the donor. An ENOSPC-degraded store sheds a pool that passes this
+// guard without I/O.
 func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) {
-	if s.storeDegraded.Load() {
-		s.stats.storeShed()
-		return
-	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	if _, donor := s.cache.geometry(geomKey(spec.GeometryKey())); donor != nil && donor != st {
+		return
+	}
+	if s.storeDegraded.Load() {
+		s.stats.storeShed()
 		return
 	}
 	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *st.Snapshot()}
@@ -179,12 +179,6 @@ func (s *Server) entryFromStore(key string, spec *serial.SolveSpec) *entry {
 	e := s.newEntry(pr, served, etdd, se.Bound, se.Tier)
 	e.key = key
 	e.geom = gk
-	// A failed state restore only loses the warm start, not the entry.
-	// Disk bytes are untrusted even after the checksum, so the restore
-	// re-runs the coverage check decode does not.
-	if st, err := core.RestoreCGState(se.State); err == nil {
-		e.state = st
-	}
 	return e
 }
 

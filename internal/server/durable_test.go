@@ -174,8 +174,9 @@ func TestStoreServesEvictedEntry(t *testing.T) {
 
 // interruptedSolve runs a real seeded solve on a server with a store
 // and cancels it in the round that writes its first pool checkpoint,
-// returning the degraded entry. spec must run past checkpointRounds
-// rounds under a zero gap; cadenceSpec does.
+// returning the degraded entry, which carries the run's final pool.
+// spec must run past checkpointRounds rounds under a zero gap;
+// cadenceSpec does.
 func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*Server, *entry) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -196,8 +197,8 @@ func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*S
 	if err != nil {
 		t.Fatalf("cancelled solve must degrade, got error %v", err)
 	}
-	if e.tier != serial.QualityIncumbent || e.state == nil {
-		t.Fatalf("tier %q state %v, want incumbent with resume state", e.tier, e.state != nil)
+	if e.tier != serial.QualityIncumbent || e.pool == nil {
+		t.Fatalf("tier %q pool %v, want incumbent with its final pool", e.tier, e.pool != nil)
 	}
 	return srv, e
 }
@@ -209,54 +210,151 @@ func cadenceSpec(t *testing.T) *serial.SolveSpec {
 	return churnSpecs(t, 1)[0]
 }
 
-// TestStoreDegradedEntryStateSurvives: a degraded entry's resumable
-// column pool makes it to disk and back, and the interrupted run left
-// its geometry's pool checkpoint behind.
-func TestStoreDegradedEntryStateSurvives(t *testing.T) {
-	st := testStore(t)
-	spec := cadenceSpec(t)
-	key := spec.Digest()
-	srvA, e := interruptedSolve(t, st, spec)
-	if snap := srvA.Stats(); snap.CheckpointWrites != 1 {
-		t.Fatalf("checkpoint_writes = %d, want 1 from the interrupted solve's cadence", snap.CheckpointWrites)
-	}
-	if _, err := st.LoadCheckpoint(store.GeometryName(spec)); err != nil {
-		t.Fatalf("pool checkpoint not on disk: %v", err)
-	}
-	srvA.persistEntry(spec, e)
-	if _, err := st.LoadEntry(key); err != nil {
-		t.Fatalf("degraded entry not persisted: %v", err)
-	}
+// zeroGap is interruptedSolve's stop rule without its cancellation: no
+// ξ or gap stop, so a solve runs to convergence.
+var zeroGap = core.CGOptions{Xi: -1e-9, RelGap: -1}
 
-	// Restart (upgrades off): starting the server solves nothing, and
-	// the entry comes back with its resume state.
-	srvB := New(context.Background(), Config{Store: st, DisableUpgrade: true})
-	if snap := srvB.Stats(); snap.Solves != 0 || snap.DonorSolves != 0 {
-		t.Fatalf("startup solved: solves=%d donor_solves=%d, want 0/0", snap.Solves, snap.DonorSolves)
+// seededRounds is the round count of a zero-gap solve of spec from seed
+// columns.
+func seededRounds(t *testing.T, spec *serial.SolveSpec) int {
+	t.Helper()
+	srv := New(context.Background(), Config{DisableUpgrade: true, CG: zeroGap})
+	e, err := srv.solve(context.Background(), spec)
+	if err != nil || e.tier != serial.QualityOptimal || e.pool == nil {
+		t.Fatalf("seeded solve: err %v", err)
 	}
-	e2 := srvB.entryFromStore(key, spec)
-	if e2 == nil {
-		t.Fatal("persisted degraded entry not loadable")
-	}
-	if e2.tier != serial.QualityIncumbent {
-		t.Fatalf("tier %q, want incumbent", e2.tier)
-	}
-	if e2.state == nil {
-		t.Fatal("resume state lost across the store round trip")
-	}
-	assertServable(t, e2)
+	return e.rounds
+}
 
-	// The restored pool is genuinely resumable: finishing the solve from
-	// it reaches the optimal tier.
-	srvB.cache.add(key, e2)
-	done, err := srvB.solve(context.Background(), spec)
+// admitInterrupted admits interruptedSolve's degraded entry, as the
+// miss path does, and checks that the entry's final pool, not the
+// cadence checkpoint, is now its geometry's pool record, while the
+// geometry has no donor.
+func admitInterrupted(t *testing.T, st *store.Store, spec *serial.SolveSpec) *Server {
+	t.Helper()
+	srv, e := interruptedSolve(t, st, spec)
+	columns := e.pool.Columns()
+	e.key = spec.Digest()
+	srv.admit(spec, e)
+	if donorOf(srv, spec) != nil {
+		t.Fatal("a degraded entry donated")
+	}
+	ck, err := st.LoadCheckpoint(store.GeometryName(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.tier != serial.QualityOptimal {
-		t.Fatalf("resumed solve tier %q, want optimal", done.tier)
+	if ck.Spec.Digest() != spec.Digest() || len(ck.State.Columns) != columns {
+		t.Fatalf("pool record has %d columns, the interrupted run's final pool %d", len(ck.State.Columns), columns)
 	}
-	assertServable(t, done)
+	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.CheckpointWrites != 2 {
+		t.Fatalf("store_writes=%d checkpoint_writes=%d, want 1/2: the entry, the cadence checkpoint and the final pool",
+			snap.StoreWrites, snap.CheckpointWrites)
+	}
+	return srv
+}
+
+// TestUpgradeResumesFromStoredPool: a degraded entry carries no pool of
+// its own. The upgrade re-solve (what scheduleUpgrade runs) resumes from
+// the pool record its interrupted solve left, like any miss with no
+// donor in memory: one donor solve, ending optimal in fewer rounds than
+// a seeded solve, whose pool the geometry then adopts.
+func TestUpgradeResumesFromStoredPool(t *testing.T) {
+	st := testStore(t)
+	spec := cadenceSpec(t)
+	seeded := seededRounds(t, spec)
+	srv := admitInterrupted(t, st, spec)
+
+	e, err := srv.solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.tier != serial.QualityOptimal {
+		t.Fatalf("upgrade tier %q, want optimal", e.tier)
+	}
+	if got := srv.Stats().DonorSolves; got != 1 {
+		t.Fatalf("donor_solves = %d, want 1", got)
+	}
+	t.Logf("upgrade: %d rounds, seeded: %d", e.rounds, seeded)
+	if e.rounds >= seeded {
+		t.Errorf("upgrade took %d rounds, a seeded solve %d", e.rounds, seeded)
+	}
+	assertServable(t, e)
+	e.key = spec.Digest()
+	srv.admit(spec, e)
+	if donorOf(srv, spec) == nil {
+		t.Fatal("the upgrade's pool was not adopted as donor")
+	}
+}
+
+// TestStoreDegradedPoolSurvivesRestart: a restarted server solves
+// nothing at startup, serves the stored degraded entry at once, and its
+// background upgrade resumes from the pool record the interrupted solve
+// left: one donor solve, ending optimal in fewer rounds than a seeded
+// solve.
+func TestStoreDegradedPoolSurvivesRestart(t *testing.T) {
+	st := testStore(t)
+	spec := cadenceSpec(t)
+	key := spec.Digest()
+	seeded := seededRounds(t, spec)
+	admitInterrupted(t, st, spec)
+
+	srv := New(context.Background(), Config{Store: st, CG: zeroGap})
+	if snap := srv.Stats(); snap.Solves != 0 || snap.DonorSolves != 0 {
+		t.Fatalf("startup solved: solves=%d donor_solves=%d, want 0/0", snap.Solves, snap.DonorSolves)
+	}
+	if e := solveVia(t, srv, spec); e.tier != serial.QualityIncumbent {
+		t.Fatalf("restart served tier %q, want the stored incumbent", e.tier)
+	}
+	waitFor(t, time.Minute, func() bool {
+		cur, ok := srv.cache.get(key)
+		return ok && cur.tier == serial.QualityOptimal
+	})
+	// The upgrade caches its entry before it counts it: join it first.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Stats()
+	if snap.StoreLoads != 1 || snap.Solves != 0 || snap.Upgrades != 1 || snap.DonorSolves != 1 || snap.StoreLoadErrors != 0 {
+		t.Fatalf("store_loads=%d solves=%d upgrades=%d donor_solves=%d store_load_errors=%d, want 1/0/1/1/0",
+			snap.StoreLoads, snap.Solves, snap.Upgrades, snap.DonorSolves, snap.StoreLoadErrors)
+	}
+	cur, _ := srv.cache.get(key)
+	t.Logf("upgrade: %d rounds, seeded: %d", cur.rounds, seeded)
+	if cur.rounds >= seeded {
+		t.Errorf("upgrade took %d rounds, a seeded solve %d", cur.rounds, seeded)
+	}
+	assertServable(t, cur)
+}
+
+// TestStoreLegacyEntryPoolDropped: testdata/legacy.mech is an incumbent
+// entry as written when degraded entries carried their run's pool. It
+// still loads: the startup scan quarantines nothing, and the entry
+// passes the Geo-I gate and serves at the incumbent tier with no solve.
+// Its pool is checked and dropped.
+func TestStoreLegacyEntryPoolDropped(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy.mech"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := testStore(t)
+	spec := ladderSpec(t)
+	if err := os.WriteFile(filepath.Join(st.Dir(), spec.Digest()+".mech"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	if got := srv.Stats().CorruptQuarantined; got != 0 {
+		t.Fatalf("corrupt_quarantined = %d, want 0", got)
+	}
+	e := solveVia(t, srv, spec)
+	if e.tier != serial.QualityIncumbent {
+		t.Fatalf("tier %q, want incumbent", e.tier)
+	}
+	snap := srv.Stats()
+	if snap.StoreLoads != 1 || snap.Solves != 0 || snap.StoreLoadErrors != 0 || snap.CorruptQuarantined != 0 {
+		t.Fatalf("store_loads=%d solves=%d store_load_errors=%d corrupt_quarantined=%d, want 1/0/0/0",
+			snap.StoreLoads, snap.Solves, snap.StoreLoadErrors, snap.CorruptQuarantined)
+	}
+	assertServable(t, e)
 }
 
 // TestStoreRecoveryReenqueuesInterruptedSolve: a pool checkpoint with
@@ -363,13 +461,13 @@ func TestCheckpointFollowsAdoptedDonor(t *testing.T) {
 	var solved [2]*entry
 	for i, spec := range specs {
 		e, err := srv.solve(context.Background(), spec)
-		if err != nil || e.donor == nil {
-			t.Fatalf("seeded solve %d: donates %v, err %v", i, err == nil && e.donor != nil, err)
+		if err != nil || e.pool == nil {
+			t.Fatalf("seeded solve %d: donates %v, err %v", i, err == nil && e.pool != nil, err)
 		}
 		e.key = spec.Digest()
 		solved[i] = e
 	}
-	adopted := solved[0].donor
+	adopted := solved[0].pool
 	for i, e := range solved {
 		srv.admit(specs[i], e)
 	}
@@ -468,8 +566,8 @@ func TestStoredPoolUnchangedNotRewritten(t *testing.T) {
 	// written after all.
 	srv = New(context.Background(), Config{Store: st, DisableUpgrade: true})
 	e, err := srv.solve(context.Background(), jittered)
-	if err != nil || e.donor == nil || e.storedAt == 0 {
-		t.Fatalf("resumed solve: donates %v, unchanged stored pool %v, err %v", e != nil && e.donor != nil, e != nil && e.storedAt != 0, err)
+	if err != nil || e.pool == nil || e.storedAt == 0 {
+		t.Fatalf("resumed solve: donates %v, unchanged stored pool %v, err %v", e != nil && e.pool != nil, e != nil && e.storedAt != 0, err)
 	}
 	other := testSpecs(t, 1)[0]
 	srv.writeCheckpoint(other, 1, mustState(t, other))

@@ -120,3 +120,41 @@ func TestStoreWriteShedNonENOSPCDoesNotLatch(t *testing.T) {
 		t.Fatal("transient failure latched degradation")
 	}
 }
+
+// TestStoreWriteShedAfterDonorGuard: while the store is ENOSPC-degraded,
+// a pool checkpoint the donor guard refuses (its geometry adopted
+// another pool) is dropped without counting as shed; only a pool the
+// guard would write counts.
+func TestStoreWriteShedAfterDonorGuard(t *testing.T) {
+	defer faultinject.Reset()
+	st := testStore(t)
+	srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
+	defer srv.Shutdown(context.Background())
+	specs := testSpecs(t, 2)
+	solveVia(t, srv, specs[0])
+	donor := donorOf(srv, specs[0])
+	if donor == nil {
+		t.Fatal("the seeded solve left no donor")
+	}
+
+	faultinject.Set(store.FaultSiteWrite, faultinject.Fault{
+		Err: fmt.Errorf("no space left on device: %w", syscall.ENOSPC),
+	})
+	solveVia(t, srv, specs[1])
+	if !srv.storeDegraded.Load() {
+		t.Fatal("ENOSPC did not latch store degradation")
+	}
+	shed := srv.Stats().StoreWriteShed
+
+	srv.writeCheckpoint(specs[0], 1, mustState(t, specs[0]))
+	if got := srv.Stats().StoreWriteShed; got != shed {
+		t.Fatalf("store_write_shed = %d after a refused pool, want %d", got, shed)
+	}
+	srv.writeCheckpoint(specs[0], 1, donor)
+	if got := srv.Stats().StoreWriteShed; got != shed+1 {
+		t.Fatalf("store_write_shed = %d after the donor's pool, want %d", got, shed+1)
+	}
+	if got := srv.Stats().CheckpointWrites; got != 1 {
+		t.Fatalf("checkpoint_writes = %d while degraded, want the first solve's 1", got)
+	}
+}

@@ -4,15 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/roadnet"
 	"repro/internal/serial"
 )
 
@@ -260,75 +259,45 @@ func TestUpgradePromotesDegradedEntry(t *testing.T) {
 	assertServable(t, cur)
 }
 
-// TestUpgradeResumesFromIncumbentState: a degraded incumbent entry
-// carries the interrupted run's column pool, the background re-solve
-// resumes from it (finishing in no more rounds than a from-scratch
-// solve), and the promoted optimal entry drops the pool.
-func TestUpgradeResumesFromIncumbentState(t *testing.T) {
-	// A denser spec than ladderSpec so the exact solve needs enough
-	// rounds for a mid-run cancellation to leave real work behind.
-	rng := rand.New(rand.NewSource(9))
-	net := serial.FromGraph(roadnet.Grid(rng, roadnet.GridConfig{
-		Rows: 2, Cols: 3, Spacing: 0.3, OneWayFrac: 0.5, WeightJitter: 0.15,
-	}))
-	spec := &serial.SolveSpec{Network: net, Delta: 0.2, Epsilon: 6}
-
-	// Reference: rounds a from-scratch exact-ish solve takes.
-	freshRounds := 0
-	fresh := New(context.Background(), Config{DisableUpgrade: true, CG: core.CGOptions{
-		Xi: -1e-9, RelGap: -1,
-		OnIteration: func(int, core.CGIteration) { freshRounds++ },
-	}})
-	if e, err := fresh.solve(context.Background(), spec); err != nil || e.tier != serial.QualityOptimal {
-		t.Fatalf("reference solve: tier %v err %v", e.tier, err)
+// TestUpgradeCountsEviction: an upgrade that re-inserts a key evicted
+// while it ran evicts another entry in turn, and /stats counts it.
+func TestUpgradeCountsEviction(t *testing.T) {
+	srv := New(context.Background(), Config{CacheSize: 1})
+	specs := testSpecs(t, 2)
+	release := make(chan struct{})
+	degraded, other, upgraded := stubEntry(t), stubEntry(t), stubEntry(t)
+	degraded.tier = serial.QualityIncumbent // the foreground solve degrades
+	var calls atomic.Int32
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+		if spec.Digest() != specs[0].Digest() {
+			return other, nil
+		}
+		if calls.Add(1) == 1 {
+			return degraded, nil
+		}
+		// The upgrade finishes only once its key has been evicted.
+		select {
+		case <-release:
+			return upgraded, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	if freshRounds < 3 {
-		t.Skipf("reference solve converged in %d rounds; too fast to observe a resume", freshRounds)
+	solveVia(t, srv, specs[0])
+	solveVia(t, srv, specs[1])
+	if got := srv.Stats().CacheEvicted; got != 1 {
+		t.Fatalf("cache_evicted = %d, want 1", got)
 	}
-
-	// Degraded first solve: cancel a few rounds in, keeping an incumbent.
-	rounds := 0
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv := New(context.Background(), Config{DisableUpgrade: true, CG: core.CGOptions{
-		Xi: -1e-9, RelGap: -1,
-		OnIteration: func(iter int, _ core.CGIteration) {
-			rounds++
-			if iter == 1 {
-				cancel()
-			}
-		},
-	}})
-	e, err := srv.solve(ctx, spec)
-	if err != nil {
+	close(release)
+	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e.tier != serial.QualityIncumbent {
-		t.Fatalf("tier %q, want incumbent", e.tier)
+	if snap := srv.Stats(); snap.Upgrades != 1 || snap.CacheEvicted != 2 {
+		t.Fatalf("upgrades=%d cache_evicted=%d, want 1/2", snap.Upgrades, snap.CacheEvicted)
 	}
-	if e.state == nil || e.state.Columns() == 0 {
-		t.Fatal("incumbent entry carries no resumable state")
+	if cur, ok := srv.cache.get(specs[0].Digest()); !ok || cur.tier != serial.QualityOptimal {
+		t.Fatal("the upgrade's entry is not cached")
 	}
-	e.key = spec.Digest()
-	srv.cache.add(e.key, e)
-
-	// The re-solve (what scheduleUpgrade runs) must pick the state up
-	// from the cache and finish in no more rounds than from scratch.
-	rounds = 0
-	e2, err := srv.solve(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.tier != serial.QualityOptimal {
-		t.Fatalf("upgrade tier %q, want optimal", e2.tier)
-	}
-	if rounds > freshRounds {
-		t.Errorf("resumed solve took %d rounds, from-scratch takes %d", rounds, freshRounds)
-	}
-	if e2.state != nil {
-		t.Error("optimal entry still carries resume state")
-	}
-	assertServable(t, e2)
 }
 
 // TestShutdownExpiredDrainCancelsSolves: when the drain budget runs out,

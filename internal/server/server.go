@@ -159,17 +159,14 @@ type entry struct {
 	solveTime time.Duration
 	served    atomic.Int64
 
-	// state is the interrupted run's column pool when the entry is
-	// degraded (nil on the optimal tier); the background upgrade resumes
-	// column generation from it instead of restarting. Immutable.
-	state *core.CGState
-	// donor is the final state of an optimal-tier solve that started
-	// from seed columns or the stored pool (nil otherwise), with its
-	// round count, until cache.add moves it onto the entry's geometry as
-	// its donor. Guarded by the cache's lock once the entry is added.
-	donor  *core.CGState
+	// pool is the final state of a solve that started from seed columns
+	// or the stored pool (nil otherwise), on whatever tier it ended, with
+	// its round count. cache.add takes it off the entry, adopting it as
+	// the geometry's donor if the entry is optimal; admit checkpoints it
+	// either way. Guarded by the cache's lock once the entry is added.
+	pool   *core.CGState
 	rounds int
-	// storedAt is nonzero when donor is, unchanged, the pool of the
+	// storedAt is nonzero when pool is, unchanged, the pool of the
 	// stored record the solve resumed from: then it is 1 + poolWrites as
 	// read before that record was loaded (see stillStored).
 	storedAt uint64
@@ -437,16 +434,17 @@ func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, *co
 // repaired to exact Geo-I feasibility before it becomes servable, so
 // the privacy guarantee never degrades — only ETDD does.
 //
-// Column generation starts from the first of: this spec's degraded
-// incumbent, its geometry's donor (the final pool, master iterate and
-// pricing bases of the first cached optimal solve on the same network,
-// δ, ε and r that may donate), the geometry's pool checkpoint on disk,
-// or seed columns.
+// Column generation starts from the first of: the spec's geometry's
+// donor (the final pool, master iterate and pricing bases of the first
+// cached optimal solve on the same network, δ, ε and r that may donate),
+// the geometry's pool checkpoint on disk, or seed columns. A background
+// upgrade is an ordinary such solve: the degraded solve it replaces left
+// its final pool in the checkpoint (with no store, it starts from seeds).
 // Only a solve from seeds or the stored pool donates, so a resumed
 // mechanism is a function of its spec, its donor's spec and the stored
 // pool that donor resumed from.
 func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
-	pr, gk, donor, err := s.problemFor(spec)
+	pr, gk, resume, err := s.problemFor(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -459,24 +457,14 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		opts.Xi = 0
 		opts.RelGap = 0
 	}
-	// A degraded incumbent for this spec carries the interrupted run's
-	// column pool; resume column generation from it rather than restart.
-	// (Only the background upgrade and post-eviction re-solves can see a
-	// cached entry here — a plain cache hit never reaches solve.)
-	donates := false
-	var stored *core.CGState
+	donates := resume == nil
 	var storedAt uint64
-	if prev, ok := s.cache.get(spec.Digest()); ok && prev.state != nil {
-		opts.Resume = prev.state
-	} else if donor != nil {
-		opts.Resume = donor
+	if donates {
+		resume, storedAt = s.storedPool(spec, pr)
+	}
+	if resume != nil {
+		opts.Resume = resume
 		s.stats.donorSolved()
-	} else {
-		donates = true
-		if stored, storedAt = s.storedPool(spec, pr); stored != nil {
-			opts.Resume = stored
-			s.stats.donorSolved()
-		}
 	}
 	// A solve that may donate checkpoints its pool every
 	// checkpointRounds rounds, which a kill mid-solve can cost at most.
@@ -524,16 +512,11 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 			return nil, err
 		}
 	}
-	if e.tier != serial.QualityOptimal && res != nil && res.State != nil {
-		// Keep the interrupted run's pool so the upgrade re-solve starts
-		// where this one stopped.
-		e.state = res.State
-	}
-	if e.tier == serial.QualityOptimal && donates {
-		e.donor, e.rounds = res.State, len(res.Iterations)
+	if donates && res != nil && res.State != nil {
+		e.pool, e.rounds = res.State, len(res.Iterations)
 		// Columns are only ever appended, so an equal count is the
 		// stored pool unchanged.
-		if stored != nil && res.State.Columns() == stored.Columns() {
+		if storedAt != 0 && res.State.Columns() == resume.Columns() {
 			e.storedAt = storedAt
 		}
 	}
@@ -572,8 +555,7 @@ func (s *Server) scheduleUpgrade(key string, spec *serial.SolveSpec) {
 		}
 		e.key = key
 		e.solveTime = time.Since(start)
-		s.admit(spec, e)
-		s.stats.upgraded()
+		s.stats.upgraded(s.admit(spec, e))
 	}()
 }
 

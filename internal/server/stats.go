@@ -58,7 +58,6 @@ func (s *stats) solveFailed()     { s.errors.Add(1) }
 func (s *stats) degraded()        { s.nDegraded.Add(1) }
 func (s *stats) cancelled()       { s.nCancelled.Add(1) }
 func (s *stats) panicRecovered()  { s.nPanics.Add(1) }
-func (s *stats) upgraded()        { s.nUpgrades.Add(1) }
 func (s *stats) donorSolved()     { s.nDonor.Add(1) }
 func (s *stats) storeWrote()      { s.storeWrites.Add(1) }
 func (s *stats) storeShed()       { s.storeShedded.Add(1) }
@@ -66,6 +65,11 @@ func (s *stats) checkpointWrote() { s.ckptWrites.Add(1) }
 
 func (s *stats) leaseRenewed() { s.leaseRenews.Add(1) }
 func (s *stats) leaseLost()    { s.leaseLosses.Add(1) }
+
+func (s *stats) upgraded(evicted int) {
+	s.nUpgrades.Add(1)
+	s.evicted.Add(uint64(evicted))
+}
 
 func (s *stats) storeLoaded(evicted int) {
 	s.storeLoads.Add(1)

@@ -153,7 +153,6 @@ func TestFencedCommitStaleQuarantine(t *testing.T) {
 	// a's in-flight upgrade commit must lose the fence check.
 	e2 := testEntry(t, 30, 3)
 	e2.Tier = serial.QualityOptimal
-	e2.State = nil
 	if err := a.WriteEntry(e2); !errors.Is(err, ErrStaleFence) {
 		t.Fatalf("stale commit: %v, want ErrStaleFence", err)
 	}
@@ -213,7 +212,6 @@ func TestStaleFenceFaultSite(t *testing.T) {
 	faultinject.Set(FaultSiteStaleFence, faultinject.Fault{Err: errors.New("injected demotion"), Times: 1})
 	e2 := testEntry(t, 32, 3)
 	e2.Tier = serial.QualityOptimal
-	e2.State = nil
 	if err := s.WriteEntry(e2); !errors.Is(err, ErrStaleFence) {
 		t.Fatalf("injected stale commit: %v, want ErrStaleFence", err)
 	}

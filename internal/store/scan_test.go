@@ -23,8 +23,7 @@ func TestScanShortCircuitNoReread(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck := testEntry(t, 43, 3)
-	if err := s.WriteCheckpoint(&serial.StoredCheckpoint{Spec: ck.Spec, Rounds: 2, State: *ck.State}); err != nil {
+	if err := s.WriteCheckpoint(testCheckpoint(t, 43, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +69,6 @@ func TestScanShortCircuitNoReread(t *testing.T) {
 	// An in-place upgrade (same name, new bytes) is also a delta.
 	up := testEntry(t, 40, 3)
 	up.Tier = serial.QualityOptimal
-	up.State = nil
 	if err := s.WriteEntry(up); err != nil {
 		t.Fatal(err)
 	}

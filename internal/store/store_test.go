@@ -33,12 +33,6 @@ func testEntry(tb testing.TB, seed int64, k int) *serial.StoredEntry {
 	for i := range z {
 		z[i] = 1 / float64(k)
 	}
-	cols := make([]core.CGColumnSnapshot, k)
-	for l := range cols {
-		zc := make([]float64, k)
-		zc[l] = 1
-		cols[l] = core.CGColumnSnapshot{L: l, Z: zc, Cost: 0.25}
-	}
 	return &serial.StoredEntry{
 		Spec:  testSpec(tb, seed),
 		Tier:  serial.QualityIncumbent,
@@ -46,8 +40,20 @@ func testEntry(tb testing.TB, seed int64, k int) *serial.StoredEntry {
 		Bound: 0.25,
 		K:     k,
 		Z:     z,
-		State: &core.CGStateSnapshot{K: k, Columns: cols},
 	}
+}
+
+// testCheckpoint builds a valid pool checkpoint over k intervals, one CG
+// column per block, for the given spec seed.
+func testCheckpoint(tb testing.TB, seed int64, k, rounds int) *serial.StoredCheckpoint {
+	tb.Helper()
+	cols := make([]core.CGColumnSnapshot, k)
+	for l := range cols {
+		zc := make([]float64, k)
+		zc[l] = 1
+		cols[l] = core.CGColumnSnapshot{L: l, Z: zc, Cost: 0.25}
+	}
+	return &serial.StoredCheckpoint{Spec: testSpec(tb, seed), Rounds: rounds, State: core.CGStateSnapshot{K: k, Columns: cols}}
 }
 
 func openTestStore(t *testing.T) *Store {
@@ -77,13 +83,9 @@ func TestStoreEntryRoundTrip(t *testing.T) {
 	if got.Tier != e.Tier || got.ETDD != e.ETDD || got.K != e.K || got.Spec.Digest() != digest {
 		t.Fatalf("entry changed across store round trip: %+v", got)
 	}
-	if got.State == nil || len(got.State.Columns) != len(e.State.Columns) {
-		t.Fatal("state dropped across store round trip")
-	}
 
 	// Overwrite with a better tier: last write wins, whole.
 	e.Tier = serial.QualityOptimal
-	e.State = nil
 	if err := s.WriteEntry(e); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestStoreEntryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tier != serial.QualityOptimal || got.State != nil {
+	if got.Tier != serial.QualityOptimal {
 		t.Fatalf("overwrite not visible: %+v", got)
 	}
 }
@@ -102,8 +104,7 @@ func TestStoreEntryRoundTrip(t *testing.T) {
 // checkpoint filed under another geometry's key is quarantined.
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	s := openTestStore(t)
-	e := testEntry(t, 2, 3)
-	c := &serial.StoredCheckpoint{Spec: e.Spec, Rounds: 9, State: *e.State}
+	c := testCheckpoint(t, 2, 3, 9)
 	geometry := GeometryName(&c.Spec)
 
 	if _, err := s.LoadCheckpoint(geometry); !errors.Is(err, ErrNotFound) {
@@ -165,7 +166,6 @@ func TestStoreCommitFaults(t *testing.T) {
 			// Second write, upgraded tier, dies at the armed site.
 			e2 := testEntry(t, 3, 3)
 			e2.Tier = serial.QualityOptimal
-			e2.State = nil
 			faultinject.Set(site, faultinject.Fault{Err: boom, Times: 1})
 			if err := s.WriteEntry(e2); !errors.Is(err, boom) {
 				t.Fatalf("commit with %s armed: %v, want injected error", site, err)
@@ -362,15 +362,13 @@ func TestStoreScan(t *testing.T) {
 	e1 := testEntry(t, 10, 3)
 	e2 := testEntry(t, 11, 3)
 	e2.Tier = serial.QualityOptimal
-	e2.State = nil
 	if err := s.WriteEntry(e1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WriteEntry(e2); err != nil {
 		t.Fatal(err)
 	}
-	e3 := testEntry(t, 12, 3)
-	ck := &serial.StoredCheckpoint{Spec: e3.Spec, Rounds: 4, State: *e3.State}
+	ck := testCheckpoint(t, 12, 3, 4)
 	if err := s.WriteCheckpoint(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +418,7 @@ func TestStoreScan(t *testing.T) {
 	if _, err := s.LoadEntry(e1.Spec.Digest()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadCheckpoint(GeometryName(&e3.Spec)); err != nil {
+	if _, err := s.LoadCheckpoint(GeometryName(&ck.Spec)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(s.Dir(), GeometryName(&tornSpec)+CheckpointExt)); err != nil {
