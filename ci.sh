@@ -51,13 +51,14 @@ if [ "${1:-}" = "-quick" ]; then
     # every push, so a broken // want expectation or a regressed taint
     # summary must surface in the pre-push check, not the full gate.
     go test ./internal/lint/...
-    # The lp digest, SYRK bit-identity and allocation gates (about 2 s):
-    # an lp refactor that moves a golden digest, lets the Go and AVX2
-    # SYRK kernels round apart, or starts allocating on a hot path (a
-    # warm IPM or pricing re-solve, the pricing sweep, or the master's
-    # column append, IPMSolver.AddColumn) fails before push, not only in
-    # the full gate below.
-    go test -count=1 -run 'TestGoldenMechanismDigests|TestSyrkKernelsBitIdentical|Allocs' ./internal/lp
+    # The lp digest, SYRK and basis-inverse bit-identity and allocation
+    # gates (about 2 s): an lp refactor that moves a golden digest, lets
+    # the Go and AVX2 SYRK kernels round apart, lets the sparse basis
+    # inversion drift from its dense Gauss-Jordan oracle, or starts
+    # allocating on a hot path (a warm IPM or pricing re-solve, the
+    # pricing sweep, or the master's column append, IPMSolver.AddColumn)
+    # fails before push, not only in the full gate below.
+    go test -count=1 -run 'TestGoldenMechanismDigests|TestSyrkKernelsBitIdentical|TestSparseInverse|Allocs' ./internal/lp
     # The durable-store codec and round-trip tests (about 1 s): an entry
     # or pool codec change that stops decoding older files, re-encodes
     # them with drift, or breaks the store's commit/scan round trip fails

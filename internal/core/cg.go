@@ -623,7 +623,7 @@ type masterState struct {
 }
 
 // newMasterState compiles the master over the 2K slacks, then appends
-// the initial column pool.
+// the initial column pool into storage reserved for it.
 func newMasterState(pr *Problem, columns []cgColumn, rho float64) (*masterState, error) {
 	k := pr.Part.K()
 	prob := lp.NewProblem(2 * k)
@@ -643,6 +643,11 @@ func newMasterState(pr *Problem, columns []cgColumn, rho float64) (*masterState,
 		return nil, err
 	}
 	ms := &masterState{k: k, sv: sv}
+	nnz := 0
+	for _, c := range columns {
+		nnz += len(ms.colEntries(c))
+	}
+	sv.Reserve(len(columns), nnz)
 	for _, c := range columns {
 		ms.addColumn(c)
 	}

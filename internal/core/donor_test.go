@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -159,7 +160,7 @@ type donorGeometry struct {
 // donorGeometries are the solve-cold benchmark's K=48 instance (the
 // bench_test.go network, prior and ε) and the K24 golden instance
 // (internal/lp golden_test.go) under a uniform prior.
-func donorGeometries(t *testing.T) []donorGeometry {
+func donorGeometries(t testing.TB) []donorGeometry {
 	t.Helper()
 	on := func(part *discretize.Partition, eps float64) func([]float64) *Problem {
 		return func(prior []float64) *Problem {
@@ -331,5 +332,50 @@ func TestSolveCGDonorResumeConcurrent(t *testing.T) {
 	}
 	if stateFingerprint(donor.State) != before {
 		t.Error("concurrent resumes wrote to the donor state")
+	}
+}
+
+// BenchmarkPricingResume measures the pricing layer of a donor resume
+// on the solve-cold benchmark's K=48 instance: one priceAll of a ±0.1%
+// jittered prior, at the duals of its resumed master's first solve,
+// every subproblem starting from the finished donor run's final basis.
+func BenchmarkPricingResume(b *testing.B) {
+	geo := donorGeometries(b)[0]
+	donor, err := SolveCG(geo.problem(geo.prior), donorOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr := geo.problem(jitteredPrior(rand.New(rand.NewSource(46)), geo.prior, 0.001))
+	// The resumed run's first master, as SolveCGCtx builds it.
+	columns := make([]cgColumn, len(donor.State.columns))
+	for i, c := range donor.State.columns {
+		columns[i] = cgColumn{l: c.l, z: c.z, cost: pr.columnCost(c.l, c.z)}
+	}
+	cmax := 0.0
+	for _, c := range pr.Costs {
+		cmax = max(cmax, c)
+	}
+	ms, err := newMasterState(pr, columns, 10*cmax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms.sv.StartFrom(donor.State.master)
+	ctx := context.Background()
+	_, _, pi, _, _, _, err := ms.solve(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub, err := newPricer(pr, CGOptions{}.withDefaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub.startBases = donor.State.bases
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(sub.dualBases)
+		if _, _, err := sub.priceAll(ctx, pi); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -99,6 +99,29 @@ func (sv *IPMSolver) AddColumn(cost float64, entries []Term) int {
 	return j
 }
 
+// Reserve makes room for cols more columns holding nnz entries in all,
+// in one exact allocation per array, so the AddColumn calls that append
+// them grow nothing: a resumed column-generation run appends its whole
+// pool at once.
+func (sv *IPMSolver) Reserve(cols, nnz int) {
+	ip := sv.ip
+	ip.mat.colPtr = reserve(ip.mat.colPtr, cols)
+	ip.mat.rows = reserve(ip.mat.rows, nnz)
+	ip.mat.vals = reserve(ip.mat.vals, nnz)
+	ip.c = reserve(ip.c, cols)
+}
+
+// reserve returns s with capacity for n more elements, reallocated to
+// exactly that size when it has less.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make([]T, len(s), len(s)+n)
+	copy(t, s)
+	return t
+}
+
 // warmFloor is the positive floor applied to warm-start coordinates so
 // the previous (near-boundary) optimum re-enters the interior.
 func (sv *IPMSolver) warmFloor() float64 {

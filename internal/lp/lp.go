@@ -245,17 +245,22 @@ type simplex struct {
 	scratchY   []float64 // m: dual vector of the pricing pass
 	scratchDir []float64 // m: entering direction B⁻¹A_j
 
-	// Row-major mirror of mat, rebuilt at the top of each iterate call
-	// (the matrix is static within a pivot loop but Prepared re-signs
-	// artificial columns between solves); pricing sweeps it for y·A.
+	// Row-major mirror of mat, built once by sizeState; pricing sweeps
+	// it for y·A. Prepared re-signs the artificial columns between
+	// solves in both (installArtificialSigns).
 	at      csr
-	bmatBuf []float64 // m×m: refactor's basis matrix
-	invBuf  []float64 // m×m: refactor's inversion target (swapped with binv)
-	p1Cost  []float64 // n: phase-1 cost vector (lazy)
-	banned  []bool    // n: phase-2 banned mask (lazy)
+	bmatBuf []float64   // m×m: refactor's basis matrix, then its inverse (swapped with binv)
+	invBuf  []float64   // m×m: refactor's inversion scratch
+	gj      gaussJordan // refactor's index scratch
+	p1Cost  []float64   // n: phase-1 cost vector (lazy)
+	banned  []bool      // n: phase-2 banned mask (lazy)
 
 	pivots        int
 	sinceRefactor int
+	// factored reports that binv is the inverse the last refactor
+	// computed for the current basis: set by a successful refactor,
+	// cleared by a pivot, a failed refactor and Prepared.resetCold.
+	factored bool
 }
 
 func newSimplex(p *Problem) *simplex {
@@ -325,7 +330,9 @@ func (s *simplex) sizeState(p *Problem) {
 	s.scratchDir = make([]float64, m)
 	s.bmatBuf = make([]float64, m*m)
 	s.invBuf = make([]float64, m*m)
+	s.gj = newGaussJordan(m)
 	s.maxIter = 50000 + 50*(m+s.n)
+	s.at.build(&s.mat, m)
 }
 
 func (s *simplex) solve() (*Solution, error) {
@@ -414,9 +421,14 @@ func (s *simplex) bannedArtificials() []bool {
 func (s *simplex) extractInto(sol *Solution) {
 	// Restore the unperturbed right-hand side: the basis stays optimal
 	// (reduced costs are b-independent) and the basic values are
-	// recomputed exactly.
+	// recomputed exactly. A basis no pivot changed since its last
+	// refactor already has the inverse a re-inversion would compute.
 	copy(s.b, s.bOrig)
-	s.refactor()
+	if s.factored {
+		s.basicValues()
+	} else {
+		s.refactor()
+	}
 
 	// Recover primal values of the original variables, undoing the
 	// column equilibration.
@@ -500,7 +512,6 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 	useBland := false
 	y := s.scratchY
 	dir := s.scratchDir
-	s.at.build(&s.mat, s.m)
 
 	// Stall detection: perturbation can turn exactly-degenerate pivots
 	// into micro-steps that never register as degenerate yet make no
@@ -713,6 +724,7 @@ func (s *simplex) pivot(enter, leave int, dir []float64) {
 	s.inBase[enter] = true
 	s.pivots++
 	s.sinceRefactor++
+	s.factored = false
 	if s.sinceRefactor >= refactorPeriod {
 		s.refactor()
 	}
@@ -725,30 +737,54 @@ func (s *simplex) pivot(enter, leave int, dir []float64) {
 // refreshed either way so a caller-side change of b takes effect.
 func (s *simplex) refactor() bool {
 	s.sinceRefactor = 0
-	m := s.m
 	bmat := s.bmatBuf
-	for i := range bmat {
-		bmat[i] = 0
-	}
+	clear(bmat)
+	s.gj.reset()
 	for i, j := range s.basis {
 		rows, vals := s.mat.col(j)
 		for k, r := range rows {
-			bmat[int(r)*m+i] = vals[k]
+			s.gj.place(bmat, int(r), i, vals[k])
 		}
 	}
-	ok := invertDenseInto(bmat, s.invBuf, m)
+	ok := s.gj.invert(bmat, s.invBuf)
 	if ok {
-		s.binv, s.invBuf = s.invBuf, s.binv
+		s.binv, s.bmatBuf = s.bmatBuf, s.binv
 	}
-	for i := 0; i < m; i++ {
+	s.factored = ok
+	s.basicValues()
+	return ok
+}
+
+// basicValues recomputes xb = B⁻¹·b from the current inverse. Four
+// rows run at once, each summing its products in ascending column order
+// as a row-at-a-time loop does, so the values keep their bits while
+// four independent addition chains overlap.
+func (s *simplex) basicValues() {
+	m := s.m
+	b := s.b[:m]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		r0 := s.binv[i*m : (i+1)*m]
+		r1 := s.binv[(i+1)*m : (i+2)*m]
+		r2 := s.binv[(i+2)*m : (i+3)*m]
+		r3 := s.binv[(i+3)*m : (i+4)*m]
+		var v0, v1, v2, v3 float64
+		for k, bk := range b {
+			v0 += r0[k] * bk
+			v1 += r1[k] * bk
+			v2 += r2[k] * bk
+			v3 += r3[k] * bk
+		}
+		s.xb[i], s.xb[i+1], s.xb[i+2], s.xb[i+3] = v0, v1, v2, v3
+	}
+	for ; i < m; i++ {
 		row := s.binv[i*m : (i+1)*m]
 		v := 0.0
-		for k := 0; k < m; k++ {
-			v += row[k] * s.b[k]
+		for k, bk := range b {
+			v += row[k] * bk
 		}
 		s.xb[i] = v
 	}
-	return ok
 }
 
 // dualInto fills y = c_B · B⁻¹.
@@ -777,62 +813,5 @@ func (s *simplex) directionInto(j int, d []float64) {
 	for i := 0; i < m; i++ {
 		row := s.binv[i*m : (i+1)*m]
 		d[i] = dotRange(row, rows, vals)
-	}
-}
-
-// invertDenseInto inverts the m×m row-major matrix in work into inv,
-// destroying work. Both buffers are caller-provided so the periodic
-// refactorisations allocate nothing.
-func invertDenseInto(work, inv []float64, m int) bool {
-	for i := range inv {
-		inv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		inv[i*m+i] = 1
-	}
-	for col := 0; col < m; col++ {
-		// Partial pivot.
-		p := col
-		best := math.Abs(work[col*m+col])
-		for r := col + 1; r < m; r++ {
-			if v := math.Abs(work[r*m+col]); v > best {
-				best = v
-				p = r
-			}
-		}
-		if best < 1e-12 {
-			return false
-		}
-		if p != col {
-			swapRows(work, m, p, col)
-			swapRows(inv, m, p, col)
-		}
-		pivInv := 1 / work[col*m+col]
-		for k := 0; k < m; k++ {
-			work[col*m+k] *= pivInv
-			inv[col*m+k] *= pivInv
-		}
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := work[r*m+col]
-			if f == 0 {
-				continue
-			}
-			for k := 0; k < m; k++ {
-				work[r*m+k] -= f * work[col*m+k]
-				inv[r*m+k] -= f * inv[col*m+k]
-			}
-		}
-	}
-	return true
-}
-
-func swapRows(a []float64, m, i, j int) {
-	ri := a[i*m : (i+1)*m]
-	rj := a[j*m : (j+1)*m]
-	for k := 0; k < m; k++ {
-		ri[k], rj[k] = rj[k], ri[k]
 	}
 }

@@ -164,7 +164,9 @@ func (pp *Prepared) solveWith(basis *Basis) (*Solution, error) {
 
 // installArtificialSigns points every artificial column in the direction
 // of its row's current (perturbed) RHS, so the all-artificial cold basis
-// is always primal feasible.
+// is always primal feasible. The row-major mirror is patched in place:
+// artificial artStart+i is the highest column of row i, so it is the
+// last entry of that row.
 func (pp *Prepared) installArtificialSigns() {
 	s := pp.s
 	for i := 0; i < s.m; i++ {
@@ -174,6 +176,7 @@ func (pp *Prepared) installArtificialSigns() {
 		}
 		_, vals := s.mat.col(s.artStart + i)
 		vals[0] = sign
+		s.at.vals[s.at.ptr[i+1]-1] = sign
 	}
 }
 
@@ -198,6 +201,7 @@ func (pp *Prepared) resetCold() {
 		s.xb[i] = sign * s.b[i]
 	}
 	s.sinceRefactor = 0
+	s.factored = false
 }
 
 // warmFeasTol is the primal-feasibility slack a restored basis may carry

@@ -371,6 +371,36 @@ func TestIPMSolverAddColumnAllocs(t *testing.T) {
 	}
 }
 
+// TestIPMSolverReserveAllocs: after Reserve, appending the reserved
+// columns allocates nothing at all, and Reserve adds no headroom beyond
+// what it was asked for.
+func TestIPMSolverReserveAllocs(t *testing.T) {
+	sv, err := NewIPMSolver(eqTestProblem(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cols = 300
+	entries := []Term{{Var: 0, Coef: 0.5}, {Var: 1, Coef: 1}}
+	nnz := sv.ip.mat.nnz()
+	// AllocsPerRun appends the columns twice: a warm-up run, then the
+	// measured one.
+	sv.Reserve(2*cols, 2*cols*len(entries))
+	if got, want := cap(sv.ip.mat.rows), nnz+2*cols*len(entries); got != want {
+		t.Fatalf("row pool capacity %d after Reserve, want exactly %d", got, want)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < cols; i++ {
+			sv.AddColumn(0.7, entries)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("appending %d reserved columns allocates %v objects, want 0", cols, allocs)
+	}
+	if _, err := sv.Solve(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIPMSolverAddColumnRejectsBadRows(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -455,5 +485,42 @@ func TestPreparedWarmResolveAllocs(t *testing.T) {
 	// of allocs of slack cover interface boxing in the test harness.
 	if allocs > 2 {
 		t.Fatalf("warm re-solve allocates %v objects per run, want ≤ 2", allocs)
+	}
+}
+
+// TestPreparedMirrorPatchedInPlace guards the simplex's row-major
+// mirror, built once per instance: installArtificialSigns patches each
+// artificial's sign as the last entry of its row, which holds only if
+// artificial artStart+i ends row i. After solves whose right-hand sides
+// flip sign, the mirror must equal a fresh build of the matrix.
+func TestPreparedMirrorPatchedInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, p := range []*Problem{randomCoveringLP(rng, 12, 9), pricingDualInstance(rng, 16)} {
+		pp, err := Prepare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := pp.s
+		for i := 0; i < s.m; i++ {
+			if last := s.at.cols[s.at.ptr[i+1]-1]; int(last) != s.artStart+i {
+				t.Fatalf("row %d ends with column %d, want its artificial %d", i, last, s.artStart+i)
+			}
+		}
+		var basis *Basis
+		for step := 0; step < 12; step++ {
+			for i := 0; i < s.m; i++ {
+				pp.SetRHS(i, 2*rng.Float64()-1)
+			}
+			if _, err := pp.SolveFrom(basis); err != nil {
+				t.Fatal(err)
+			}
+			basis = pp.Basis(basis)
+			var fresh csr
+			fresh.build(&s.mat, s.m)
+			if fmt.Sprint(fresh.ptr, fresh.cols) != fmt.Sprint(s.at.ptr, s.at.cols) ||
+				fmt.Sprintf("%x", fresh.vals) != fmt.Sprintf("%x", s.at.vals) {
+				t.Fatalf("step %d: mirror differs from a fresh build of the matrix", step)
+			}
+		}
 	}
 }

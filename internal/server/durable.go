@@ -19,8 +19,9 @@ import (
 
 // admit caches a solved entry and persists it. The entry's final pool,
 // on any tier, is checkpointed too, unless the record on disk already
-// holds it; writeCheckpoint refuses it when the geometry adopted another
-// pool as donor. It returns how many entries the cache evicted.
+// holds it (the solve resumed from it or its last checkpoint wrote it);
+// writeCheckpoint refuses it when the geometry adopted another pool as
+// donor. It returns how many entries the cache evicted.
 func (s *Server) admit(spec *serial.SolveSpec, e *entry) int {
 	pool, rounds, storedAt := e.pool, e.rounds, e.storedAt
 	evicted := s.cache.add(e.key, e)
@@ -32,11 +33,11 @@ func (s *Server) admit(spec *serial.SolveSpec, e *entry) int {
 }
 
 // stillStored reports whether an entry's pool, whose storedAt this is,
-// is the pool of the stored record its solve resumed from, unchanged,
-// with no pool checkpoint landed since that record was read: the record
-// on disk then holds the pool already (up to column costs, which every
-// resume recomputes), and rewriting it would only repeat an fsync'd
-// commit on the request path. Once the pool is adopted as donor, no
+// is the pool of a stored record, unchanged, with no pool checkpoint
+// landed since that record was read or written: the record on disk then
+// holds the pool already (up to column costs, which every resume
+// recomputes), and rewriting it would only repeat an fsync'd commit on
+// the request path. Once the pool is adopted as donor, no
 // later write can replace it: writeCheckpoint refuses every other pool
 // on its geometry.
 func (s *Server) stillStored(storedAt uint64) bool {
@@ -73,22 +74,25 @@ func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 // (stillStored). Under poolMu it writes only while the geometry has no
 // donor or st is it, so once a donor is adopted the last pool written is
 // the donor. An ENOSPC-degraded store sheds a pool that passes this
-// guard without I/O.
-func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) {
+// guard without I/O. When the write lands it returns 1 + poolWrites
+// counting it, the storedAt of an entry whose pool st is; else 0.
+func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) uint64 {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	if _, donor := s.cache.geometry(geomKey(spec.GeometryKey())); donor != nil && donor != st {
-		return
+		return 0
 	}
 	if s.storeDegraded.Load() {
 		s.stats.storeShed()
-		return
+		return 0
 	}
 	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *st.Snapshot()}
-	if s.landed(s.store.WriteCheckpoint(ck)) {
-		s.poolWrites++
-		s.stats.checkpointWrote()
+	if !s.landed(s.store.WriteCheckpoint(ck)) {
+		return 0
 	}
+	s.poolWrites++
+	s.stats.checkpointWrote()
+	return s.poolWrites + 1
 }
 
 // landed reports whether a store write succeeded. A full disk (ENOSPC)

@@ -227,9 +227,10 @@ func seededRounds(t *testing.T, spec *serial.SolveSpec) int {
 }
 
 // admitInterrupted admits interruptedSolve's degraded entry, as the
-// miss path does, and checks that the entry's final pool, not the
-// cadence checkpoint, is now its geometry's pool record, while the
-// geometry has no donor.
+// miss path does, and checks that the entry's final pool is now its
+// geometry's pool record, while the geometry has no donor. The solve
+// stopped in the round of its cadence checkpoint, which already wrote
+// that pool, so admit writes no second one.
 func admitInterrupted(t *testing.T, st *store.Store, spec *serial.SolveSpec) *Server {
 	t.Helper()
 	srv, e := interruptedSolve(t, st, spec)
@@ -246,11 +247,41 @@ func admitInterrupted(t *testing.T, st *store.Store, spec *serial.SolveSpec) *Se
 	if ck.Spec.Digest() != spec.Digest() || len(ck.State.Columns) != columns {
 		t.Fatalf("pool record has %d columns, the interrupted run's final pool %d", len(ck.State.Columns), columns)
 	}
-	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.CheckpointWrites != 2 {
-		t.Fatalf("store_writes=%d checkpoint_writes=%d, want 1/2: the entry, the cadence checkpoint and the final pool",
+	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.CheckpointWrites != 1 {
+		t.Fatalf("store_writes=%d checkpoint_writes=%d, want 1/1: the entry and the cadence checkpoint, which holds the final pool",
 			snap.StoreWrites, snap.CheckpointWrites)
 	}
 	return srv
+}
+
+// TestCheckpointedFinalPoolNotRewritten: a seeded solve that ends
+// optimal on a round that is a multiple of checkpointRounds ends on the
+// pool its last cadence checkpoint wrote, so admit does not commit it
+// again; the geometry adopts that pool as donor.
+func TestCheckpointedFinalPoolNotRewritten(t *testing.T) {
+	st := testStore(t)
+	spec := cadenceSpec(t)
+	srv := New(context.Background(), Config{
+		Store:          st,
+		DisableUpgrade: true,
+		CG:             core.CGOptions{Xi: -1e-9, RelGap: -1, MaxIterations: 2 * checkpointRounds},
+	})
+	e := solveVia(t, srv, spec)
+	if e.tier != serial.QualityOptimal || e.rounds != 2*checkpointRounds {
+		t.Fatalf("tier %q after %d rounds, want optimal after %d", e.tier, e.rounds, 2*checkpointRounds)
+	}
+	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.CheckpointWrites != 2 {
+		t.Fatalf("store_writes=%d checkpoint_writes=%d, want 1/2: the entry and two cadence checkpoints, the second holding the final pool",
+			snap.StoreWrites, snap.CheckpointWrites)
+	}
+	donor := donorOf(srv, spec)
+	ck, err := st.LoadCheckpoint(store.GeometryName(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if donor == nil || donor.Columns() != len(ck.State.Columns) {
+		t.Fatalf("adopted donor does not hold the pool record's %d columns", len(ck.State.Columns))
+	}
 }
 
 // TestUpgradeResumesFromStoredPool: a degraded entry carries no pool of

@@ -166,9 +166,11 @@ type entry struct {
 	// either way. Guarded by the cache's lock once the entry is added.
 	pool   *core.CGState
 	rounds int
-	// storedAt is nonzero when pool is, unchanged, the pool of the
-	// stored record the solve resumed from: then it is 1 + poolWrites as
-	// read before that record was loaded (see stillStored).
+	// storedAt is nonzero when pool is, unchanged, the pool of a stored
+	// record: the one the solve's last cadence checkpoint wrote, or,
+	// when none landed, the one it resumed from. It is then 1 +
+	// poolWrites as read right after that checkpoint landed, or before
+	// that record was loaded (see stillStored).
 	storedAt uint64
 
 	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
@@ -458,10 +460,14 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		opts.RelGap = 0
 	}
 	donates := resume == nil
+	// storedAt and storedCols track the latest pool record the store is
+	// known to hold for this solve: the one it resumes from, then each
+	// cadence checkpoint it lands (see stillStored).
 	var storedAt uint64
 	if donates {
 		resume, storedAt = s.storedPool(spec, pr)
 	}
+	storedCols := resume.Columns()
 	if resume != nil {
 		opts.Resume = resume
 		s.stats.donorSolved()
@@ -471,7 +477,9 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	if donates && s.store != nil {
 		opts.CheckpointEvery = checkpointRounds
 		opts.OnState = func(iter int, st *core.CGState) {
-			s.writeCheckpoint(spec, iter+1, st)
+			if at := s.writeCheckpoint(spec, iter+1, st); at != 0 {
+				storedAt, storedCols = at, st.Columns()
+			}
 		}
 	}
 	res, solveErr := core.SolveCGCtx(ctx, pr, opts)
@@ -516,7 +524,7 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		e.pool, e.rounds = res.State, len(res.Iterations)
 		// Columns are only ever appended, so an equal count is the
 		// stored pool unchanged.
-		if storedAt != 0 && res.State.Columns() == resume.Columns() {
+		if storedAt != 0 && res.State.Columns() == storedCols {
 			e.storedAt = storedAt
 		}
 	}
