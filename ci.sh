@@ -8,7 +8,8 @@
 #   ./ci.sh         full gate
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
 #                   lint-suite tests + the lp digest/SYRK/allocation gates +
-#                   the store codec/round-trip tests
+#                   the store codec/round-trip tests + the server's
+#                   pool-lifecycle tests
 #                   (pre-push sanity, well under a minute)
 set -eux
 
@@ -65,6 +66,12 @@ if [ "${1:-}" = "-quick" ]; then
     # before push, not only in the full gate.
     go test -count=1 -run 'TestStored' ./internal/serial
     go test -count=1 -run 'TestStore' ./internal/store
+    # The server's pool-lifecycle tests (about 3 s): who donates to a
+    # road network and when its <geometry>.pool record is written, read
+    # and shed. A change that lets two first misses on one network both
+    # solve from seeds, rewrites a pool record already on disk, or stops
+    # an upgrade resuming from the stored pool fails before push.
+    go test -count=1 -run 'TestDonorPool|TestOneSolvePerNetwork|TestOwnerWait|TestCheckpointedFinalPool|TestStoredPool|TestStoredCheckpoint|TestUpgradeResumes|TestStoreWriteShed' ./internal/server
     exit 0
 fi
 
@@ -130,10 +137,11 @@ go run ./cmd/vlpchaos -check BENCH_chaos.json
 # it one flight and only the flight leader takes a solve-pool slot.
 # The donor tests ride along: concurrent cold solves on one road network
 # all resume from that network's shared donor pool and pricing bases,
-# which must stay immutable under the race detector.
+# which must stay immutable under the race detector, and concurrent
+# first misses on one network take its owner lock in turn.
 # These also run in the -race pass above; the explicit run keeps the
 # gate legible and fails fast when the admission layer regresses.
-go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestSolveCGDonorResume' ./internal/server ./internal/core
+go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestOneSolvePerNetwork|TestOwnerWait|TestSolveCGDonorResume' ./internal/server ./internal/core
 
 # Golden-digest gate: digests change only on purpose. The served wire
 # bytes (SolveCG, EnforceGeoI, serial.WriteJSON) of the K12/K24/K44

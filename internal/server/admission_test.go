@@ -22,7 +22,7 @@ const slowSolveSite = "server/test/slow-solve"
 // slow-solve fault point, so tests control solve duration by arming a
 // Delay there.
 func installSlowSolver(t *testing.T, srv *Server) {
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		if err := faultinject.At(slowSolveSite); err != nil {
 			return nil, err
 		}

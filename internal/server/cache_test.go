@@ -141,7 +141,9 @@ func TestSingleflightFollowerHonoursContext(t *testing.T) {
 
 func TestHandlerValidation(t *testing.T) {
 	srv := New(context.Background(), Config{})
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) { return stubEntry(t), nil }
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
+		return stubEntry(t), nil
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

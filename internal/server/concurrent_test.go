@@ -65,7 +65,7 @@ type solveCounter struct {
 }
 
 func (c *solveCounter) install(s *Server) {
-	s.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	s.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		c.mu.Lock()
 		c.counts[spec.Digest()]++
 		c.mu.Unlock()
@@ -231,7 +231,7 @@ func TestConcurrentClients(t *testing.T) {
 		srv := New(context.Background(), Config{CacheSize: 8, MaxSolves: 2})
 		solveStarted := make(chan struct{})
 		release := make(chan struct{})
-		srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+		srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 			close(solveStarted)
 			<-release
 			return stubEntry(t), nil

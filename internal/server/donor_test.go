@@ -90,7 +90,7 @@ func TestDonorPool(t *testing.T) {
 			}
 		}
 		// A donor-resumed solve offers no state of its own.
-		if e, err := srv.solve(context.Background(), next()); err != nil || e.pool != nil {
+		if e, err := srv.solve(context.Background(), next(), true); err != nil || e.pool != nil {
 			t.Errorf("donor-resumed solve: donates %v, err %v", err == nil && e.pool != nil, err)
 		}
 		if got := srv.Stats().DonorSolves; got != 21 {
@@ -141,7 +141,7 @@ func TestDonorPool(t *testing.T) {
 			},
 		}})
 		spec := next()
-		e, err := srv.solve(ctx, spec)
+		e, err := srv.solve(ctx, spec, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestDonorPool(t *testing.T) {
 		if donorOf(srv, spec) != nil {
 			t.Error("an incumbent entry donated")
 		}
-		fb, err := srv.solve(ctx, next()) // ctx is cancelled: fallback rung
+		fb, err := srv.solve(ctx, next(), true) // ctx is cancelled: fallback rung
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestDonorPool(t *testing.T) {
 			},
 		}})
 		degraded := next()
-		inc, err := cut.solve(ctx, degraded)
+		inc, err := cut.solve(ctx, degraded, true)
 		if err != nil || inc.tier != serial.QualityIncumbent {
 			t.Fatalf("incumbent: err %v", err)
 		}
@@ -209,7 +209,7 @@ func TestDonorPool(t *testing.T) {
 		inc.key = degraded.Digest()
 		srv.cache.add(inc.key, inc)
 		for i, spec := range []*serial.SolveSpec{degraded, next()} {
-			e, err := srv.solve(context.Background(), spec)
+			e, err := srv.solve(context.Background(), spec, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestDonorPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh := New(context.Background(), Config{Store: st, DisableUpgrade: true})
-		e, err := fresh.solve(context.Background(), next())
+		e, err := fresh.solve(context.Background(), next(), true)
 		if err != nil {
 			t.Fatal(err)
 		}

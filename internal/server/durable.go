@@ -18,32 +18,18 @@ import (
 // any on its network) is an ordinary miss resuming from storedPool.
 
 // admit caches a solved entry and persists it. The entry's final pool,
-// on any tier, is checkpointed too, unless the record on disk already
-// holds it (the solve resumed from it or its last checkpoint wrote it);
-// writeCheckpoint refuses it when the geometry adopted another pool as
-// donor. It returns how many entries the cache evicted.
+// on any tier, is checkpointed too, after the entry persist (the ENOSPC
+// recovery probe), unless it is the stored record its owner last read
+// or wrote (entry.stored). It returns how many entries the cache
+// evicted.
 func (s *Server) admit(spec *serial.SolveSpec, e *entry) int {
-	pool, rounds, storedAt := e.pool, e.rounds, e.storedAt
+	pool, rounds, stored := e.pool, e.rounds, e.stored
 	evicted := s.cache.add(e.key, e)
 	s.persistEntry(spec, e)
-	if pool != nil && s.store != nil && !s.stillStored(storedAt) {
+	if pool != nil && s.store != nil && !stored {
 		s.writeCheckpoint(spec, rounds, pool)
 	}
 	return evicted
-}
-
-// stillStored reports whether an entry's pool, whose storedAt this is,
-// is the pool of a stored record, unchanged, with no pool checkpoint
-// landed since that record was read or written: the record on disk then
-// holds the pool already (up to column costs, which every resume
-// recomputes), and rewriting it would only repeat an fsync'd commit on
-// the request path. Once the pool is adopted as donor, no
-// later write can replace it: writeCheckpoint refuses every other pool
-// on its geometry.
-func (s *Server) stillStored(storedAt uint64) bool {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	return storedAt != 0 && storedAt == s.poolWrites+1
 }
 
 // persistEntry snapshots a completed entry to the store. No-op without
@@ -69,30 +55,20 @@ func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 }
 
 // writeCheckpoint durably records st as the pool of spec's geometry:
-// every checkpointRounds rounds of a solve that may donate, and from
-// admit with that solve's final pool, unless it is the stored record's
-// (stillStored). Under poolMu it writes only while the geometry has no
-// donor or st is it, so once a donor is adopted the last pool written is
-// the donor. An ENOSPC-degraded store sheds a pool that passes this
-// guard without I/O. When the write lands it returns 1 + poolWrites
-// counting it, the storedAt of an entry whose pool st is; else 0.
-func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) uint64 {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if _, donor := s.cache.geometry(geomKey(spec.GeometryKey())); donor != nil && donor != st {
-		return 0
-	}
+// every checkpointRounds rounds of an owner's solve that may donate,
+// and from admit with that solve's final pool. An ENOSPC-degraded store
+// sheds it without I/O. It reports whether the write landed.
+func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) bool {
 	if s.storeDegraded.Load() {
 		s.stats.storeShed()
-		return 0
+		return false
 	}
 	ck := &serial.StoredCheckpoint{Spec: *spec, Rounds: rounds, State: *st.Snapshot()}
 	if !s.landed(s.store.WriteCheckpoint(ck)) {
-		return 0
+		return false
 	}
-	s.poolWrites++
 	s.stats.checkpointWrote()
-	return s.poolWrites + 1
+	return true
 }
 
 // landed reports whether a store write succeeded. A full disk (ENOSPC)
@@ -107,29 +83,24 @@ func (s *Server) landed(err error) bool {
 
 // storedPool returns the pool checkpoint of spec's geometry, restored
 // and checked against pr, or nil: no store, no checkpoint, or one that
-// fails validation (counted; quarantined when corrupt). With a pool it
-// returns 1 + the count of pool checkpoints landed before the read, the
-// entry's storedAt should the solve leave the pool unchanged.
-func (s *Server) storedPool(spec *serial.SolveSpec, pr *core.Problem) (*core.CGState, uint64) {
+// fails validation (counted; quarantined when corrupt).
+func (s *Server) storedPool(spec *serial.SolveSpec, pr *core.Problem) *core.CGState {
 	if s.store == nil {
-		return nil, 0
+		return nil
 	}
-	s.poolMu.Lock()
-	at := s.poolWrites + 1
-	s.poolMu.Unlock()
 	ck, err := s.store.LoadCheckpoint(store.GeometryName(spec))
 	if err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
 			s.stats.storeLoadFailed(errors.Is(err, store.ErrCorrupt))
 		}
-		return nil, 0
+		return nil
 	}
 	st, err := core.RestoreCGState(&ck.State)
 	if err != nil || ck.State.K != pr.Part.K() {
 		s.stats.storeLoadFailed(false)
-		return nil, 0
+		return nil
 	}
-	return st, at
+	return st
 }
 
 // entryFromStore rebuilds a servable cache entry from the durable

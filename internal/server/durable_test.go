@@ -193,7 +193,7 @@ func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*S
 			},
 		},
 	})
-	e, err := srv.solve(ctx, spec)
+	e, err := srv.solve(ctx, spec, true)
 	if err != nil {
 		t.Fatalf("cancelled solve must degrade, got error %v", err)
 	}
@@ -219,7 +219,7 @@ var zeroGap = core.CGOptions{Xi: -1e-9, RelGap: -1}
 func seededRounds(t *testing.T, spec *serial.SolveSpec) int {
 	t.Helper()
 	srv := New(context.Background(), Config{DisableUpgrade: true, CG: zeroGap})
-	e, err := srv.solve(context.Background(), spec)
+	e, err := srv.solve(context.Background(), spec, true)
 	if err != nil || e.tier != serial.QualityOptimal || e.pool == nil {
 		t.Fatalf("seeded solve: err %v", err)
 	}
@@ -295,7 +295,7 @@ func TestUpgradeResumesFromStoredPool(t *testing.T) {
 	seeded := seededRounds(t, spec)
 	srv := admitInterrupted(t, st, spec)
 
-	e, err := srv.solve(context.Background(), spec)
+	e, err := srv.solve(context.Background(), spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestStoredCheckpointBurstSolvesOnce(t *testing.T) {
 
 	srv := New(context.Background(), Config{Store: st, MaxSolves: 2})
 	var calls, outsidePool atomic.Int64
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		calls.Add(1)
 		if len(srv.slots) != 1 {
 			outsidePool.Add(1)
@@ -455,7 +455,7 @@ func TestStoredCheckpointBurstSolvesOnce(t *testing.T) {
 		for srv.stats.solveQueueDepth.Load() < burst {
 			time.Sleep(time.Millisecond)
 		}
-		return srv.solve(ctx, spec)
+		return srv.solve(ctx, spec, owner)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
@@ -481,40 +481,120 @@ func TestStoredCheckpointBurstSolvesOnce(t *testing.T) {
 	}
 }
 
-// TestCheckpointFollowsAdoptedDonor: two seeded solves race on one
-// geometry. The first cached becomes the donor, and the pool on disk is
-// the donor's: the loser's final pool and any later cadence checkpoint
-// on the geometry are not written.
-func TestCheckpointFollowsAdoptedDonor(t *testing.T) {
+// TestOneSolvePerNetwork: two first misses on one road network arrive
+// together. One owns the network and solves from seeds; the other waits
+// for it, outside the solve pool, and resumes from the donor it leaves.
+// Only the owner writes the network's pool record, which holds the
+// donor's columns.
+func TestOneSolvePerNetwork(t *testing.T) {
 	st := testStore(t)
 	srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
 	specs := churnSpecs(t, 2)
-	var solved [2]*entry
-	for i, spec := range specs {
-		e, err := srv.solve(context.Background(), spec)
-		if err != nil || e.pool == nil {
-			t.Fatalf("seeded solve %d: donates %v, err %v", i, err == nil && e.pool != nil, err)
+	// Hold the first solve until both misses wait on a flight.
+	var both atomic.Bool
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
+		for !both.Load() && srv.stats.solveQueueDepth.Load() < 2 {
+			time.Sleep(time.Millisecond)
 		}
-		e.key = spec.Digest()
-		solved[i] = e
+		both.Store(true)
+		return srv.solve(ctx, spec, owner)
 	}
-	adopted := solved[0].pool
-	for i, e := range solved {
-		srv.admit(specs[i], e)
+	var wg sync.WaitGroup
+	for _, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e, _, err := srv.mechanismFor(context.Background(), spec); err != nil || e.tier != serial.QualityOptimal {
+				t.Errorf("first miss: err %v", err)
+			}
+		}()
 	}
-	srv.writeCheckpoint(specs[1], checkpointRounds, mustState(t, specs[1]))
-	if donorOf(srv, specs[0]) != adopted {
-		t.Fatal("the first cached solve's pool is not the donor")
+	wg.Wait()
+	snap := srv.Stats()
+	if snap.Solves != 2 || snap.DonorSolves != 1 || snap.CheckpointWrites != 1 {
+		t.Fatalf("solves=%d donor_solves=%d checkpoint_writes=%d, want 2/1/1: one seeded solve, one resumed from its donor",
+			snap.Solves, snap.DonorSolves, snap.CheckpointWrites)
 	}
+	donor := donorOf(srv, specs[0])
 	ck, err := st.LoadCheckpoint(store.GeometryName(specs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Spec.Digest() != specs[0].Digest() || len(ck.State.Columns) != adopted.Columns() {
-		t.Fatalf("stored pool from %s with %d columns, want the donor's %d", ck.Spec.Digest()[:12], len(ck.State.Columns), adopted.Columns())
+	if donor == nil || len(ck.State.Columns) != donor.Columns() {
+		t.Fatalf("stored pool has %d columns, want the donor's", len(ck.State.Columns))
 	}
-	if got := srv.Stats().CheckpointWrites; got != 1 {
-		t.Fatalf("checkpoint_writes = %d, want 1", got)
+	if _, owned := srv.owned.Load(geomKey(specs[0].GeometryKey())); owned {
+		t.Fatal("the network still has an owner after both misses")
+	}
+}
+
+// TestOwnerWaitEndsWithSolveDeadline: a miss whose solve deadline ends
+// while it waits for its network's owner serves the fallback rung and
+// writes no pool. It leaves the lock to the owner: once the owner has
+// finished, the miss's background upgrade takes the lock and resumes
+// from the owner's donor, and Shutdown returns.
+func TestOwnerWaitEndsWithSolveDeadline(t *testing.T) {
+	st := testStore(t)
+	srv := New(context.Background(), Config{Store: st, SolveDeadline: 50 * time.Millisecond})
+	specs := churnSpecs(t, 2)
+	gk := geomKey(specs[0].GeometryKey())
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
+		if spec != specs[0] {
+			return srv.solve(ctx, spec, owner)
+		}
+		// The paced owner outlives the deadline, and solves to the end.
+		close(entered)
+		<-release
+		return srv.solve(context.Background(), spec, owner)
+	}
+	var once sync.Once
+	unpace := func() { once.Do(func() { close(release) }) }
+	defer unpace()
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, _, err := srv.mechanismFor(context.Background(), specs[0])
+		ownerDone <- err
+	}()
+	<-entered
+
+	e, _, err := srv.mechanismFor(context.Background(), specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.tier != serial.QualityFallback {
+		t.Fatalf("waiting miss served tier %q, want fallback", e.tier)
+	}
+	assertServable(t, e)
+	snap := srv.Stats()
+	if snap.CheckpointWrites != 0 || snap.DonorSolves != 0 {
+		t.Fatalf("checkpoint_writes=%d donor_solves=%d while the owner solves, want 0/0",
+			snap.CheckpointWrites, snap.DonorSolves)
+	}
+	if _, err := st.LoadCheckpoint(store.GeometryName(specs[1])); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("pool record written while the owner solves: %v", err)
+	}
+
+	unpace()
+	if err := <-ownerDone; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, time.Minute, func() bool {
+		cur, ok := srv.cache.get(specs[1].Digest())
+		return ok && cur.tier == serial.QualityOptimal
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	snap = srv.Stats()
+	if snap.Upgrades != 1 || snap.DonorSolves != 1 || snap.CheckpointWrites != 1 {
+		t.Fatalf("upgrades=%d donor_solves=%d checkpoint_writes=%d, want 1/1/1: the upgrade resumed from the owner's donor",
+			snap.Upgrades, snap.DonorSolves, snap.CheckpointWrites)
+	}
+	if _, owned := srv.owned.Load(gk); owned {
+		t.Fatal("the network still has an owner")
 	}
 }
 
@@ -592,20 +672,23 @@ func TestStoredPoolUnchangedNotRewritten(t *testing.T) {
 		t.Fatalf("adopted donor does not hold the stored pool's %d columns", len(ck.State.Columns))
 	}
 
-	// A pool checkpoint that lands between the record's read and the
-	// adoption may have replaced the record, so then the adopted pool is
-	// written after all.
+	// The record has one writer, its network's owner, so a pool write
+	// on another network between the record's read and the adoption
+	// leaves it the stored pool: the adopted pool is not rewritten.
 	srv = New(context.Background(), Config{Store: st, DisableUpgrade: true})
-	e, err := srv.solve(context.Background(), jittered)
-	if err != nil || e.pool == nil || e.storedAt == 0 {
-		t.Fatalf("resumed solve: donates %v, unchanged stored pool %v, err %v", e != nil && e.pool != nil, e != nil && e.storedAt != 0, err)
+	e, err := srv.solve(context.Background(), jittered, true)
+	if err != nil || e.pool == nil || !e.stored {
+		t.Fatalf("resumed solve: donates %v, unchanged stored pool %v, err %v", e != nil && e.pool != nil, e != nil && e.stored, err)
 	}
 	other := testSpecs(t, 1)[0]
 	srv.writeCheckpoint(other, 1, mustState(t, other))
 	e.key = jittered.Digest()
 	srv.admit(jittered, e)
-	if got := srv.Stats().CheckpointWrites; got != 2 {
-		t.Fatalf("checkpoint_writes = %d, want 2: the interleaved write and the adopted pool", got)
+	if got := srv.Stats().CheckpointWrites; got != 1 {
+		t.Fatalf("checkpoint_writes = %d, want 1: the other network's pool only", got)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(record) {
+		t.Fatalf("pool record rewritten (%d bytes, was %d; err %v)", len(got), len(record), err)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"syscall"
 	"testing"
@@ -121,21 +122,17 @@ func TestStoreWriteShedNonENOSPCDoesNotLatch(t *testing.T) {
 	}
 }
 
-// TestStoreWriteShedAfterDonorGuard: while the store is ENOSPC-degraded,
-// a pool checkpoint the donor guard refuses (its geometry adopted
-// another pool) is dropped without counting as shed; only a pool the
-// guard would write counts.
-func TestStoreWriteShedAfterDonorGuard(t *testing.T) {
+// TestStoreWriteShedFinalPool: while the store is ENOSPC-degraded, a
+// network owner's final pool is shed without I/O and counted, after its
+// failed entry persist; the pool is still adopted as donor, and a later
+// write of it sheds again.
+func TestStoreWriteShedFinalPool(t *testing.T) {
 	defer faultinject.Reset()
 	st := testStore(t)
 	srv := New(context.Background(), Config{Store: st, DisableUpgrade: true})
 	defer srv.Shutdown(context.Background())
 	specs := testSpecs(t, 2)
 	solveVia(t, srv, specs[0])
-	donor := donorOf(srv, specs[0])
-	if donor == nil {
-		t.Fatal("the seeded solve left no donor")
-	}
 
 	faultinject.Set(store.FaultSiteWrite, faultinject.Fault{
 		Err: fmt.Errorf("no space left on device: %w", syscall.ENOSPC),
@@ -144,17 +141,20 @@ func TestStoreWriteShedAfterDonorGuard(t *testing.T) {
 	if !srv.storeDegraded.Load() {
 		t.Fatal("ENOSPC did not latch store degradation")
 	}
-	shed := srv.Stats().StoreWriteShed
-
-	srv.writeCheckpoint(specs[0], 1, mustState(t, specs[0]))
-	if got := srv.Stats().StoreWriteShed; got != shed {
-		t.Fatalf("store_write_shed = %d after a refused pool, want %d", got, shed)
+	snap := srv.Stats()
+	if snap.StoreWriteShed != 2 || snap.CheckpointWrites != 1 {
+		t.Fatalf("store_write_shed=%d checkpoint_writes=%d, want 2/1: the failed persist and the shed pool, and the first solve's pool",
+			snap.StoreWriteShed, snap.CheckpointWrites)
 	}
-	srv.writeCheckpoint(specs[0], 1, donor)
-	if got := srv.Stats().StoreWriteShed; got != shed+1 {
-		t.Fatalf("store_write_shed = %d after the donor's pool, want %d", got, shed+1)
+	donor := donorOf(srv, specs[1])
+	if donor == nil {
+		t.Fatal("the shed pool was not adopted as donor")
 	}
-	if got := srv.Stats().CheckpointWrites; got != 1 {
-		t.Fatalf("checkpoint_writes = %d while degraded, want the first solve's 1", got)
+	srv.writeCheckpoint(specs[1], 1, donor)
+	if got := srv.Stats().StoreWriteShed; got != 3 {
+		t.Fatalf("store_write_shed = %d after the donor's pool, want 3", got)
+	}
+	if _, err := st.LoadCheckpoint(store.GeometryName(specs[1])); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("a shed pool reached the store: %v", err)
 	}
 }

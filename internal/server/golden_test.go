@@ -174,8 +174,8 @@ const goldenDegradedEps = 3
 func TestGoldenObfuscateResponses(t *testing.T) {
 	srv := newExpServer(4, 2)
 	exp := srv.solveFn
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
-		e, err := exp(ctx, spec)
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
+		e, err := exp(ctx, spec, owner)
 		if err == nil && spec.Epsilon == goldenDegradedEps {
 			e.tier = serial.QualityIncumbent
 		}

@@ -18,7 +18,7 @@ import (
 // exponential mechanism, with no background upgrades.
 func newExpServer(cacheSize, maxSolves int) *Server {
 	srv := New(context.Background(), Config{CacheSize: cacheSize, MaxSolves: maxSolves, Seed: 11, DisableUpgrade: true})
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		pr, err := spec.Problem()
 		if err != nil {
 			return nil, err

@@ -42,7 +42,7 @@ func assertServable(t *testing.T, e *entry) {
 // TestLadderOptimal: an unconstrained solve lands on the top rung.
 func TestLadderOptimal(t *testing.T) {
 	srv := New(context.Background(), Config{DisableUpgrade: true})
-	e, err := srv.solve(context.Background(), ladderSpec(t))
+	e, err := srv.solve(context.Background(), ladderSpec(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLadderIncumbentOnCancel(t *testing.T) {
 			},
 		},
 	})
-	e, err := srv.solve(ctx, ladderSpec(t))
+	e, err := srv.solve(ctx, ladderSpec(t), true)
 	if err != nil {
 		t.Fatalf("cancelled solve must degrade, got error %v", err)
 	}
@@ -87,7 +87,7 @@ func TestLadderFallbackOnPreCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	srv := New(context.Background(), Config{DisableUpgrade: true})
-	e, err := srv.solve(ctx, ladderSpec(t))
+	e, err := srv.solve(ctx, ladderSpec(t), true)
 	if err != nil {
 		t.Fatalf("pre-cancelled solve must degrade, got error %v", err)
 	}
@@ -109,7 +109,7 @@ func TestLadderFallbackOnPanic(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Set(core.FaultSiteCGMaster, faultinject.Fault{Panic: "chaos", Times: 1})
 	srv := New(context.Background(), Config{DisableUpgrade: true})
-	e, err := srv.solve(context.Background(), ladderSpec(t))
+	e, err := srv.solve(context.Background(), ladderSpec(t), true)
 	if err != nil {
 		t.Fatalf("panicked solve must degrade, got error %v", err)
 	}
@@ -128,7 +128,7 @@ func TestLadderFallbackOnSolverError(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Set(core.FaultSiteCGMaster, faultinject.Fault{Err: errors.New("chaos"), Times: 1})
 	srv := New(context.Background(), Config{DisableUpgrade: true})
-	e, err := srv.solve(context.Background(), ladderSpec(t))
+	e, err := srv.solve(context.Background(), ladderSpec(t), true)
 	if err != nil {
 		t.Fatalf("failed solve must degrade, got error %v", err)
 	}
@@ -207,7 +207,7 @@ func TestExactSpecKeepsConfiguredLimits(t *testing.T) {
 	})
 	spec := ladderSpec(t)
 	spec.Exact = true
-	if _, err := srv.solve(context.Background(), spec); err != nil {
+	if _, err := srv.solve(context.Background(), spec, true); err != nil {
 		t.Fatal(err)
 	}
 	if observed == 0 {
@@ -224,14 +224,14 @@ func TestUpgradePromotesDegradedEntry(t *testing.T) {
 	srv := New(context.Background(), Config{})
 	degradedFirst := true
 	real := srv.solveFn
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		if degradedFirst {
 			degradedFirst = false
 			cancelled, cancel := context.WithCancel(ctx)
 			cancel() // force the bottom rung for the first (foreground) solve
-			return real(cancelled, spec)
+			return real(cancelled, spec, owner)
 		}
-		return real(ctx, spec)
+		return real(ctx, spec, owner)
 	}
 
 	spec := ladderSpec(t)
@@ -268,7 +268,7 @@ func TestUpgradeCountsEviction(t *testing.T) {
 	degraded, other, upgraded := stubEntry(t), stubEntry(t), stubEntry(t)
 	degraded.tier = serial.QualityIncumbent // the foreground solve degrades
 	var calls atomic.Int32
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		if spec.Digest() != specs[0].Digest() {
 			return other, nil
 		}
@@ -306,7 +306,7 @@ func TestUpgradeCountsEviction(t *testing.T) {
 func TestShutdownExpiredDrainCancelsSolves(t *testing.T) {
 	srv := New(context.Background(), Config{})
 	solveStarted := make(chan struct{})
-	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+	srv.solveFn = func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 		close(solveStarted)
 		<-ctx.Done() // a solve that never finishes on its own
 		return nil, ctx.Err()

@@ -18,6 +18,9 @@
 //     the separate serve pool — cached obfuscation never queues behind
 //     cold solves, so cached tail latency is isolated from solver
 //     saturation;
+//   - a road network with no donor has at most one owner (see own), so
+//     concurrent first misses run one seeded solve and the rest resume
+//     from its donor; which spec donates depends on arrival order;
 //   - every cached mechanism carries its own seeded RNG behind a mutex,
 //     so obfuscation is safe from any number of handler goroutines;
 //   - served mechanisms are re-verified against the full (ε, r)-Geo-I
@@ -159,19 +162,16 @@ type entry struct {
 	solveTime time.Duration
 	served    atomic.Int64
 
-	// pool is the final state of a solve that started from seed columns
-	// or the stored pool (nil otherwise), on whatever tier it ended, with
-	// its round count. cache.add takes it off the entry, adopting it as
-	// the geometry's donor if the entry is optimal; admit checkpoints it
-	// either way. Guarded by the cache's lock once the entry is added.
+	// pool is the final state of an owner's solve that started from seed
+	// columns or the stored pool (nil otherwise), on whatever tier it
+	// ended, with its round count. cache.add takes it off the entry,
+	// adopting it as the geometry's donor if the entry is optimal; admit
+	// checkpoints it either way. Guarded by the cache's lock once the
+	// entry is added. stored reports that pool is, unchanged, the stored
+	// record the owner last read or wrote.
 	pool   *core.CGState
 	rounds int
-	// storedAt is nonzero when pool is, unchanged, the pool of a stored
-	// record: the one the solve's last cadence checkpoint wrote, or,
-	// when none landed, the one it resumed from. It is then 1 +
-	// poolWrites as read right after that checkpoint landed, or before
-	// that record was loaded (see stillStored).
-	storedAt uint64
+	stored bool
 
 	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
 	// is the only mutable sampler state.
@@ -242,14 +242,11 @@ type Server struct {
 	bg        sync.WaitGroup
 	upgrading sync.Map
 
-	// store is the durable snapshot store (nil without Config.Store);
-	// poolMu orders pool checkpoints against donor adoption and guards
-	// poolWrites, the count of pool checkpoints that landed, by which a
-	// solve resumed from a stored pool tells whether that record is still
-	// the one on disk.
-	store      *store.Store
-	poolMu     sync.Mutex
-	poolWrites uint64
+	// store is the durable snapshot store (nil without Config.Store).
+	store *store.Store
+	// owned maps each road network (geomKey) with an owner to a channel
+	// the owner closes when it disowns the network (see own).
+	owned sync.Map
 
 	// Fleet state (see fleet.go): role is one of leaseSolo/Follower/
 	// Leader, driven by the lease loop; fleetStop ends that loop at
@@ -273,9 +270,9 @@ type Server struct {
 	// spends (or saves) durability I/O.
 	storeDegraded atomic.Bool
 
-	// solveFn builds the entry for a validated spec; tests substitute a
-	// stub to count and pace solves deterministically.
-	solveFn func(ctx context.Context, spec *serial.SolveSpec) (*entry, error)
+	// solveFn builds the entry for a validated spec (owner: see own);
+	// tests substitute a stub to count and pace solves deterministically.
+	solveFn func(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error)
 }
 
 // New returns a ready-to-serve Server. Background solves and upgrades
@@ -357,6 +354,8 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 		if s.isFollower() {
 			return s.followerEntry(solveCtx, key, spec)
 		}
+		owner, disown := s.own(solveCtx, spec)
+		defer disown()
 		select {
 		case s.slots <- struct{}{}:
 		default:
@@ -365,7 +364,7 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 		}
 		defer func() { <-s.slots }()
 		start := time.Now()
-		ent, err := s.solveFn(solveCtx, spec)
+		ent, err := s.solveFn(solveCtx, spec, owner)
 		if err != nil {
 			s.stats.solveFailed()
 			return nil, err
@@ -429,6 +428,29 @@ func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, *co
 	return pr, gk, nil, err
 }
 
+// own makes a miss or upgrade about to solve spec the owner of spec's
+// road network when the network has no donor, once the current owner
+// disowns it; it reports false once the network has a donor or ctx
+// ends. Only the owner donates (see solve), and it disowns after admit.
+func (s *Server) own(ctx context.Context, spec *serial.SolveSpec) (owner bool, disown func()) {
+	gk := geomKey(spec.GeometryKey())
+	mine := make(chan struct{})
+	for {
+		if _, donor := s.cache.geometry(gk); donor != nil {
+			return false, func() {}
+		}
+		held, loaded := s.owned.LoadOrStore(gk, mine)
+		if !loaded {
+			return true, func() { s.owned.Delete(gk); close(mine) }
+		}
+		select {
+		case <-held.(chan struct{}):
+		case <-ctx.Done():
+			return false, func() {}
+		}
+	}
+}
+
 // solve runs the full offline pipeline for a validated spec and applies
 // the degradation ladder: an optimal column-generation solve when it
 // completes within its context, else the interrupted run's best
@@ -442,10 +464,10 @@ func (s *Server) problemFor(spec *serial.SolveSpec) (*core.Problem, geomKey, *co
 // the geometry's pool checkpoint on disk, or seed columns. A background
 // upgrade is an ordinary such solve: the degraded solve it replaces left
 // its final pool in the checkpoint (with no store, it starts from seeds).
-// Only a solve from seeds or the stored pool donates, so a resumed
-// mechanism is a function of its spec, its donor's spec and the stored
-// pool that donor resumed from.
-func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, error) {
+// Only the network's owner (see own) that starts from seeds or the
+// stored pool donates, so a resumed mechanism is a function of its
+// spec, its donor's spec and the stored pool that donor resumed from.
+func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec, owner bool) (*entry, error) {
 	pr, gk, resume, err := s.problemFor(spec)
 	if err != nil {
 		return nil, err
@@ -459,15 +481,14 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		opts.Xi = 0
 		opts.RelGap = 0
 	}
-	donates := resume == nil
-	// storedAt and storedCols track the latest pool record the store is
-	// known to hold for this solve: the one it resumes from, then each
-	// cadence checkpoint it lands (see stillStored).
-	var storedAt uint64
-	if donates {
-		resume, storedAt = s.storedPool(spec, pr)
+	donates := owner && resume == nil
+	// storedCols counts the columns of the stored record this solve last
+	// read or wrote (0: none): its resume, then each landed checkpoint.
+	var storedCols int
+	if resume == nil {
+		resume = s.storedPool(spec, pr)
+		storedCols = resume.Columns()
 	}
-	storedCols := resume.Columns()
 	if resume != nil {
 		opts.Resume = resume
 		s.stats.donorSolved()
@@ -477,8 +498,8 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 	if donates && s.store != nil {
 		opts.CheckpointEvery = checkpointRounds
 		opts.OnState = func(iter int, st *core.CGState) {
-			if at := s.writeCheckpoint(spec, iter+1, st); at != 0 {
-				storedAt, storedCols = at, st.Columns()
+			if s.writeCheckpoint(spec, iter+1, st) {
+				storedCols = st.Columns()
 			}
 		}
 	}
@@ -524,9 +545,7 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec) (*entry, err
 		e.pool, e.rounds = res.State, len(res.Iterations)
 		// Columns are only ever appended, so an equal count is the
 		// stored pool unchanged.
-		if storedAt != 0 && res.State.Columns() == storedCols {
-			e.storedAt = storedAt
-		}
+		e.stored = res.State.Columns() == storedCols
 	}
 	e.geom = gk
 	return e, nil
@@ -556,8 +575,10 @@ func (s *Server) scheduleUpgrade(key string, spec *serial.SolveSpec) {
 	go func() {
 		defer s.bg.Done()
 		defer s.upgrading.Delete(key)
+		owner, disown := s.own(s.ctx, spec)
+		defer disown()
 		start := time.Now()
-		e, err := s.solveFn(s.ctx, spec)
+		e, err := s.solveFn(s.ctx, spec, owner)
 		if err != nil || e.tier != serial.QualityOptimal {
 			return // keep serving the degraded entry
 		}
