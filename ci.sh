@@ -7,7 +7,8 @@
 #
 #   ./ci.sh         full gate
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
-#                   lint-suite tests + the lp digest/SYRK/allocation gates +
+#                   lint-suite tests + the lp digest/oracle/SYRK/allocation
+#                   gates and its give-up and poisoned-input tests +
 #                   the store codec/round-trip tests + the server's
 #                   pool-lifecycle tests
 #                   (pre-push sanity, well under a minute)
@@ -53,13 +54,17 @@ if [ "${1:-}" = "-quick" ]; then
     # summary must surface in the pre-push check, not the full gate.
     go test ./internal/lint/...
     # The lp digest, SYRK and basis-inverse bit-identity and allocation
-    # gates (about 2 s): an lp refactor that moves a golden digest, lets
-    # the Go and AVX2 SYRK kernels round apart, lets the sparse basis
-    # inversion drift from its dense Gauss-Jordan oracle, or starts
-    # allocating on a hot path (a warm IPM or pricing re-solve, the
-    # pricing sweep, or the master's column append, IPMSolver.AddColumn)
-    # fails before push, not only in the full gate below.
-    go test -count=1 -run 'TestGoldenMechanismDigests|TestSyrkKernelsBitIdentical|TestSparseInverse|Allocs' ./internal/lp
+    # gates (about 2 s): an lp refactor that moves a golden digest or
+    # one of lp.Solve's pinned oracle digests, lets the Go and AVX2 SYRK
+    # kernels round apart, lets the sparse basis inversion drift from
+    # its dense Gauss-Jordan oracle, or starts allocating on a hot path
+    # (a warm IPM or pricing re-solve, the pricing sweep, or the
+    # master's column append, IPMSolver.AddColumn) fails before push,
+    # not only in the full gate below. The same run keeps the solvers'
+    # one way to give up and their recovery from poisoned warm starts
+    # honest: Beale's cycling example, the pivot and Newton limits, and
+    # the poisoned basis and iterate tests.
+    go test -count=1 -run 'TestGoldenMechanismDigests|TestSolveOracleBitsPinned|TestDegenerateCycleGuard|TestMaxIterReportsLimit|TestIPMInfeasibleReportsLimit|Poisoned|TestSyrkKernelsBitIdentical|TestSparseInverse|Allocs' ./internal/lp
     # The durable-store codec and round-trip tests (about 1 s): an entry
     # or pool codec change that stops decoding older files, re-encodes
     # them with drift, or breaks the store's commit/scan round trip fails

@@ -5,9 +5,8 @@
 // The suite is BenchmarkSolveCG from the repository's bench_test.go
 // (persistent, warm-started master + pricing) at the tracked sizes.
 // For every size the report records ns/op, bytes/op, allocs/op and
-// column-generation rounds, next to the archived numbers of solver
-// builds that no longer exist. Serving is measured end to end by
-// perfbench (perfbench/README.md), not here.
+// column-generation rounds. Serving is measured end to end by perfbench
+// (perfbench/README.md), not here.
 //
 // Usage:
 //
@@ -29,22 +28,15 @@ import (
 	"repro/internal/roadnet"
 )
 
-// benchSizes mirrors the cgBenchSizes table in bench_test.go. Two
-// checked-in history columns keep retired baselines visible in the
-// report: DenseColdNs is the rebuild-everything ns/op of the last
-// dense-kernel build (before the sparse CSC/CSR kernels landed), and
-// SparseColdNs the rebuild-everything ns/op of the last sparse build
-// that still had that pipeline.
+// benchSizes mirrors the cgBenchSizes table in bench_test.go.
 var benchSizes = []struct {
-	Name         string
-	Rows, Cols   int
-	Delta        float64
-	DenseColdNs  int64
-	SparseColdNs int64
+	Name       string
+	Rows, Cols int
+	Delta      float64
 }{
-	{"K12", 2, 2, 0.3, 588986, 439029},
-	{"K24", 2, 3, 0.2, 209022050, 176089218},
-	{"K44", 3, 3, 0.15, 2086205858, 960364878},
+	{"K12", 2, 2, 0.3},
+	{"K24", 2, 3, 0.2},
+	{"K44", 3, 3, 0.15},
 }
 
 type measurement struct {
@@ -59,10 +51,6 @@ type sizeReport struct {
 	Size string      `json:"size"`
 	K    int         `json:"k"`
 	Warm measurement `json:"warm"`
-	// Archived rebuild-everything ns/op of retired solver builds (see
-	// benchSizes); history only, never re-measured.
-	DenseBaselineNs int64 `json:"dense_baseline_ns"`
-	SparseColdNs    int64 `json:"sparse_cold_ns"`
 }
 
 type report struct {
@@ -103,13 +91,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "solvecg %s (K=%d)...", size.Name, pr.Part.K())
 		warm := measureSolveCG(pr)
 		fmt.Fprintf(os.Stderr, " %s\n", time.Duration(warm.NsPerOp))
-		rep.SolveCG = append(rep.SolveCG, sizeReport{
-			Size:            size.Name,
-			K:               pr.Part.K(),
-			Warm:            warm,
-			DenseBaselineNs: size.DenseColdNs,
-			SparseColdNs:    size.SparseColdNs,
-		})
+		rep.SolveCG = append(rep.SolveCG, sizeReport{Size: size.Name, K: pr.Part.K(), Warm: warm})
 	}
 
 	enc, err := json.MarshalIndent(&rep, "", "  ")

@@ -45,9 +45,9 @@ func newIPM(p *Problem) *ipm {
 // instance. ipm.fit resizes it after columns are appended.
 type ipmWorkspace struct {
 	// m-sized
-	rp, dy, dyc, rhs, acceptY, accept2Y []float64
+	rp, dy, dyc, rhs, acceptY []float64
 	// n-sized
-	rd, dx, ds, dxc, dsc, d, rc, acceptX, accept2X []float64
+	rd, dx, ds, dxc, dsc, d, rc, acceptX []float64
 	// m×m
 	mmat, chol []float64
 	// formNormal scratch: per-column leading-run lengths (n-sized) and
@@ -78,13 +78,13 @@ func (ip *ipm) fit(ws *ipmWorkspace) {
 }
 
 func (ws *ipmWorkspace) grow(m, n int) {
-	for _, p := range []*[]float64{&ws.rp, &ws.dy, &ws.dyc, &ws.rhs, &ws.acceptY, &ws.accept2Y} {
+	for _, p := range []*[]float64{&ws.rp, &ws.dy, &ws.dyc, &ws.rhs, &ws.acceptY} {
 		if cap(*p) < m {
 			*p = make([]float64, m)
 		}
 		*p = (*p)[:m]
 	}
-	for _, p := range []*[]float64{&ws.rd, &ws.dx, &ws.ds, &ws.dxc, &ws.dsc, &ws.d, &ws.rc, &ws.acceptX, &ws.accept2X} {
+	for _, p := range []*[]float64{&ws.rd, &ws.dx, &ws.ds, &ws.dxc, &ws.dsc, &ws.d, &ws.rc, &ws.acceptX} {
 		if cap(*p) < n {
 			// Headroom for a column-generation master that keeps growing.
 			*p = make([]float64, n, n+n/2+16)
@@ -103,46 +103,25 @@ func (ws *ipmWorkspace) grow(m, n int) {
 	ws.runs = ws.runs[:n]
 }
 
-// defaultStart fills (x, y, s) with the cold interior start scaled to the
-// problem's magnitude.
-func (ip *ipm) defaultStart(x, y, s []float64) {
-	bn, cn := norm(ip.b), norm(ip.c)
-	start := math.Max(1, math.Max(bn, cn))
-	for j := range x {
-		x[j] = start
-		s[j] = start
-	}
-	for i := range y {
-		y[i] = 0
-	}
-}
-
-// coldRun solves from Mehrotra's least-squares start, falling back to
-// the uniform defaultStart when that point cannot be formed or does not
-// reach optimality: the least-squares start is a heuristic, so the
-// uniform start remains the backstop and starting-point choice never
-// changes an outcome. x, y and s are overwritten.
+// coldRun solves from Mehrotra's least-squares start, or reports
+// IterationLimit when that point cannot be formed. x, y and s are
+// overwritten.
 func (ip *ipm) coldRun(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
-	if ip.mehrotraStart(x, y, s, ws) {
-		sol, err := ip.run(x, y, s, ws)
-		if err != nil || sol.Status == Optimal {
-			return sol, err
-		}
+	if !ip.mehrotraStart(x, y, s, ws) {
+		return &Solution{Status: IterationLimit}, nil
 	}
-	ip.defaultStart(x, y, s)
 	return ip.run(x, y, s, ws)
 }
 
 // mehrotraStart fills (x, y, s) with Mehrotra's least-squares starting
 // point: x̃ = Aᵀ(AAᵀ)⁻¹b (the least-norm primal), ỹ = (AAᵀ)⁻¹Ac with
 // s̃ = c − Aᵀỹ (the least-squares dual), both shifted into the interior
-// of the positive orthant. Compared to the uniform defaultStart —
-// whose magnitude max(1, ‖b‖, ‖c‖) explodes with the stabilization
-// penalty ρ — this point already satisfies Ax = b up to rounding, which
-// typically saves a third or more of the Newton iterations on the CG
-// master. Reports false (leaving the caller to use defaultStart) when
-// the Gram matrix cannot be factored or the shifted point is not
-// strictly interior.
+// of the positive orthant. Unlike a uniform start, whose magnitude
+// would have to grow with ‖b‖ and ‖c‖ (and so with the stabilization
+// penalty ρ), this point already satisfies Ax = b up to rounding, which
+// saves a third or more of the Newton iterations on the CG master.
+// Reports false when the Gram matrix cannot be factored or the shifted
+// point is not strictly interior.
 func (ip *ipm) mehrotraStart(x, y, s []float64, ws *ipmWorkspace) bool {
 	m, n := ip.m, ip.n
 	d := ws.d
@@ -244,21 +223,12 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		pAccept   = 1e-5
 		dAccept   = 1e-6
 		gapAccept = 1e-7
-		// Second tier: still ample accuracy for dual prices when the
-		// first tier proves unreachable on an ill-conditioned instance.
-		pAccept2   = 1e-4
-		dAccept2   = 1e-5
-		gapAccept2 = 3e-6
 	)
 	bestScore := math.Inf(1)
 	acceptX := ws.acceptX
 	acceptY := ws.acceptY
 	acceptScore := math.Inf(1)
 	acceptOK := false
-	accept2X := ws.accept2X
-	accept2Y := ws.accept2Y
-	accept2Score := math.Inf(1)
-	accept2OK := false
 	stalled := 0
 	lastIter := 0
 
@@ -299,12 +269,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 			copy(acceptY, y)
 			acceptOK = true
 		}
-		if pInf < pAccept2 && dInf < dAccept2 && gap < gapAccept2 && score < accept2Score {
-			accept2Score = score
-			copy(accept2X, x)
-			copy(accept2Y, y)
-			accept2OK = true
-		}
 		// Stop when the iterates no longer improve: with an acceptable
 		// incumbent almost immediately, otherwise after a longer grace
 		// period (residuals can plateau for a stretch mid-run).
@@ -323,13 +287,7 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		}
 		chol := ws.chol
 		if !choleskyInto(mmat, chol, m) {
-			// Heavier regularisation as a fallback.
-			for i := 0; i < m; i++ {
-				mmat[i*m+i] += 1e-6 * (1 + traceMax(mmat, m))
-			}
-			if !choleskyInto(mmat, chol, m) {
-				return &Solution{Status: IterationLimit, Iterations: iter}, nil
-			}
+			return &Solution{Status: IterationLimit, Iterations: iter}, nil
 		}
 
 		// Affine-scaling (predictor) direction: rc = −x∘s.
@@ -374,9 +332,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 	}
 	if acceptOK {
 		return ip.finish(acceptX, acceptY, lastIter), nil
-	}
-	if accept2OK {
-		return ip.finish(accept2X, accept2Y, lastIter), nil
 	}
 	return &Solution{Status: IterationLimit, Iterations: lastIter + 1}, nil
 }

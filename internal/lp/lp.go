@@ -19,9 +19,8 @@
 //     coefficients),
 //   - an anti-cycling right-hand-side perturbation, restored exactly at
 //     optimality,
-//   - Dantzig pricing with objective-stall detection that switches to
-//     Bland's rule, and a Harris two-pass ratio test that trades ≤1e-9
-//     of feasibility for healthy pivot magnitudes,
+//   - Dantzig pricing and a Harris two-pass ratio test that trades
+//     ≤1e-9 of feasibility for healthy pivot magnitudes,
 //   - periodic refactorisation of the basis inverse, and
 //   - extraction of both the primal solution and the dual prices, which
 //     the Dantzig–Wolfe column-generation loop in internal/core requires.
@@ -225,7 +224,7 @@ type simplex struct {
 
 	mat  csc       // A by column, pooled CSC storage
 	b    []float64 // rhs, ≥ 0
-	cost []float64 // phase-2 costs (original objective; 0 for slack; +big for artificial — never negative reduced cost in phase 2 because banned)
+	cost []float64 // phase-2 costs: the original objective, 0 on slack and artificial columns (phase 2 never prices artificials)
 
 	numOrig  int       // original variable count
 	artStart int       // first artificial column index
@@ -253,7 +252,6 @@ type simplex struct {
 	invBuf  []float64   // m×m: refactor's inversion scratch
 	gj      gaussJordan // refactor's index scratch
 	p1Cost  []float64   // n: phase-1 cost vector (lazy)
-	banned  []bool      // n: phase-2 banned mask (lazy)
 
 	pivots        int
 	sinceRefactor int
@@ -285,12 +283,12 @@ func newSimplex(p *Problem) *simplex {
 		s.inBase[j] = true
 		s.binv[i*s.m+i] = 1
 	}
-	// Anti-cycling perturbation: highly degenerate problems (the CG
-	// master is one) can cycle even under tolerance-based Bland's rule,
-	// so the right-hand side is nudged by tiny distinct amounts that
-	// break every ratio-test tie. Reduced costs never see b, so the
-	// optimal basis of the perturbed problem is optimal for the original
-	// too; the true b (bOrig) is restored before the solution is read off.
+	// Anti-cycling perturbation: degenerate problems (Beale's example is
+	// one) can cycle under Dantzig pricing, so the right-hand side is
+	// nudged by tiny distinct amounts that break every ratio-test tie.
+	// Reduced costs never see b, so the optimal basis of the perturbed
+	// problem is optimal for the original too; the true b (bOrig) is
+	// restored before the solution is read off.
 	u := pertFactors(s.m)
 	for i := range s.b {
 		s.b[i] = perturbed(s.b[i], u[i])
@@ -350,7 +348,7 @@ func (s *simplex) solveInto(sol *Solution) error {
 	// Phase 1: minimise the sum of artificials (cost 1 on artificials).
 	if s.artStart < s.n {
 		phase1 := s.phase1Cost()
-		status := s.iterate(phase1, nil)
+		status := s.iterate(phase1, s.n)
 		if status == Cancelled {
 			return s.ctx.Err()
 		}
@@ -378,8 +376,8 @@ func (s *simplex) solveInto(sol *Solution) error {
 		s.evictArtificials()
 	}
 
-	// Phase 2: original costs, artificials banned from entering.
-	status := s.iterate(s.cost, s.bannedArtificials())
+	// Phase 2: original costs; artificials may not re-enter.
+	status := s.iterate(s.cost, s.artStart)
 	if status == Cancelled {
 		return s.ctx.Err()
 	}
@@ -402,18 +400,6 @@ func (s *simplex) phase1Cost() []float64 {
 		}
 	}
 	return s.p1Cost
-}
-
-// bannedArtificials returns the phase-2 banned mask, built in a lazily
-// allocated reusable buffer.
-func (s *simplex) bannedArtificials() []bool {
-	if s.banned == nil || len(s.banned) != s.n {
-		s.banned = make([]bool, s.n)
-		for j := s.artStart; j < s.n; j++ {
-			s.banned[j] = true
-		}
-	}
-	return s.banned
 }
 
 // extractInto reads the optimal primal/dual solution off the current
@@ -474,8 +460,8 @@ func growFloats(buf []float64, n int) []float64 {
 // evictArtificials pivots basic artificial variables (all at value 0 after
 // a feasible phase 1) out of the basis where possible so that phase-2
 // duals are well-defined. Rows whose artificial cannot be replaced are
-// redundant; the artificial stays basic at zero and is banned from
-// re-entering, which is harmless.
+// redundant; the artificial stays basic at zero, and phase 2 never
+// prices it back in once it leaves, which is harmless.
 func (s *simplex) evictArtificials() {
 	for i := 0; i < s.m; i++ {
 		if s.basis[i] < s.artStart {
@@ -504,22 +490,12 @@ func (s *simplex) binvRowDotCol(i, j int) float64 {
 }
 
 // iterate runs simplex pivots under the given cost vector until optimal,
-// unbounded, or the iteration budget is exhausted. banned columns are
-// never chosen to enter.
-func (s *simplex) iterate(cost []float64, banned []bool) Status {
-	const tol = simplexTol
-	degenerate := 0
-	useBland := false
+// unbounded, or the iteration budget is exhausted. Only columns below
+// end may enter: every column in phase 1 (end = n), and no artificial
+// after it (end = artStart).
+func (s *simplex) iterate(cost []float64, end int) Status {
 	y := s.scratchY
 	dir := s.scratchDir
-
-	// Stall detection: perturbation can turn exactly-degenerate pivots
-	// into micro-steps that never register as degenerate yet make no
-	// real progress, letting Dantzig pricing cycle numerically. Lack of
-	// objective improvement over ~2m pivots switches to Bland's rule.
-	bestObj := math.Inf(1)
-	sinceImprove := 0
-
 	for s.pivots < s.maxIter {
 		// Cancellation poll: cheap relative to a pivot's O(m²) work, but
 		// still amortised over a few pivots to keep tiny LPs overhead-free.
@@ -528,59 +504,23 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 				return Cancelled
 			}
 		}
-		obj := 0.0
-		for i, j := range s.basis {
-			if c := cost[j]; c != 0 {
-				obj += c * s.xb[i]
-			}
-		}
-		if math.IsInf(bestObj, 1) || obj < bestObj-1e-10*(1+math.Abs(bestObj)) {
-			bestObj = obj
-			sinceImprove = 0
-		} else {
-			sinceImprove++
-			if sinceImprove > 2*s.m+50 {
-				useBland = true
-			}
-		}
-
 		s.dualInto(cost, y)
 
-		// Pricing: accumulate y·A in one row-major sweep, then scan the
-		// candidates. Per column the products arrive in ascending row
-		// order, as a per-column gather would add them, so every reduced
-		// cost — and hence every pivot choice — is bit-identical to it.
+		// Dantzig pricing: accumulate y·A in one row-major sweep, then
+		// scan the candidates. Per column the products arrive in
+		// ascending row order, as a per-column gather would add them, so
+		// every reduced cost — and hence every pivot choice — is
+		// bit-identical to it.
 		acc := s.at.mulTInto(y)
 		enter := -1
-		best := -tol
-		if !useBland && banned == nil {
-			// Hot path: the Dantzig scan with the per-column ban and
-			// Bland branches hoisted out. Same candidates in the same
-			// order, so the pivot choice is identical.
-			for j := 0; j < s.n; j++ {
-				if s.inBase[j] {
-					continue
-				}
-				if rc := cost[j] - acc[j]; rc < best {
-					best = rc
-					enter = j
-				}
+		best := -simplexTol
+		for j := 0; j < end; j++ {
+			if s.inBase[j] {
+				continue
 			}
-		} else {
-			for j := 0; j < s.n; j++ {
-				if s.inBase[j] || (banned != nil && banned[j]) {
-					continue
-				}
-				rc := cost[j] - acc[j]
-				if useBland {
-					if rc < -tol {
-						enter = j
-						break
-					}
-				} else if rc < best {
-					best = rc
-					enter = j
-				}
+			if rc := cost[j] - acc[j]; rc < best {
+				best = rc
+				enter = j
 			}
 		}
 		if enter < 0 {
@@ -593,31 +533,15 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 		// Harris two-pass ratio test: pass 1 computes the largest step
 		// that lets every basic variable go no lower than −δ; pass 2
 		// picks, among rows whose exact ratio fits within that step, the
-		// one with the largest pivot element (lowest basis index under
-		// Bland's rule). Tiny pivots are what turn round-off into a
-		// near-singular basis with exploding B⁻¹ — the dominant failure
-		// mode on degenerate masters — and the δ-window buys the freedom
-		// to avoid them at a per-step infeasibility cost of at most δ.
-		leave := s.ratioTestHarris(dir, useBland)
+		// one with the largest pivot element. Tiny pivots are what turn
+		// round-off into a near-singular basis with exploding B⁻¹ — the
+		// dominant failure mode on degenerate problems — and the δ-window
+		// buys the freedom to avoid them at a per-step infeasibility cost
+		// of at most δ.
+		leave := s.ratioTestHarris(dir)
 		if leave < 0 {
 			return Unbounded
 		}
-		minRatio := s.xb[leave] / dir[leave]
-		if minRatio < 0 {
-			minRatio = 0
-		}
-		if minRatio < tol {
-			degenerate++
-			if degenerate > 2*s.m+20 {
-				// Switch to Bland's rule permanently for this phase:
-				// resetting on occasional progress lets cycles that mix
-				// degenerate and near-degenerate pivots run forever.
-				useBland = true
-			}
-		} else {
-			degenerate = 0
-		}
-
 		s.pivot(enter, leave, dir)
 	}
 	return IterationLimit
@@ -628,7 +552,7 @@ func (s *simplex) iterate(cost []float64, banned []bool) Status {
 // below zero (within the accumulated δ slack) are treated as zero, so
 // they force near-zero steps until they leave the basis — a self-healing
 // property.
-func (s *simplex) ratioTestHarris(dir []float64, useBland bool) int {
+func (s *simplex) ratioTestHarris(dir []float64) int {
 	const tol = simplexTol
 	const delta = 1e-9
 
@@ -661,15 +585,7 @@ func (s *simplex) ratioTestHarris(dir []float64, useBland bool) int {
 		if xbi/dir[i] > theta {
 			continue
 		}
-		if leave < 0 {
-			leave = i
-			continue
-		}
-		if useBland {
-			if s.basis[i] < s.basis[leave] {
-				leave = i
-			}
-		} else if dir[i] > dir[leave] {
+		if leave < 0 || dir[i] > dir[leave] {
 			leave = i
 		}
 	}

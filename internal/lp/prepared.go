@@ -137,7 +137,7 @@ func (pp *Prepared) solveWith(basis *Basis) (*Solution, error) {
 	pp.installArtificialSigns()
 
 	if basis != nil && pp.tryWarm(basis) {
-		status := s.iterate(s.cost, s.bannedArtificials())
+		status := s.iterate(s.cost, s.artStart)
 		if status == Cancelled {
 			return nil, s.ctx.Err()
 		}
@@ -251,7 +251,7 @@ func (pp *Prepared) tryWarm(basis *Basis) bool {
 	}
 	// RHS drift: the basis is dual feasible but not primal feasible any
 	// more. A handful of dual-simplex pivots usually repairs it.
-	return s.dualIterate(s.cost, s.bannedArtificials(), 50+2*m) == Optimal
+	return s.dualIterate(s.cost, 50+2*m) == Optimal
 }
 
 // dualIterate runs dual-simplex pivots from a dual-feasible basis until
@@ -260,7 +260,7 @@ func (pp *Prepared) tryWarm(basis *Basis) bool {
 // (IterationLimit), or the basis turns out not to be dual feasible /
 // the leaving row admits no entering column (Infeasible). Non-Optimal
 // outcomes mean "fall back to a cold solve", not a verdict on the LP.
-func (s *simplex) dualIterate(cost []float64, banned []bool, maxPivots int) Status {
+func (s *simplex) dualIterate(cost []float64, maxPivots int) Status {
 	m := s.m
 	y := s.scratchY
 	dir := s.scratchDir
@@ -293,8 +293,8 @@ func (s *simplex) dualIterate(cost []float64, banned []bool, maxPivots int) Stat
 		bestRatio := math.Inf(1)
 		bestAlpha := 0.0
 		colPtr, colRows, colVals := s.mat.colPtr, s.mat.rows, s.mat.vals
-		for j := 0; j < s.n; j++ {
-			if s.inBase[j] || (banned != nil && banned[j]) {
+		for j := 0; j < s.artStart; j++ {
+			if s.inBase[j] {
 				continue
 			}
 			lo, hi := colPtr[j], colPtr[j+1]
