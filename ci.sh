@@ -9,6 +9,7 @@
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
 #                   lint-suite tests + the lp digest/oracle/SYRK/allocation
 #                   gates and its give-up and poisoned-input tests +
+#                   the column-generation loop's branch tests +
 #                   the store codec/round-trip tests + the server's
 #                   pool-lifecycle tests
 #                   (pre-push sanity, well under a minute)
@@ -65,6 +66,13 @@ if [ "${1:-}" = "-quick" ]; then
     # honest: Beale's cycling example, the pivot and Newton limits, and
     # the poisoned basis and iterate tests.
     go test -count=1 -run 'TestGoldenMechanismDigests|TestSolveOracleBitsPinned|TestDegenerateCycleGuard|TestMaxIterReportsLimit|TestIPMInfeasibleReportsLimit|Poisoned|TestSyrkKernelsBitIdentical|TestSparseInverse|Allocs' ./internal/lp
+    # The column-generation loop's branch tests (about 5 s): between
+    # them they drive every branch of the loop in internal/core/cg.go —
+    # a resume from a state of another K, a late master failure, the
+    # fixed checkpoint cadence, the gap and ξ stops, the smoothed-dual
+    # re-verification and ρ widening, and the pricing column check with
+    # its cold re-solve (a replay of a warm solve that once left Λ_l).
+    go test -count=1 -run 'TestSolveCGResumeMismatchedStateIgnored|TestSolveCGMasterErrorLateRound|TestSolveCGCheckpointHook|TestSolveCGRelGapStops|TestSolveCGXiEarlyStop|TestSolveCGWarmCertifiesOptimality|TestPriceOneRejectsInfeasibleColumn|TestPriceOneWarmColumnOutsideLambdaResolvedCold' ./internal/core
     # The durable-store codec and round-trip tests (about 1 s): an entry
     # or pool codec change that stops decoding older files, re-encodes
     # them with drift, or breaks the store's commit/scan round trip fails

@@ -11,9 +11,10 @@
 //	          [-lease-ttl 10s] [-fleet-poll lease-ttl/3] [-drain 5m]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// Every instance solves with the same column-generation stop rule
-// (ξ −0.05, 2% relative gap, as vlp.Build), so the mechanism a spec
-// digest names never depends on process flags. The durable store is
+// Every instance solves with the same column-generation stop rule as
+// vlp.Build (ξ −0.05, 2% relative gap, defined once as
+// core.CGOptions.ServingStop), so the mechanism a spec digest names
+// never depends on process flags. The durable store is
 // always on: completed mechanisms and each road network's column pool
 // (every 8 CG rounds of the solve that seeds it, and at its end) are
 // snapshotted to -store-dir. After a restart a cold solve on a stored

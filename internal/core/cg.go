@@ -45,18 +45,27 @@ type CGOptions struct {
 	// and only the costs move: each column is re-costed against this
 	// problem. A state without an iterate or bases (a checkpoint, a
 	// restored snapshot) resumes the master and pricing cold. A state
-	// whose shape does not match the problem is ignored.
+	// for another number of intervals K is ignored.
 	Resume *CGState
 	// OnIteration, when non-nil, observes each round (for tracing and
 	// convergence experiments).
 	OnIteration func(iter int, stats CGIteration)
-	// OnState, when non-nil and CheckpointEvery > 0, receives an
-	// immutable, Resume-able snapshot of the column pool after every
-	// CheckpointEvery completed rounds: the serving layer's pool
-	// checkpoint hook. It runs synchronously on the solver goroutine.
+	// OnState, when non-nil, receives an immutable, Resume-able snapshot
+	// of the column pool after every CheckpointRounds completed rounds:
+	// the serving layer's pool checkpoint hook. It runs synchronously on
+	// the solver goroutine.
 	OnState func(iter int, st *CGState)
-	// CheckpointEvery is the round period of OnState; 0 disables it.
-	CheckpointEvery int
+}
+
+// CheckpointRounds is the round period of CGOptions.OnState, and so the
+// most rounds a kill mid-solve can cost a solve that checkpoints.
+const CheckpointRounds = 8
+
+// ServingStop returns o with its stop rule set to the one vlpserved and
+// vlp.Build solve every non-exact spec at: ξ −0.05, a 2% relative gap.
+func (o CGOptions) ServingStop() CGOptions {
+	o.Xi, o.RelGap = -0.05, 0.02
+	return o
 }
 
 func (o CGOptions) withDefaults() CGOptions {
@@ -105,8 +114,8 @@ type CGResult struct {
 	LowerBound float64
 	// Iterations traces the convergence (Figs. 13(b)-(f)).
 	Iterations []CGIteration
-	// Stopped carries a diagnostic when the loop ended early on a
-	// numerical condition rather than a convergence criterion; the
+	// Stopped carries a diagnostic when the loop ended on a cancellation
+	// or a late master failure rather than a stop criterion; the
 	// mechanism is still the valid incumbent of the last clean round.
 	Stopped string
 	// State is the final column pool, resumable via CGOptions.Resume. It
@@ -130,6 +139,8 @@ type CGResult struct {
 // and snapshots (Snapshot, RestoreCGState) hold the pool alone, so a run
 // resumed from one starts its master and pricing cold, and its bits can
 // differ from a run resumed from the in-memory state it was taken of.
+// Only SolveCGCtx and RestoreCGState build one, so every state is well
+// formed for its own K, and a resume checks K alone.
 type CGState struct {
 	k       int
 	columns []cgColumn
@@ -155,24 +166,7 @@ func (st *CGState) Columns() int {
 // validFor reports whether the snapshot matches a problem with k true
 // intervals.
 func (st *CGState) validFor(k int) bool {
-	if st == nil || st.k != k || len(st.columns) == 0 {
-		return false
-	}
-	covered := make([]bool, k)
-	for _, c := range st.columns {
-		if len(c.z) != k || c.l < 0 || c.l >= k {
-			return false
-		}
-		covered[c.l] = true
-	}
-	// Every convexity row needs at least one column or the master is
-	// structurally infeasible.
-	for _, ok := range covered {
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return st != nil && st.k == k
 }
 
 // cgColumn is one extreme point ẑ of a polyhedron Λ_l together with its
@@ -204,6 +198,10 @@ const cgSmoothing = 0.8
 // when binding, so exactness is preserved) and Wentges smoothing of the
 // pricing duals with a verification pass at the exact master duals
 // before any optimality claim.
+//
+// A round admits every column whose reduced cost is below −1e-9, so it
+// adds none exactly when min ζ ≥ ξ; the loop then stops, unless the
+// slack box binds, which widens ρ tenfold instead.
 //
 // SolveCG runs SolveCGCtx to completion; SolveCGCtx is the cancellable
 // entry point.
@@ -348,6 +346,7 @@ rounds:
 
 		var it CGIteration
 		verified := samePoint(piUse, piM)
+		rcs := make([]float64, k)
 		for {
 			subMins, cols, perr := sub.priceAll(ctx, piUse)
 			if perr != nil {
@@ -383,10 +382,10 @@ rounds:
 				for i := 0; i < k; i++ {
 					rc -= piM[i] * c.z[i]
 				}
+				rcs[l] = rc
 				if rc < minRc {
 					minRc = rc
 				}
-				cols[l] = c
 			}
 
 			it = CGIteration{
@@ -397,35 +396,22 @@ rounds:
 				MasterIterations: masterIters,
 			}
 
-			if minRc >= xi {
-				if !verified {
-					// Possible mispricing at the smoothed point: verify
-					// at the exact master duals before concluding.
-					piUse = piM
-					verified = true
-					continue
-				}
-				break
-			}
-
-			added := 0
-			for l, c := range cols {
-				rc := c.cost - muM[l]
-				for i := 0; i < k; i++ {
-					rc -= piM[i] * c.z[i]
-				}
-				if rc < -cgTol && !duplicateColumn(columns, c) {
-					columns = append(columns, c)
-					ms.addColumn(c)
-					added++
-				}
-			}
-			if added == 0 && !verified {
+			if minRc >= xi && !verified {
+				// Possible mispricing at the smoothed point: verify at
+				// the exact master duals before concluding.
 				piUse = piM
 				verified = true
 				continue
 			}
-			it.ColumnsAdded = added
+			if minRc < xi {
+				for l, c := range cols {
+					if rcs[l] < -cgTol {
+						columns = append(columns, c)
+						ms.addColumn(c)
+						it.ColumnsAdded++
+					}
+				}
+			}
 			break
 		}
 
@@ -434,16 +420,15 @@ rounds:
 		if opts.OnIteration != nil {
 			opts.OnIteration(iter, it)
 		}
-		if opts.OnState != nil && opts.CheckpointEvery > 0 && (iter+1)%opts.CheckpointEvery == 0 {
+		if opts.OnState != nil && (iter+1)%CheckpointRounds == 0 {
 			// Snapshot the pool under a fresh slice header: existing
 			// columns are immutable, only the slice itself still grows.
 			opts.OnState(iter, &CGState{k: k, columns: append([]cgColumn(nil), columns...)})
 		}
 
-		converged := it.MinZeta >= xi && it.ColumnsAdded == 0
 		gapMet := opts.RelGap > 0 && masterObj > 0 &&
 			(masterObj-res.LowerBound)/masterObj <= opts.RelGap && slack <= slackTol
-		if converged {
+		if it.MinZeta >= xi {
 			if slack > slackTol {
 				// Converged against a binding dual box: widen and go on.
 				rho *= 10
@@ -453,17 +438,6 @@ rounds:
 			break
 		}
 		if gapMet {
-			break
-		}
-		if it.ColumnsAdded == 0 {
-			if slack > slackTol {
-				rho *= 10
-				ms.setRho(rho)
-				continue
-			}
-			// Verified negative reduced costs, yet every proposed column
-			// already exists: a numerical stall. The incumbent stands and
-			// the dual bound brackets its gap.
 			break
 		}
 	}
@@ -479,12 +453,8 @@ rounds:
 	// only the first len(lambda) columns participate.
 	z := make([]float64, k*k)
 	for ci, c := range columns[:len(lambda)] {
-		w := lambda[ci]
-		if w <= 0 {
-			continue
-		}
 		for i := 0; i < k; i++ {
-			z[i*k+c.l] += w * c.z[i]
+			z[i*k+c.l] += lambda[ci] * c.z[i]
 		}
 	}
 	normalizeRows(z, k)
@@ -547,52 +517,10 @@ func seedColumns(pr *Problem) []cgColumn {
 			for i := 0; i < k; i++ {
 				ze[i] = math.Exp(-g * eps * sym.Dist(roadnet.NodeID(i), roadnet.NodeID(l)))
 			}
-			// At small ε the γ family flattens toward the all-ones
-			// vector; near-collinear columns only degrade the master's
-			// conditioning, so drop them.
-			if nearDuplicateSeed(columns, l, ze) {
-				continue
-			}
 			columns = append(columns, cgColumn{l: l, z: ze, cost: pr.columnCost(l, ze)})
 		}
 	}
 	return columns
-}
-
-// nearDuplicateSeed reports whether block l already has a seed column
-// within 1e-3 of ze in every entry.
-func nearDuplicateSeed(columns []cgColumn, l int, ze []float64) bool {
-outer:
-	for _, old := range columns {
-		if old.l != l {
-			continue
-		}
-		for i, v := range old.z {
-			if math.Abs(v-ze[i]) > 1e-3 {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// duplicateColumn reports whether an (l-matching) column with the same
-// entries up to a small tolerance already exists.
-func duplicateColumn(columns []cgColumn, c cgColumn) bool {
-outer:
-	for _, old := range columns {
-		if old.l != c.l {
-			continue
-		}
-		for i, v := range old.z {
-			if math.Abs(v-c.z[i]) > 1e-9 {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // columnCost is Σ_i c_{i,l} z_i.
@@ -722,8 +650,8 @@ func (ms *masterState) solve(ctx context.Context) (obj float64, lambda, pi, mu [
 // which has only K rows with generic right-hand sides, and recovers the
 // primal minimiser z* as the dual prices of that problem (the dual of
 // the dual is the primal). Every recovered column is verified against
-// Λ_l; a dual solve that does not end optimal, or a column outside Λ_l,
-// is a pricing error.
+// Λ_l; a dual solve that does not end optimal, or a cold solve's column
+// outside Λ_l, is a pricing error.
 //
 // Each worker owns one persistent compiled dual instance, plus one basis
 // snapshot per subproblem. A subproblem is handled by exactly one worker
@@ -850,10 +778,12 @@ func (p *pricer) priceAll(ctx context.Context, pi []float64) ([]float64, []cgCol
 // only −w moves between rounds (by however much the master duals moved),
 // that basis is typically a handful of dual-simplex pivots from
 // re-optimal; a stale basis silently costs a cold solve, never a wrong
-// answer. A resumed run's first solve of sub_l starts from the previous
-// run's basis, which SolveFrom only reads; Basis then copies the new one
-// into this run's own slot, so a state shared by concurrent resumes is
-// never written.
+// answer. A warm solve whose column fails the Λ_l check is re-solved
+// cold once, and only a cold column outside Λ_l is an error. A resumed
+// run's first solve of sub_l starts from the previous run's basis,
+// which SolveFrom only reads; Basis then copies the new one into this
+// run's own slot, so a state shared by concurrent resumes is never
+// written.
 func (p *pricer) priceOne(ctx context.Context, dual *lp.Prepared, l int, pi []float64) (float64, cgColumn, error) {
 	if err := faultinject.At(FaultSiteCGPricing); err != nil {
 		return 0, cgColumn{}, fmt.Errorf("injected fault: %w", err)
@@ -868,23 +798,31 @@ func (p *pricer) priceOne(ctx context.Context, dual *lp.Prepared, l int, pi []fl
 	if from == nil && p.startBases != nil {
 		from = p.startBases[l]
 	}
-	sol, err := dual.SolveFrom(from)
-	if err != nil {
-		return 0, cgColumn{}, err
+	for {
+		sol, err := dual.SolveFrom(from)
+		if err != nil {
+			return 0, cgColumn{}, err
+		}
+		if sol.Status != lp.Optimal {
+			return 0, cgColumn{}, fmt.Errorf("pricing dual LP ended %v", sol.Status)
+		}
+		z := make([]float64, k)
+		for i := 0; i < k; i++ {
+			z[i] = clamp01(sol.Duals[i])
+		}
+		if p.feasible(z) {
+			p.dualBases[l] = dual.Basis(p.dualBases[l])
+			col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}
+			return -sol.Objective, col, nil // min wᵀz = −min bᵀu
+		}
+		if from == nil {
+			return 0, cgColumn{}, fmt.Errorf("recovered pricing column lies outside Λ_%d", l)
+		}
+		// A long warm run can end optimal on a basis whose duals leave
+		// Λ_l by more than the check allows, where the cold solve of the
+		// same subproblem lands inside it: re-solve cold once.
+		from = nil
 	}
-	if sol.Status != lp.Optimal {
-		return 0, cgColumn{}, fmt.Errorf("pricing dual LP ended %v", sol.Status)
-	}
-	p.dualBases[l] = dual.Basis(p.dualBases[l])
-	z := make([]float64, k)
-	for i := 0; i < k; i++ {
-		z[i] = clamp01(sol.Duals[i])
-	}
-	if !p.feasible(z) {
-		return 0, cgColumn{}, fmt.Errorf("recovered pricing column lies outside Λ_%d", l)
-	}
-	col := cgColumn{l: l, z: z, cost: p.pr.columnCost(l, z)}
-	return -sol.Objective, col, nil // min wᵀz = −min bᵀu
 }
 
 // feasible verifies a recovered column against Λ_l within tolerance.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"compress/gzip"
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/discretize"
@@ -170,18 +173,6 @@ func TestSolveCGResumeMismatchedStateIgnored(t *testing.T) {
 	if math.Abs(res.ETDD-ref.ETDD) > 1e-6*(1+ref.ETDD) {
 		t.Fatalf("mismatched resume changed the answer: %v vs %v", res.ETDD, ref.ETDD)
 	}
-
-	// A hand-poisoned state (wrong-length column, uncovered block) is
-	// likewise ignored.
-	k := tiny.Part.K()
-	poisoned := &CGState{k: k, columns: []cgColumn{{l: 0, z: make([]float64, k-1)}}}
-	res2, err := SolveCG(tiny, CGOptions{Resume: poisoned})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res2.ETDD-ref.ETDD) > 1e-6*(1+ref.ETDD) {
-		t.Fatalf("poisoned resume changed the answer: %v vs %v", res2.ETDD, ref.ETDD)
-	}
 }
 
 // TestWarmPricingRoundAllocs is the allocation-regression guard on the
@@ -238,5 +229,68 @@ func TestSolveCGWarmSequentialMatchesParallel(t *testing.T) {
 	}
 	if math.Abs(seq.ETDD-par.ETDD) > 1e-6*(1+seq.ETDD) {
 		t.Fatalf("sequential ETDD %v vs parallel %v", seq.ETDD, par.ETDD)
+	}
+}
+
+// TestPriceOneWarmColumnOutsideLambdaResolvedCold replays sub_93 of the
+// experiments' Full-profile fig13cd solve at δ 0.2 and ξ −0.006 (seed
+// 42): the right-hand side −w = π − c_93 of each of its 33 pricing
+// solves, in order, as the run handed them to priceOne. The first solve
+// is cold and each later one warm-starts from the basis the one before
+// it left, so only the whole chain rebuilds the basis of the last
+// solve. That warm solve takes 84 pivots and ends optimal on a column
+// that leaves Λ_93 by 2.4e-7, past the check's 1e-7; the cold solve of
+// the same subproblem (325 pivots) lands inside it, its largest
+// violation 1.1e-16. The costs are zeroed, so priceOne sets each
+// captured right-hand side bit for bit.
+func TestPriceOneWarmColumnOutsideLambdaResolvedCold(t *testing.T) {
+	f, err := os.Open("testdata/fig13cd_sub93.json.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain struct {
+		L   int         `json:"l"`
+		RHS [][]float64 `json:"rhs"`
+	}
+	if err := json.NewDecoder(zr).Decode(&chain); err != nil {
+		t.Fatal(err)
+	}
+	// The Full profile's Rome-like map, drawn first from seed 42+1.
+	g := roadnet.RomeLike(rand.New(rand.NewSource(43)), roadnet.RomeLikeConfig{
+		DowntownRows: 4, DowntownCols: 4, DowntownSpacing: 0.3,
+		RingRadiusFactor: 1.6, Radials: 5, SuburbDepth: 2,
+		SuburbSpacing: 0.5, OneWayFrac: 0.5, WeightJitter: 0.15,
+	})
+	part, err := discretize.New(g, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := NewProblem(part, Config{Epsilon: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := pr.Part.K(); k != 224 || len(chain.RHS[0]) != k {
+		t.Fatalf("K = %d, capture has %d entries per solve, want 224", k, len(chain.RHS[0]))
+	}
+	for i := range pr.Costs {
+		pr.Costs[i] = 0
+	}
+	p, err := newPricer(pr, CGOptions{Workers: 1}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, rhs := range chain.RHS {
+		_, col, err := p.priceOne(context.Background(), p.workers[0], chain.L, rhs)
+		if err != nil {
+			t.Fatalf("solve %d of %d: %v", n+1, len(chain.RHS), err)
+		}
+		if !p.feasible(col.z) {
+			t.Fatalf("solve %d of %d: column outside Λ_%d", n+1, len(chain.RHS), chain.L)
+		}
 	}
 }

@@ -73,10 +73,10 @@ func (s *CGStateSnapshot) Validate() error {
 
 // RestoreCGState rebuilds an opaque CGState from a snapshot, validating
 // it strictly: the snapshot must pass Validate, and the pool must cover
-// every convexity row — the same structural requirement CGOptions.Resume
-// enforces, so a restored state is never silently ignored by the solver
-// for a reason validation could have caught. Untrusted (disk, wire)
-// snapshots must come through here.
+// every convexity row, without which the master is structurally
+// infeasible. CGOptions.Resume checks only a state's K and relies on
+// these checks for the rest. Untrusted (disk, wire) snapshots must come
+// through here.
 func RestoreCGState(s *CGStateSnapshot) (*CGState, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

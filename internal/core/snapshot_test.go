@@ -61,15 +61,14 @@ func TestRestoreCGStateRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSolveCGCheckpointHook: OnState fires at the configured cadence and
-// every emitted snapshot is independently resumable — the property the
-// serving layer's crash recovery rests on.
+// TestSolveCGCheckpointHook: OnState fires every CheckpointRounds rounds
+// and every emitted snapshot is independently resumable — the property
+// the serving layer's crash recovery rests on.
 func TestSolveCGCheckpointHook(t *testing.T) {
 	pr := smallProblem(t, 42, 5)
 	var states []*CGState
 	var iters []int
 	first, err := SolveCG(pr, CGOptions{
-		CheckpointEvery: 2,
 		OnState: func(iter int, st *CGState) {
 			iters = append(iters, iter)
 			states = append(states, st)
@@ -79,13 +78,14 @@ func TestSolveCGCheckpointHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := len(first.Iterations)
-	want := rounds / 2
-	if len(states) != want {
-		t.Fatalf("checkpointed %d times over %d rounds with period 2, want %d", len(states), rounds, want)
+	want := rounds / CheckpointRounds
+	if want == 0 || len(states) != want {
+		t.Fatalf("checkpointed %d times over %d rounds with period %d, want %d (and at least one)",
+			len(states), rounds, CheckpointRounds, want)
 	}
 	for i, it := range iters {
-		if (it+1)%2 != 0 {
-			t.Errorf("checkpoint %d fired at round %d, want period-2 rounds only", i, it)
+		if (it+1)%CheckpointRounds != 0 {
+			t.Errorf("checkpoint %d fired at round %d, want period-%d rounds only", i, it, CheckpointRounds)
 		}
 	}
 	k := pr.Part.K()
@@ -107,10 +107,4 @@ func TestSolveCGCheckpointHook(t *testing.T) {
 		}
 	}
 
-	// Period 0 (the default) must never fire the hook.
-	if _, err := SolveCG(pr, CGOptions{OnState: func(int, *CGState) {
-		t.Error("OnState fired with CheckpointEvery = 0")
-	}}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -24,19 +24,26 @@ type goldenInstance struct {
 	// donor solves under a non-uniform prior, resumed from the seeded
 	// uniform-prior run's State (the server's donor-warm path).
 	donor bool
+	// stop, when non-nil, replaces the serving stop rule with its Xi and
+	// RelGap.
+	stop *core.CGOptions
 }
 
 // goldenInstances mirror the K12/K24/K44 solver-benchmark tiers
-// (bench_test.go cgBenchSizes) plus two K24 variants: a heterogeneous-ε
-// instance with a strict and a loose ε region, and a resumed solve,
-// which builds its master from a previous run's column pool instead of
-// the seed columns.
+// (bench_test.go cgBenchSizes) plus four K24 variants: a
+// heterogeneous-ε instance with a strict and a loose ε region, a
+// resumed solve, which builds its master from a previous run's column
+// pool instead of the seed columns, and two stop rules the server does
+// not use, an exact solve (ξ 0) and a gap-only one (ξ −1e-9, 2%
+// relative gap).
 var goldenInstances = []goldenInstance{
 	{name: "K12", rows: 2, cols: 2, delta: 0.3},
 	{name: "K24", rows: 2, cols: 3, delta: 0.2},
 	{name: "K44", rows: 3, cols: 3, delta: 0.15},
 	{name: "K24-hetero", rows: 2, cols: 3, delta: 0.2, hetero: true},
 	{name: "K24-donor", rows: 2, cols: 3, delta: 0.2, donor: true},
+	{name: "K24-exact", rows: 2, cols: 3, delta: 0.2, stop: &core.CGOptions{Xi: 0}},
+	{name: "K24-gap", rows: 2, cols: 3, delta: 0.2, stop: &core.CGOptions{Xi: -1e-9, RelGap: 0.02}},
 }
 
 // goldenDigests pins the SHA-256 of each instance's served wire bytes.
@@ -49,10 +56,13 @@ var goldenDigests = map[string]string{
 	"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
 	"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
 	"K24-donor":  "1b82d80d9bc5a019ca2fd1550142ca11e61599f3ee238955da96fb8fce30f47b",
+	"K24-exact":  "109ee1c3a952ca1cfa1531ebc9e66bafcf5e9a52f45461139018eb4430ba8423",
+	"K24-gap":    "3965b8e640c6641b1e556943e75406f128db342fe5148bee6a314cf39c8c23f7",
 }
 
 // servedBytes solves one instance the way vlpserved does (column
-// generation at the service's default stop criteria, then the Geo-I
+// generation at the service's stop rule unless the instance names its
+// own, then the Geo-I
 // repair gate) and renders the mechanism's JSON wire form
 // (serial.WriteJSON of serial.FromMechanism), the bytes vlpsolve and
 // vlp.Mechanism.Save write. A vlpserved store entry holds the binary
@@ -83,7 +93,10 @@ func servedBytes(t *testing.T, in goldenInstance, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.CGOptions{Xi: -0.05, RelGap: 0.02, Workers: workers}
+	opts := core.CGOptions{Workers: workers}.ServingStop()
+	if in.stop != nil {
+		opts.Xi, opts.RelGap = in.stop.Xi, in.stop.RelGap
+	}
 	res, err := core.SolveCG(pr, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -33,12 +33,11 @@ func stubEntry(tb testing.TB) *entry {
 	}
 	m := pr.ExponentialMechanism()
 	return &entry{
-		prob:     pr,
-		mech:     m,
-		etdd:     pr.ETDD(m),
-		tier:     serial.QualityOptimal,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(2)),
+		prob: pr,
+		mech: m,
+		etdd: pr.ETDD(m),
+		tier: serial.QualityOptimal,
+		rng:  rand.New(rand.NewSource(2)),
 	}
 }
 

@@ -55,7 +55,7 @@ func (s *Server) persistEntry(spec *serial.SolveSpec, e *entry) {
 }
 
 // writeCheckpoint durably records st as the pool of spec's geometry:
-// every checkpointRounds rounds of an owner's solve that may donate,
+// every core.CheckpointRounds rounds of an owner's solve that may donate,
 // and from admit with that solve's final pool. An ENOSPC-degraded store
 // sheds it without I/O. It reports whether the write landed.
 func (s *Server) writeCheckpoint(spec *serial.SolveSpec, rounds int, st *core.CGState) bool {

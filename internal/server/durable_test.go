@@ -175,7 +175,7 @@ func TestStoreServesEvictedEntry(t *testing.T) {
 // interruptedSolve runs a real seeded solve on a server with a store
 // and cancels it in the round that writes its first pool checkpoint,
 // returning the degraded entry, which carries the run's final pool.
-// spec must run past checkpointRounds rounds under a zero gap;
+// spec must run past core.CheckpointRounds rounds under a zero gap;
 // cadenceSpec does.
 func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*Server, *entry) {
 	t.Helper()
@@ -187,7 +187,7 @@ func interruptedSolve(t *testing.T, st *store.Store, spec *serial.SolveSpec) (*S
 		CG: core.CGOptions{
 			Xi: -1e-9, RelGap: -1, // force many rounds so the cancel lands mid-run
 			OnIteration: func(iter int, _ core.CGIteration) {
-				if iter == checkpointRounds-1 {
+				if iter == core.CheckpointRounds-1 {
 					cancel()
 				}
 			},
@@ -255,20 +255,20 @@ func admitInterrupted(t *testing.T, st *store.Store, spec *serial.SolveSpec) *Se
 }
 
 // TestCheckpointedFinalPoolNotRewritten: a seeded solve that ends
-// optimal on a round that is a multiple of checkpointRounds ends on the
-// pool its last cadence checkpoint wrote, so admit does not commit it
-// again; the geometry adopts that pool as donor.
+// optimal on a round that is a multiple of core.CheckpointRounds ends on
+// the pool its last cadence checkpoint wrote, so admit does not commit
+// it again; the geometry adopts that pool as donor.
 func TestCheckpointedFinalPoolNotRewritten(t *testing.T) {
 	st := testStore(t)
 	spec := cadenceSpec(t)
 	srv := New(context.Background(), Config{
 		Store:          st,
 		DisableUpgrade: true,
-		CG:             core.CGOptions{Xi: -1e-9, RelGap: -1, MaxIterations: 2 * checkpointRounds},
+		CG:             core.CGOptions{Xi: -1e-9, RelGap: -1, MaxIterations: 2 * core.CheckpointRounds},
 	})
 	e := solveVia(t, srv, spec)
-	if e.tier != serial.QualityOptimal || e.rounds != 2*checkpointRounds {
-		t.Fatalf("tier %q after %d rounds, want optimal after %d", e.tier, e.rounds, 2*checkpointRounds)
+	if e.tier != serial.QualityOptimal || e.rounds != 2*core.CheckpointRounds {
+		t.Fatalf("tier %q after %d rounds, want optimal after %d", e.tier, e.rounds, 2*core.CheckpointRounds)
 	}
 	if snap := srv.Stats(); snap.StoreWrites != 1 || snap.CheckpointWrites != 2 {
 		t.Fatalf("store_writes=%d checkpoint_writes=%d, want 1/2: the entry and two cadence checkpoints, the second holding the final pool",
@@ -889,8 +889,8 @@ func TestChaosCheckpointServeRace(t *testing.T) {
 	srv := New(context.Background(), Config{
 		Store:          st,
 		DisableUpgrade: true,
-		// Keep generating columns for checkpointRounds+1 rounds.
-		CG: core.CGOptions{Xi: -1e-9, RelGap: -1, MaxIterations: checkpointRounds + 1},
+		// Keep generating columns for core.CheckpointRounds+1 rounds.
+		CG: core.CGOptions{Xi: -1e-9, RelGap: -1, MaxIterations: core.CheckpointRounds + 1},
 	})
 	hot := solveVia(t, srv, ladderSpec(t))
 
@@ -907,9 +907,7 @@ func TestChaosCheckpointServeRace(t *testing.T) {
 				default:
 				}
 				srv.Stats()
-				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				_, _ = hot.sample(ctx, hot.prob.Part.WithRelativeLoc(0, 0.5))
-				cancel()
+				hot.sample(hot.prob.Part.WithRelativeLoc(0, 0.5))
 			}
 		}()
 	}

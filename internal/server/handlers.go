@@ -167,11 +167,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b *obfuscate
 			writeError(w, http.StatusBadRequest, fmt.Errorf("location %d: %w", i, err))
 			return false
 		}
-		obf, err := e.sample(r.Context(), truth)
-		if err != nil {
-			s.writeServiceError(w, err)
-			return false
-		}
+		obf := e.sample(truth)
 		out = append(out, serial.Loc{Road: int(obf.Edge), FromStart: obf.FromStart(g)})
 	}
 	b.out = out

@@ -116,10 +116,6 @@ type Config struct {
 // its pool.
 const serveQueueFactor = 8
 
-// checkpointRounds is the round period of a donating solve's pool
-// checkpoints (see writeCheckpoint).
-const checkpointRounds = 8
-
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 16
@@ -139,8 +135,7 @@ func (c Config) withDefaults() Config {
 	if c.CG.Xi == 0 && c.CG.RelGap == 0 {
 		// Default only the stop criteria; any other configured CG fields
 		// (iteration caps, workers, observers) are kept.
-		c.CG.Xi = -0.05
-		c.CG.RelGap = 0.02
+		c.CG = c.CG.ServingStop()
 	}
 	if c.Fleet != nil {
 		c.Fleet = c.Fleet.withDefaults()
@@ -174,38 +169,18 @@ type entry struct {
 	stored bool
 
 	// sampleMu guards rng: mechanism rows are immutable, the RNG stream
-	// is the only mutable sampler state.
-	sampleMu chanMutex
+	// is the only mutable sampler state. It is held for one Sample.
+	sampleMu sync.Mutex
 	rng      *rand.Rand
 }
 
-// chanMutex is a mutex whose Lock can be abandoned on context
-// cancellation, so a request deadline also bounds time spent queueing
-// for a popular mechanism's sampler.
-type chanMutex chan struct{}
-
-func newChanMutex() chanMutex { return make(chanMutex, 1) }
-
-func (m chanMutex) lock(ctx context.Context) error {
-	select {
-	case m <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (m chanMutex) unlock() { <-m }
-
 // sample obfuscates one true location under the entry's mechanism.
-func (e *entry) sample(ctx context.Context, truth roadnet.Location) (roadnet.Location, error) {
-	if err := e.sampleMu.lock(ctx); err != nil {
-		return roadnet.Location{}, err
-	}
-	defer e.sampleMu.unlock()
+func (e *entry) sample(truth roadnet.Location) roadnet.Location {
+	e.sampleMu.Lock()
 	obf := e.mech.Sample(e.rng, truth)
+	e.sampleMu.Unlock()
 	e.served.Add(1)
-	return obf, nil
+	return obf
 }
 
 // Service errors mapped to HTTP statuses by the handlers.
@@ -390,13 +365,12 @@ func (s *Server) mechanismFor(ctx context.Context, spec *serial.SolveSpec) (*ent
 // cache entry with its own sampler stream.
 func (s *Server) newEntry(pr *core.Problem, mech *core.Mechanism, etdd, bound float64, tier string) *entry {
 	return &entry{
-		prob:     pr,
-		mech:     mech,
-		etdd:     etdd,
-		bound:    bound,
-		tier:     tier,
-		sampleMu: newChanMutex(),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
+		prob:  pr,
+		mech:  mech,
+		etdd:  etdd,
+		bound: bound,
+		tier:  tier,
+		rng:   rand.New(rand.NewSource(s.cfg.Seed + s.seq.Add(1))),
 	}
 }
 
@@ -494,9 +468,9 @@ func (s *Server) solve(ctx context.Context, spec *serial.SolveSpec, owner bool) 
 		s.stats.donorSolved()
 	}
 	// A solve that may donate checkpoints its pool every
-	// checkpointRounds rounds, which a kill mid-solve can cost at most.
+	// core.CheckpointRounds rounds, which a kill mid-solve can cost at
+	// most.
 	if donates && s.store != nil {
-		opts.CheckpointEvery = checkpointRounds
 		opts.OnState = func(iter int, st *core.CGState) {
 			if s.writeCheckpoint(spec, iter+1, st) {
 				storedCols = st.Columns()

@@ -118,7 +118,7 @@ func Build(r *RoadNetwork, p Params) (*Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.CGOptions{Xi: -0.05, RelGap: 0.02}
+	opts := core.CGOptions{}.ServingStop()
 	if p.Exact {
 		opts = core.CGOptions{Xi: 0}
 	}

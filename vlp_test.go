@@ -86,7 +86,7 @@ func TestBuildRepairsGeoIResidue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := core.SolveCG(pr, core.CGOptions{Xi: -0.05, RelGap: 0.02})
+	raw, err := core.SolveCG(pr, core.CGOptions{}.ServingStop())
 	if err != nil {
 		t.Fatal(err)
 	}
