@@ -9,7 +9,8 @@
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
 #                   lint-suite tests + the lp digest/oracle/SYRK/allocation
 #                   gates and its give-up and poisoned-input tests +
-#                   the column-generation loop's branch tests +
+#                   the column-generation loop's branch and donor-resume
+#                   sharing tests +
 #                   the store codec/round-trip tests + the server's
 #                   pool-lifecycle tests
 #                   (pre-push sanity, well under a minute)
@@ -54,25 +55,32 @@ if [ "${1:-}" = "-quick" ]; then
     # every push, so a broken // want expectation or a regressed taint
     # summary must surface in the pre-push check, not the full gate.
     go test ./internal/lint/...
-    # The lp digest, SYRK and basis-inverse bit-identity and allocation
-    # gates (about 2 s): an lp refactor that moves a golden digest or
-    # one of lp.Solve's pinned oracle digests, lets the Go and AVX2 SYRK
-    # kernels round apart, lets the sparse basis inversion drift from
-    # its dense Gauss-Jordan oracle, or starts allocating on a hot path
-    # (a warm IPM or pricing re-solve, the pricing sweep, or the
-    # master's column append, IPMSolver.AddColumn) fails before push,
-    # not only in the full gate below. The same run keeps the solvers'
-    # one way to give up and their recovery from poisoned warm starts
-    # honest: Beale's cycling example, the pivot and Newton limits, and
-    # the poisoned basis and iterate tests.
-    go test -count=1 -run 'TestGoldenMechanismDigests|TestSolveOracleBitsPinned|TestDegenerateCycleGuard|TestMaxIterReportsLimit|TestIPMInfeasibleReportsLimit|Poisoned|TestSyrkKernelsBitIdentical|TestSparseInverse|Allocs' ./internal/lp
+    # The lp digest, SYRK, Cholesky and basis-inverse bit-identity and
+    # allocation gates (about 2 s): an lp refactor that moves a golden
+    # digest or one of lp.Solve's pinned oracle digests, lets the Go and
+    # AVX2 SYRK kernels round apart, lets the paired Cholesky drift from
+    # its row-at-a-time oracle, lets the sparse basis inversion drift
+    # from its dense Gauss-Jordan oracle or a memoised inverse from the
+    # inversion it stands for, lets a clone of a compiled master solve
+    # apart from a fresh compile, or starts allocating on a hot path (a
+    # warm IPM or pricing re-solve, the pricing sweep, or the master's
+    # column append, IPMSolver.AddColumn) fails before push, not only in
+    # the full gate below. The same run keeps the solvers' one way to
+    # give up and their recovery from poisoned warm starts honest:
+    # Beale's cycling example, the pivot and Newton limits, and the
+    # poisoned basis and iterate tests.
+    go test -count=1 -run 'TestGoldenMechanismDigests|TestSolveOracleBitsPinned|TestDegenerateCycleGuard|TestMaxIterReportsLimit|TestIPMInfeasibleReportsLimit|Poisoned|TestSyrkKernelsBitIdentical|TestCholeskyBitIdentical|TestSparseInverse|TestFrozenIPMClone|Allocs' ./internal/lp
     # The column-generation loop's branch tests (about 5 s): between
     # them they drive every branch of the loop in internal/core/cg.go —
     # a resume from a state of another K, a late master failure, the
     # fixed checkpoint cadence, the gap and ξ stops, the smoothed-dual
     # re-verification and ρ widening, and the pricing column check with
     # its cold re-solve (a replay of a warm solve that once left Λ_l).
-    go test -count=1 -run 'TestSolveCGResumeMismatchedStateIgnored|TestSolveCGMasterErrorLateRound|TestSolveCGCheckpointHook|TestSolveCGRelGapStops|TestSolveCGXiEarlyStop|TestSolveCGWarmCertifiesOptimality|TestPriceOneRejectsInfeasibleColumn|TestPriceOneWarmColumnOutsideLambdaResolvedCold' ./internal/core
+    # With them, the donor resume's sharing (about 3 s): a resume that
+    # clones the compiled master a donor state keeps must serve a fresh
+    # compile's bits, and a resume that compiles, builds a mirror or
+    # inverts a basis again fails its allocation budget.
+    go test -count=1 -run 'TestSolveCGResumeMismatchedStateIgnored|TestSolveCGMasterErrorLateRound|TestSolveCGCheckpointHook|TestSolveCGRelGapStops|TestSolveCGXiEarlyStop|TestSolveCGWarmCertifiesOptimality|TestPriceOneRejectsInfeasibleColumn|TestPriceOneWarmColumnOutsideLambdaResolvedCold|TestSolveCGDonorResumeSharedMaster|TestDonorResumeAllocs' ./internal/core
     # The durable-store codec and round-trip tests (about 1 s): an entry
     # or pool codec change that stops decoding older files, re-encodes
     # them with drift, or breaks the store's commit/scan round trip fails
@@ -149,12 +157,15 @@ go run ./cmd/vlpchaos -check BENCH_chaos.json
 # same-digest burst costs exactly one solve because singleflight gives
 # it one flight and only the flight leader takes a solve-pool slot.
 # The donor tests ride along: concurrent cold solves on one road network
-# all resume from that network's shared donor pool and pricing bases,
-# which must stay immutable under the race detector, and concurrent
-# first misses on one network take its owner lock in turn.
+# all resume from that network's shared donor pool, pricing bases and
+# compiled master, which must stay immutable under the race detector
+# but for the compiled master and the bases' inverse memos the first
+# resumes fill, and concurrent first misses on one network take its
+# owner lock in turn; in internal/lp, concurrent solves from one frozen
+# basis race to fill its memo, and clones share a compiled master.
 # These also run in the -race pass above; the explicit run keeps the
 # gate legible and fails fast when the admission layer regresses.
-go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestOneSolvePerNetwork|TestOwnerWait|TestSolveCGDonorResume' ./internal/server ./internal/core
+go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestOneSolvePerNetwork|TestOwnerWait|TestSolveCGDonorResume|TestSparseInverseMemo|TestFrozenIPMClone' ./internal/server ./internal/core ./internal/lp
 
 # Golden-digest gate: digests change only on purpose. The served wire
 # bytes (SolveCG, EnforceGeoI, serial.WriteJSON) of the K12/K24/K44

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -135,12 +136,16 @@ type CGResult struct {
 // pool checkpoint on disk.
 //
 // A finished run's State also carries the run's final master iterate
-// and pricing bases, which live in memory only: checkpoints (OnState)
-// and snapshots (Snapshot, RestoreCGState) hold the pool alone, so a run
-// resumed from one starts its master and pricing cold, and its bits can
-// differ from a run resumed from the in-memory state it was taken of.
-// Only SolveCGCtx and RestoreCGState build one, so every state is well
-// formed for its own K, and a resume checks K alone.
+// and pricing bases, which live in memory only, and what resumes from it
+// derive once and share: the master compiled over the pool, which the
+// first resume from the state keeps for every later one to clone, and
+// each basis's inverse, which the first resume to factor the basis
+// keeps. Checkpoints (OnState) and snapshots (Snapshot, RestoreCGState)
+// hold the pool alone, so a run resumed from one compiles its master
+// and starts it and its pricing cold, and its bits can differ from a
+// run resumed from the in-memory state it was taken of. Only SolveCGCtx
+// and RestoreCGState build one, so every state is well formed for its
+// own K, and a resume checks K alone.
 type CGState struct {
 	k       int
 	columns []cgColumn
@@ -150,9 +155,17 @@ type CGState struct {
 	// copy.
 	master *lp.Iterate
 	// bases are the run's final per-l pricing bases (a nil entry for a
-	// subproblem never solved to optimality). Read-only: a resumed
-	// pricer starts from them and captures its own.
+	// subproblem never solved to optimality), frozen: read-only but for
+	// each one's inverse memo, which the first resume to factor it fills.
+	// A resumed pricer starts from them and captures its own. Nil on a
+	// checkpoint or restored snapshot.
 	bases []*lp.Basis
+	// compiled is the master over columns (2K slacks, then one variable
+	// per pool column, in pool order) without costs, workspace or
+	// iterate, once a resume from a finished run's state has compiled
+	// it; later resumes clone it under their own costs. Read-only: a
+	// clone copies it before appending a column.
+	compiled atomic.Pointer[lp.FrozenIPM]
 }
 
 // Columns returns the pool size (0 for a nil state).
@@ -161,6 +174,15 @@ func (st *CGState) Columns() int {
 		return 0
 	}
 	return len(st.columns)
+}
+
+// compiledMaster returns the master a resume from st compiled and kept,
+// or nil (st nil included).
+func (st *CGState) compiledMaster() *lp.FrozenIPM {
+	if st == nil {
+		return nil
+	}
+	return st.compiled.Load()
 }
 
 // validFor reports whether the snapshot matches a problem with k true
@@ -288,11 +310,24 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 		xi = -cgTol
 	}
 
-	// Persistent master: compiled once over the seed pool, grown in place
-	// as columns arrive.
-	ms, err := newMasterState(pr, columns, rho)
-	if err != nil {
-		return nil, fmt.Errorf("core: CG master setup: %w", err)
+	// Persistent master: compiled once over the initial pool, or cloned
+	// from the compiled master a previous resume from the same finished
+	// run kept, whose columns are this pool's; grown in place as columns
+	// arrive.
+	var ms *masterState
+	if f := resume.compiledMaster(); f != nil {
+		ms = cloneMasterState(k, f, columns, rho)
+	} else {
+		if ms, err = newMasterState(pr, columns, rho); err != nil {
+			return nil, fmt.Errorf("core: CG master setup: %w", err)
+		}
+		if resume != nil && resume.bases != nil {
+			// Only a finished run's in-memory state keeps it (a restored
+			// snapshot or a checkpoint carries no bases): the serving
+			// layer shares that one across resumes, and reads a stored
+			// pool afresh for each.
+			resume.compiled.CompareAndSwap(nil, ms.sv.Compiled())
+		}
 	}
 	if resume != nil {
 		// The master's rows do not depend on the prior, so the previous
@@ -463,7 +498,11 @@ rounds:
 	// Snapshot the pool, the master iterate and the pricing bases for
 	// CGOptions.Resume; the master and the pricer are done, so none is
 	// mutated after this point.
+	for _, b := range sub.dualBases {
+		b.Freeze()
+	}
 	res.State = &CGState{k: k, columns: columns, master: ms.sv.Iterate(), bases: sub.dualBases}
+	ms.sv.Release()
 	// The Lagrangian bound can be vacuous (negative) when the loop stops
 	// very early; quality loss is non-negative by definition.
 	if res.LowerBound < 0 {
@@ -580,6 +619,21 @@ func newMasterState(pr *Problem, columns []cgColumn, rho float64) (*masterState,
 		ms.addColumn(c)
 	}
 	return ms, nil
+}
+
+// cloneMasterState builds the master newMasterState would compile over
+// columns from f, a previous run's compiled master over the same
+// columns in the same order: only the costs are this run's, ρ on the 2K
+// slacks and each column's re-costed value.
+func cloneMasterState(k int, f *lp.FrozenIPM, columns []cgColumn, rho float64) *masterState {
+	c := make([]float64, 2*k+len(columns))
+	for s := 0; s < 2*k; s++ {
+		c[s] = rho
+	}
+	for i, col := range columns {
+		c[2*k+i] = col.cost
+	}
+	return &masterState{k: k, sv: f.Clone(c)}
 }
 
 // colEntries renders a column's entries in ascending row order (unit

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -63,7 +64,9 @@ func jitteredPrior(rng *rand.Rand, base []float64, frac float64) []float64 {
 
 // stateFingerprint renders a state's columns, master iterate and bases,
 // unexported fields included and every float in hexadecimal (exact to
-// the bit), so any write to a shared state shows as a change.
+// the bit), so any write to a shared state shows as a change. A basis
+// renders its row indices and the address of its inverse memo, which
+// resumes fill.
 func stateFingerprint(st *CGState) string {
 	s := fmt.Sprintf("%x %x", st.k, st.columns)
 	if st.master != nil {
@@ -71,10 +74,20 @@ func stateFingerprint(st *CGState) string {
 	}
 	for _, b := range st.bases {
 		if b != nil {
-			s += fmt.Sprintf(" %x", *b)
+			s += fmt.Sprintf(" %v", *b)
 		}
 	}
 	return s
+}
+
+// compiledFingerprint renders the compiled master a resume kept in st
+// (matrix, row-major mirror, run classification), every float exact to
+// the bit in %v's shortest round-tripping form, or "" when none has.
+func compiledFingerprint(st *CGState) string {
+	if f := st.compiled.Load(); f != nil {
+		return fmt.Sprintf("%v", *f)
+	}
+	return ""
 }
 
 // TestSolveCGDonorResume resumes K=48 solves from a donor solved on
@@ -297,10 +310,87 @@ func TestSolveCGDonorResumeForeignIterate(t *testing.T) {
 	}
 }
 
-// TestSolveCGDonorResumeConcurrent runs 8 resumes from one shared donor
-// state at once, as every miss on a served geometry does. Under the race
-// detector and bit for bit, the donor's columns, master iterate and
-// pricing bases must come out as they went in.
+// TestSolveCGDonorResumeSharedMaster resumes from a donor's in-memory
+// state after an earlier resume kept the compiled master and the basis
+// inverses in it, so the master is cloned and every basis restored from
+// its memo, and from a fresh copy of the same state (the same donor
+// solved again), whose resume compiles its master afresh over the pool
+// (newMasterState) and inverts every basis: the two must serve the same
+// Z bit for bit, in the same rounds, Newton iterations and columns per
+// round. One resume of each geometry solves exactly and appends
+// columns, so its clone copies the shared matrix and rebuilds its own
+// mirror. The shared state, its compiled master included, must come out
+// unchanged.
+func TestSolveCGDonorResumeSharedMaster(t *testing.T) {
+	for _, geo := range donorGeometries(t) {
+		t.Run(geo.name, func(t *testing.T) {
+			donorState := func() *CGState {
+				t.Helper()
+				donor, err := SolveCG(geo.problem(geo.prior), donorOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return donor.State
+			}
+			rng := rand.New(rand.NewSource(9))
+			resume := func(pr *Problem, from *CGState, exact bool) *CGResult {
+				t.Helper()
+				opts := donorOpts
+				if exact {
+					opts.Xi, opts.RelGap = 0, 0
+				}
+				opts.Resume = from
+				res, err := SolveCG(pr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			st := donorState()
+			resume(geo.problem(jitteredPrior(rng, geo.prior, 0.001)), st, false)
+			if compiledFingerprint(st) == "" {
+				t.Fatal("a resume kept no compiled master in the donor's state")
+			}
+			before := stateFingerprint(st) + compiledFingerprint(st)
+			trace := func(res *CGResult) string {
+				s := fmt.Sprintf("%x %d", res.Mechanism.Z, len(res.Iterations))
+				for _, it := range res.Iterations {
+					s += fmt.Sprintf(" %d/%d", it.MasterIterations, it.ColumnsAdded)
+				}
+				return s
+			}
+			appended := false
+			for trial := 0; trial < 4; trial++ {
+				pr := geo.problem(jitteredPrior(rng, geo.prior, 0.001))
+				exact := trial == 3
+				shared := resume(pr, st, exact)
+				compiled := resume(pr, donorState(), exact)
+				if got, want := trace(shared), trace(compiled); got != want {
+					t.Fatalf("trial %d: the shared state's resume differs from a fresh state's: ETDD %v, %v; rounds %d, %d",
+						trial, shared.ETDD, compiled.ETDD, len(shared.Iterations), len(compiled.Iterations))
+				}
+				if shared.State.Columns() > st.Columns() {
+					appended = true
+				}
+			}
+			if !appended {
+				t.Error("no resume appended a column")
+			}
+			if stateFingerprint(st)+compiledFingerprint(st) != before {
+				t.Error("resumes wrote to the donor state")
+			}
+		})
+	}
+}
+
+// TestSolveCGDonorResumeConcurrent runs two batches of 8 resumes from
+// one shared donor state at once, as misses on a served geometry do.
+// The first batch races to keep its compiled master in the state and to
+// fill its bases' inverse memos; the second shares what the first kept.
+// Under the race detector and bit for bit, the donor's columns, master
+// iterate and pricing bases must come out as they went in, the compiled
+// master as the first batch left it, and each resume must serve the Z a
+// resume of its prior alone serves.
 func TestSolveCGDonorResumeConcurrent(t *testing.T) {
 	geo := donorGeometries(t)[0]
 	donor, err := SolveCG(geo.problem(geo.prior), donorOpts)
@@ -309,22 +399,45 @@ func TestSolveCGDonorResumeConcurrent(t *testing.T) {
 	}
 	before := stateFingerprint(donor.State)
 	columns := donor.State.Columns()
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for w := range errs {
-		pr := geo.problem(jitteredPrior(rand.New(rand.NewSource(int64(10+w))), geo.prior, 0.001))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			opts := donorOpts
-			opts.Resume = donor.State
-			_, errs[w] = SolveCG(pr, opts)
-		}()
+	resume := func(pr *Problem) (*CGResult, error) {
+		opts := donorOpts
+		opts.Resume = donor.State
+		return SolveCG(pr, opts)
 	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("concurrent resume %d: %v", w, err)
+	var compiled string
+	for batch := 0; batch < 2; batch++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		probs := make([]*Problem, len(errs))
+		results := make([]*CGResult, len(errs))
+		for w := range errs {
+			probs[w] = geo.problem(jitteredPrior(rand.New(rand.NewSource(int64(10+8*batch+w))), geo.prior, 0.001))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[w], errs[w] = resume(probs[w])
+			}()
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("batch %d: concurrent resume %d: %v", batch, w, err)
+			}
+			alone, err := resume(probs[w])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%x", results[w].Mechanism.Z) != fmt.Sprintf("%x", alone.Mechanism.Z) {
+				t.Errorf("batch %d: concurrent resume %d served ETDD %v, alone %v", batch, w, results[w].ETDD, alone.ETDD)
+			}
+		}
+		if got := compiledFingerprint(donor.State); batch == 0 {
+			if got == "" {
+				t.Fatal("no resume kept a compiled master in the donor state")
+			}
+			compiled = got
+		} else if got != compiled {
+			t.Error("concurrent resumes wrote to the donor's compiled master")
 		}
 	}
 	if got := donor.State.Columns(); got != columns {
@@ -332,6 +445,55 @@ func TestSolveCGDonorResumeConcurrent(t *testing.T) {
 	}
 	if stateFingerprint(donor.State) != before {
 		t.Error("concurrent resumes wrote to the donor state")
+	}
+}
+
+// TestDonorResumeAllocs budgets a donor resume's allocations on the
+// solve-cold benchmark's K=48 instance, at 2 pricing workers, once the
+// donor's compiled master is kept and its inverse memos are filled: a
+// resume of the donor's own prior, whose pricing bases stay optimal (a
+// pivot would make the final extraction invert its basis), following
+// another resume whose master workspace it takes over. Such a resume
+// compiles no
+// master matrix (its CSC, about 80 allocations through newMasterState),
+// builds no row-major mirror or run classification (8 allocations,
+// about 0.3 MB), allocates no normal-equations panel (2 allocations,
+// 0.42 MB) and inverts no pricing basis (a worker's inversion scratch
+// is 13 allocations, about 69 kB). It measures 514 allocations and
+// 0.27 MB (go1.24, amd64); the budgets leave less slack than any one of
+// those would take.
+func TestDonorResumeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	geo := donorGeometries(t)[0]
+	donor, err := SolveCG(geo.problem(geo.prior), donorOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := geo.problem(geo.prior)
+	opts := donorOpts
+	opts.Workers = 2
+	opts.Resume = donor.State
+	resume := func() {
+		if _, err := SolveCG(pr, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resume() // keeps the compiled master and fills the memos
+	resume() // the first clone: leaves its workspace for the next
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, resume)
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
+	t.Logf("donor resume: %v allocations, %d B", allocs, bytes)
+	if allocs > 520 {
+		t.Errorf("a donor resume allocates %v objects, want ≤ 520", allocs)
+	}
+	if bytes > 300_000 {
+		t.Errorf("a donor resume allocates %d B, want ≤ 300000", bytes)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -308,5 +310,151 @@ func TestSparseInverseWarmSweep(t *testing.T) {
 			basis = pp.Basis(basis)
 		}
 		t.Logf("%s: %d of 40 solves made no pivot", name, skipped)
+	}
+}
+
+// TestSparseInverseMemo checks the inverse a frozen basis memoises. For
+// every basis of a warm pricing sweep, restoring the memo leaves the
+// same B⁻¹ and basic values, bit for bit, as a refactor of the basis;
+// solves from the frozen basis, the first of which fills the memo and
+// some of which run concurrently on instances of their own, end with
+// the bits of a solve from an unfrozen copy of it; and a restore that
+// ends on the restored basis inverts nothing. A memo taken under other
+// artificial signs (its rows' right-hand sides changed sign) no longer
+// matches the basis matrix, and the solve factors the basis afresh.
+func TestSparseInverseMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, k := range []int{24, 48} {
+		p := pricingDualInstance(rng, k)
+		pp, err := Prepare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := pp.s.m
+		rhs := make([]float64, m)
+		for i, c := range p.constraints {
+			rhs[i] = c.RHS
+		}
+		// solve runs SolveFrom(b) on a fresh instance at the current
+		// right-hand sides.
+		solve := func(b *Basis) (*Prepared, string) {
+			q, err := Prepare(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range rhs {
+				q.SetRHS(i, v)
+			}
+			sol, err := q.SolveFrom(b)
+			if err != nil || sol.Status != Optimal {
+				t.Fatalf("K=%d: %v %v", k, sol, err)
+			}
+			return q, fmt.Sprintf("%x %x %x %d", sol.X, sol.Duals, sol.Objective, sol.Iterations)
+		}
+		var basis *Basis
+		var restoredOnly atomic.Int32
+		for step := 0; step < 20; step++ {
+			for i := range rhs {
+				rhs[i] += 0.05 * (2*rng.Float64() - 1)
+				pp.SetRHS(i, rhs[i])
+			}
+			if _, err := pp.SolveFrom(basis); err != nil {
+				t.Fatal(err)
+			}
+			basis = pp.Basis(basis)
+			for i := range rhs {
+				rhs[i] += 0.02 * (2*rng.Float64() - 1)
+			}
+			_, want := solve(&Basis{cols: append([]int(nil), basis.cols...)})
+			frozen := &Basis{cols: append([]int(nil), basis.cols...)}
+			frozen.Freeze()
+			if _, got := solve(frozen); got != want {
+				t.Fatalf("K=%d step %d: the memo-filling solve differs from an unfrozen one", k, step)
+			}
+			inv := frozen.memo.inv.Load()
+			if inv == nil {
+				t.Fatalf("K=%d step %d: a restore left no memo", k, step)
+			}
+			got := make([]string, 4)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var q *Prepared
+					q, got[g] = solve(frozen)
+					if q.s.bmatBuf == nil {
+						restoredOnly.Add(1)
+					}
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				if got[g] != want {
+					t.Fatalf("K=%d step %d: memo restore %d differs from an unfrozen solve", k, step, g)
+				}
+			}
+
+			// Restore against refactor, state for state.
+			q, _ := solve(nil)
+			s := q.s
+			install := func() {
+				copy(s.b, q.bPert)
+				q.installArtificialSigns()
+				clear(s.inBase)
+				for i, j := range frozen.cols {
+					s.basis[i] = j
+					s.inBase[j] = true
+				}
+			}
+			install()
+			if !s.refactor() {
+				t.Fatalf("K=%d step %d: singular basis", k, step)
+			}
+			wantBinv, wantXB := fmt.Sprintf("%x", s.binv), fmt.Sprintf("%x", s.xb)
+			install()
+			for i := range s.binv {
+				s.binv[i] = math.NaN()
+			}
+			if !s.inverts(inv) {
+				t.Fatalf("K=%d step %d: the memo does not match its own basis", k, step)
+			}
+			s.restoreInverse(inv)
+			if fmt.Sprintf("%x", s.binv) != wantBinv || fmt.Sprintf("%x", s.xb) != wantXB || !s.factored {
+				t.Fatalf("K=%d step %d: restored B⁻¹ or xb differs from a refactor", k, step)
+			}
+		}
+		if restoredOnly.Load() == 0 {
+			t.Errorf("K=%d: every memo restore inverted its basis again", k)
+		}
+
+		// The all-artificial basis: its matrix is diag(±1), the signs of
+		// the rows' right-hand sides at solve time.
+		arts := &Basis{cols: make([]int, m)}
+		for i := range arts.cols {
+			arts.cols[i] = pp.s.artStart + i
+		}
+		arts.Freeze()
+		solve(arts)
+		inv := arts.memo.inv.Load()
+		if inv == nil {
+			t.Fatalf("K=%d: the artificial basis left no memo", k)
+		}
+		q, _ := solve(nil)
+		rhs[0] = -math.Copysign(1+math.Abs(rhs[0]), rhs[0])
+		q.SetRHS(0, rhs[0])
+		copy(q.s.b, q.bPert)
+		q.installArtificialSigns()
+		copy(q.s.basis, arts.cols)
+		if q.s.inverts(inv) {
+			t.Fatalf("K=%d: a memo under another artificial sign still matches", k)
+		}
+		_, want := solve(&Basis{cols: arts.cols})
+		if _, got := solve(arts); got != want {
+			t.Fatalf("K=%d: a sign-mismatched memo changed the solve", k)
+		}
+		if arts.memo.inv.Load() != inv {
+			t.Fatalf("K=%d: a sign-mismatched solve replaced the memo", k)
+		}
 	}
 }

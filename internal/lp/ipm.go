@@ -50,31 +50,49 @@ type ipmWorkspace struct {
 	rd, dx, ds, dxc, dsc, d, rc, acceptX []float64
 	// m×m
 	mmat, chol []float64
-	// formNormal scratch: per-column leading-run lengths (n-sized) and
-	// the dense same-span panel plus its transposed fill buffer (grown
-	// on demand).
-	runs            []int32
-	panel           []float64
-	panelT          []float64
-	panelR0, panelL int32
-	groupN          int
-	usePanel        bool
+	// formNormal scratch: the dense same-span panel plus its transposed
+	// fill buffer (grown on demand).
+	panel, panelT []float64
 
 	// Row-major mirror of the constraint matrix for the Aᵀv and Av
 	// sweeps. It and the run classification are cached per matrix shape
 	// (at.n, at.nnz): within one solve the matrix is static, so both are
 	// built once, not once per Newton iteration.
 	at csr
+	columnClass
+	// shared marks at's arrays and the run lengths as a FrozenIPM's,
+	// read-only: compile rebuilds them into buffers of this workspace's
+	// own rather than in place.
+	shared bool
 }
 
-// fit sizes ws for the current matrix and, when columns were appended
-// since the last solve, rebuilds its shape-keyed caches.
+// columnClass is the run classification formNormal reads: each column's
+// leading-run length and the panel span elected among them.
+type columnClass struct {
+	runs            []int32
+	panelR0, panelL int32
+	groupN          int
+	usePanel        bool
+}
+
+// fit sizes ws for the current matrix and brings its shape-keyed caches
+// up to date.
 func (ip *ipm) fit(ws *ipmWorkspace) {
 	ws.grow(ip.m, ip.n)
-	if ws.at.n != ip.n || ws.at.nnz != ip.mat.nnz() {
-		ws.at.build(&ip.mat, ip.m)
-		ip.classifyColumns(ws)
+	ip.compile(ws)
+}
+
+// compile rebuilds ws's row-major mirror and run classification when
+// columns were appended since they were built.
+func (ip *ipm) compile(ws *ipmWorkspace) {
+	if ws.at.n == ip.n && ws.at.nnz == ip.mat.nnz() {
+		return
 	}
+	if ws.shared {
+		ws.at, ws.runs, ws.shared = csr{}, nil, false
+	}
+	ws.at.build(&ip.mat, ip.m)
+	ip.classifyColumns(ws)
 }
 
 func (ws *ipmWorkspace) grow(m, n int) {
@@ -97,10 +115,6 @@ func (ws *ipmWorkspace) grow(m, n int) {
 	}
 	ws.mmat = ws.mmat[:m*m]
 	ws.chol = ws.chol[:m*m]
-	if cap(ws.runs) < n {
-		ws.runs = make([]int32, n, n+n/2+16)
-	}
-	ws.runs = ws.runs[:n]
 }
 
 // coldRun solves from Mehrotra's least-squares start, or reports
@@ -359,6 +373,11 @@ func (ip *ipm) residuals(x, y, s, rp, rd []float64, ws *ipmWorkspace) {
 // sized here so formNormal's hot path only fills.
 func (ip *ipm) classifyColumns(ws *ipmWorkspace) {
 	colPtr, colRows := ip.mat.colPtr, ip.mat.rows
+	if cap(ws.runs) < ip.n {
+		// Headroom for a column-generation master that keeps growing.
+		ws.runs = make([]int32, ip.n, ip.n+ip.n/2+16)
+	}
+	ws.runs = ws.runs[:ip.n]
 	runs := ws.runs
 	type span struct {
 		r0, l int32
@@ -628,28 +647,68 @@ func traceMax(mmat []float64, m int) float64 {
 // choleskyInto factors a symmetric positive-definite matrix (row-major)
 // into the caller-provided lower-triangular buffer l, reporting false if
 // the factorisation breaks down.
+//
+// Entry (i, j) is (a_ij − l_i[:j]·l_j[:j]) / l_jj, or the square root of
+// that difference on the diagonal, with the dot product summed in four
+// accumulator chains (the single-chain dot is latency bound and this
+// factorisation runs once per Newton step): chain c takes the terms
+// k ≡ c (mod 4) below the last multiple of four, the tail goes into
+// chain 0, and the chains combine as (s0+s1)+(s2+s3). Rows are factored
+// two at a time, so each load of a pivot row l_j serves both rows'
+// products; every entry keeps its own chains, so the bits are those of
+// a row-at-a-time factorisation.
 func choleskyInto(a, l []float64, m int) bool {
 	// Only the lower triangle (and diagonal) is ever written or read —
 	// cholSolve's backward pass walks column i of the lower triangle —
 	// so the upper triangle is left untouched rather than zeroed.
-	for i := 0; i < m; i++ {
+	i := 0
+	for ; i+1 < m; i += 2 {
+		l0 := l[i*m : i*m+i+1]
+		l1 := l[(i+1)*m : (i+1)*m+i+2]
+		a0 := a[i*m : i*m+i+1]
+		a1 := a[(i+1)*m : (i+1)*m+i+2]
+		for j := 0; j < i; j++ {
+			lj := l[j*m : j*m+j+1]
+			// Resliced operands shrink as the chains advance, so the
+			// compiler proves every index in range.
+			p, x0, x1 := lj[:j], l0[:j], l1[:j]
+			var s0, s1, s2, s3, t0, t1, t2, t3 float64
+			for len(p) >= 4 && len(x0) >= 4 && len(x1) >= 4 {
+				s0 += x0[0] * p[0]
+				s1 += x0[1] * p[1]
+				s2 += x0[2] * p[2]
+				s3 += x0[3] * p[3]
+				t0 += x1[0] * p[0]
+				t1 += x1[1] * p[1]
+				t2 += x1[2] * p[2]
+				t3 += x1[3] * p[3]
+				p, x0, x1 = p[4:], x0[4:], x1[4:]
+			}
+			x0, x1 = x0[:len(p)], x1[:len(p)]
+			for k, pk := range p {
+				s0 += x0[k] * pk
+				t0 += x1[k] * pk
+			}
+			l0[j] = (a0[j] - ((s0 + s1) + (s2 + s3))) / lj[j]
+			l1[j] = (a1[j] - ((t0 + t1) + (t2 + t3))) / lj[j]
+		}
+		sum := a0[i] - dot4(l0[:i], l0[:i])
+		if sum <= 0 {
+			return false
+		}
+		l0[i] = math.Sqrt(sum)
+		l1[i] = (a1[i] - dot4(l1[:i], l0[:i])) / l0[i]
+		sum = a1[i+1] - dot4(l1[:i+1], l1[:i+1])
+		if sum <= 0 {
+			return false
+		}
+		l1[i+1] = math.Sqrt(sum)
+	}
+	if i < m {
 		li := l[i*m : i*m+i+1]
 		for j := 0; j <= i; j++ {
 			lj := l[j*m : j*m+j+1]
-			// Four accumulator chains: the single-chain dot is latency
-			// bound and this factorisation runs once per Newton step.
-			var s0, s1, s2, s3 float64
-			k := 0
-			for ; k+3 < j; k += 4 {
-				s0 += li[k] * lj[k]
-				s1 += li[k+1] * lj[k+1]
-				s2 += li[k+2] * lj[k+2]
-				s3 += li[k+3] * lj[k+3]
-			}
-			for ; k < j; k++ {
-				s0 += li[k] * lj[k]
-			}
-			sum := a[i*m+j] - ((s0 + s1) + (s2 + s3))
+			sum := a[i*m+j] - dot4(li[:j], lj[:j])
 			if i == j {
 				if sum <= 0 {
 					return false
@@ -661,6 +720,25 @@ func choleskyInto(a, l []float64, m int) bool {
 		}
 	}
 	return true
+}
+
+// dot4 is x·y in choleskyInto's four chains: chain c takes the terms
+// k ≡ c (mod 4) below the last multiple of four, the tail goes into
+// chain 0, and the chains combine as (s0+s1)+(s2+s3).
+func dot4(x, y []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 && len(y) >= 4 {
+		s0 += x[0] * y[0]
+		s1 += x[1] * y[1]
+		s2 += x[2] * y[2]
+		s3 += x[3] * y[3]
+		x, y = x[4:], y[4:]
+	}
+	y = y[:len(x)]
+	for k, xk := range x {
+		s0 += xk * y[k]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // cholSolve solves L Lᵀ out = rhs.

@@ -174,3 +174,118 @@ func TestIPMDegenerateParallelColumns(t *testing.T) {
 		t.Fatalf("IPM %v != simplex %v", sol.Objective, sx.Objective)
 	}
 }
+
+// choleskyIntoRef is the row-at-a-time factorisation choleskyInto must
+// reproduce bit for bit: entry (i, j) from one four-chain dot product
+// of row i with row j, the tail in chain 0, combined (s0+s1)+(s2+s3).
+func choleskyIntoRef(a, l []float64, m int) bool {
+	for i := 0; i < m; i++ {
+		li := l[i*m : i*m+i+1]
+		for j := 0; j <= i; j++ {
+			lj := l[j*m : j*m+j+1]
+			var s0, s1, s2, s3 float64
+			k := 0
+			for ; k+3 < j; k += 4 {
+				s0 += li[k] * lj[k]
+				s1 += li[k+1] * lj[k+1]
+				s2 += li[k+2] * lj[k+2]
+				s3 += li[k+3] * lj[k+3]
+			}
+			for ; k < j; k++ {
+				s0 += li[k] * lj[k]
+			}
+			sum := a[i*m+j] - ((s0 + s1) + (s2 + s3))
+			if i == j {
+				if sum <= 0 {
+					return false
+				}
+				li[i] = math.Sqrt(sum)
+			} else {
+				li[j] = sum / lj[j]
+			}
+		}
+	}
+	return true
+}
+
+// spdMatrix draws a seeded m×m symmetric positive-definite matrix shaped
+// like the master's normal equations: G·D·Gᵀ over 2m random columns plus
+// a small ridge, with entries spanning several magnitudes.
+func spdMatrix(rng *rand.Rand, m int) []float64 {
+	n := 2 * m
+	g := make([]float64, m*n)
+	for i := range g {
+		if rng.Intn(3) > 0 {
+			g[i] = rng.Float64()
+		}
+	}
+	a := make([]float64, m*m)
+	for c := 0; c < n; c++ {
+		d := math.Exp(8 * (rng.Float64() - 0.5))
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				a[i*m+j] += g[i*n+c] * d * g[j*n+c]
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		a[i*m+i] += 1e-6
+	}
+	return a
+}
+
+// TestCholeskyBitIdentical compares choleskyInto with its row-at-a-time
+// oracle on seeded SPD matrices of every size parity and of the master's
+// sizes (2K = 48, 96), and on indefinite ones, whose breakdown both must
+// report: the factor's lower triangle must match bit for bit.
+func TestCholeskyBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, m := range []int{1, 2, 3, 7, 48, 95, 96} {
+		for trial := 0; trial < 8; trial++ {
+			a := spdMatrix(rng, m)
+			if trial == 7 {
+				// Indefinite: a negative pivot at a random row.
+				r := rng.Intn(m)
+				a[r*m+r] = -a[r*m+r]
+			}
+			got, want := make([]float64, m*m), make([]float64, m*m)
+			okGot, okWant := choleskyInto(a, got, m), choleskyIntoRef(a, want, m)
+			if okGot != okWant {
+				t.Fatalf("m=%d trial %d: ok=%v, oracle %v", m, trial, okGot, okWant)
+			}
+			if okWant != (trial != 7) {
+				t.Fatalf("m=%d trial %d: oracle ok=%v", m, trial, okWant)
+			}
+			if !okWant {
+				continue
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j <= i; j++ {
+					if math.Float64bits(got[i*m+j]) != math.Float64bits(want[i*m+j]) {
+						t.Fatalf("m=%d trial %d: L[%d][%d] = %x, oracle %x", m, trial, i, j, got[i*m+j], want[i*m+j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCholesky times choleskyInto against its row-at-a-time oracle
+// on a 96×96 matrix, the K=48 master's normal equations.
+func BenchmarkCholesky(b *testing.B) {
+	const m = 96
+	a := spdMatrix(rand.New(rand.NewSource(43)), m)
+	l := make([]float64, m*m)
+	for _, bc := range []struct {
+		name string
+		f    func(a, l []float64, m int) bool
+	}{{"pairs", choleskyInto}, {"oracle", choleskyIntoRef}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !bc.f(a, l, m) {
+					b.Fatal("breakdown")
+				}
+			}
+		})
+	}
+}

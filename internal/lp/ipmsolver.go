@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/faultinject"
 )
@@ -16,8 +17,16 @@ import (
 // anything, SetObjectiveCoeff retunes costs (stabilization penalties),
 // and each Solve warm-starts from the previous iterate, falling back to
 // the usual cold start automatically whenever the warm point is stale or
-// fails to converge. Iterate and StartFrom carry that iterate to another
-// instance of the same shape: a resumed column-generation run's master.
+// fails to converge.
+//
+// An instance hands its state on in two parts, for a resumed
+// column-generation run's master. Compiled copies the compiled form
+// (the matrix, its row-major mirror and its run classification), which
+// FrozenIPM.Clone shares read-only with any number of new instances
+// under new costs; Iterate copies the final point, which StartFrom
+// installs as a new instance's warm start, cloned or compiled afresh.
+// Release ends an instance, handing a clone's workspace back to its
+// FrozenIPM for the next clone.
 //
 // The instance accepts the master's shape only: every row EQ, taken as
 // given (no sign flip, no equilibration), so the variables are exactly
@@ -29,6 +38,9 @@ import (
 type IPMSolver struct {
 	ip *ipm
 	ws *ipmWorkspace
+	// from is the FrozenIPM the instance was cloned from (nil when
+	// compiled), which Release hands the workspace back to.
+	from *FrozenIPM
 
 	// Previous optimal iterate; warm-start seed for the next Solve.
 	warmX, warmY, warmS []float64
@@ -140,6 +152,97 @@ func (sv *IPMSolver) warmFloor() float64 {
 		f = 1
 	}
 	return f
+}
+
+// FrozenIPM is a read-only copy of an IPMSolver's compiled form
+// (Compiled): its constraint matrix, right-hand side, row-major mirror
+// and column run classification, everything a Solve derives from the
+// matrix alone. Costs and the iterate are not part of it. It is
+// immutable but for one spare Newton workspace, which a released clone
+// leaves for the next clone (Release), so one FrozenIPM may seed any
+// number of solvers, concurrently.
+type FrozenIPM struct {
+	m, n  int
+	b     []float64
+	mat   csc
+	at    csr // ptr, cols and vals; no scratch
+	cls   columnClass
+	spare *spareWorkspace
+}
+
+// spareWorkspace is a FrozenIPM's spare workspace slot. A clone's
+// workspace, its normal-equations matrix and panel above all, is as
+// large as the master it serves, and every buffer in it is written
+// before it is read, so a solve's bits do not depend on whose workspace
+// it gets. One slot, so at most one idle workspace is kept per
+// FrozenIPM.
+type spareWorkspace struct {
+	ws atomic.Pointer[ipmWorkspace]
+}
+
+// Compiled returns a copy of the instance's compiled form, its mirror
+// and run classification first brought up to date with every appended
+// column, in arrays of exactly their length.
+func (sv *IPMSolver) Compiled() *FrozenIPM {
+	ip, ws := sv.ip, sv.ws
+	ip.compile(ws)
+	cls := ws.columnClass
+	cls.runs = exact(cls.runs)
+	return &FrozenIPM{
+		m: ip.m, n: ip.n, b: exact(ip.b),
+		mat:   csc{colPtr: exact(ip.mat.colPtr), rows: exact(ip.mat.rows), vals: exact(ip.mat.vals)},
+		at:    csr{ptr: exact(ws.at.ptr), cols: exact(ws.at.cols), vals: exact(ws.at.vals), n: ws.at.n, nnz: ws.at.nnz},
+		cls:   cls,
+		spare: &spareWorkspace{},
+	}
+}
+
+// exact returns a copy of s with no spare capacity, so an append to it
+// copies again.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+
+// Release ends the instance. A clone hands its Newton workspace back to
+// the FrozenIPM it was cloned from, for the next clone. The instance
+// must not be used afterwards.
+func (sv *IPMSolver) Release() {
+	if sv.from != nil {
+		// The mirror and the run lengths are the FrozenIPM's, or this
+		// clone's own after it appended columns, and the next clone
+		// takes the FrozenIPM's: drop them, keeping the accumulator, so
+		// the idle workspace holds no copy of the matrix.
+		ws := sv.ws
+		ws.at, ws.columnClass, ws.shared = csr{acc: ws.at.acc}, columnClass{}, false
+		sv.from.spare.ws.Store(ws)
+	}
+	sv.ip, sv.ws, sv.from = nil, nil, nil
+}
+
+// Clone returns a new instance over f's compiled form with objective c,
+// one coefficient per column, which the instance takes over. It has a
+// workspace of its own (f's spare, if a released clone left one) and no
+// iterate (see StartFrom), and it solves with the bits of an instance
+// compiled from f's problem and columns afresh. f's arrays stay
+// read-only: AddColumn copies the matrix before it appends, and the
+// next Solve rebuilds the mirror and the run classification into
+// buffers of the new instance's own.
+func (f *FrozenIPM) Clone(c []float64) *IPMSolver {
+	if len(c) != f.n {
+		panic(fmt.Sprintf("lp: Clone with %d costs for %d columns", len(c), f.n))
+	}
+	ws := f.spare.ws.Swap(nil)
+	if ws == nil {
+		ws = &ipmWorkspace{}
+	}
+	acc := ws.at.acc
+	if cap(acc) < f.n {
+		acc = make([]float64, f.n)
+	}
+	ws.at, ws.columnClass, ws.shared = f.at, f.cls, true
+	ws.at.acc = acc[:f.n]
+	if need := int(f.cls.panelL) * f.cls.groupN; f.cls.usePanel && cap(ws.panel) < need {
+		ws.panel, ws.panelT = make([]float64, need), make([]float64, need)
+	}
+	return &IPMSolver{ip: &ipm{m: f.m, n: f.n, mat: f.mat, b: f.b, c: c}, ws: ws, from: f}
 }
 
 // Iterate is an opaque interior point (x, y, s) of an IPMSolver

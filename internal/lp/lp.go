@@ -247,7 +247,9 @@ type simplex struct {
 	// Row-major mirror of mat, built once by sizeState; pricing sweeps
 	// it for y·A. Prepared re-signs the artificial columns between
 	// solves in both (installArtificialSigns).
-	at      csr
+	at csr
+	// refactor's buffers, sized on its first call: a warm solve that
+	// restores a memoised inverse and ends on its basis never inverts.
 	bmatBuf []float64   // m×m: refactor's basis matrix, then its inverse (swapped with binv)
 	invBuf  []float64   // m×m: refactor's inversion scratch
 	gj      gaussJordan // refactor's index scratch
@@ -326,9 +328,6 @@ func (s *simplex) sizeState(p *Problem) {
 	s.xb = make([]float64, m)
 	s.scratchY = make([]float64, m)
 	s.scratchDir = make([]float64, m)
-	s.bmatBuf = make([]float64, m*m)
-	s.invBuf = make([]float64, m*m)
-	s.gj = newGaussJordan(m)
 	s.maxIter = 50000 + 50*(m+s.n)
 	s.at.build(&s.mat, m)
 }
@@ -653,6 +652,10 @@ func (s *simplex) pivot(enter, leave int, dir []float64) {
 // refreshed either way so a caller-side change of b takes effect.
 func (s *simplex) refactor() bool {
 	s.sinceRefactor = 0
+	if s.bmatBuf == nil {
+		m := s.m
+		s.bmatBuf, s.invBuf, s.gj = make([]float64, m*m), make([]float64, m*m), newGaussJordan(m)
+	}
 	bmat := s.bmatBuf
 	clear(bmat)
 	s.gj.reset()

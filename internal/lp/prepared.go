@@ -4,15 +4,52 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Basis is an opaque snapshot of a simplex basis, captured from an
 // optimal Prepared solve and restorable into a later solve of the same
 // Prepared instance (or another Prepared compiled from a structurally
-// identical problem). Snapshots are cheap — one int per row — which is
-// what makes keeping one warm basis per pricing subproblem affordable.
+// identical problem). A snapshot holds one int per row, which is what
+// makes keeping one warm basis per pricing subproblem affordable. A
+// frozen one (Freeze) also keeps, once a solve has restored it, the
+// basis inverse in sparse form: a basis shared read-only by many solves
+// is inverted once, not once per solve.
 type Basis struct {
 	cols []int
+	// memo is non-nil once the basis is frozen.
+	memo *inverseMemo
+}
+
+// inverseMemo holds a frozen basis's factored inverse, stored by the
+// first solve that restores the basis and read by every later one.
+type inverseMemo struct {
+	inv atomic.Pointer[basisInverse]
+}
+
+// basisInverse is a basis inverse B⁻¹ in sparse row form, with the
+// basis matrix B it inverts, column by column, so a restore can check
+// that its own B is the same bit for bit: a basic artificial's sign
+// follows its row's current right-hand side (installArtificialSigns).
+type basisInverse struct {
+	// B: column i (of basis position i) is bRows/bVals[bPtr[i]:bPtr[i+1]].
+	bPtr, bRows []int32
+	bVals       []float64
+	// B⁻¹: row r is cols/vals[ptr[r]:ptr[r+1]], every entry whose bits
+	// are not those of +0.
+	ptr, cols []int32
+	vals      []float64
+}
+
+// Freeze marks b as read-only from now on, shared by any number of
+// solves that start from it, concurrently: Prepared.Basis no longer
+// refills it, and the first solve that restores it keeps the inverse it
+// factors, which a later restore whose basis matrix is the same bit for
+// bit copies instead of inverting the basis again.
+func (b *Basis) Freeze() {
+	if b != nil && b.memo == nil {
+		b.memo = &inverseMemo{}
+	}
 }
 
 // Len returns the number of rows the snapshot covers (0 for an empty
@@ -104,14 +141,14 @@ func (pp *Prepared) SetRHS(i int, v float64) {
 // solves; nil runs to completion.
 func (pp *Prepared) SetContext(ctx context.Context) { pp.s.ctx = ctx }
 
-// Basis snapshots the current basis into dst (allocating one if nil) and
-// returns it. Meaningful after a solve that ended Optimal; otherwise nil
-// is returned and dst is untouched.
+// Basis snapshots the current basis into dst (allocating one if dst is
+// nil or frozen) and returns it. Meaningful after a solve that ended
+// Optimal; otherwise nil is returned and dst is untouched.
 func (pp *Prepared) Basis(dst *Basis) *Basis {
 	if !pp.haveOpt {
 		return nil
 	}
-	if dst == nil {
+	if dst == nil || dst.memo != nil {
 		dst = &Basis{}
 	}
 	dst.cols = append(dst.cols[:0], pp.s.basis...)
@@ -210,7 +247,10 @@ func (pp *Prepared) resetCold() {
 const warmFeasTol = 1e-7
 
 // tryWarm restores the snapshot and brings it to primal feasibility,
-// reporting whether the primal phase-2 iteration can start from it.
+// reporting whether the primal phase-2 iteration can start from it. The
+// restored basis is inverted, or, for a frozen basis whose memo holds
+// the inverse of this very basis matrix, its inverse is copied in; the
+// first restore of a frozen basis keeps the inverse it computes.
 func (pp *Prepared) tryWarm(basis *Basis) bool {
 	s := pp.s
 	m := s.m
@@ -231,8 +271,17 @@ func (pp *Prepared) tryWarm(basis *Basis) bool {
 		s.basis[i] = j
 		s.inBase[j] = true
 	}
-	if !s.refactor() {
+	var memo *basisInverse
+	if basis.memo != nil {
+		memo = basis.memo.inv.Load()
+	}
+	switch {
+	case memo != nil && s.inverts(memo):
+		s.restoreInverse(memo)
+	case !s.refactor():
 		return false // singular restored basis
+	case basis.memo != nil && memo == nil:
+		basis.memo.inv.CompareAndSwap(nil, s.factoredInverse())
 	}
 	// An artificial basic above tolerance means the snapshot's row sign
 	// no longer matches, or the point genuinely violates its row; the
@@ -252,6 +301,76 @@ func (pp *Prepared) tryWarm(basis *Basis) bool {
 	// RHS drift: the basis is dual feasible but not primal feasible any
 	// more. A handful of dual-simplex pivots usually repairs it.
 	return s.dualIterate(s.cost, 50+2*m) == Optimal
+}
+
+// factoredInverse captures the current basis matrix and the inverse the
+// last refactor computed for it.
+func (s *simplex) factoredInverse() *basisInverse {
+	m := s.m
+	bnz, nz := 0, 0
+	for _, j := range s.basis {
+		bnz += int(s.mat.colPtr[j+1] - s.mat.colPtr[j])
+	}
+	for _, v := range s.binv {
+		if math.Float64bits(v) != 0 {
+			nz++
+		}
+	}
+	inv := &basisInverse{
+		bPtr: make([]int32, m+1), bRows: make([]int32, 0, bnz), bVals: make([]float64, 0, bnz),
+		ptr: make([]int32, m+1), cols: make([]int32, 0, nz), vals: make([]float64, 0, nz),
+	}
+	for i, j := range s.basis {
+		rows, vals := s.mat.col(j)
+		inv.bRows = append(inv.bRows, rows...)
+		inv.bVals = append(inv.bVals, vals...)
+		inv.bPtr[i+1] = int32(len(inv.bRows))
+	}
+	for r := 0; r < m; r++ {
+		for c, v := range s.binv[r*m : (r+1)*m] {
+			if math.Float64bits(v) != 0 {
+				inv.cols = append(inv.cols, int32(c))
+				inv.vals = append(inv.vals, v)
+			}
+		}
+		inv.ptr[r+1] = int32(len(inv.cols))
+	}
+	return inv
+}
+
+// inverts reports whether inv was factored from the current basis
+// matrix, entry for entry and bit for bit.
+func (s *simplex) inverts(inv *basisInverse) bool {
+	for i, j := range s.basis {
+		rows, vals := s.mat.col(j)
+		lo, hi := inv.bPtr[i], inv.bPtr[i+1]
+		if int(hi-lo) != len(rows) {
+			return false
+		}
+		for k, r := range rows {
+			if inv.bRows[lo+int32(k)] != r || math.Float64bits(inv.bVals[lo+int32(k)]) != math.Float64bits(vals[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// restoreInverse installs inv as the current basis inverse and
+// recomputes the basic values, leaving the state a refactor of the same
+// basis leaves, bit for bit.
+func (s *simplex) restoreInverse(inv *basisInverse) {
+	m := s.m
+	clear(s.binv)
+	for r := 0; r < m; r++ {
+		row := s.binv[r*m : (r+1)*m]
+		for k := inv.ptr[r]; k < inv.ptr[r+1]; k++ {
+			row[inv.cols[k]] = inv.vals[k]
+		}
+	}
+	s.sinceRefactor = 0
+	s.factored = true
+	s.basicValues()
 }
 
 // dualIterate runs dual-simplex pivots from a dual-feasible basis until

@@ -524,3 +524,126 @@ func TestPreparedMirrorPatchedInPlace(t *testing.T) {
 		}
 	}
 }
+
+// masterColumns draws n column-generation master columns over k unit
+// rows and k convexity rows: each dense (entries in (0, 1]) over a
+// leading run of the unit rows, at least 16 long in most columns so the
+// normal-equations panel is elected, plus one convexity entry.
+func masterColumns(rng *rand.Rand, k, n int) [][]Term {
+	cols := make([][]Term, n)
+	for c := range cols {
+		run := k
+		if rng.Intn(4) == 0 {
+			run = 1 + rng.Intn(k)
+		}
+		for i := 0; i < run; i++ {
+			cols[c] = append(cols[c], Term{Var: i, Coef: 0.05 + 0.95*rng.Float64()})
+		}
+		cols[c] = append(cols[c], Term{Var: k + rng.Intn(k), Coef: 1})
+	}
+	return cols
+}
+
+// TestFrozenIPMClone checks a clone of a compiled master against the
+// same master compiled afresh: a donor solver over k slacks and pool
+// columns, copied (Compiled) after more columns were appended than its
+// last solve saw, is cloned under new costs; the clone must solve with
+// the fresh compile's bits and Newton iteration counts, warm-started
+// from the donor's iterate as well as cold, before and after it appends
+// columns of its own; the warm clone runs in the workspace the cold one
+// released. The copy must come out unchanged, and must not change as
+// the donor goes on appending and solving.
+func TestFrozenIPMClone(t *testing.T) {
+	const k = 20
+	rng := rand.New(rand.NewSource(61))
+	pool := masterColumns(rng, k, 80)
+	rho := 3.0
+	compile := func(cols [][]Term, costs []float64) *IPMSolver {
+		p := NewProblem(2 * k)
+		for s := 0; s < 2*k; s++ {
+			p.SetObjectiveCoeff(s, rho)
+		}
+		for i := 0; i < k; i++ {
+			p.AddConstraint([]Term{{Var: 2 * i, Coef: 1}, {Var: 2*i + 1, Coef: -1}}, EQ, 1)
+		}
+		for l := 0; l < k; l++ {
+			p.AddConstraint(nil, EQ, 1)
+		}
+		sv, err := NewIPMSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, col := range cols {
+			sv.AddColumn(costs[c], col)
+		}
+		return sv
+	}
+	randCosts := func(n int) []float64 {
+		c := make([]float64, n)
+		for i := range c {
+			c[i] = rng.Float64()
+		}
+		return c
+	}
+	donor := compile(pool[:60], randCosts(60))
+	if _, err := donor.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range pool[60:] {
+		donor.AddColumn(rng.Float64(), col)
+	}
+	it := donor.Iterate()
+	frozen := donor.Compiled()
+	if !frozen.cls.usePanel {
+		t.Fatal("the frozen master elected no panel span")
+	}
+	before := fmt.Sprintf("%v", *frozen)
+
+	extra := masterColumns(rng, k, 5)
+	for _, warm := range []bool{false, true} {
+		costs := randCosts(len(pool))
+		all := make([]float64, 2*k, 2*k+len(costs))
+		for s := range all {
+			all[s] = rho
+		}
+		clone, fresh := frozen.Clone(append(all, costs...)), compile(pool, costs)
+		if warm {
+			clone.StartFrom(it)
+			fresh.StartFrom(it)
+		}
+		for round := 0; round < 3; round++ {
+			a, err := clone.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fresh.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Status != Optimal || fmt.Sprintf("%x %x %x %d", a.X, a.Duals, a.Objective, a.Iterations) !=
+				fmt.Sprintf("%x %x %x %d", b.X, b.Duals, b.Objective, b.Iterations) {
+				t.Fatalf("warm=%v round %d: the clone solved to %v in %d iterations, a fresh compile %v in %d",
+					warm, round, a.Objective, a.Iterations, b.Objective, b.Iterations)
+			}
+			// Both append two columns before the next round: the clone
+			// copies the shared matrix and rebuilds its own mirror.
+			for _, col := range extra[round:][:2] {
+				c := rng.Float64()
+				clone.AddColumn(c, col)
+				fresh.AddColumn(c, col)
+			}
+		}
+		if fmt.Sprintf("%v", *frozen) != before {
+			t.Fatalf("warm=%v: a clone wrote to the frozen master", warm)
+		}
+		// The next clone takes over this one's workspace.
+		clone.Release()
+	}
+	donor.AddColumn(0.5, extra[0])
+	if _, err := donor.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%v", *frozen) != before {
+		t.Fatal("the donor's append and solve wrote to its compiled copy")
+	}
+}
