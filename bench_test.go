@@ -577,10 +577,10 @@ func benchServePost(b *testing.B, h http.Handler, path string, payload []byte) {
 	}
 }
 
-// cgCounter tallies the column-generation rounds, admitted columns and
-// master Newton iterations of a server's solves, reported per benchmark
-// op.
-type cgCounter struct{ rounds, columns, ipmIters atomic.Int64 }
+// cgCounter tallies the column-generation rounds, admitted columns,
+// master Newton iterations and master solve wall time of a server's
+// solves, reported per benchmark op.
+type cgCounter struct{ rounds, columns, ipmIters, masterNS atomic.Int64 }
 
 // options observes every round and keeps the server's default stop
 // criteria.
@@ -589,6 +589,7 @@ func (c *cgCounter) options() core.CGOptions {
 		c.rounds.Add(1)
 		c.columns.Add(int64(it.ColumnsAdded))
 		c.ipmIters.Add(int64(it.MasterIterations))
+		c.masterNS.Add(int64(it.MasterElapsed))
 	}}
 }
 
@@ -596,6 +597,7 @@ func (c *cgCounter) report(b *testing.B) {
 	b.ReportMetric(float64(c.rounds.Load())/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(c.columns.Load())/float64(b.N), "cols/op")
 	b.ReportMetric(float64(c.ipmIters.Load())/float64(b.N), "ipm-iters/op")
+	b.ReportMetric(float64(c.masterNS.Load())/1e6/float64(b.N), "master-ms/op")
 }
 
 // BenchmarkServeColdSolve measures the cold path: a fresh vlpserved

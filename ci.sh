@@ -62,14 +62,16 @@ if [ "${1:-}" = "-quick" ]; then
     # its row-at-a-time oracle, lets the sparse basis inversion drift
     # from its dense Gauss-Jordan oracle or a memoised inverse from the
     # inversion it stands for, lets a clone of a compiled master solve
-    # apart from a fresh compile, or starts allocating on a hot path (a
+    # apart from a fresh compile, lets the IPM's block normal equations
+    # drift from their dense 2K×2K oracle or its panel sweeps from a
+    # full row-major mirror, or starts allocating on a hot path (a
     # warm IPM or pricing re-solve, the pricing sweep, or the master's
     # column append, IPMSolver.AddColumn) fails before push, not only in
     # the full gate below. The same run keeps the solvers' one way to
     # give up and their recovery from poisoned warm starts honest:
     # Beale's cycling example, the pivot and Newton limits, and the
     # poisoned basis and iterate tests.
-    go test -count=1 -run 'TestGoldenMechanismDigests|TestSolveOracleBitsPinned|TestDegenerateCycleGuard|TestMaxIterReportsLimit|TestIPMInfeasibleReportsLimit|Poisoned|TestSyrkKernelsBitIdentical|TestCholeskyBitIdentical|TestSparseInverse|TestFrozenIPMClone|Allocs' ./internal/lp
+    go test -count=1 -run 'TestGoldenMechanismDigests|TestSolveOracleBitsPinned|TestDegenerateCycleGuard|TestMaxIterReportsLimit|TestIPMInfeasibleReportsLimit|Poisoned|TestSyrkKernelsBitIdentical|TestCholeskyBitIdentical|TestSparseInverse|TestFrozenIPMClone|TestBlockNewtonMatchesDense|TestPanelSweepsMatchMirror|Allocs' ./internal/lp
     # The column-generation loop's branch tests (about 5 s): between
     # them they drive every branch of the loop in internal/core/cg.go —
     # a resume from a state of another K, a late master failure, the
@@ -162,10 +164,11 @@ go run ./cmd/vlpchaos -check BENCH_chaos.json
 # but for the compiled master and the bases' inverse memos the first
 # resumes fill, and concurrent first misses on one network take its
 # owner lock in turn; in internal/lp, concurrent solves from one frozen
-# basis race to fill its memo, and clones share a compiled master.
+# basis race to fill its memo, and clones share a compiled master and
+# sweep its panel and remainder mirror concurrently.
 # These also run in the -race pass above; the explicit run keeps the
 # gate legible and fails fast when the admission layer regresses.
-go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestOneSolvePerNetwork|TestOwnerWait|TestSolveCGDonorResume|TestSparseInverseMemo|TestFrozenIPMClone' ./internal/server ./internal/core ./internal/lp
+go test -race -run 'TestAdmission|TestServeGate|TestCoalesce|TestDonor|TestOneSolvePerNetwork|TestOwnerWait|TestSolveCGDonorResume|TestSparseInverseMemo|TestFrozenIPMClone|TestPanelSweeps' ./internal/server ./internal/core ./internal/lp
 
 # Golden-digest gate: digests change only on purpose. The served wire
 # bytes (SolveCG, EnforceGeoI, serial.WriteJSON) of the K12/K24/K44

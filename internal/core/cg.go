@@ -100,6 +100,8 @@ type CGIteration struct {
 	// master solve (lp.Solution.Iterations): the warm- versus cold-start
 	// signal of the master.
 	MasterIterations int
+	// MasterElapsed is the wall time of the round's master solve.
+	MasterElapsed time.Duration
 	// Elapsed is the wall time of the round.
 	Elapsed time.Duration
 }
@@ -350,9 +352,11 @@ rounds:
 		var masterObj, slack float64
 		var lam, piM, muM []float64
 		var masterIters int
+		masterStart := time.Now()
 		if merr == nil {
 			masterObj, lam, piM, muM, slack, masterIters, merr = ms.solve(ctx)
 		}
+		masterElapsed := time.Since(masterStart)
 		if merr != nil {
 			if lambda == nil {
 				// No master has ever solved: there is no incumbent to
@@ -429,6 +433,7 @@ rounds:
 				LowerBound:       bound,
 				Verified:         verified,
 				MasterIterations: masterIters,
+				MasterElapsed:    masterElapsed,
 			}
 
 			if minRc >= xi && !verified {

@@ -51,13 +51,13 @@ var goldenInstances = []goldenInstance{
 // on every amd64 host whichever kernel it runs, and the digest is
 // independent of the pricing worker count and GOMAXPROCS.
 var goldenDigests = map[string]string{
-	"K12":        "e8e6bb5fea96bcff2d5cc787820c85d66a672167ae9c0814f7a628438384a729",
-	"K24":        "ecadafb1904cfde0abee7b8740f861d20cf9116dbc711fa18ea687e736444dc0",
-	"K44":        "4aefdfd0729f1f2ef216fdebf435d5af0ca20fc18b5dd815fad85190e430da44",
-	"K24-hetero": "514b6d2708f0a002b4ad98443e8c6f3e038872af126b068449922515527313da",
-	"K24-donor":  "1b82d80d9bc5a019ca2fd1550142ca11e61599f3ee238955da96fb8fce30f47b",
-	"K24-exact":  "109ee1c3a952ca1cfa1531ebc9e66bafcf5e9a52f45461139018eb4430ba8423",
-	"K24-gap":    "3965b8e640c6641b1e556943e75406f128db342fe5148bee6a314cf39c8c23f7",
+	"K12":        "e2f85ecd77f4fb277e9196fa1208c0d6fa0bb9ae881d5ab4666a64fbd3317498",
+	"K24":        "75a4a2e83b27070522435820e09456d38f006a07dbd06a25b238fa868e5dac40",
+	"K44":        "c933266623fb333fb0392e25ecaaf3fbdc7c06e7a0e47677bc2eea5d8de559f7",
+	"K24-hetero": "06948dbeafdc450636f651911b6a5d4dad6df461f26b87006f590bc45ab07839",
+	"K24-donor":  "39c65584421190acf6771b0ed05184fdbe1c3802ed5610c950e600787e27a02e",
+	"K24-exact":  "279c5428e1c02af5c2904924ffa6b472113808e21be3760781be71447556e048",
+	"K24-gap":    "1e6d82519fdbaeb3e35658bd772bb60e55e7f424e6ebfefd1e03d77ace3aeb59",
 }
 
 // servedBytes solves one instance the way vlpserved does (column

@@ -18,6 +18,13 @@ const FaultSiteIPM = "lp/ipm"
 // plus column entries in [0, 1], convexity rows carry 1s and every
 // right-hand side is 1, so every row's equilibration factor is 1 and
 // no sign flips. Every column is a caller variable.
+//
+// The Newton systems are solved in the Dantzig–Wolfe block form of
+// the normal equations (formNormal): the trailing rows that hold at
+// most one entry of any column, the master's K convexity rows, form a
+// diagonal block that is eliminated, so each iteration factors the
+// Schur complement over the leading rows (K×K on the master) instead
+// of the whole m×m matrix.
 type ipm struct {
 	// ctx, when non-nil, is polled every Newton iteration
 	// (IPMSolver.SetContext).
@@ -40,59 +47,88 @@ func newIPM(p *Problem) *ipm {
 	return ip
 }
 
+// ipmForm is everything a solve derives from the matrix alone: the
+// block split of the normal equations, each column's run, the dense
+// panel and the mirror of the entries the panel does not hold. compile
+// builds it once per matrix shape; a FrozenIPM shares it read-only.
+type ipmForm struct {
+	n, nnz int // shape of the matrix at the last compile
+
+	// r2 is the first row of the diagonal block: 1 + the largest
+	// second-to-last row index of any column, so rows [r2, m) hold at
+	// most one entry of each column, its last.
+	r2 int
+	// runs[j] is the length of column j's leading run of consecutive
+	// rows below r2.
+	runs []int32
+	// The panel: the columns whose run is the elected span
+	// [panelR0, panelR0+panelL), ascending in members, keep that run in
+	// the row-major panelL×len(members) panel.
+	panelR0, panelL int32
+	members         []int32
+	panel           []float64
+	// rem mirrors every entry the panel does not hold: slacks, columns
+	// off the span, and each member's entries after its run.
+	rem csr
+}
+
 // ipmWorkspace holds every vector and matrix the Newton loop touches,
 // preallocated once and reused across re-solves of a persistent
 // instance. ipm.fit resizes it after columns are appended.
 type ipmWorkspace struct {
 	// m-sized
 	rp, dy, dyc, rhs, acceptY []float64
-	// n-sized
-	rd, dx, ds, dxc, dsc, d, rc, acceptX []float64
-	// m×m
-	mmat, chol []float64
-	// formNormal scratch: the dense same-span panel plus its transposed
-	// fill buffer (grown on demand).
-	panel, panelT []float64
+	// n-sized; acc takes Aᵀv
+	rd, dx, ds, dxc, dsc, d, rc, acceptX, acc []float64
+	// The block normal equations over r2 leading and nb = m − r2
+	// diagonal-block rows: mmat holds M11 (r2×r2, upper triangle), then
+	// the Schur complement S, and chol S's Cholesky factor; m21 holds
+	// M21 (nb×r2), then Wᵀ = D2^−½·M21, and w its transpose for the
+	// SYRK; d2 is the block's diagonal and d2r its inverse square roots.
+	mmat, chol, m21, w []float64
+	d2, d2r            []float64
+	// The √d-scaled panel (panelL×G) and a G-sized gather vector.
+	scaled, pg []float64
 
-	// Row-major mirror of the constraint matrix for the Aᵀv and Av
-	// sweeps. It and the run classification are cached per matrix shape
-	// (at.n, at.nnz): within one solve the matrix is static, so both are
-	// built once, not once per Newton iteration.
-	at csr
-	columnClass
-	// shared marks at's arrays and the run lengths as a FrozenIPM's,
-	// read-only: compile rebuilds them into buffers of this workspace's
-	// own rather than in place.
+	form ipmForm
+	// shared marks form's arrays as a FrozenIPM's, read-only: compile
+	// rebuilds them into buffers of this workspace's own rather than in
+	// place.
 	shared bool
 }
 
-// columnClass is the run classification formNormal reads: each column's
-// leading-run length and the panel span elected among them.
-type columnClass struct {
-	runs            []int32
-	panelR0, panelL int32
-	groupN          int
-	usePanel        bool
-}
-
-// fit sizes ws for the current matrix and brings its shape-keyed caches
-// up to date.
+// fit brings ws's compiled form up to date and sizes its buffers.
 func (ip *ipm) fit(ws *ipmWorkspace) {
-	ws.grow(ip.m, ip.n)
 	ip.compile(ws)
+	ws.grow(ip.m, ip.n)
 }
 
-// compile rebuilds ws's row-major mirror and run classification when
-// columns were appended since they were built.
+// compile rebuilds ws's compiled form when columns were appended since
+// it was built.
 func (ip *ipm) compile(ws *ipmWorkspace) {
-	if ws.at.n == ip.n && ws.at.nnz == ip.mat.nnz() {
+	f := &ws.form
+	if f.n == ip.n && f.nnz == ip.mat.nnz() {
 		return
 	}
 	if ws.shared {
-		ws.at, ws.runs, ws.shared = csr{}, nil, false
+		ws.form, ws.shared = ipmForm{}, false
 	}
-	ws.at.build(&ip.mat, ip.m)
-	ip.classifyColumns(ws)
+	f.r2 = blockStart(&ip.mat)
+	ip.classifyColumns(f)
+	f.rem.build(&ip.mat, ip.m, f.members, int(f.panelL))
+	f.n, f.nnz = ip.n, ip.mat.nnz()
+}
+
+// blockStart returns 1 + the largest second-to-last row index of any
+// column of a (0 when no column has two entries).
+func blockStart(a *csc) int {
+	r2 := 0
+	for j := 0; j < a.numCols(); j++ {
+		if hi := a.colPtr[j+1]; hi-a.colPtr[j] >= 2 {
+			r2 = max(r2, int(a.rows[hi-2])+1)
+		}
+	}
+	return r2
 }
 
 func (ws *ipmWorkspace) grow(m, n int) {
@@ -102,19 +138,28 @@ func (ws *ipmWorkspace) grow(m, n int) {
 		}
 		*p = (*p)[:m]
 	}
-	for _, p := range []*[]float64{&ws.rd, &ws.dx, &ws.ds, &ws.dxc, &ws.dsc, &ws.d, &ws.rc, &ws.acceptX} {
+	for _, p := range []*[]float64{&ws.rd, &ws.dx, &ws.ds, &ws.dxc, &ws.dsc, &ws.d, &ws.rc, &ws.acceptX, &ws.acc} {
 		if cap(*p) < n {
 			// Headroom for a column-generation master that keeps growing.
 			*p = make([]float64, n, n+n/2+16)
 		}
 		*p = (*p)[:n]
 	}
-	if cap(ws.mmat) < m*m {
-		ws.mmat = make([]float64, m*m)
-		ws.chol = make([]float64, m*m)
+	f := &ws.form
+	r2, nb := f.r2, m-f.r2
+	l, g := int(f.panelL), len(f.members)
+	for _, b := range []struct {
+		p    *[]float64
+		need int
+	}{
+		{&ws.mmat, r2 * r2}, {&ws.chol, r2 * r2}, {&ws.m21, nb * r2}, {&ws.w, nb * r2},
+		{&ws.d2, nb}, {&ws.d2r, nb}, {&ws.scaled, l * g}, {&ws.pg, g},
+	} {
+		if cap(*b.p) < b.need {
+			*b.p = make([]float64, b.need, b.need+b.need/2)
+		}
+		*b.p = (*b.p)[:b.need]
 	}
-	ws.mmat = ws.mmat[:m*m]
-	ws.chol = ws.chol[:m*m]
 }
 
 // coldRun solves from Mehrotra's least-squares start, or reports
@@ -142,24 +187,21 @@ func (ip *ipm) mehrotraStart(x, y, s []float64, ws *ipmWorkspace) bool {
 	for j := 0; j < n; j++ {
 		d[j] = 1
 	}
-	ip.formNormal(d, ws.mmat, ws)
-	reg := 1e-10 * (1 + traceMax(ws.mmat, m))
-	for i := 0; i < m; i++ {
-		ws.mmat[i*m+i] += reg
-	}
-	if !choleskyInto(ws.mmat, ws.chol, m) {
+	ip.formNormal(d, ws)
+	if !ip.factorNormal(1e-10, ws) {
 		return false
 	}
 
-	cholSolve(ws.chol, m, ip.b, ws.dy)
-	copy(x, ws.at.mulTInto(ws.dy))
 	rhs := ws.rhs
+	copy(rhs, ip.b)
+	ip.solveNormal(rhs, ws.dy, ws)
+	copy(x, ip.mulT(ws.dy, ws))
 	for i := 0; i < m; i++ {
 		rhs[i] = 0
 	}
-	ws.at.mulAddInto(rhs, ip.c)
-	cholSolve(ws.chol, m, rhs, y)
-	aty := ws.at.mulTInto(y)
+	ip.mulAdd(rhs, ip.c, ws)
+	ip.solveNormal(rhs, y, ws)
+	aty := ip.mulT(y, ws)
 	for j := 0; j < n; j++ {
 		s[j] = ip.c[j] - aty[j]
 	}
@@ -222,7 +264,6 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 	dyc := ws.dyc
 	d := ws.d
 	rhs := ws.rhs
-	mmat := ws.mmat
 	rc := ws.rc
 
 	maxIter := 200
@@ -248,7 +289,7 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 
 	for iter := 0; iter < maxIter; iter++ {
 		lastIter = iter
-		// A Newton iteration costs a dense Cholesky (O(m³)); polling the
+		// A Newton iteration costs a dense Cholesky (O(r2³)); polling the
 		// context here bounds abandonment latency to one factorisation.
 		if ip.ctx != nil {
 			if err := ip.ctx.Err(); err != nil {
@@ -294,13 +335,8 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		for j := 0; j < n; j++ {
 			d[j] = x[j] / s[j]
 		}
-		ip.formNormal(d, mmat, ws)
-		reg := 1e-12 * (1 + traceMax(mmat, m))
-		for i := 0; i < m; i++ {
-			mmat[i*m+i] += reg
-		}
-		chol := ws.chol
-		if !choleskyInto(mmat, chol, m) {
+		ip.formNormal(d, ws)
+		if !ip.factorNormal(1e-12, ws) {
 			return &Solution{Status: IterationLimit, Iterations: iter}, nil
 		}
 
@@ -308,7 +344,7 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		for j := 0; j < n; j++ {
 			rc[j] = -x[j] * s[j]
 		}
-		ip.solveNewton(chol, d, rp, rd, rc, x, s, dy, dx, ds, rhs, ws)
+		ip.solveNewton(d, rp, rd, rc, x, s, dy, dx, ds, rhs, ws)
 
 		aP := math.Min(1, maxStep(x, dx))
 		aD := math.Min(1, maxStep(s, ds))
@@ -326,7 +362,7 @@ func (ip *ipm) run(x, y, s []float64, ws *ipmWorkspace) (*Solution, error) {
 		for j := 0; j < n; j++ {
 			rc[j] = sigma*mu - x[j]*s[j] - dx[j]*ds[j]
 		}
-		ip.solveNewton(chol, d, rp, rd, rc, x, s, dyc, dxc, dsc, rhs, ws)
+		ip.solveNewton(d, rp, rd, rc, x, s, dyc, dxc, dsc, rhs, ws)
 
 		aP = 0.995 * maxStep(x, dxc)
 		aD = 0.995 * maxStep(s, dsc)
@@ -360,25 +396,100 @@ func (ip *ipm) residuals(x, y, s, rp, rd []float64, ws *ipmWorkspace) {
 		negX[j] = -v
 	}
 	copy(rp, ip.b)
-	ws.at.mulAddInto(rp, negX)
-	aty := ws.at.mulTInto(y)
+	ip.mulAdd(rp, negX, ws)
+	aty := ip.mulT(y, ws)
 	for j := 0; j < ip.n; j++ {
 		rd[j] = ip.c[j] - s[j] - aty[j]
 	}
 }
 
-// classifyColumns computes each column's leading-run length and elects
-// the modal span (weighted by its L² SYRK work) among a handful of
-// candidates, caching the result in ws (see fit). The panel buffers are
-// sized here so formNormal's hot path only fills.
-func (ip *ipm) classifyColumns(ws *ipmWorkspace) {
-	colPtr, colRows := ip.mat.colPtr, ip.mat.rows
-	if cap(ws.runs) < ip.n {
-		// Headroom for a column-generation master that keeps growing.
-		ws.runs = make([]int32, ip.n, ip.n+ip.n/2+16)
+// mulT returns Aᵀv in ws.acc, valid until the next call. The panel is
+// swept first, four rows per pass with each column's products added in
+// row order, then the remainder mirror, whose entries of a panel
+// column all lie below its run: every column's products arrive in
+// ascending row order, as a full mirror's sweep adds them, so the
+// result is that sweep's bit for bit.
+func (ip *ipm) mulT(v []float64, ws *ipmWorkspace) []float64 {
+	acc := ws.acc
+	clear(acc)
+	f := &ws.form
+	if g := len(f.members); g > 0 {
+		pg := ws.pg[:g]
+		clear(pg)
+		r0, l := int(f.panelR0), int(f.panelL)
+		panelMulT(pg, f.panel, v[r0:r0+l])
+		for k, j := range f.members {
+			acc[j] = pg[k]
+		}
 	}
-	ws.runs = ws.runs[:ip.n]
-	runs := ws.runs
+	f.rem.mulTAddInto(acc, v)
+	return acc
+}
+
+// panelMulT adds Pᵀv onto acc for the row-major len(v)×len(acc) panel
+// P, four rows per pass.
+func panelMulT(acc, p, v []float64) {
+	g := len(acc)
+	t := 0
+	for ; t+3 < len(v); t += 4 {
+		v0, v1, v2, v3 := v[t], v[t+1], v[t+2], v[t+3]
+		p0 := p[t*g : t*g+g]
+		p1 := p[(t+1)*g : (t+1)*g+g]
+		p2 := p[(t+2)*g : (t+2)*g+g]
+		p3 := p[(t+3)*g : (t+3)*g+g]
+		for k := range acc {
+			a := acc[k]
+			a += v0 * p0[k]
+			a += v1 * p1[k]
+			a += v2 * p2[k]
+			a += v3 * p3[k]
+			acc[k] = a
+		}
+	}
+	for ; t < len(v); t++ {
+		vt, pt := v[t], p[t*g:t*g+g]
+		for k := range acc {
+			acc[k] += vt * pt[k]
+		}
+	}
+}
+
+// mulAdd adds A·w onto dst: a four-chain dot of each panel row with the
+// members' gathered weights, then the remainder mirror.
+func (ip *ipm) mulAdd(dst, w []float64, ws *ipmWorkspace) {
+	f := &ws.form
+	if g := len(f.members); g > 0 {
+		wg := ws.pg[:g]
+		for k, j := range f.members {
+			wg[k] = w[j]
+		}
+		r0, l := int(f.panelR0), int(f.panelL)
+		t := 0
+		for ; t+1 < l; t += 2 {
+			s0, s1 := dot4x2(f.panel[t*g:][:g], f.panel[(t+1)*g:][:g], wg)
+			dst[r0+t] += s0
+			dst[r0+t+1] += s1
+		}
+		if t < l {
+			dst[r0+t] += dot4(f.panel[t*g:][:g], wg)
+		}
+	}
+	f.rem.mulAddInto(dst, w)
+}
+
+// classifyColumns computes each column's leading-run length below r2,
+// elects the modal span (weighted by its L² SYRK work) among a handful
+// of candidates, and copies the runs of the columns on it into the
+// panel.
+func (ip *ipm) classifyColumns(f *ipmForm) {
+	colPtr, colRows, colVals := ip.mat.colPtr, ip.mat.rows, ip.mat.vals
+	if cap(f.runs) < ip.n {
+		// Headroom for a column-generation master that keeps growing.
+		f.runs = make([]int32, ip.n, ip.n+ip.n/2+16)
+	}
+	f.runs = f.runs[:ip.n]
+	runs := f.runs
+	r2 := int32(f.r2)
 	type span struct {
 		r0, l int32
 		work  int64
@@ -386,14 +497,13 @@ func (ip *ipm) classifyColumns(ws *ipmWorkspace) {
 	var cands [8]span
 	nc := 0
 	for j := 0; j < ip.n; j++ {
-		lo, hi := colPtr[j], colPtr[j+1]
-		if lo == hi {
+		rows := colRows[colPtr[j]:colPtr[j+1]]
+		if len(rows) == 0 || rows[0] >= r2 {
 			runs[j] = 0
 			continue
 		}
-		rows := colRows[lo:hi]
 		run := int32(1)
-		for int(run) < len(rows) && rows[run] == rows[run-1]+1 {
+		for int(run) < len(rows) && rows[run] == rows[run-1]+1 && rows[run] < r2 {
 			run++
 		}
 		runs[j] = run
@@ -420,58 +530,60 @@ func (ip *ipm) classifyColumns(ws *ipmWorkspace) {
 		}
 	}
 
-	ws.usePanel = false
-	ws.groupN = 0
-	if best >= 0 && cands[best].work >= 32*int64(cands[best].l)*int64(cands[best].l) {
-		// At least 32 columns share the span: the SYRK pays for itself.
-		ws.panelR0, ws.panelL = cands[best].r0, cands[best].l
-		ws.usePanel = true
-		for j := 0; j < ip.n; j++ {
-			if runs[j] == ws.panelL && colRows[colPtr[j]] == ws.panelR0 {
-				ws.groupN++
-			}
+	f.members = f.members[:0]
+	f.panelR0, f.panelL = 0, 0
+	if best < 0 || cands[best].work < 32*int64(cands[best].l)*int64(cands[best].l) {
+		f.panel = f.panel[:0]
+		return
+	}
+	// At least 32 columns share the span: the SYRK pays for itself.
+	f.panelR0, f.panelL = cands[best].r0, cands[best].l
+	for j := 0; j < ip.n; j++ {
+		if runs[j] == f.panelL && colRows[colPtr[j]] == f.panelR0 {
+			f.members = append(f.members, int32(j))
 		}
-		need := int(ws.panelL) * ws.groupN
-		if cap(ws.panel) < need {
-			ws.panel = make([]float64, need, need+need/2)
-			ws.panelT = make([]float64, need, need+need/2)
+	}
+	l, g := int(f.panelL), len(f.members)
+	if need := l * g; cap(f.panel) < need {
+		f.panel = make([]float64, need, need+need/2)
+	} else {
+		f.panel = f.panel[:need]
+	}
+	for k, j := range f.members {
+		run := colVals[colPtr[j] : int(colPtr[j])+l]
+		for t, v := range run {
+			f.panel[t*g+k] = v
 		}
 	}
 }
 
-// formNormal fills mmat = A diag(d) Aᵀ (dense, symmetric). Each column's
-// row indices are ascending, so only the upper triangle is accumulated —
-// halving the flops of the hottest IPM kernel — and mirrored at the end.
+// formNormal fills the normal equations M = A diag(d) Aᵀ in block form
+// over ws's compiled form: M11, the leading r2×r2 block (upper
+// triangle, in ws.mmat); M21, the nb×r2 block of the diagonal-block
+// rows (ws.m21); and D2, that block's diagonal (ws.d2). Every column
+// has at most one entry in the block rows, its last, so the block is
+// diagonal and the column's block-row products land contiguously in
+// one row of M21.
 //
 // Geo-I master columns are dense over a contiguous run of unit rows
-// (rows 0..k−1) plus one scattered convexity entry — measured ~97% of
-// all stored entries live in such leading runs. Columns sharing the
-// modal run span are therefore gathered into a dense panel W with
-// W[i][g] = √d_g · v_g[r0+i], and the span's diagonal block A D Aᵀ
-// restricted to [r0, r0+L) is computed as the rank-G update W·Wᵀ by a
-// cache-blocked SYRK with four independent accumulator chains — turning
-// the hottest IPM kernel from a latency-bound read-modify-write stream
-// into a throughput-bound stack of dot products. Tails and off-span
-// columns take the scalar contiguous/scattered path.
-func (ip *ipm) formNormal(d []float64, mmat []float64, ws *ipmWorkspace) {
-	m := ip.m
-	for i := range mmat {
-		mmat[i] = 0
-	}
+// (rows 0..k−1) plus one convexity entry — measured ~97% of all stored
+// entries live in such leading runs. The columns sharing the modal run
+// span keep that run in the compiled panel, whose rows are scaled here
+// by √d into W with W[i][g] = √d_g · v_g[r0+i], and the span's block of
+// M11 is computed as the rank-G update W·Wᵀ by a cache-blocked SYRK
+// with four independent accumulator chains — turning the hottest IPM
+// kernel from a latency-bound read-modify-write stream into a
+// throughput-bound stack of dot products. Tails and off-span columns
+// take the scalar contiguous/scattered path.
+func (ip *ipm) formNormal(d []float64, ws *ipmWorkspace) {
+	f := &ws.form
+	r2 := f.r2
+	mmat, m21, d2 := ws.mmat, ws.m21, ws.d2
+	clear(mmat)
+	clear(m21)
+	clear(d2)
 	colPtr, colRows, colVals := ip.mat.colPtr, ip.mat.rows, ip.mat.vals
 
-	runs := ws.runs
-	usePanel, panelR0, panelL := ws.usePanel, ws.panelR0, ws.panelL
-	groupN := ws.groupN
-	var panel, panelT []float64
-	if usePanel {
-		need := int(panelL) * groupN
-		panel, panelT = ws.panel[:need], ws.panelT[:need]
-	}
-
-	// Fill the panel with √d-scaled run segments and run the scalar
-	// path for everything else — off-span columns entirely, panel
-	// columns only for their tails.
 	g := 0
 	for j := 0; j < ip.n; j++ {
 		lo, hi := colPtr[j], colPtr[j+1]
@@ -480,33 +592,46 @@ func (ip *ipm) formNormal(d []float64, mmat []float64, ws *ipmWorkspace) {
 		}
 		rows, vals := colRows[lo:hi], colVals[lo:hi]
 		dj := d[j]
-		run := int(runs[j])
-		if usePanel && runs[j] == panelL && rows[0] == panelR0 {
-			// Fill the member-major buffer contiguously; the strided
-			// row-major layout the SYRK wants is produced by one blocked
-			// transpose below instead of G·L scattered stores here.
-			sd := math.Sqrt(dj)
-			dst := panelT[g*run : g*run+run]
-			src := vals[:run]
-			for t := range dst {
-				dst[t] = sd * src[t]
+		// h is the column's entry count below r2; an entry past them is
+		// its block-row entry.
+		h := len(rows)
+		if int(rows[h-1]) >= r2 {
+			h--
+			vb := vals[h]
+			bl := int(rows[h]) - r2
+			d2[bl] += (dj * vb) * vb
+			rows, vals = rows[:h], vals[:h]
+			dst := m21[bl*r2 : bl*r2+r2]
+			if run := int(f.runs[j]); run > 0 {
+				// The run's rows are consecutive: a plain slice loop.
+				src := vals[:run]
+				seg := dst[rows[0]:][:len(src)]
+				for t, v := range src {
+					seg[t] += (dj * v) * vb
+				}
 			}
+			for a := int(f.runs[j]); a < h; a++ {
+				dst[rows[a]] += (dj * vals[a]) * vb
+			}
+		}
+		run := int(f.runs[j])
+		if g < len(f.members) && int(f.members[g]) == j {
 			g++
-			// Tail entries still need their run×tail and tail×tail
-			// products accumulated here: one pass per tail entry, not
-			// one per column row.
-			for b := run; b < len(rows); b++ {
+			// The run is the panel's; tail entries still need their
+			// run×tail and tail×tail products accumulated here: one pass
+			// per tail entry, not one per column row.
+			for b := run; b < h; b++ {
 				rb := int(rows[b])
 				vb := vals[b]
 				for a := 0; a <= b; a++ {
-					mmat[int(rows[a])*m+rb] += (dj * vals[a]) * vb
+					mmat[int(rows[a])*r2+rb] += (dj * vals[a]) * vb
 				}
 			}
 			continue
 		}
 		for a, ra := range rows {
 			va := dj * vals[a]
-			base := int(ra) * m
+			base := int(ra) * r2
 			bStart := a
 			if a < run {
 				// Contiguous segment [a, run): dst and src are plain
@@ -519,65 +644,115 @@ func (ip *ipm) formNormal(d []float64, mmat []float64, ws *ipmWorkspace) {
 				}
 				bStart = run
 			}
-			for b := bStart; b < len(rows); b++ {
+			for b := bStart; b < h; b++ {
 				mmat[base+int(rows[b])] += va * vals[b]
 			}
 		}
 	}
-	if usePanel {
-		transposeInto(panel, panelT, int(panelL), groupN)
-		syrkUpperInto(syrkDot2x4, panel, int(panelL), groupN, mmat, int(panelR0), m)
-	}
-
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			mmat[j*m+i] = mmat[i*m+j]
+	if gn := len(f.members); gn > 0 {
+		sd := ws.pg[:gn]
+		for k, j := range f.members {
+			sd[k] = math.Sqrt(d[j])
 		}
+		for t := 0; t < int(f.panelL); t++ {
+			src, dst := f.panel[t*gn:][:len(sd)], ws.scaled[t*gn:][:len(sd)]
+			for k, s := range sd {
+				dst[k] = s * src[k]
+			}
+		}
+		syrkUpperInto(syrkDot2x4, ws.scaled, int(f.panelL), gn, mmat, int(f.panelR0), r2)
 	}
 }
 
-// transposeInto converts the member-major panel fill (G×L, each group
-// member's run contiguous) into the row-major L×G layout the SYRK
-// streams over, in cache-friendly tiles so neither side pays a miss
-// per element.
-func transposeInto(dst, src []float64, l, g int) {
-	const tile = 32
-	for t0 := 0; t0 < l; t0 += tile {
-		t1 := t0 + tile
-		if t1 > l {
-			t1 = l
+// factorNormal regularises the block normal equations formNormal left
+// in ws, adding reg = scale·(1 + the largest diagonal entry of M) to
+// every diagonal entry, eliminates the diagonal block and factors the
+// Schur complement S = M11 − M12·D2⁻¹·M21 into ws.chol. It reports
+// false when S is not positive definite.
+func (ip *ipm) factorNormal(scale float64, ws *ipmWorkspace) bool {
+	r2, nb := ws.form.r2, ip.m-ws.form.r2
+	mmat, m21, d2, d2r := ws.mmat, ws.m21, ws.d2, ws.d2r
+	worst := traceMax(mmat, r2)
+	for _, v := range d2 {
+		worst = math.Max(worst, math.Abs(v))
+	}
+	reg := scale * (1 + worst)
+	for i := 0; i < r2; i++ {
+		mmat[i*r2+i] += reg
+	}
+	// Wᵀ = D2^−½·M21 row by row in place, and W, its transpose, for
+	// the SYRK.
+	w := ws.w
+	for l := range d2 {
+		d2[l] += reg
+		if !(d2[l] > 0) {
+			return false
 		}
-		for g0 := 0; g0 < g; g0 += tile {
-			g1 := g0 + tile
-			if g1 > g {
-				g1 = g
-			}
-			for gg := g0; gg < g1; gg++ {
-				row := src[gg*l : gg*l+l]
-				for t := t0; t < t1; t++ {
-					dst[t*g+gg] = row[t]
-				}
-			}
+		f := 1 / math.Sqrt(d2[l])
+		d2r[l] = f
+		row := m21[l*r2 : l*r2+r2]
+		for i := range row {
+			row[i] *= f
+			w[i*nb+l] = row[i]
 		}
+	}
+	// S = M11 − W·Wᵀ. The SYRK only adds, so the upper triangle is
+	// negated, W·Wᵀ added, and the result negated into the lower
+	// triangle choleskyInto reads: negation is exact, so S is
+	// M11 − W·Wᵀ as one subtraction would round it.
+	for i := 0; i < r2; i++ {
+		row := mmat[i*r2+i : i*r2+r2]
+		for k := range row {
+			row[k] = -row[k]
+		}
+	}
+	syrkUpperInto(syrkDot2x4, w, r2, nb, mmat, 0, r2)
+	for i := 0; i < r2; i++ {
+		for j := i; j < r2; j++ {
+			mmat[j*r2+i] = -mmat[i*r2+j]
+		}
+	}
+	return choleskyInto(mmat, ws.chol, r2)
+}
+
+// solveNormal solves M·out = rhs through the factor of the last
+// factorNormal, by block substitution: with t = D2^−½·rhs₂, the
+// leading rows solve S·out₁ = rhs₁ − W·t, and the block rows follow as
+// out₂ = D2^−½·(t − Wᵀ·out₁). rhs is overwritten.
+func (ip *ipm) solveNormal(rhs, out []float64, ws *ipmWorkspace) {
+	r2 := ws.form.r2
+	wt := ws.m21
+	r1, t := rhs[:r2], rhs[r2:]
+	for l, f := range ws.d2r {
+		t[l] *= f
+		tl, row := t[l], wt[l*r2:l*r2+r2]
+		for i := range r1 {
+			r1[i] -= row[i] * tl
+		}
+	}
+	y1 := out[:r2]
+	cholSolve(ws.chol, r2, r1, y1)
+	for l, f := range ws.d2r {
+		out[r2+l] = f * (t[l] - dot4(wt[l*r2:l*r2+r2], y1))
 	}
 }
 
 // solveNewton computes the (dx, dy, ds) Newton direction for the given
-// complementarity right-hand side rc, reusing the Cholesky factor.
-func (ip *ipm) solveNewton(chol []float64, d, rp, rd, rc, x, s, dy, dx, ds, rhs []float64, ws *ipmWorkspace) {
-	m, n := ip.m, ip.n
-	// rhs = rp + A·(d∘rd − rc/s), as a row gather off the CSR mirror.
-	// dx is output-only until the final loop below, so it doubles as
-	// the weight scratch.
+// complementarity right-hand side rc, reusing the factor of the last
+// factorNormal.
+func (ip *ipm) solveNewton(d, rp, rd, rc, x, s, dy, dx, ds, rhs []float64, ws *ipmWorkspace) {
+	n := ip.n
+	// rhs = rp + A·(d∘rd − rc/s). dx is output-only until the final loop
+	// below, so it doubles as the weight scratch.
 	copy(rhs, rp)
 	w := dx
 	for j := 0; j < n; j++ {
 		w[j] = d[j]*rd[j] - rc[j]/s[j]
 	}
-	ws.at.mulAddInto(rhs, w)
-	cholSolve(chol, m, rhs, dy)
+	ip.mulAdd(rhs, w, ws)
+	ip.solveNormal(rhs, dy, ws)
 	// dx = d∘(Aᵀdy − rd) + rc/s ; ds = (rc − s∘dx)/x
-	aty := ws.at.mulTInto(dy)
+	aty := ip.mulT(dy, ws)
 	for j := 0; j < n; j++ {
 		dx[j] = d[j]*(aty[j]-rd[j]) + rc[j]/s[j]
 		ds[j] = (rc[j] - s[j]*dx[j]) / x[j]
@@ -669,28 +844,9 @@ func choleskyInto(a, l []float64, m int) bool {
 		a1 := a[(i+1)*m : (i+1)*m+i+2]
 		for j := 0; j < i; j++ {
 			lj := l[j*m : j*m+j+1]
-			// Resliced operands shrink as the chains advance, so the
-			// compiler proves every index in range.
-			p, x0, x1 := lj[:j], l0[:j], l1[:j]
-			var s0, s1, s2, s3, t0, t1, t2, t3 float64
-			for len(p) >= 4 && len(x0) >= 4 && len(x1) >= 4 {
-				s0 += x0[0] * p[0]
-				s1 += x0[1] * p[1]
-				s2 += x0[2] * p[2]
-				s3 += x0[3] * p[3]
-				t0 += x1[0] * p[0]
-				t1 += x1[1] * p[1]
-				t2 += x1[2] * p[2]
-				t3 += x1[3] * p[3]
-				p, x0, x1 = p[4:], x0[4:], x1[4:]
-			}
-			x0, x1 = x0[:len(p)], x1[:len(p)]
-			for k, pk := range p {
-				s0 += x0[k] * pk
-				t0 += x1[k] * pk
-			}
-			l0[j] = (a0[j] - ((s0 + s1) + (s2 + s3))) / lj[j]
-			l1[j] = (a1[j] - ((t0 + t1) + (t2 + t3))) / lj[j]
+			s, t := dot4x2(l0[:j], l1[:j], lj[:j])
+			l0[j] = (a0[j] - s) / lj[j]
+			l1[j] = (a1[j] - t) / lj[j]
 		}
 		sum := a0[i] - dot4(l0[:i], l0[:i])
 		if sum <= 0 {
@@ -739,6 +895,31 @@ func dot4(x, y []float64) float64 {
 		s0 += xk * y[k]
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dot4x2 returns x0·y and x1·y, each in dot4's chains and so with its
+// bits, sharing each load of y between the two rows.
+func dot4x2(x0, x1, y []float64) (float64, float64) {
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	x1 = x1[:len(x0)]
+	y = y[:len(x0)]
+	for len(y) >= 4 && len(x0) >= 4 && len(x1) >= 4 {
+		s0 += x0[0] * y[0]
+		s1 += x0[1] * y[1]
+		s2 += x0[2] * y[2]
+		s3 += x0[3] * y[3]
+		t0 += x1[0] * y[0]
+		t1 += x1[1] * y[1]
+		t2 += x1[2] * y[2]
+		t3 += x1[3] * y[3]
+		x0, x1, y = x0[4:], x1[4:], y[4:]
+	}
+	x0, x1 = x0[:len(y)], x1[:len(y)]
+	for k, yk := range y {
+		s0 += x0[k] * yk
+		t0 += x1[k] * yk
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
 }
 
 // cholSolve solves L Lᵀ out = rhs.

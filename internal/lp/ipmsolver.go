@@ -21,7 +21,7 @@ import (
 //
 // An instance hands its state on in two parts, for a resumed
 // column-generation run's master. Compiled copies the compiled form
-// (the matrix, its row-major mirror and its run classification), which
+// (the matrix, its block split, dense panel and remainder mirror), which
 // FrozenIPM.Clone shares read-only with any number of new instances
 // under new costs; Iterate copies the final point, which StartFrom
 // installs as a new instance's warm start, cloned or compiled afresh.
@@ -155,24 +155,25 @@ func (sv *IPMSolver) warmFloor() float64 {
 }
 
 // FrozenIPM is a read-only copy of an IPMSolver's compiled form
-// (Compiled): its constraint matrix, right-hand side, row-major mirror
-// and column run classification, everything a Solve derives from the
-// matrix alone. Costs and the iterate are not part of it. It is
-// immutable but for one spare Newton workspace, which a released clone
-// leaves for the next clone (Release), so one FrozenIPM may seed any
-// number of solvers, concurrently.
+// (Compiled): its constraint matrix, right-hand side, block split, run
+// classification, dense panel and remainder mirror, everything a Solve
+// derives from the matrix alone. Costs, the iterate and every
+// accumulator and scratch vector are not part of it: those live in
+// each clone's own workspace. It is immutable but for one spare Newton
+// workspace, which a released clone leaves for the next clone
+// (Release), so one FrozenIPM may seed any number of solvers,
+// concurrently.
 type FrozenIPM struct {
 	m, n  int
 	b     []float64
 	mat   csc
-	at    csr // ptr, cols and vals; no scratch
-	cls   columnClass
+	form  ipmForm // rem without its fill cursors
 	spare *spareWorkspace
 }
 
 // spareWorkspace is a FrozenIPM's spare workspace slot. A clone's
-// workspace, its normal-equations matrix and panel above all, is as
-// large as the master it serves, and every buffer in it is written
+// workspace, its normal-equations blocks and scaled panel above all, is
+// as large as the master it serves, and every buffer in it is written
 // before it is read, so a solve's bits do not depend on whose workspace
 // it gets. One slot, so at most one idle workspace is kept per
 // FrozenIPM.
@@ -180,19 +181,19 @@ type spareWorkspace struct {
 	ws atomic.Pointer[ipmWorkspace]
 }
 
-// Compiled returns a copy of the instance's compiled form, its mirror
-// and run classification first brought up to date with every appended
-// column, in arrays of exactly their length.
+// Compiled returns a copy of the instance's compiled form, first
+// brought up to date with every appended column, in arrays of exactly
+// their length.
 func (sv *IPMSolver) Compiled() *FrozenIPM {
 	ip, ws := sv.ip, sv.ws
 	ip.compile(ws)
-	cls := ws.columnClass
-	cls.runs = exact(cls.runs)
+	f := ws.form
+	f.runs, f.members, f.panel = exact(f.runs), exact(f.members), exact(f.panel)
+	f.rem = csr{ptr: exact(f.rem.ptr), cols: exact(f.rem.cols), vals: exact(f.rem.vals)}
 	return &FrozenIPM{
 		m: ip.m, n: ip.n, b: exact(ip.b),
 		mat:   csc{colPtr: exact(ip.mat.colPtr), rows: exact(ip.mat.rows), vals: exact(ip.mat.vals)},
-		at:    csr{ptr: exact(ws.at.ptr), cols: exact(ws.at.cols), vals: exact(ws.at.vals), n: ws.at.n, nnz: ws.at.nnz},
-		cls:   cls,
+		form:  f,
 		spare: &spareWorkspace{},
 	}
 }
@@ -206,12 +207,11 @@ func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 // must not be used afterwards.
 func (sv *IPMSolver) Release() {
 	if sv.from != nil {
-		// The mirror and the run lengths are the FrozenIPM's, or this
-		// clone's own after it appended columns, and the next clone
-		// takes the FrozenIPM's: drop them, keeping the accumulator, so
-		// the idle workspace holds no copy of the matrix.
+		// The compiled form is the FrozenIPM's, or this clone's own after
+		// it appended columns, and the next clone takes the FrozenIPM's:
+		// drop it, so the idle workspace holds no copy of the matrix.
 		ws := sv.ws
-		ws.at, ws.columnClass, ws.shared = csr{acc: ws.at.acc}, columnClass{}, false
+		ws.form, ws.shared = ipmForm{}, false
 		sv.from.spare.ws.Store(ws)
 	}
 	sv.ip, sv.ws, sv.from = nil, nil, nil
@@ -223,8 +223,8 @@ func (sv *IPMSolver) Release() {
 // iterate (see StartFrom), and it solves with the bits of an instance
 // compiled from f's problem and columns afresh. f's arrays stay
 // read-only: AddColumn copies the matrix before it appends, and the
-// next Solve rebuilds the mirror and the run classification into
-// buffers of the new instance's own.
+// next Solve rebuilds the compiled form into buffers of the new
+// instance's own.
 func (f *FrozenIPM) Clone(c []float64) *IPMSolver {
 	if len(c) != f.n {
 		panic(fmt.Sprintf("lp: Clone with %d costs for %d columns", len(c), f.n))
@@ -233,15 +233,7 @@ func (f *FrozenIPM) Clone(c []float64) *IPMSolver {
 	if ws == nil {
 		ws = &ipmWorkspace{}
 	}
-	acc := ws.at.acc
-	if cap(acc) < f.n {
-		acc = make([]float64, f.n)
-	}
-	ws.at, ws.columnClass, ws.shared = f.at, f.cls, true
-	ws.at.acc = acc[:f.n]
-	if need := int(f.cls.panelL) * f.cls.groupN; f.cls.usePanel && cap(ws.panel) < need {
-		ws.panel, ws.panelT = make([]float64, need), make([]float64, need)
-	}
+	ws.form, ws.shared = f.form, true
 	return &IPMSolver{ip: &ipm{m: f.m, n: f.n, mat: f.mat, b: f.b, c: c}, ws: ws, from: f}
 }
 

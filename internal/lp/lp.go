@@ -245,9 +245,10 @@ type simplex struct {
 	scratchDir []float64 // m: entering direction B⁻¹A_j
 
 	// Row-major mirror of mat, built once by sizeState; pricing sweeps
-	// it for y·A. Prepared re-signs the artificial columns between
-	// solves in both (installArtificialSigns).
-	at csr
+	// it for y·A into priceAcc. Prepared re-signs the artificial columns
+	// between solves in both (installArtificialSigns).
+	at       csr
+	priceAcc []float64 // n: the pricing sweep's y·A
 	// refactor's buffers, sized on its first call: a warm solve that
 	// restores a memoised inverse and ends on its basis never inverts.
 	bmatBuf []float64   // m×m: refactor's basis matrix, then its inverse (swapped with binv)
@@ -329,7 +330,8 @@ func (s *simplex) sizeState(p *Problem) {
 	s.scratchY = make([]float64, m)
 	s.scratchDir = make([]float64, m)
 	s.maxIter = 50000 + 50*(m+s.n)
-	s.at.build(&s.mat, m)
+	s.at.build(&s.mat, m, nil, 0)
+	s.priceAcc = make([]float64, s.n)
 }
 
 func (s *simplex) solve() (*Solution, error) {
@@ -510,7 +512,9 @@ func (s *simplex) iterate(cost []float64, end int) Status {
 		// ascending row order, as a per-column gather would add them, so
 		// every reduced cost — and hence every pivot choice — is
 		// bit-identical to it.
-		acc := s.at.mulTInto(y)
+		acc := s.priceAcc
+		clear(acc)
+		s.at.mulTAddInto(acc, y)
 		enter := -1
 		best := -simplexTol
 		for j := 0; j < end; j++ {

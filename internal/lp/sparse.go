@@ -241,46 +241,61 @@ func perturbed(b, u float64) float64 {
 // share it. Entries land in ascending column order within each row, so
 // every product reaches its accumulator in the order a per-column
 // gather or scatter delivers it, and the results are bit-identical.
+// The mirror holds no accumulator: a caller's own vector takes Aᵀv, so
+// one mirror may serve concurrent sweeps.
 type csr struct {
 	ptr, cols []int32
 	vals      []float64
-	next      []int32   // m: fill cursors of build
-	acc       []float64 // n: mulTInto's result
-	n, nnz    int       // shape of the matrix at the last build
+	next      []int32 // m: fill cursors of build
 }
 
 // build refreshes the mirror of the m-row matrix a, reusing its buffers.
-func (r *csr) build(a *csc, m int) {
-	n, nnz := a.numCols(), a.nnz()
+// The first lead entries of each column in skip (ascending column
+// indices; nil skips none) are left out: the IPM holds those in its
+// dense panel.
+func (r *csr) build(a *csc, m int, skip []int32, lead int) {
+	n := a.numCols()
 	if cap(r.ptr) < m+1 {
 		r.ptr = make([]int32, m+1)
 		r.next = make([]int32, m)
 	}
 	r.ptr, r.next = r.ptr[:m+1], r.next[:m]
-	if cap(r.cols) < nnz {
-		r.cols = make([]int32, nnz, nnz+nnz/2)
-		r.vals = make([]float64, nnz, nnz+nnz/2)
-	}
-	r.cols, r.vals = r.cols[:nnz], r.vals[:nnz]
-	if cap(r.acc) < n {
-		// Headroom for a column-generation master that keeps growing.
-		r.acc = make([]float64, n, n+n/2+16)
-	}
-	r.acc = r.acc[:n]
 
 	cnt := r.ptr
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	for _, row := range a.rows {
-		cnt[row+1]++
+	// kept returns column j's entries that stay in the mirror, advancing
+	// the skip cursor g.
+	g := 0
+	kept := func(j int) (lo, hi int32) {
+		lo, hi = a.colPtr[j], a.colPtr[j+1]
+		if g < len(skip) && int(skip[g]) == j {
+			lo += int32(lead)
+			g++
+		}
+		return lo, hi
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := kept(j)
+		for _, row := range a.rows[lo:hi] {
+			cnt[row+1]++
+		}
 	}
 	for i := 0; i < m; i++ {
 		cnt[i+1] += cnt[i]
 	}
+	nnz := int(cnt[m])
+	if cap(r.cols) < nnz {
+		r.cols = make([]int32, nnz, nnz+nnz/2)
+		r.vals = make([]float64, nnz, nnz+nnz/2)
+	}
+	r.cols, r.vals = r.cols[:nnz], r.vals[:nnz]
 	copy(r.next, cnt[:m])
+	g = 0
 	for j := 0; j < n; j++ {
-		for k := a.colPtr[j]; k < a.colPtr[j+1]; k++ {
+		lo, hi := kept(j)
+		for k := lo; k < hi; k++ {
 			row := a.rows[k]
 			p := r.next[row]
 			r.cols[p] = int32(j)
@@ -288,17 +303,11 @@ func (r *csr) build(a *csc, m int) {
 			r.next[row] = p + 1
 		}
 	}
-	r.n, r.nnz = n, nnz
 }
 
-// mulTInto returns Aᵀv in the mirror's n-sized accumulator, valid until
-// the next call. Rows with a zero multiplier are skipped: their
-// products are exact zeros.
-func (r *csr) mulTInto(v []float64) []float64 {
-	acc := r.acc
-	for j := range acc {
-		acc[j] = 0
-	}
+// mulTAddInto adds Aᵀv onto acc. Rows with a zero multiplier are
+// skipped: their products are exact zeros.
+func (r *csr) mulTAddInto(acc, v []float64) {
 	for i := 0; i+1 < len(r.ptr); i++ {
 		vi := v[i]
 		if vi == 0 {
@@ -310,7 +319,6 @@ func (r *csr) mulTInto(v []float64) []float64 {
 			acc[c] += vi * vals[k]
 		}
 	}
-	return acc
 }
 
 // mulAddInto adds A·w onto dst, skipping zero weights.

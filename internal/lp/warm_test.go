@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -516,7 +517,7 @@ func TestPreparedMirrorPatchedInPlace(t *testing.T) {
 			}
 			basis = pp.Basis(basis)
 			var fresh csr
-			fresh.build(&s.mat, s.m)
+			fresh.build(&s.mat, s.m, nil, 0)
 			if fmt.Sprint(fresh.ptr, fresh.cols) != fmt.Sprint(s.at.ptr, s.at.cols) ||
 				fmt.Sprintf("%x", fresh.vals) != fmt.Sprintf("%x", s.at.vals) {
 				t.Fatalf("step %d: mirror differs from a fresh build of the matrix", step)
@@ -551,7 +552,8 @@ func masterColumns(rng *rand.Rand, k, n int) [][]Term {
 // the fresh compile's bits and Newton iteration counts, warm-started
 // from the donor's iterate as well as cold, before and after it appends
 // columns of its own; the warm clone runs in the workspace the cold one
-// released. The copy must come out unchanged, and must not change as
+// released. The copy, its panel and remainder mirror byte for byte,
+// must come out unchanged, and must not change as
 // the donor goes on appending and solving.
 func TestFrozenIPMClone(t *testing.T) {
 	const k = 20
@@ -559,24 +561,7 @@ func TestFrozenIPMClone(t *testing.T) {
 	pool := masterColumns(rng, k, 80)
 	rho := 3.0
 	compile := func(cols [][]Term, costs []float64) *IPMSolver {
-		p := NewProblem(2 * k)
-		for s := 0; s < 2*k; s++ {
-			p.SetObjectiveCoeff(s, rho)
-		}
-		for i := 0; i < k; i++ {
-			p.AddConstraint([]Term{{Var: 2 * i, Coef: 1}, {Var: 2*i + 1, Coef: -1}}, EQ, 1)
-		}
-		for l := 0; l < k; l++ {
-			p.AddConstraint(nil, EQ, 1)
-		}
-		sv, err := NewIPMSolver(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c, col := range cols {
-			sv.AddColumn(costs[c], col)
-		}
-		return sv
+		return masterSolver(t, k, cols, costs, rho)
 	}
 	randCosts := func(n int) []float64 {
 		c := make([]float64, n)
@@ -594,10 +579,10 @@ func TestFrozenIPMClone(t *testing.T) {
 	}
 	it := donor.Iterate()
 	frozen := donor.Compiled()
-	if !frozen.cls.usePanel {
+	if len(frozen.form.members) == 0 {
 		t.Fatal("the frozen master elected no panel span")
 	}
-	before := fmt.Sprintf("%v", *frozen)
+	before, beforeBytes := fmt.Sprintf("%v", *frozen), formBytes(&frozen.form)
 
 	extra := masterColumns(rng, k, 5)
 	for _, warm := range []bool{false, true} {
@@ -636,6 +621,9 @@ func TestFrozenIPMClone(t *testing.T) {
 		if fmt.Sprintf("%v", *frozen) != before {
 			t.Fatalf("warm=%v: a clone wrote to the frozen master", warm)
 		}
+		if formBytes(&frozen.form) != beforeBytes {
+			t.Fatalf("warm=%v: a clone's solves wrote to the frozen panel or remainder mirror", warm)
+		}
 		// The next clone takes over this one's workspace.
 		clone.Release()
 	}
@@ -643,7 +631,21 @@ func TestFrozenIPMClone(t *testing.T) {
 	if _, err := donor.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%v", *frozen) != before {
+	if fmt.Sprintf("%v", *frozen) != before || formBytes(&frozen.form) != beforeBytes {
 		t.Fatal("the donor's append and solve wrote to its compiled copy")
 	}
+}
+
+// formBytes renders a compiled form's panel and remainder mirror byte
+// for byte.
+func formBytes(f *ipmForm) string {
+	var b strings.Builder
+	for _, v := range f.panel {
+		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
+	}
+	fmt.Fprintf(&b, "|%v|%v|%v|", f.members, f.rem.ptr, f.rem.cols)
+	for _, v := range f.rem.vals {
+		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
+	}
+	return b.String()
 }
