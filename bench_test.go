@@ -644,8 +644,10 @@ func jitteredPayload(b *testing.B, e *benchEnv, spec *serial.SolveSpec, rng *ran
 // BenchmarkServeDonorSolve measures a cold solve on an already-solved
 // road network: one server solves a warm-up spec, then every op posts a
 // never-seen spec whose prior jitters the warm-up's by ±0.1%, so column
-// generation resumes from the warm-up solve's donor pool, master
-// iterate and pricing bases.
+// generation resumes from the warm-up solve's in-memory state: its
+// master holds only the support of the donor's final iterate (96 of
+// the donor pool's 600 columns) and starts from that iterate, and each
+// pricing subproblem starts from the donor's final basis.
 func BenchmarkServeDonorSolve(b *testing.B) {
 	e := benchSetup(b)
 	spec := benchServeSpec(e)

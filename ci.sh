@@ -7,10 +7,11 @@
 #
 #   ./ci.sh         full gate
 #   ./ci.sh -quick  build + vet (host and arm64) + vlplint + perfbench vet/tests +
+#                   the vlpbench ledger smoke +
 #                   lint-suite tests + the lp digest/oracle/SYRK/allocation
 #                   gates and its give-up and poisoned-input tests +
 #                   the column-generation loop's branch and donor-resume
-#                   sharing tests +
+#                   support and sharing tests +
 #                   the store codec/round-trip tests + the server's
 #                   pool-lifecycle tests
 #                   (pre-push sanity, well under a minute)
@@ -50,6 +51,12 @@ go run ./cmd/vlplint -json -baseline lint.baseline.json ./... > vlplint.json || 
 # compiles against must fail here, not only in the benchmark pipeline.
 (cd perfbench && go vet ./... && go test ./...)
 
+# Solve-ledger smoke: cmd/vlpbench's smallest size, its seeded row and
+# its in-memory donor row (a seeded warm-up, then resumes of jittered
+# priors), written to stdout. A change that breaks either path, or the
+# ledger program itself, fails here; the numbers are not gated.
+go run ./cmd/vlpbench -quick -out - > /dev/null
+
 if [ "${1:-}" = "-quick" ]; then
     # The lint suite's own tests ride in -quick: the analyzers gate
     # every push, so a broken // want expectation or a regressed taint
@@ -78,11 +85,14 @@ if [ "${1:-}" = "-quick" ]; then
     # fixed checkpoint cadence, the gap and ξ stops, the smoothed-dual
     # re-verification and ρ widening, and the pricing column check with
     # its cold re-solve (a replay of a warm solve that once left Λ_l).
-    # With them, the donor resume's sharing (about 3 s): a resume that
-    # clones the compiled master a donor state keeps must serve a fresh
-    # compile's bits, and a resume that compiles, builds a mirror or
-    # inverts a basis again fails its allocation budget.
-    go test -count=1 -run 'TestSolveCGResumeMismatchedStateIgnored|TestSolveCGMasterErrorLateRound|TestSolveCGCheckpointHook|TestSolveCGRelGapStops|TestSolveCGXiEarlyStop|TestSolveCGWarmCertifiesOptimality|TestPriceOneRejectsInfeasibleColumn|TestPriceOneWarmColumnOutsideLambdaResolvedCold|TestSolveCGDonorResumeSharedMaster|TestDonorResumeAllocs' ./internal/core
+    # With them, the donor resume's support and sharing (about 5 s): a
+    # resume's master must hold exactly the support of the donor's
+    # iterate, with every convexity row covered, and leave the donor
+    # state as it was; a resume that clones the compiled master a donor
+    # state keeps must serve a fresh compile's bits; and a resume that
+    # compiles, builds a mirror or inverts a basis again fails its
+    # allocation budget.
+    go test -count=1 -run 'TestSolveCGResumeMismatchedStateIgnored|TestSolveCGMasterErrorLateRound|TestSolveCGCheckpointHook|TestSolveCGRelGapStops|TestSolveCGXiEarlyStop|TestSolveCGWarmCertifiesOptimality|TestPriceOneRejectsInfeasibleColumn|TestPriceOneWarmColumnOutsideLambdaResolvedCold|TestSolveCGDonorResumeSupport|TestSolveCGDonorResumeSharedMaster|TestDonorResumeAllocs' ./internal/core
     # The durable-store codec and round-trip tests (about 1 s): an entry
     # or pool codec change that stops decoding older files, re-encodes
     # them with drift, or breaks the store's commit/scan round trip fails

@@ -35,18 +35,24 @@ type CGOptions struct {
 	MaxIterations int
 	// Workers is the pricing parallelism (default GOMAXPROCS).
 	Workers int
-	// Resume, when non-nil, seeds the master with the column pool of a
-	// previous run instead of the synthetic seed family, starts the first
-	// master solve from that run's final interior iterate, and warm-starts
-	// each pricing subproblem from that run's final basis, so the loop
-	// restarts where the previous run stopped. The previous run may have
-	// had another prior: the polyhedra Λ_l depend only on the geometry
-	// (network, δ, ε, r), and so does the master's feasible set (its rows
-	// all have right-hand side 1), so every pooled column stays feasible
-	// and only the costs move: each column is re-costed against this
-	// problem. A state without an iterate or bases (a checkpoint, a
-	// restored snapshot) resumes the master and pricing cold. A state
-	// for another number of intervals K is ignored.
+	// Resume, when non-nil, seeds the master with columns of a previous
+	// run instead of the synthetic seed family, and warm-starts each
+	// pricing subproblem from that run's final basis, so the loop
+	// restarts where the previous run stopped. A finished run's
+	// in-memory state carries its final interior iterate: the master then
+	// holds that iterate's support only (the columns it holds active,
+	// x_j ≥ s_j, and for each convexity row none of them covers, its
+	// column of largest x_j) and starts from the iterate's coordinates on
+	// them. The columns left out carry no weight at the previous optimum,
+	// and pricing finds again any of them the new duals want. A state
+	// without an iterate or bases (a checkpoint, a restored snapshot)
+	// seeds the master with its whole pool and starts the master and
+	// pricing cold. The previous run may have had another prior: the
+	// polyhedra Λ_l depend only on the geometry (network, δ, ε, r), and
+	// so does the master's feasible set (its rows all have right-hand
+	// side 1), so every pooled column stays feasible and only the costs
+	// move: each column is re-costed against this problem. A state for
+	// another number of intervals K is ignored.
 	Resume *CGState
 	// OnIteration, when non-nil, observes each round (for tracing and
 	// convergence experiments).
@@ -129,25 +135,29 @@ type CGResult struct {
 }
 
 // CGState is an opaque snapshot of a column-generation run's column
-// pool. A run resumed from it (CGOptions.Resume) re-admits every column
-// the previous run priced out, so an interrupted or gap-limited solve
-// continues rather than restarts. The serving layer keeps one pool per
-// road network (δ, ε, r): a cold solve on an already-solved geometry
-// resumes from its donor's state in memory, and failing that (a
-// background upgrade of a degraded entry included) from the geometry's
-// pool checkpoint on disk.
+// pool. A run resumed from it (CGOptions.Resume) starts from the
+// previous run's columns, so an interrupted or gap-limited solve
+// continues rather than restarts: from every column of a checkpoint or
+// snapshot, and from the support of a finished run's final iterate,
+// in which case the resumed run's own pool is that support plus what it
+// appends (the state's pool never changes). The serving layer keeps one
+// pool per road network (δ, ε, r): a cold solve on an already-solved
+// geometry resumes from its donor's state in memory, and failing that
+// (a background upgrade of a degraded entry included) from the
+// geometry's pool checkpoint on disk.
 //
 // A finished run's State also carries the run's final master iterate
 // and pricing bases, which live in memory only, and what resumes from it
-// derive once and share: the master compiled over the pool, which the
-// first resume from the state keeps for every later one to clone, and
-// each basis's inverse, which the first resume to factor the basis
-// keeps. Checkpoints (OnState) and snapshots (Snapshot, RestoreCGState)
-// hold the pool alone, so a run resumed from one compiles its master
-// and starts it and its pricing cold, and its bits can differ from a
-// run resumed from the in-memory state it was taken of. Only SolveCGCtx
-// and RestoreCGState build one, so every state is well formed for its
-// own K, and a resume checks K alone.
+// derive once and share: the master compiled over the iterate's support,
+// which the first resume from the state keeps for every later one to
+// clone, and each basis's inverse, which the first resume to factor the
+// basis keeps. Checkpoints (OnState) and snapshots (Snapshot,
+// RestoreCGState) hold the pool alone, so a run resumed from one
+// compiles its master over the whole pool and starts it and its pricing
+// cold, and its bits can differ from a run resumed from the in-memory
+// state it was taken of. Only SolveCGCtx and RestoreCGState build one,
+// so every state is well formed for its own K, and a resume checks K
+// alone.
 type CGState struct {
 	k       int
 	columns []cgColumn
@@ -162,11 +172,12 @@ type CGState struct {
 	// A resumed pricer starts from them and captures its own. Nil on a
 	// checkpoint or restored snapshot.
 	bases []*lp.Basis
-	// compiled is the master over columns (2K slacks, then one variable
-	// per pool column, in pool order) without costs, workspace or
-	// iterate, once a resume from a finished run's state has compiled
-	// it; later resumes clone it under their own costs. Read-only: a
-	// clone copies it before appending a column.
+	// compiled is the master over the columns a resume keeps
+	// (resumeColumns: 2K slacks, then one variable per kept pool column,
+	// in pool order) without costs, workspace or iterate, once a resume
+	// from a finished run's state has compiled it; later resumes clone it
+	// under their own costs. Read-only: a clone copies it before
+	// appending a column.
 	compiled atomic.Pointer[lp.FrozenIPM]
 }
 
@@ -191,6 +202,62 @@ func (st *CGState) compiledMaster() *lp.FrozenIPM {
 // intervals.
 func (st *CGState) validFor(k int) bool {
 	return st != nil && st.k == k
+}
+
+// resumeColumns returns the columns a run resumed from st starts its
+// master with, re-costed for pr (on st's own problem the costs come out
+// unchanged) and sharing their entries with st (extreme points are
+// immutable), and the support: for each of that master's variables, the
+// column of st's iterate it starts from (the 2K slacks, then the kept
+// pool columns, in pool order).
+//
+// The master keeps the iterate's support: every pool column the iterate
+// holds active (x_j ≥ s_j), and for each convexity row l that none of
+// them covers, l's column of largest x_j, without which the row would be
+// infeasible. The columns left out carry no weight at the previous
+// optimum, and pricing finds again any of them the new duals want. A
+// state with no iterate over its pool (a checkpoint, a restored
+// snapshot, a run whose last master did not end optimal) keeps its
+// whole pool, and its support is nil: the master starts cold.
+func (st *CGState) resumeColumns(pr *Problem) ([]cgColumn, []int) {
+	k, it := st.k, st.master
+	if it.Columns() != 2*k+len(st.columns) {
+		columns := make([]cgColumn, len(st.columns), len(st.columns)+k)
+		for i, c := range st.columns {
+			columns[i] = cgColumn{l: c.l, z: c.z, cost: pr.columnCost(c.l, c.z)}
+		}
+		return columns, nil
+	}
+	// pick[l] is 1 + the pool index of l's largest-x column while no
+	// active column covers l (0: none seen), then covered.
+	const covered = -1
+	pick := make([]int, k)
+	n := 0
+	for i, c := range st.columns {
+		if it.Active(2*k + i) {
+			n++
+			pick[c.l] = covered
+		} else if p := pick[c.l]; p == 0 || (p > 0 && it.X(2*k+i) > it.X(2*k+p-1)) {
+			pick[c.l] = i + 1
+		}
+	}
+	for _, p := range pick {
+		if p > 0 {
+			n++
+		}
+	}
+	support := make([]int, 2*k, 2*k+n)
+	for j := range support {
+		support[j] = j
+	}
+	columns := make([]cgColumn, 0, n+k)
+	for i, c := range st.columns {
+		if it.Active(2*k+i) || pick[c.l] == i+1 {
+			support = append(support, 2*k+i)
+			columns = append(columns, cgColumn{l: c.l, z: c.z, cost: pr.columnCost(c.l, c.z)})
+		}
+	}
+	return columns, support
 }
 
 // cgColumn is one extreme point ẑ of a polyhedron Λ_l together with its
@@ -267,16 +334,12 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 	k := pr.Part.K()
 
 	var columns []cgColumn
+	// support names the resumed master's columns among those of the
+	// previous run's iterate (nil: the whole pool, no iterate).
+	var support []int
 	resume := opts.Resume
 	if resume.validFor(k) {
-		// Restart from a previous run's pool, re-costed for this
-		// problem's prior (on the run's own problem the costs come out
-		// unchanged). The extreme points are immutable, so sharing their
-		// entries with the previous run's state is safe.
-		columns = make([]cgColumn, len(resume.columns), len(resume.columns)+k)
-		for i, c := range resume.columns {
-			columns[i] = cgColumn{l: c.l, z: c.z, cost: pr.columnCost(c.l, c.z)}
-		}
+		columns, support = resume.resumeColumns(pr)
 	} else {
 		resume = nil
 		columns = seedColumns(pr)
@@ -294,17 +357,7 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 	// with the incumbent and the error is returned alongside the result.
 	var ctxErr error
 
-	// Dual box radius for the master stabilization slacks.
-	cmax := 0.0
-	for _, c := range pr.Costs {
-		if c > cmax {
-			cmax = c
-		}
-	}
-	rho := 10 * cmax
-	if rho <= 0 {
-		rho = 1
-	}
+	rho := startRho(pr)
 	const slackTol = 1e-7
 
 	xi := opts.Xi
@@ -312,10 +365,10 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 		xi = -cgTol
 	}
 
-	// Persistent master: compiled once over the initial pool, or cloned
-	// from the compiled master a previous resume from the same finished
-	// run kept, whose columns are this pool's; grown in place as columns
-	// arrive.
+	// Persistent master: compiled once over the initial columns, or
+	// cloned from the compiled master a previous resume from the same
+	// finished run kept, whose columns are these; grown in place as
+	// columns arrive.
 	var ms *masterState
 	if f := resume.compiledMaster(); f != nil {
 		ms = cloneMasterState(k, f, columns, rho)
@@ -331,10 +384,11 @@ func SolveCGCtx(ctx context.Context, pr *Problem, opts CGOptions) (res *CGResult
 			resume.compiled.CompareAndSwap(nil, ms.sv.Compiled())
 		}
 	}
-	if resume != nil {
+	if support != nil {
 		// The master's rows do not depend on the prior, so the previous
-		// run's final point is a warm start for the re-costed pool.
-		ms.sv.StartFrom(resume.master)
+		// run's final point, over the columns kept, is a warm start for
+		// the re-costed pool.
+		ms.sv.StartFrom(resume.master, support)
 	}
 
 	var piStab []float64 // dual point of the best Lagrangian bound
@@ -518,6 +572,21 @@ rounds:
 	// mechanism for graceful degradation or drop it for all-or-nothing
 	// semantics.
 	return res, ctxErr
+}
+
+// startRho is the dual box radius the master's stabilization slacks
+// start at: ten times the largest cost, or 1 when no cost is positive.
+func startRho(pr *Problem) float64 {
+	cmax := 0.0
+	for _, c := range pr.Costs {
+		if c > cmax {
+			cmax = c
+		}
+	}
+	if cmax <= 0 {
+		return 1
+	}
+	return 10 * cmax
 }
 
 func samePoint(a, b []float64) bool {

@@ -310,6 +310,215 @@ func TestSolveCGDonorResumeForeignIterate(t *testing.T) {
 	}
 }
 
+// wantSupport restates resumeColumns' rule over st's pool: the pool
+// indices of the columns st's iterate holds active, plus, for each
+// convexity row none of them covers, the row's column of largest x.
+func wantSupport(st *CGState) []int {
+	k, it := st.k, st.master
+	covered := make([]bool, k)
+	for i, c := range st.columns {
+		if it.Active(2*k + i) {
+			covered[c.l] = true
+		}
+	}
+	best := make([]int, k)
+	for l := range best {
+		best[l] = -1
+	}
+	for i, c := range st.columns {
+		if b := best[c.l]; !covered[c.l] && (b < 0 || it.X(2*k+i) > it.X(2*k+b)) {
+			best[c.l] = i
+		}
+	}
+	var sup []int
+	for i, c := range st.columns {
+		if it.Active(2*k+i) || best[c.l] == i {
+			sup = append(sup, i)
+		}
+	}
+	return sup
+}
+
+// TestSolveCGDonorResumeSupport resumes from a donor's in-memory state,
+// whose master starts over the support of the donor's final iterate,
+// not over its whole pool. On each donor geometry:
+//   - the resumed master holds exactly the support (wantSupport), which
+//     covers every convexity row, and the resumed run's pool is the
+//     support plus what it appends;
+//   - at the exact rule, a support resume and a full-pool resume of the
+//     same state (its pool and bases without the iterate, which resumes
+//     the whole pool) each report a bound no higher than the other's
+//     ETDD;
+//   - an iterate doctored so that no column of some convexity row l is
+//     active still resumes optimal, with l covered by its column of
+//     largest x;
+//   - concurrent resumes leave the donor's pool, iterate, bases and
+//     snapshot as they were.
+func TestSolveCGDonorResumeSupport(t *testing.T) {
+	for _, geo := range donorGeometries(t) {
+		t.Run(geo.name, func(t *testing.T) {
+			donorPr := geo.problem(geo.prior)
+			donor, err := SolveCG(donorPr, donorOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := donor.State
+			k := st.k
+			rng := rand.New(rand.NewSource(21))
+			resume := func(pr *Problem, from *CGState, opts CGOptions) *CGResult {
+				t.Helper()
+				opts.Resume = from
+				res, err := SolveCG(pr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stopped != "" {
+					t.Fatalf("resume stopped early: %s", res.Stopped)
+				}
+				return res
+			}
+
+			pr := geo.problem(jitteredPrior(rng, geo.prior, 0.001))
+			want := wantSupport(st)
+			if len(want) >= st.Columns() {
+				t.Fatalf("the support keeps %d of the pool's %d columns", len(want), st.Columns())
+			}
+			columns, support := st.resumeColumns(pr)
+			if len(columns) != len(want) || len(support) != 2*k+len(want) {
+				t.Fatalf("resumed master has %d columns (%d iterate columns), want the support's %d",
+					len(columns), len(support), len(want))
+			}
+			covered := make([]bool, k)
+			for j, i := range append(make([]int, 2*k), want...) {
+				if j < 2*k {
+					i = j - 2*k // a slack keeps its index
+				} else {
+					c := columns[j-2*k]
+					if c.l != st.columns[i].l || &c.z[0] != &st.columns[i].z[0] {
+						t.Fatalf("resumed master column %d is not pool column %d", j-2*k, i)
+					}
+					covered[c.l] = true
+				}
+				if support[j] != 2*k+i {
+					t.Fatalf("resumed master column %d starts from iterate column %d, want %d", j, support[j], 2*k+i)
+				}
+			}
+			for l, ok := range covered {
+				if !ok {
+					t.Fatalf("the support covers no column of convexity row %d", l)
+				}
+			}
+			res := resume(pr, st, donorOpts)
+			served := func(pr *Problem, res *CGResult) float64 {
+				t.Helper()
+				m, etdd, err := pr.EnforceGeoI(res.Mechanism, GeoITol)
+				if err != nil {
+					t.Fatalf("EnforceGeoI: %v", err)
+				}
+				if v := pr.GeoIViolation(m); v > GeoITol {
+					t.Errorf("served Geo-I violation %g", v)
+				}
+				return etdd
+			}
+			if got := res.State.master.Columns(); got != 2*k+res.State.Columns() {
+				t.Fatalf("the resumed run's iterate spans %d columns, its pool %d", got, res.State.Columns())
+			}
+			for n, c := range res.State.columns[:len(columns)] {
+				if &c.z[0] != &columns[n].z[0] {
+					t.Fatalf("the resumed run's pool column %d is not the support's", n)
+				}
+			}
+			t.Logf("donor pool %d columns, resumed master %d, resumed run's pool %d",
+				st.Columns(), len(columns), res.State.Columns())
+
+			exact := donorOpts
+			exact.Xi, exact.RelGap = 0, 0
+			full := &CGState{k: k, columns: st.columns, bases: st.bases}
+			for trial := 0; trial < 2; trial++ {
+				pr := geo.problem(jitteredPrior(rng, geo.prior, 0.001))
+				sup, all := resume(pr, st, exact), resume(pr, full, exact)
+				supETDD, allETDD := served(pr, sup), served(pr, all)
+				if sup.LowerBound > allETDD*(1+1e-8) || all.LowerBound > supETDD*(1+1e-8) {
+					t.Errorf("trial %d: bounds %.12f (support) and %.12f (full pool) do not bracket ETDDs %.12f and %.12f",
+						trial, sup.LowerBound, all.LowerBound, allETDD, supETDD)
+				}
+				t.Logf("exact trial %d: support %d rounds %v ETDD %.12f (%.12f served) bound %.12f; full pool %d rounds %v ETDD %.12f (%.12f served) bound %.12f",
+					trial, len(sup.Iterations), sup.Elapsed, sup.ETDD, supETDD, sup.LowerBound,
+					len(all.Iterations), all.Elapsed, all.ETDD, allETDD, all.LowerBound)
+			}
+
+			// Doctor the iterate: move row 0's active columns to the end
+			// of the pool, appended under a cost raised by 1, so that each
+			// sits at the warm floor below its dual slack.
+			const l = 0
+			var keep, moved []cgColumn
+			cols := make([]int, 2*k)
+			for j := range cols {
+				cols[j] = j
+			}
+			for i, c := range st.columns {
+				if c.l == l && st.master.Active(2*k+i) {
+					moved = append(moved, c)
+				} else {
+					keep = append(keep, c)
+					cols = append(cols, 2*k+i)
+				}
+			}
+			ms, err := newMasterState(donorPr, keep, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.sv.StartFrom(st.master, cols)
+			for _, c := range moved {
+				ms.sv.AddColumn(c.cost+1, ms.colEntries(c))
+			}
+			doctored := &CGState{k: k, columns: append(keep, moved...), master: ms.sv.Iterate(), bases: st.bases}
+			pick := -1
+			for i, c := range doctored.columns {
+				if c.l != l {
+					continue
+				}
+				if doctored.master.Active(2*k + i) {
+					t.Fatalf("doctored column %d of row %d is still active", i, l)
+				}
+				if pick < 0 || doctored.master.X(2*k+i) > doctored.master.X(2*k+pick) {
+					pick = i
+				}
+			}
+			_, dsup := doctored.resumeColumns(pr)
+			var picked []int
+			for _, j := range dsup[2*k:] {
+				if doctored.columns[j-2*k].l == l {
+					picked = append(picked, j-2*k)
+				}
+			}
+			if len(picked) != 1 || picked[0] != pick {
+				t.Fatalf("row %d is covered by pool columns %v, want its largest-x column %d", l, picked, pick)
+			}
+			served(pr, resume(pr, doctored, donorOpts))
+
+			before, snap, n := stateFingerprint(st), fmt.Sprintf("%x", *st.Snapshot()), st.Columns()
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				pr := geo.problem(jitteredPrior(rand.New(rand.NewSource(int64(30+w))), geo.prior, 0.001))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					opts := donorOpts
+					opts.Resume = st
+					if _, err := SolveCG(pr, opts); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if st.Columns() != n || stateFingerprint(st) != before || fmt.Sprintf("%x", *st.Snapshot()) != snap {
+				t.Error("concurrent resumes wrote to the donor state")
+			}
+		})
+	}
+}
+
 // TestSolveCGDonorResumeSharedMaster resumes from a donor's in-memory
 // state after an earlier resume kept the compiled master and the basis
 // inverses in it, so the master is cloned and every basis restored from
@@ -351,6 +560,41 @@ func TestSolveCGDonorResumeSharedMaster(t *testing.T) {
 			if compiledFingerprint(st) == "" {
 				t.Fatal("a resume kept no compiled master in the donor's state")
 			}
+			// The kept master is compiled over the support of the donor's
+			// iterate: a clone of it solves with the bits of a fresh
+			// compile of the same columns, before and after an append.
+			pr := geo.problem(jitteredPrior(rng, geo.prior, 0.001))
+			columns, support := st.resumeColumns(pr)
+			rho := startRho(pr)
+			clone := cloneMasterState(st.k, st.compiledMaster(), columns, rho)
+			fresh, err := newMasterState(pr, columns, rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := clone.sv.NumVars(); n != 2*st.k+len(columns) || len(columns) >= st.Columns() {
+				t.Fatalf("the kept master has %d columns, want the support's %d of the pool's %d", n, 2*st.k+len(columns), 2*st.k+st.Columns())
+			}
+			solveBits := func(ms *masterState) string {
+				t.Helper()
+				obj, lam, pi, mu, slack, iters, err := ms.solve(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%x %x %x %x %x %d", obj, lam, pi, mu, slack, iters)
+			}
+			extra := st.columns[len(st.columns)-1] // the pool's last column
+			for _, ms := range []*masterState{clone, fresh} {
+				ms.sv.StartFrom(st.master, support)
+			}
+			for round := 0; round < 2; round++ {
+				if got, want := solveBits(clone), solveBits(fresh); got != want {
+					t.Fatalf("round %d: a clone of the kept master solved to %s, a fresh compile of the support to %s", round, got, want)
+				}
+				c := cgColumn{l: extra.l, z: extra.z, cost: pr.columnCost(extra.l, extra.z)}
+				clone.addColumn(c)
+				fresh.addColumn(c)
+			}
+			clone.sv.Release()
 			before := stateFingerprint(st) + compiledFingerprint(st)
 			trace := func(res *CGResult) string {
 				s := fmt.Sprintf("%x %d", res.Mechanism.Z, len(res.Iterations))
@@ -454,14 +698,17 @@ func TestSolveCGDonorResumeConcurrent(t *testing.T) {
 // resume of the donor's own prior, whose pricing bases stay optimal (a
 // pivot would make the final extraction invert its basis), following
 // another resume whose master workspace it takes over. Such a resume
-// compiles no
-// master matrix (its CSC, about 80 allocations through newMasterState),
-// builds no row-major mirror or run classification (8 allocations,
-// about 0.3 MB), allocates no normal-equations panel (2 allocations,
-// 0.42 MB) and inverts no pricing basis (a worker's inversion scratch
-// is 13 allocations, about 69 kB). It measures 514 allocations and
-// 0.27 MB (go1.24, amd64); the budgets leave less slack than any one of
-// those would take.
+// compiles no master matrix (its CSC, about 80 allocations through
+// newMasterState), builds no row-major mirror or run classification (8
+// allocations), allocates no normal-equations panel (2 allocations) and
+// inverts no pricing basis (a worker's inversion scratch is 13
+// allocations, about 69 kB). Its master holds only the support of the
+// donor's iterate (96 of the pool's 600 columns), so the re-costed
+// pool and the warm iterate it copies are about 25 kB smaller than a
+// full pool's; selecting the support takes two allocations (the
+// per-row pick and the kept iterate columns). It measures 516
+// allocations and 0.22 MB (go1.24, amd64); the budgets leave less slack
+// than any one of those would take.
 func TestDonorResumeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -492,8 +739,8 @@ func TestDonorResumeAllocs(t *testing.T) {
 	if allocs > 520 {
 		t.Errorf("a donor resume allocates %v objects, want ≤ 520", allocs)
 	}
-	if bytes > 300_000 {
-		t.Errorf("a donor resume allocates %d B, want ≤ 300000", bytes)
+	if bytes > 230_000 {
+		t.Errorf("a donor resume allocates %d B, want ≤ 230000", bytes)
 	}
 }
 
@@ -509,19 +756,12 @@ func BenchmarkPricingResume(b *testing.B) {
 	}
 	pr := geo.problem(jitteredPrior(rand.New(rand.NewSource(46)), geo.prior, 0.001))
 	// The resumed run's first master, as SolveCGCtx builds it.
-	columns := make([]cgColumn, len(donor.State.columns))
-	for i, c := range donor.State.columns {
-		columns[i] = cgColumn{l: c.l, z: c.z, cost: pr.columnCost(c.l, c.z)}
-	}
-	cmax := 0.0
-	for _, c := range pr.Costs {
-		cmax = max(cmax, c)
-	}
-	ms, err := newMasterState(pr, columns, 10*cmax)
+	columns, support := donor.State.resumeColumns(pr)
+	ms, err := newMasterState(pr, columns, startRho(pr))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ms.sv.StartFrom(donor.State.master)
+	ms.sv.StartFrom(donor.State.master, support)
 	ctx := context.Background()
 	_, _, pi, _, _, _, err := ms.solve(ctx)
 	if err != nil {

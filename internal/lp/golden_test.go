@@ -55,7 +55,7 @@ var goldenDigests = map[string]string{
 	"K24":        "75a4a2e83b27070522435820e09456d38f006a07dbd06a25b238fa868e5dac40",
 	"K44":        "c933266623fb333fb0392e25ecaaf3fbdc7c06e7a0e47677bc2eea5d8de559f7",
 	"K24-hetero": "06948dbeafdc450636f651911b6a5d4dad6df461f26b87006f590bc45ab07839",
-	"K24-donor":  "39c65584421190acf6771b0ed05184fdbe1c3802ed5610c950e600787e27a02e",
+	"K24-donor":  "13cfe39a1d87fc840560f6083ea8813914a8883e3314165f34e04c7554ccc6dc",
 	"K24-exact":  "279c5428e1c02af5c2904924ffa6b472113808e21be3760781be71447556e048",
 	"K24-gap":    "1e6d82519fdbaeb3e35658bd772bb60e55e7f424e6ebfefd1e03d77ace3aeb59",
 }

@@ -259,19 +259,49 @@ func (sv *IPMSolver) Iterate() *Iterate {
 	}
 }
 
+// Columns returns the number of columns the iterate spans (0 for nil).
+func (it *Iterate) Columns() int {
+	if it == nil {
+		return 0
+	}
+	return len(it.x)
+}
+
+// Active reports whether column j is in the iterate's active set,
+// x_j ≥ s_j. Near an optimum the product x_j·s_j is small for every
+// column, so a column the optimum uses has x_j above s_j and one it
+// leaves at zero has x_j below; a column appended after the last solve
+// sits at x_j = s_j, the warm floor, and counts as active.
+func (it *Iterate) Active(j int) bool { return it.x[j] >= it.s[j] }
+
+// X returns the iterate's primal value x_j of column j.
+func (it *Iterate) X(j int) float64 { return it.x[j] }
+
 // StartFrom makes the next Solve warm-start from a copy of it, as if it
 // were this instance's own previous iterate: the point is floored back
 // into the interior, and a run that does not end Optimal is retried
-// cold. it is only read. An iterate whose lengths do not match the
-// instance's current columns and rows is ignored, as is nil: the next
-// Solve then starts as it would have.
-func (sv *IPMSolver) StartFrom(it *Iterate) {
-	if it == nil || len(it.x) != sv.ip.n || len(it.s) != sv.ip.n || len(it.y) != sv.ip.m {
+// cold. cols names the iterate's column behind each of the instance's
+// columns, in order, so an instance compiled over a subset of the
+// columns the iterate was taken over starts from their coordinates. it
+// is only read. An iterate whose rows do not match the instance's, or
+// cols that do not name one of its columns per instance column, are
+// ignored, as is a nil iterate: the next Solve then starts as it would
+// have.
+func (sv *IPMSolver) StartFrom(it *Iterate, cols []int) {
+	n := len(cols)
+	if it == nil || n != sv.ip.n || len(it.s) != len(it.x) || len(it.y) != sv.ip.m {
 		return
 	}
-	sv.warmX = append(sv.warmX[:0], it.x...)
+	for _, j := range cols {
+		if j < 0 || j >= len(it.x) {
+			return
+		}
+	}
 	sv.warmY = append(sv.warmY[:0], it.y...)
-	sv.warmS = append(sv.warmS[:0], it.s...)
+	sv.warmX, sv.warmS = growFloats(sv.warmX, n), growFloats(sv.warmS, n)
+	for i, j := range cols {
+		sv.warmX[i], sv.warmS[i] = it.x[j], it.s[j]
+	}
 	sv.haveWarm = true
 }
 

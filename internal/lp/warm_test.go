@@ -242,8 +242,9 @@ func perturbedCosts(rng *rand.Rand, p *Problem, frac float64) *Problem {
 // TestIPMSolverStartFrom carries one solver's final iterate to another
 // instance of the same shape whose costs moved by ±0.1%, as a resumed
 // column-generation master does: the seeded solve must reach the cold
-// solve's optimum in fewer Newton iterations, and the handed-out iterate
-// must come back unchanged.
+// solve's optimum in fewer Newton iterations, cols that name a column
+// too few or one the iterate lacks must be ignored, and the handed-out
+// iterate must come back unchanged.
 func TestIPMSolverStartFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	p := withSlacks(randomCoveringLP(rng, 24, 16))
@@ -277,7 +278,7 @@ func TestIPMSolverStartFrom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmSv.StartFrom(it)
+		warmSv.StartFrom(it, everyColumn(it))
 		warm, err := warmSv.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -288,10 +289,36 @@ func TestIPMSolverStartFrom(t *testing.T) {
 		if warm.Iterations >= cold.Iterations {
 			t.Errorf("trial %d: warm start took %d Newton iterations, cold %d", trial, warm.Iterations, cold.Iterations)
 		}
+		all := everyColumn(it)
+		for _, cols := range [][]int{all[1:], append([]int{len(all)}, all[1:]...)} {
+			sv, err := NewIPMSolver(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv.StartFrom(it, cols)
+			got, err := sv.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%x %d", got.X, got.Iterations) != fmt.Sprintf("%x %d", cold.X, cold.Iterations) {
+				t.Errorf("trial %d: a start from columns %v… took %d Newton iterations to %v, want the cold solve's %d to %v",
+					trial, cols[:2], got.Iterations, got.Objective, cold.Iterations, cold.Objective)
+			}
+		}
 	}
 	if fmt.Sprintf("%x", *it) != before {
 		t.Fatal("StartFrom or Solve wrote to the seeding iterate")
 	}
+}
+
+// everyColumn names each of it's columns, in order: StartFrom's cols
+// for an instance over the columns it was taken over.
+func everyColumn(it *Iterate) []int {
+	cols := make([]int, it.Columns())
+	for j := range cols {
+		cols[j] = j
+	}
+	return cols
 }
 
 // TestIPMSolverPoisonedIterateFallsBackCold seeds a solver with iterates
@@ -336,7 +363,7 @@ func TestIPMSolverPoisonedIterateFallsBackCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sv.StartFrom(tc.it)
+		sv.StartFrom(tc.it, everyColumn(good))
 		got, err := sv.Solve()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -593,8 +620,8 @@ func TestFrozenIPMClone(t *testing.T) {
 		}
 		clone, fresh := frozen.Clone(append(all, costs...)), compile(pool, costs)
 		if warm {
-			clone.StartFrom(it)
-			fresh.StartFrom(it)
+			clone.StartFrom(it, everyColumn(it))
+			fresh.StartFrom(it, everyColumn(it))
 		}
 		for round := 0; round < 3; round++ {
 			a, err := clone.Solve()
